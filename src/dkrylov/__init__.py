@@ -4,9 +4,7 @@ from .analysis import (BreakdownDiagnosis, GuessInvalidError, NotInvariantError,
                        SpectrumCheck, VerificationFailedError,
                        breakdown_initial_guess, check_deflated_spectrum,
                        diagnose_breakdown, effective_condition_number)
-from .deflated import (DualReport, MethodVariant, deflated_cg, deflated_gmres,
-                       deflated_minres, deflated_minres_adapted_guess,
-                       rminres_deflation_only, rminres_explicit, run_method)
+from .deflated import DualReport, MethodVariant, run_method
 from .linalg import (GivensRotation, HermitianEigenDecomposition,
                      SingularMatrixError, givens_qr_step, hermitian_eigen,
                      inner, principal_angles, random_orthogonal, solve_dense)
@@ -29,13 +27,10 @@ __all__ = [
     "SingularMatrixError", "SolveConfig", "SolveReport", "SolveStatus",
     "SpectrumCheck", "TestProblem", "VerificationFailedError",
     "breakdown_initial_guess", "breakdown_prone_basis", "cg_solve",
-    "check_deflated_spectrum", "clustered_spd_problem", "deflated_cg",
-    "deflated_gmres", "deflated_minres", "deflated_minres_adapted_guess",
-    "deflated_operator", "dense_operator", "diagnose_breakdown",
-    "effective_condition_number", "eigenvector_basis", "givens_qr_step",
-    "gmres_solve", "hermitian_eigen", "inner", "minres_solve",
-    "near_invariant_problem", "perturb_basis", "principal_angles",
-    "random_orthogonal", "rminres_deflation_only", "rminres_explicit",
-    "run_method", "solve_dense", "symmetric_indefinite_problem",
-    "toy_breakdown_problem",
+    "check_deflated_spectrum", "clustered_spd_problem", "deflated_operator",
+    "dense_operator", "diagnose_breakdown", "effective_condition_number",
+    "eigenvector_basis", "givens_qr_step", "gmres_solve", "hermitian_eigen",
+    "inner", "minres_solve", "near_invariant_problem", "perturb_basis",
+    "principal_angles", "random_orthogonal", "run_method", "solve_dense",
+    "symmetric_indefinite_problem", "toy_breakdown_problem",
 ]

@@ -13,9 +13,7 @@ import numpy as np
 from . import linalg
 from .analysis import (breakdown_initial_guess, check_deflated_spectrum,
                        diagnose_breakdown)
-from .deflated import (deflated_gmres, deflated_minres,
-                       deflated_minres_adapted_guess, rminres_deflation_only,
-                       rminres_explicit)
+from .deflated import MethodVariant, run_method
 from .problems import (breakdown_prone_basis, eigenvector_basis,
                        symmetric_indefinite_problem)
 from .projection import Deflator, GalerkinMode
@@ -168,11 +166,11 @@ def equivalence_suite(seed: int = 0, instances: int = 10) -> dict:
     dev_gmres = 0.0
     dev_adapted = 0.0
     for a, b, u, x0 in equivalence_instances(seed, instances):
-        r_exp = rminres_explicit(a, b, u, x0, cfg)
-        r_only = rminres_deflation_only(a, b, u, x0, cfg)
-        r_free = deflated_minres(a, b, u, x0, cfg)
-        r_adap = deflated_minres_adapted_guess(a, b, u, x0, cfg)
-        r_gm = deflated_gmres(a, b, u, x0, cfg)
+        r_exp = run_method(MethodVariant.RMINRES_EXPLICIT, a, b, u, x0, cfg)
+        r_only = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u, x0, cfg)
+        r_free = run_method(MethodVariant.DEFLATED_MINRES, a, b, u, x0, cfg)
+        r_adap = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, a, b, u, x0, cfg)
+        r_gm = run_method(MethodVariant.DEFLATED_GMRES, a, b, u, x0, cfg)
 
         dev_explicit = max(dev_explicit, curve_deviation(r_exp, r_only))
         dev_gmres = max(dev_gmres, curve_deviation(r_gm, r_only))
@@ -256,7 +254,7 @@ def breakdown_suite(seed: int = 0, pairs: int = 12, guesses_per_invariant: int =
             continue
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         x0 = breakdown_initial_guess(p.a, p.b, u_break, coeff)
-        rep = rminres_deflation_only(p.a, p.b, u_break, x0, cfg)
+        rep = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, p.a, p.b, u_break, x0, cfg)
         if not (rep.status is SolveStatus.BREAKDOWN
                 and rep.deflated_report.breakdown_iteration == 1):
             flagged_failures += 1
@@ -267,7 +265,7 @@ def breakdown_suite(seed: int = 0, pairs: int = 12, guesses_per_invariant: int =
             false_flags += 1
         for _ in range(guesses_per_invariant):
             x0r = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
-            rep = rminres_deflation_only(p.a, p.b, u_inv, x0r, cfg)
+            rep = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, p.a, p.b, u_inv, x0r, cfg)
             invariant_runs += 1
             if rep.status is SolveStatus.BREAKDOWN:
                 invariant_breakdowns += 1

@@ -3,7 +3,10 @@
 Experiment specs are declarative files, INI-style sections or the same
 structure as JSON.  Convergence histories are written as CSV (one row per
 variant and iteration) or JSON for external plotting; a breakdown is a
-reported result, not a tool failure.
+reported result, not a tool failure.  Every history of a run is divided by
+one shared reference, ||b|| of the problem (1 when b = 0), so the variants
+can be compared with each other; the JSON output records it as
+``reference_norm``.
 
 Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error,
 3 construction/setup error.
@@ -277,22 +280,18 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _relative(norms: np.ndarray) -> np.ndarray:
-    norms = np.asarray(norms, dtype=float)
-    if norms.size == 0:
-        return norms
-    r0 = norms[0]
-    if r0 == 0.0:
-        return np.zeros_like(norms)
-    return norms / r0
+def reference_norm(b) -> float:
+    """Shared divisor of every residual history: ||b||, or 1 when b = 0."""
+    norm = linalg.vector_norm(b)
+    return norm if norm > 0.0 else 1.0
 
 
-def render_csv(results: list[DualReport]) -> str:
+def render_csv(results: list[DualReport], reference: float) -> str:
     lines = [CSV_HEADER]
     for result in results:
         status = result.status.value
-        rel_orig = _relative(result.original_residual_norms)
-        rel_defl = _relative(result.deflated_report.residual_norms)
+        rel_orig = result.original_residual_norms / reference
+        rel_defl = result.deflated_report.residual_norms / reference
         m = min(len(rel_orig), len(rel_defl))
         for i in range(m):
             lines.append(f"{result.variant.value},{i},{_fmt(rel_orig[i])},"
@@ -300,7 +299,7 @@ def render_csv(results: list[DualReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(results: list[DualReport]) -> str:
+def render_json(results: list[DualReport], reference: float) -> str:
     payload = []
     for result in results:
         rep = result.deflated_report
@@ -310,11 +309,12 @@ def render_json(results: list[DualReport]) -> str:
             "iterations": int(rep.iterations_used),
             "breakdown_iteration": rep.breakdown_iteration,
             "relative_residuals": {
-                "original": [float(v) for v in _relative(result.original_residual_norms)],
-                "deflated": [float(v) for v in _relative(rep.residual_norms)],
+                "original": [float(v) / reference for v in result.original_residual_norms],
+                "deflated": [float(v) / reference for v in rep.residual_norms],
             },
         })
-    return json.dumps({"results": payload}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"reference_norm": reference, "results": payload},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def cmd_run(args) -> int:
@@ -346,7 +346,9 @@ def cmd_run(args) -> int:
     if fmt not in ("csv", "json"):
         print(f"error: unknown output format {fmt!r}", file=sys.stderr)
         return 2
-    rendered = render_csv(results) if fmt == "csv" else render_json(results)
+    reference = reference_norm(problem.b)
+    rendered = (render_csv(results, reference) if fmt == "csv"
+                else render_json(results, reference))
     out_path = args.output or spec.output.get("path")
     if out_path:
         Path(out_path).write_text(rendered, encoding="ascii")
@@ -354,10 +356,13 @@ def cmd_run(args) -> int:
         sys.stdout.write(rendered)
     for result in results:
         rep = result.deflated_report
-        rel = _relative(result.original_residual_norms)
-        print(f"{result.variant.value}: {result.status.value} after "
-              f"{rep.iterations_used} iterations "
-              f"(final relative residual {rel[-1]:.3e})", file=sys.stderr)
+        final = result.original_residual_norms[-1]
+        at_step = ("" if rep.breakdown_iteration is None
+                   else f" at step {rep.breakdown_iteration}")
+        print(f"{result.variant.value}: {result.status.value}{at_step} after "
+              f"{rep.iterations_used} iterations (final residual "
+              f"{final / reference:.3e} relative to ||b||, {final:.3e} absolute)",
+              file=sys.stderr)
     return 0
 
 

@@ -1,12 +1,23 @@
-"""Deflated and augmented method variants composed from projection + solvers.
+"""Deflated and augmented method variants, each one row of a recipe table.
 
-Each variant returns a :class:`DualReport` holding the deflated-system run and
-the original-system view of it: the per-iteration residual norms of the
-original system and the corrected final iterate.  Where the variant's
-correction is applied once at the end, the original residual history equals
-the deflated history by construction (the correction preserves residuals);
-the explicitly-corrected RMINRES variant recomputes it per iteration, which
-makes the equality checkable rather than definitional.
+Every deflated method is the same recipe with five ingredients:
+
+* a Galerkin mode (residual-orthogonal for CG, residual-minimizing for
+  MINRES and GMRES), which fixes the :class:`Deflator`;
+* a projected operator, left-projected or two-sided projected;
+* a right-hand side for that operator;
+* an initial-guess map (keep the guess, shift it so its residual is
+  orthogonal to the basis, or adapt it to the two-sided system);
+* a correction that maps deflated iterates back to the original system.
+
+Explicit and implicit augmentation are the same iteration and differ only in
+when the correction is applied: ``RMINRES_EXPLICIT`` corrects every iterate
+(explicit augmentation) and recomputes the original residual norms from them,
+which makes their equality with the deflated norms checkable rather than
+definitional; ``RMINRES_DEFLATION_ONLY`` corrects once at the end (implicit
+augmentation) and reports the deflated history, which the correction
+preserves.  The table layout follows KryPy, the source paper's reference
+implementation (github.com/andrenarchy/krypy).
 
 A breakdown of the underlying solver freezes the report at the last valid
 iterate; the correction formula is still applied so the (generally wrong)
@@ -16,15 +27,14 @@ corrected iterate can be inspected.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
 from .operators import deflated_operator, dense_operator
 from .projection import Deflator, GalerkinMode
-from .solvers import (SolveConfig, SolveReport, cg_solve, gmres_solve,
-                      minres_solve, with_overrides)
+from .solvers import SolveConfig, SolveReport, cg_solve, gmres_solve, minres_solve
 
 
 class MethodVariant(enum.Enum):
@@ -40,8 +50,53 @@ class MethodVariant(enum.Enum):
     DEFLATED_GMRES = "deflated-gmres"
 
 
+@dataclass(frozen=True)
+class _Recipe:
+    """How one variant composes a solver with a deflator.
+
+    ``system`` picks the operator, right-hand side and correction:
+
+    * ``"left"``: the left-projected operator with the projected right-hand
+      side, corrected by :meth:`Deflator.correct_iterate`;
+    * ``"two-sided"``: the Hermitian two-sided operator with
+      :meth:`Deflator.two_sided_rhs`, corrected by
+      :meth:`Deflator.correct_two_sided_iterate`;
+    * ``"left-as-two-sided"``: the left-projected system iterated through the
+      two-sided operator.  Its Krylov vectors live in the projector's image,
+      where both operators act identically, so the effective right-hand side
+      r0 + op(x0) makes MINRES compute the residuals of the left-projected
+      system for any initial guess; corrected by ``correct_iterate``.
+
+    ``guess`` is ``"given"``, ``"shifted"`` (:meth:`Deflator.initial_correction`)
+    or ``"adapted"`` (:meth:`Deflator.adapted_initial_guess`).  ``mode`` is
+    None for the undeflated solvers.
+    """
+
+    solver: str
+    mode: GalerkinMode | None = None
+    system: str = "left"
+    guess: str = "given"
+    per_iterate: bool = False
+
+
+_OR = GalerkinMode.RESIDUAL_ORTHOGONAL
+_MR = GalerkinMode.RESIDUAL_MINIMIZING
+
+_RECIPES = {
+    MethodVariant.CG: _Recipe("cg"),
+    MethodVariant.DEFLATED_CG: _Recipe("cg", _OR, guess="shifted"),
+    MethodVariant.MINRES: _Recipe("minres"),
+    MethodVariant.RMINRES_EXPLICIT: _Recipe("minres", _MR, "left-as-two-sided",
+                                            per_iterate=True),
+    MethodVariant.RMINRES_DEFLATION_ONLY: _Recipe("minres", _MR, "left-as-two-sided"),
+    MethodVariant.DEFLATED_MINRES: _Recipe("minres", _MR, "two-sided"),
+    MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS: _Recipe("minres", _MR, "left-as-two-sided",
+                                                         guess="adapted"),
+    MethodVariant.DEFLATED_GMRES: _Recipe("gmres", _MR),
+}
+
 #: Variants that run without a deflation basis.
-PLAIN_VARIANTS = (MethodVariant.CG, MethodVariant.MINRES)
+PLAIN_VARIANTS = tuple(v for v, recipe in _RECIPES.items() if recipe.mode is None)
 
 
 @dataclass
@@ -60,224 +115,55 @@ class DualReport:
     def status(self):
         return self.deflated_report.status
 
-    def relative_original_residuals(self) -> np.ndarray:
-        r0 = self.original_residual_norms[0]
-        if r0 == 0.0:
-            return np.zeros_like(self.original_residual_norms)
-        return self.original_residual_norms / r0
-
-
-def _history_cfg(cfg: SolveConfig) -> SolveConfig:
-    return cfg if cfg.record_history else with_overrides(cfg, record_history=True)
-
-
-def deflated_cg(a, b, u, x0=None, cfg: SolveConfig | None = None) -> DualReport:
-    """Conjugate gradients on the left-projected system of an Hpd matrix.
-
-    The initial guess is first shifted so its residual is orthogonal to the
-    deflation space, CG then runs on the singular positive semidefinite
-    projected system, and the final iterate is corrected back to the original
-    system.
-    """
-    cfg = cfg or SolveConfig()
-    a = linalg.as_matrix(a)
-    d = Deflator(a, u, GalerkinMode.RESIDUAL_ORTHOGONAL)
-    b = linalg.as_vector(b, d.dim)
-    x0 = np.zeros(d.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, d.dim)
-    x0c = d.initial_correction(x0, b)
-    op = deflated_operator(d, "left")
-    rep = cg_solve(op, d.projected_rhs(b), x0c, cfg)
-    corrected = d.correct_iterate(rep.final_iterate, b)
-    return DualReport(
-        variant=MethodVariant.DEFLATED_CG,
-        deflated_report=rep,
-        original_residual_norms=rep.residual_norms.copy(),
-        corrected_iterate=corrected,
-        correction_count=1,
-        deflator=d,
-    )
-
-
-def _minres_on_deflated(d: Deflator, b, x0, cfg) -> SolveReport:
-    """MINRES on the left-projected system, iterated through its Hermitian
-    two-sided replacement.
-
-    The Krylov vectors of the left-projected system live in the projector's
-    image, where the two-sided operator acts identically; feeding MINRES the
-    effective right-hand side r0 + op(x0) makes its internally computed
-    residuals equal those of the left-projected system for any initial guess.
-    """
-    op = deflated_operator(d, "two_sided")
-    r0 = d.project_residual(b - d.a @ x0)
-    b_eff = r0 + op.apply(x0)
-    return minres_solve(op, b_eff, x0, cfg)
-
-
-def rminres_explicit(a, b, u, x0=None, cfg: SolveConfig | None = None) -> DualReport:
-    """Augmented/deflated MINRES with the per-iteration solution update.
-
-    Every deflated iterate is mapped into the augmented solution space as it
-    is produced, and the original-system residual norm is recomputed
-    explicitly from each corrected iterate.  Breakdowns are possible whenever
-    the deflation space intersects the orthogonal complement of its image.
-    """
-    cfg = cfg or SolveConfig()
-    a = linalg.as_matrix(a)
-    d = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING)
-    if not d.a_hermitian:
-        raise ValueError("rminres_explicit requires a Hermitian matrix")
-    b = linalg.as_vector(b, d.dim)
-    x0 = np.zeros(d.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, d.dim)
-    rep = _minres_on_deflated(d, b, x0, _history_cfg(cfg))
-    corrected_history = [d.correct_iterate(xh, b) for xh in rep.iterates]
-    original = np.array([linalg.vector_norm(b - a @ xc) for xc in corrected_history])
-    return DualReport(
-        variant=MethodVariant.RMINRES_EXPLICIT,
-        deflated_report=rep,
-        original_residual_norms=original,
-        corrected_iterate=corrected_history[-1],
-        correction_count=len(corrected_history),
-        deflator=d,
-    )
-
-
-def rminres_deflation_only(a, b, u, x0=None, cfg: SolveConfig | None = None) -> DualReport:
-    """Augmented/deflated MINRES with a single final correction.
-
-    Mathematically the same iteration as :func:`rminres_explicit`; the
-    solution-space correction is deferred to the end, so per-iteration cost is
-    lower.  The original residual history is the deflated one (they agree by
-    the residual-preservation property of the correction).
-    """
-    cfg = cfg or SolveConfig()
-    a = linalg.as_matrix(a)
-    d = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING)
-    if not d.a_hermitian:
-        raise ValueError("rminres_deflation_only requires a Hermitian matrix")
-    b = linalg.as_vector(b, d.dim)
-    x0 = np.zeros(d.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, d.dim)
-    rep = _minres_on_deflated(d, b, x0, cfg)
-    corrected = d.correct_iterate(rep.final_iterate, b)
-    return DualReport(
-        variant=MethodVariant.RMINRES_DEFLATION_ONLY,
-        deflated_report=rep,
-        original_residual_norms=rep.residual_norms.copy(),
-        corrected_iterate=corrected,
-        correction_count=1,
-        deflator=d,
-    )
-
-
-def deflated_minres(a, b, u, x0=None, cfg: SolveConfig | None = None) -> DualReport:
-    """Breakdown-free deflated MINRES on the two-sided projected system.
-
-    Both the operator and the right-hand side are projected, which keeps the
-    deflated system Hermitian and consistent; the minimal-residual iteration
-    on it cannot break down for any initial guess.  The final iterate is
-    mapped back with the two-sided correction formula, whose residual equals
-    the deflated residual at every step.
-    """
-    cfg = cfg or SolveConfig()
-    a = linalg.as_matrix(a)
-    d = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING)
-    if not d.a_hermitian:
-        raise ValueError("deflated_minres requires a Hermitian matrix")
-    b = linalg.as_vector(b, d.dim)
-    x0 = np.zeros(d.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, d.dim)
-    op = deflated_operator(d, "two_sided")
-    rep = minres_solve(op, d.two_sided_rhs(b), x0, cfg)
-    corrected = d.correct_two_sided_iterate(rep.final_iterate, b)
-    return DualReport(
-        variant=MethodVariant.DEFLATED_MINRES,
-        deflated_report=rep,
-        original_residual_norms=rep.residual_norms.copy(),
-        corrected_iterate=corrected,
-        correction_count=1,
-        deflator=d,
-    )
-
-
-def deflated_minres_adapted_guess(a, b, u, x0=None, cfg: SolveConfig | None = None) -> DualReport:
-    """Left-projected MINRES made breakdown-free by adapting the initial guess.
-
-    Replacing the initial guess with its projected-and-shifted counterpart
-    produces the same residual history as running on the two-sided projected
-    system directly, avoiding breakdowns without changing the right-hand side.
-    """
-    cfg = cfg or SolveConfig()
-    a = linalg.as_matrix(a)
-    d = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING)
-    if not d.a_hermitian:
-        raise ValueError("deflated_minres_adapted_guess requires a Hermitian matrix")
-    b = linalg.as_vector(b, d.dim)
-    x0 = np.zeros(d.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, d.dim)
-    adapted = d.adapted_initial_guess(x0, b)
-    rep = _minres_on_deflated(d, b, adapted, cfg)
-    corrected = d.correct_iterate(rep.final_iterate, b)
-    return DualReport(
-        variant=MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS,
-        deflated_report=rep,
-        original_residual_norms=rep.residual_norms.copy(),
-        corrected_iterate=corrected,
-        correction_count=1,
-        deflator=d,
-        diagnostics={"adapted_initial_guess": adapted},
-    )
-
-
-def deflated_gmres(a, b, u, x0=None, cfg: SolveConfig | None = None) -> DualReport:
-    """GMRES on the left-projected system of a general nonsingular matrix.
-
-    For Hermitian matrices this is mathematically equivalent to the deflated
-    MINRES variants; breakdowns occur exactly when the deflation space
-    intersects the orthogonal complement of its image.
-    """
-    cfg = cfg or SolveConfig()
-    a = linalg.as_matrix(a)
-    d = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING)
-    b = linalg.as_vector(b, d.dim)
-    x0 = np.zeros(d.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, d.dim)
-    op = deflated_operator(d, "left")
-    rep = gmres_solve(op, d.projected_rhs(b), x0, cfg)
-    corrected = d.correct_iterate(rep.final_iterate, b)
-    return DualReport(
-        variant=MethodVariant.DEFLATED_GMRES,
-        deflated_report=rep,
-        original_residual_norms=rep.residual_norms.copy(),
-        corrected_iterate=corrected,
-        correction_count=1,
-        deflator=d,
-    )
-
-
-def _plain(variant, solver, a, b, x0, cfg) -> DualReport:
-    rep = solver(dense_operator(linalg.as_matrix(a)), b, x0, cfg)
-    return DualReport(
-        variant=variant,
-        deflated_report=rep,
-        original_residual_norms=rep.residual_norms.copy(),
-        corrected_iterate=rep.final_iterate,
-    )
-
-
-_DISPATCH = {
-    MethodVariant.DEFLATED_CG: deflated_cg,
-    MethodVariant.RMINRES_EXPLICIT: rminres_explicit,
-    MethodVariant.RMINRES_DEFLATION_ONLY: rminres_deflation_only,
-    MethodVariant.DEFLATED_MINRES: deflated_minres,
-    MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS: deflated_minres_adapted_guess,
-    MethodVariant.DEFLATED_GMRES: deflated_gmres,
-}
-
 
 def run_method(variant: MethodVariant, a, b, u=None, x0=None,
                cfg: SolveConfig | None = None) -> DualReport:
-    """Run one method variant on a system, deflated variants requiring a basis."""
+    """Run one method variant on a system, deflated variants requiring a basis.
+
+    MINRES-based deflated variants require a Hermitian matrix; deflated CG
+    requires a Hermitian positive definite one; deflated GMRES accepts any
+    nonsingular matrix.
+    """
+    recipe = _RECIPES[variant]
     cfg = cfg or SolveConfig()
-    if variant is MethodVariant.CG:
-        return _plain(variant, cg_solve, a, b, x0, cfg)
-    if variant is MethodVariant.MINRES:
-        return _plain(variant, minres_solve, a, b, x0, cfg)
+    # Looked up per call, so that rebinding a solver's module name takes effect.
+    solve = {"cg": cg_solve, "minres": minres_solve, "gmres": gmres_solve}[recipe.solver]
+    if recipe.mode is None:
+        rep = solve(dense_operator(linalg.as_matrix(a)), b, x0, cfg)
+        return DualReport(variant, rep, rep.residual_norms.copy(), rep.final_iterate)
     if u is None:
         raise ValueError(f"variant {variant.value} requires a deflation basis")
-    return _DISPATCH[variant](a, b, u, x0, cfg)
+
+    d = Deflator(a, u, recipe.mode)
+    if recipe.solver == "minres" and not d.a_hermitian:
+        raise ValueError(f"{variant.value} requires a Hermitian matrix")
+    b = linalg.as_vector(b, d.dim)
+    x0 = np.zeros(d.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, d.dim)
+    diagnostics = {}
+    if recipe.guess == "shifted":
+        x0 = d.initial_correction(x0, b)
+    elif recipe.guess == "adapted":
+        x0 = diagnostics["adapted_initial_guess"] = d.adapted_initial_guess(x0, b)
+
+    if recipe.system == "left":
+        op = deflated_operator(d, "left")
+        rhs = d.project_residual(b)
+    else:
+        op = deflated_operator(d, "two_sided")
+        if recipe.system == "two-sided":
+            rhs = d.two_sided_rhs(b)
+        else:
+            rhs = d.project_residual(b - d.a @ x0) + op.apply(x0)
+    correct = (d.correct_two_sided_iterate if recipe.system == "two-sided"
+               else d.correct_iterate)
+
+    if recipe.per_iterate:
+        cfg = replace(cfg, record_history=True)
+    rep = solve(op, rhs, x0, cfg)
+    if recipe.per_iterate:
+        corrected = [correct(x, b) for x in rep.iterates]
+        original = np.array([linalg.vector_norm(b - d.a @ x) for x in corrected])
+    else:
+        corrected = [correct(rep.final_iterate, b)]
+        original = rep.residual_norms.copy()
+    return DualReport(variant, rep, original, corrected[-1], len(corrected), d, diagnostics)

@@ -94,11 +94,3 @@ def read_matrix_market(path) -> np.ndarray:
     if arr.ndim == 2 and arr.shape[1] == 1:
         return arr.ravel()
     return arr
-
-
-def load_matrix_or_vector(path) -> np.ndarray:
-    """Load a dense array from a Matrix Market file (.mtx / .mm)."""
-    p = Path(path)
-    if p.suffix.lower() in (".mtx", ".mm"):
-        return read_matrix_market(p)
-    raise ValueError(f"unsupported array file format: {p.suffix!r}")

@@ -87,14 +87,15 @@ def dense_operator(a) -> LinearOperator:
     return LinearOperator(a.shape[0], lambda v: a @ v, linalg.is_hermitian(a), label="dense")
 
 
-def deflated_operator(deflator: Deflator, kind: str = "left", verify: bool = True) -> LinearOperator:
+def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:
     """Projected composition of a deflator with its base matrix.
 
     kind "left" applies the residual projector after the matrix product; the
     result is singular and, in residual-minimizing mode, in general not
     Hermitian.  kind "two_sided" (residual-minimizing mode only) projects on
     both sides, which restores hermiticity whenever the base matrix is
-    Hermitian.
+    Hermitian.  The composition is spot-checked with
+    :meth:`LinearOperator.verify` before it is returned.
     """
     a = deflator.a
     if kind == "left":
@@ -113,6 +114,5 @@ def deflated_operator(deflator: Deflator, kind: str = "left", verify: bool = Tru
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     op = LinearOperator(deflator.dim, matvec, hermitian, label=label)
-    if verify:
-        op.verify()
+    op.verify()
     return op

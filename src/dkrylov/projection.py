@@ -53,9 +53,7 @@ class Deflator:
     apply counters.
     """
 
-    def __init__(self, a, u, mode: GalerkinMode, *,
-                 allow_indefinite: bool = False,
-                 orthonormalize: bool = False):
+    def __init__(self, a, u, mode: GalerkinMode, *, allow_indefinite: bool = False):
         a = linalg.as_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
@@ -73,13 +71,6 @@ class Deflator:
         self.dim = n
         self.k = k
         self.a_hermitian = linalg.is_hermitian(a)
-        self.orthonormalized = bool(orthonormalize)
-
-        if orthonormalize:
-            q = linalg.orthonormal_basis(u)
-            if q.shape[1] != k:
-                raise SingularCouplingError("augmentation basis is rank deficient")
-            u = q
         self.u = u
         self.w = a @ u
 
@@ -115,13 +106,6 @@ class Deflator:
         else:
             self._solve_coupling = lambda rhs: scipy.linalg.lu_solve(factorization, rhs)
 
-        # Orthonormal image basis of w: with it the residual projector is
-        # v - c (c^H v), a numerically robust alternative to the coupled solve.
-        self._c = None
-        if mode is GalerkinMode.RESIDUAL_MINIMIZING and orthonormalize:
-            q, _ = np.linalg.qr(self.w)
-            self._c = q
-
         self.apply_counts = {"project_residual": 0, "project_solution": 0,
                              "coarse_solve": 0, "corrections": 0}
 
@@ -148,24 +132,13 @@ class Deflator:
         self.apply_counts["coarse_solve"] += 1
         return self.u @ self._solve_coupling(self.u.conj().T @ v)
 
-    def project_residual(self, v, use_orthonormal_image: bool | None = None) -> np.ndarray:
+    def project_residual(self, v) -> np.ndarray:
         """Residual projector: annihilates the image of the basis under ``a``.
 
-        In residual-minimizing mode with an orthonormalized basis the action
-        is computed from an orthonormal basis of that image instead of the
-        coupled solve; both paths agree to roundoff.
+        Applied to b it gives the right-hand side of the left-projected system.
         """
         v = linalg.as_vector(v, self.dim)
         self.apply_counts["project_residual"] += 1
-        if use_orthonormal_image is None:
-            use_orthonormal_image = self._c is not None
-        if use_orthonormal_image:
-            if self._c is None:
-                raise ModeMismatchError(
-                    "orthonormal-image projection requires residual-minimizing "
-                    "mode with orthonormalize=True"
-                )
-            return v - self._c @ (self._c.conj().T @ v)
         return v - self.w @ self._solve_coupling(self._bu.conj().T @ v)
 
     def project_solution(self, v) -> np.ndarray:
@@ -175,10 +148,6 @@ class Deflator:
         return v - self.u @ self._solve_coupling(self._bu.conj().T @ (self.a @ v))
 
     # -- right-hand sides for the deflated systems --------------------------
-
-    def projected_rhs(self, b) -> np.ndarray:
-        """Right-hand side of the left-projected system."""
-        return self.project_residual(b)
 
     def two_sided_rhs(self, b) -> np.ndarray:
         """Right-hand side of the two-sided projected (Hermitian) system."""
@@ -240,5 +209,4 @@ class Deflator:
             raise ModeMismatchError(f"{name} requires residual-minimizing mode")
 
     def __repr__(self):
-        return (f"<Deflator dim={self.dim} k={self.k} mode={self.mode.value}"
-                f"{' orthonormalized' if self.orthonormalized else ''}>")
+        return f"<Deflator dim={self.dim} k={self.k} mode={self.mode.value}>"

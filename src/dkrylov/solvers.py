@@ -5,20 +5,24 @@ per iteration by default (recurrence estimates are kept alongside for
 cross-checking), classify termination into converged / breakdown / stagnated /
 max-iterations, and never silently return a breakdown as success.
 
-A *breakdown* is the singular-system failure mode: the Krylov basis cannot be
-continued while the residual is still above tolerance.  When the continuation
-vector vanishes, the last step is committed only if the least-squares factor
-is numerically nonsingular relative to the operator's scale and the explicit
-residual of the resulting iterate meets the tolerance (a lucky termination,
-reported as converged); otherwise the run is frozen at the last valid iterate
-and reported as a breakdown.
+A *breakdown* means the Krylov basis cannot be continued while the residual
+is still above tolerance.  When the continuation vector vanishes, the last
+step is committed only if the least-squares factor is numerically nonsingular
+relative to the operator's scale and the explicit residual of the resulting
+iterate meets the tolerance (a lucky termination, reported as converged);
+otherwise the run is frozen at the last valid iterate and reported as a
+breakdown.  Singular systems, such as the left-projected deflated systems,
+are one cause; a nonsingular system breaks down too when its Krylov space is
+exhausted while the tolerance lies below the accuracy attainable at its
+condition number (A = Q diag(1, -2, 1e-8) Q^H, b = Q (1, 1, 1) breaks down at
+step 3 under the default tolerance).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,13 +102,6 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.status is SolveStatus.CONVERGED
-
-    def relative_residual_norms(self) -> np.ndarray:
-        """Residual history normalized by the initial residual norm."""
-        r0 = self.residual_norms[0]
-        if r0 == 0.0:
-            return np.zeros_like(self.residual_norms)
-        return self.residual_norms / r0
 
 
 class _Run:
@@ -451,7 +448,10 @@ def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     Modified Gram-Schmidt orthogonalization (twice when reorthogonalization
     is requested), Givens-rotation update of the Hessenberg least-squares
     problem, and explicit per-iteration residuals.  Applicable to any square
-    operator; breakdowns can occur only on singular systems.
+    operator.  A breakdown is reported when the continuation vector vanishes
+    and the committed step's explicit residual misses the tolerance (or its
+    pivot is numerically zero); this happens on singular systems, and on
+    nonsingular ones whose tolerance is below the attainable accuracy.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
 
@@ -538,8 +538,3 @@ def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
 
 def _arnoldi_diag(basis):
     return {"basis_orthogonality_drift": _orthogonality_drift(np.column_stack(basis))}
-
-
-def with_overrides(cfg: SolveConfig, **kwargs) -> SolveConfig:
-    """Copy of a config with selected fields replaced."""
-    return replace(cfg, **kwargs)

@@ -3,10 +3,7 @@ import pytest
 
 from dkrylov import linalg
 from dkrylov.checks import curve_deviation, equivalence_suite
-from dkrylov.deflated import (MethodVariant, deflated_cg, deflated_gmres,
-                              deflated_minres, deflated_minres_adapted_guess,
-                              rminres_deflation_only, rminres_explicit,
-                              run_method)
+from dkrylov.deflated import MethodVariant, run_method
 from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
                               eigenvector_basis, symmetric_indefinite_problem,
                               toy_breakdown_problem)
@@ -32,7 +29,7 @@ class TestDeflatedCg:
         u = eigenvector_basis(p, range(1, 6))
         cfg = SolveConfig(residual_tolerance=1e-10, max_iterations=500)
         plain = run_method(MethodVariant.CG, p.a, p.b, cfg=cfg)
-        defl = deflated_cg(p.a, p.b, u, cfg=cfg)
+        defl = run_method(MethodVariant.DEFLATED_CG, p.a, p.b, u, cfg=cfg)
         assert plain.status is SolveStatus.CONVERGED
         assert defl.status is SolveStatus.CONVERGED
         assert defl.deflated_report.iterations_used < plain.deflated_report.iterations_used
@@ -46,7 +43,7 @@ class TestDeflatedCg:
         b = rng.standard_normal(20)
         u = rng.standard_normal((20, 3))
         x = np.linalg.solve(a, b)
-        rep = deflated_cg(a, b, u, x)
+        rep = run_method(MethodVariant.DEFLATED_CG, a, b, u, x)
         assert rep.status is SolveStatus.CONVERGED
         assert rep.deflated_report.iterations_used == 0
 
@@ -54,13 +51,13 @@ class TestDeflatedCg:
         p = symmetric_indefinite_problem(10, seed=1)
         u = eigenvector_basis(p, [1])
         with pytest.raises(ValueError):
-            deflated_cg(p.a, p.b, u)
+            run_method(MethodVariant.DEFLATED_CG, p.a, p.b, u)
 
     def test_initial_residual_orthogonal_to_basis(self):
         p = clustered_spd_problem(30, 3, seed=7)
         u = eigenvector_basis(p, range(1, 4))
-        rep = deflated_cg(p.a, p.b, u, cfg=SolveConfig(max_iterations=5,
-                                                       residual_tolerance=1e-30))
+        rep = run_method(MethodVariant.DEFLATED_CG, p.a, p.b, u,
+                         cfg=SolveConfig(max_iterations=5, residual_tolerance=1e-30))
         # the corrected initial guess makes the true residual basis-orthogonal
         x0 = rep.deflated_report.iterates[0]
         assert np.linalg.norm(u.conj().T @ (p.b - p.a @ x0)) <= 1e-12
@@ -70,8 +67,8 @@ class TestEquivalences:
     def test_explicit_matches_deflation_only(self):
         for seed in (0, 1, 2):
             a, b, u = hermitian_instance(seed)
-            r1 = rminres_explicit(a, b, u)
-            r2 = rminres_deflation_only(a, b, u)
+            r1 = run_method(MethodVariant.RMINRES_EXPLICIT, a, b, u)
+            r2 = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u)
             assert curve_deviation(r1, r2) <= 1e-8
 
     def test_adapted_guess_matches_two_sided(self):
@@ -79,14 +76,14 @@ class TestEquivalences:
             a, b, u = hermitian_instance(seed)
             rng = np.random.default_rng(seed + 100)
             x0 = rng.standard_normal(a.shape[0])
-            r1 = deflated_minres_adapted_guess(a, b, u, x0)
-            r2 = deflated_minres(a, b, u, x0)
+            r1 = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, a, b, u, x0)
+            r2 = run_method(MethodVariant.DEFLATED_MINRES, a, b, u, x0)
             assert curve_deviation(r1, r2) <= 1e-8
 
     def test_gmres_matches_minres_for_hermitian(self):
         a, b, u = hermitian_instance(5)
-        r1 = deflated_gmres(a, b, u)
-        r2 = rminres_deflation_only(a, b, u)
+        r1 = run_method(MethodVariant.DEFLATED_GMRES, a, b, u)
+        r2 = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u)
         assert curve_deviation(r1, r2) <= 1e-8
 
     def test_full_suite(self):
@@ -99,9 +96,9 @@ class TestEquivalences:
         p = symmetric_indefinite_problem(20, seed=9)
         u = eigenvector_basis(p, [1, 2, 21, 22])
         cfg = SolveConfig(residual_tolerance=1e-10, max_iterations=100)
-        r1 = rminres_explicit(p.a, p.b, u, cfg=cfg)
-        r2 = rminres_deflation_only(p.a, p.b, u, cfg=cfg)
-        r3 = deflated_minres(p.a, p.b, u, cfg=cfg)
+        r1 = run_method(MethodVariant.RMINRES_EXPLICIT, p.a, p.b, u, cfg=cfg)
+        r2 = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, p.a, p.b, u, cfg=cfg)
+        r3 = run_method(MethodVariant.DEFLATED_MINRES, p.a, p.b, u, cfg=cfg)
         for pair in ((r1, r2), (r2, r3)):
             assert np.linalg.norm(pair[0].corrected_iterate - pair[1].corrected_iterate) \
                 <= 1e-10 * max(1.0, np.linalg.norm(pair[0].corrected_iterate))
@@ -114,11 +111,12 @@ class TestResidualIdentity:
         a, b, u = hermitian_instance(6)
         cfg = SolveConfig(residual_tolerance=1e-10, max_iterations=200,
                           record_history=True)
-        for runner in (rminres_deflation_only, deflated_minres, deflated_gmres):
-            result = runner(a, b, u, None, cfg)
+        for variant in (MethodVariant.RMINRES_DEFLATION_ONLY, MethodVariant.DEFLATED_MINRES,
+                        MethodVariant.DEFLATED_GMRES):
+            result = run_method(variant, a, b, u, None, cfg)
             rep = result.deflated_report
             d = result.deflator
-            if runner is deflated_minres:
+            if variant is MethodVariant.DEFLATED_MINRES:
                 corrected = [d.correct_two_sided_iterate(x, b) for x in rep.iterates]
             else:
                 corrected = [d.correct_iterate(x, b) for x in rep.iterates]
@@ -128,15 +126,16 @@ class TestResidualIdentity:
 
     def test_explicit_variant_original_equals_deflated(self):
         a, b, u = hermitian_instance(7)
-        result = rminres_explicit(a, b, u)
+        result = run_method(MethodVariant.RMINRES_EXPLICIT, a, b, u)
         dev = np.abs(result.original_residual_norms
                      - result.deflated_report.residual_norms)
         assert dev.max() <= 1e-10 * result.original_residual_norms[0]
 
     def test_monotone_original_residuals(self):
         a, b, u = hermitian_instance(8)
-        for runner in (rminres_explicit, rminres_deflation_only, deflated_minres):
-            result = runner(a, b, u)
+        for variant in (MethodVariant.RMINRES_EXPLICIT, MethodVariant.RMINRES_DEFLATION_ONLY,
+                        MethodVariant.DEFLATED_MINRES):
+            result = run_method(variant, a, b, u)
             r = result.original_residual_norms
             assert np.all(r[1:] <= r[:-1] + 1e-12 * r[0])
 
@@ -144,7 +143,7 @@ class TestResidualIdentity:
 class TestBreakdownBehavior:
     def test_toy_breakdown_frozen_report(self):
         p = toy_breakdown_problem()
-        result = rminres_deflation_only(p.a, p.b, p.u)
+        result = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, p.a, p.b, p.u)
         assert result.status is SolveStatus.BREAKDOWN
         assert result.deflated_report.breakdown_iteration == 1
         np.testing.assert_allclose(result.deflated_report.residual_norms, [1.0])
@@ -153,13 +152,13 @@ class TestBreakdownBehavior:
 
     def test_breakdown_free_variant_solves_toy_problem(self):
         p = toy_breakdown_problem()
-        result = deflated_minres(p.a, p.b, p.u)
+        result = run_method(MethodVariant.DEFLATED_MINRES, p.a, p.b, p.u)
         assert result.status is SolveStatus.CONVERGED
         np.testing.assert_allclose(result.corrected_iterate, p.known_solution, atol=1e-10)
 
     def test_adapted_guess_variant_solves_toy_problem(self):
         p = toy_breakdown_problem()
-        result = deflated_minres_adapted_guess(p.a, p.b, p.u)
+        result = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, p.a, p.b, p.u)
         assert result.status is SolveStatus.CONVERGED
         np.testing.assert_allclose(result.corrected_iterate, p.known_solution, atol=1e-10)
 
@@ -169,10 +168,10 @@ class TestBreakdownBehavior:
         u = breakdown_prone_basis(p, range(1, 5))
         coeff = np.ones(4, dtype=complex)
         x0 = breakdown_initial_guess(p.a, p.b, u, coeff)
-        result = rminres_deflation_only(p.a, p.b, u, x0)
+        result = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, p.a, p.b, u, x0)
         assert result.status is SolveStatus.BREAKDOWN
         assert result.deflated_report.breakdown_iteration == 1
-        free = deflated_minres(p.a, p.b, u, x0)
+        free = run_method(MethodVariant.DEFLATED_MINRES, p.a, p.b, u, x0)
         assert free.status is SolveStatus.CONVERGED
         rel = np.linalg.norm(p.b - p.a @ free.corrected_iterate) / np.linalg.norm(p.b)
         assert rel <= 1e-10
@@ -206,17 +205,18 @@ class TestVariantDispatch:
         a = rng.standard_normal((8, 8)) + 8 * np.eye(8)  # not symmetric
         b = rng.standard_normal(8)
         u = rng.standard_normal((8, 2))
-        for runner in (rminres_explicit, rminres_deflation_only,
-                       deflated_minres, deflated_minres_adapted_guess):
+        for variant in (MethodVariant.RMINRES_EXPLICIT, MethodVariant.RMINRES_DEFLATION_ONLY,
+                        MethodVariant.DEFLATED_MINRES,
+                        MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS):
             with pytest.raises(ValueError):
-                runner(a, b, u)
+                run_method(variant, a, b, u)
         # GMRES accepts general nonsingular matrices
-        result = deflated_gmres(a, b, u)
+        result = run_method(MethodVariant.DEFLATED_GMRES, a, b, u)
         assert result.status is SolveStatus.CONVERGED
 
     def test_correction_counts_reflect_strategy(self):
         a, b, u = hermitian_instance(9)
-        explicit = rminres_explicit(a, b, u)
-        deferred = rminres_deflation_only(a, b, u)
+        explicit = run_method(MethodVariant.RMINRES_EXPLICIT, a, b, u)
+        deferred = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u)
         assert deferred.correction_count == 1
         assert explicit.correction_count == len(explicit.original_residual_norms)

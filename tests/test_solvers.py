@@ -81,7 +81,7 @@ class TestCg:
         d = Deflator(a, u, GalerkinMode.RESIDUAL_ORTHOGONAL)
         op = deflated_operator(d, "left")
         x0 = d.initial_correction(np.zeros(30), b)
-        rep = cg_solve(op, d.projected_rhs(b), x0)
+        rep = cg_solve(op, d.project_residual(b), x0)
         assert rep.status is SolveStatus.CONVERGED
         corrected = d.correct_iterate(rep.final_iterate, b)
         exact = np.linalg.solve(a, b)
@@ -131,7 +131,7 @@ class TestMinres:
         p = toy_breakdown_problem()
         d = Deflator(p.a, p.u, GalerkinMode.RESIDUAL_MINIMIZING)
         op = deflated_operator(d, "two_sided")
-        rep = minres_solve(op, d.projected_rhs(p.b))
+        rep = minres_solve(op, d.project_residual(p.b))
         assert rep.status is SolveStatus.BREAKDOWN
         assert rep.breakdown_iteration == 1
         np.testing.assert_allclose(rep.residual_norms, [1.0])
@@ -262,7 +262,7 @@ class TestGmres:
         p = toy_breakdown_problem()
         d = Deflator(p.a, p.u, GalerkinMode.RESIDUAL_MINIMIZING)
         op = deflated_operator(d, "left")
-        rep = gmres_solve(op, d.projected_rhs(p.b))
+        rep = gmres_solve(op, d.project_residual(p.b))
         assert rep.status is SolveStatus.BREAKDOWN
         assert rep.breakdown_iteration == 1
         np.testing.assert_allclose(rep.residual_norms, [1.0])
@@ -334,6 +334,20 @@ class TestStagnation:
         assert rep.breakdown_iteration == 4
         assert rep.residual_norms[-1] == pytest.approx(0.5, rel=1e-10)
         assert np.linalg.norm(b - a @ rep.final_iterate) == pytest.approx(0.5, rel=1e-10)
+
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_unattainable_tolerance_on_nonsingular_system(self, solver):
+        # Nonsingular, but at condition 2e8 the default tolerance lies below
+        # the attainable accuracy: the Krylov space is exhausted at step 3
+        # and the last step misses the tolerance, so the run is not
+        # reported as converged, and what it records is the true residual.
+        q = linalg.random_orthogonal(3, 0)
+        a = q @ np.diag([1.0, -2.0, 1e-8]) @ q.conj().T
+        b = q @ np.ones(3)
+        rep = solver(dense_operator(a), b)
+        assert rep.status is not SolveStatus.CONVERGED
+        assert rep.residual_norms[-1] == pytest.approx(
+            np.linalg.norm(b - a @ rep.final_iterate), rel=1e-12)
 
     def test_max_iterations_status(self):
         rng = np.random.default_rng(13)
