@@ -70,18 +70,21 @@ class Deflator:
         self.mode = mode
         self.dim = n
         self.k = k
-        self.a_hermitian = linalg.is_hermitian(a)
+        # ||a||_2 is computed once: it decides symmetry as
+        # :func:`linalg.is_hermitian` does, and scales every pivot test.
+        a_norm = linalg.spectral_norm(a)
+        self.a_hermitian = bool(linalg.hermitian_defect(a) <= linalg.HERMITIAN_TOLERANCE
+                                * max(a_norm, np.finfo(float).tiny))
         self.u = u
         self.w = a @ u
 
         # The coupling matrix can be numerically zero for adversarial bases,
         # so the singularity test measures its pivots against the natural
         # problem scale rather than against the coupling matrix itself.
-        a_norm = linalg.spectral_norm(a)
         u_norm = linalg.spectral_norm(self.u)
         if mode is GalerkinMode.RESIDUAL_ORTHOGONAL:
             if not allow_indefinite:
-                self._require_hpd(a)
+                self._require_hpd(a_norm)
             self._bu = self.u
             self.coupling = self.u.conj().T @ self.w
             coupling_scale = a_norm * u_norm**2
@@ -109,15 +112,14 @@ class Deflator:
         self.apply_counts = {"project_residual": 0, "project_solution": 0,
                              "coarse_solve": 0, "corrections": 0}
 
-    @staticmethod
-    def _require_hpd(a):
-        if not linalg.is_hermitian(a):
+    def _require_hpd(self, a_norm):
+        if not self.a_hermitian:
             raise ValueError(
                 "residual-orthogonal mode requires a Hermitian positive definite "
                 "matrix (pass allow_indefinite=True to override)"
             )
         try:
-            linalg.cholesky_factor_checked(a)
+            linalg.cholesky_factor_checked(self.a, scale=a_norm)
         except SingularMatrixError as exc:
             raise ValueError(
                 "residual-orthogonal mode requires a Hermitian positive definite "

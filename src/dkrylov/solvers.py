@@ -5,17 +5,21 @@ per iteration by default (recurrence estimates are kept alongside for
 cross-checking), classify termination into converged / breakdown / stagnated /
 max-iterations, and never silently return a breakdown as success.
 
+MINRES and GMRES are one minimal-residual iteration that differs only in how
+the Krylov basis grows: by the Lanczos or by the Arnoldi recurrence.
+
 A *breakdown* means the Krylov basis cannot be continued while the residual
 is still above tolerance.  When the continuation vector vanishes, the last
-step is committed only if the least-squares factor is numerically nonsingular
-relative to the operator's scale and the explicit residual of the resulting
-iterate meets the tolerance (a lucky termination, reported as converged);
-otherwise the run is frozen at the last valid iterate and reported as a
-breakdown.  Singular systems, such as the left-projected deflated systems,
-are one cause; a nonsingular system breaks down too when its Krylov space is
-exhausted while the tolerance lies below the accuracy attainable at its
-condition number (A = Q diag(1, -2, 1e-8) Q^H, b = Q (1, 1, 1) breaks down at
-step 3 under the default tolerance).
+step is committed only if its pivot in the least-squares factor is
+numerically nonzero relative to the operator's scale and its recurrence
+residual meets the tolerance; the committed iterate is reported as converged
+if its explicit residual meets the tolerance too, and as stagnated if not,
+which happens on a nonsingular system whose tolerance lies below the accuracy
+attainable at its condition number (A = Q diag(1, -2, 1e-8) Q^H,
+b = Q (1, 1, 1) stagnates at step 3 with ||b - A x|| about 1e-8 under the
+default tolerance).  Otherwise the run is frozen at the last valid iterate
+and reported as a breakdown; singular systems, such as the left-projected
+deflated systems, are the usual cause.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import linalg
 from .operators import LinearOperator, dense_operator
@@ -57,10 +62,11 @@ class SolveConfig:
     ``breakdown_threshold`` is the relative cutoff below which a Lanczos or
     Arnoldi continuation vector counts as vanished, and below which a pivot
     of the least-squares factor counts as zero.
-    ``reorthogonalize`` requests full reorthogonalization: every new basis
-    vector is orthogonalized against all stored ones.  MINRES always
-    reorthogonalizes partially (see :func:`minres_solve`); this switch makes
-    it do so on every step.
+    ``reorthogonalize`` requests full reorthogonalization in MINRES: every
+    new Lanczos vector is orthogonalized against all stored ones.  MINRES
+    always reorthogonalizes partially (see :func:`minres_solve`); this switch
+    makes it do so on every step.  GMRES orthogonalizes every Arnoldi vector
+    twice regardless, so the switch does not affect it.
     """
 
     residual_tolerance: float = 1e-10
@@ -117,15 +123,11 @@ class _Run:
         self.iterates = [] if cfg.record_history else None
         self.best = []
 
-    def residual(self, x, recurrence_norm) -> float:
-        """Residual norm of ``x`` as recorded: explicit, or the recurrence's."""
+    def record(self, x, recurrence_norm) -> float:
+        """Record ``x`` with its residual norm, explicit or the recurrence's."""
+        explicit = recurrence_norm
         if self.cfg.explicit_residuals:
-            return linalg.vector_norm(self.b - self.op.apply(x))
-        return recurrence_norm
-
-    def record(self, x, recurrence_norm, explicit=None) -> float:
-        if explicit is None:
-            explicit = self.residual(x, recurrence_norm)
+            explicit = linalg.vector_norm(self.b - self.op.apply(x))
         self.residual_norms.append(explicit)
         self.recurrence_norms.append(recurrence_norm)
         if self.iterates is not None:
@@ -240,7 +242,55 @@ def _cg_diag(residual_vectors):
 SEMI_ORTHOGONALITY = math.sqrt(np.finfo(float).eps)
 
 
-class _LanczosBasis:
+def _cgs2(basis, w):
+    """Orthogonalize ``w`` against the columns of ``basis`` by classical
+    Gram-Schmidt run twice ("twice is enough": Giraud, Langou and Rozloznik
+    2005); return the new vector and the summed coefficients basis^H w."""
+    h = np.conj(np.conj(w) @ basis)
+    w = w - basis @ h
+    correction = np.conj(np.conj(w) @ basis)
+    return w - basis @ correction, h + correction
+
+
+class _StoredBasis:
+    """Krylov basis in one preallocated Fortran-order array, grown (with the
+    arrays named in ``grown``) only when a run outlasts the dimension.
+
+    ``expand`` returns the new column of the projected matrix from the first
+    row a prior Givens rotation touches, the continuation vector and its
+    norm; ``advance`` turns the rotated column and right-hand side entry into
+    the new iterate; ``scale`` is the size the pivots are judged against.
+    """
+
+    grown = ("betas",)
+
+    def __init__(self, v0, cfg):
+        capacity = min(cfg.max_iterations, v0.shape[0]) + 1
+        self.vectors = np.empty((v0.shape[0], capacity), dtype=np.complex128, order="F")
+        self.vectors[:, 0] = v0
+        self.betas = np.zeros(capacity)     # betas[k] couples v_{k-1} and v_k
+        self.size = 1
+        self.scale = 0.0
+        self.reorthogonalizations = 0
+
+    def append(self, w, norm):
+        """Store the continuation vector ``w`` normalized by ``norm``."""
+        if self.size == self.vectors.shape[1]:
+            self.vectors = np.pad(self.vectors, ((0, 0), (0, self.size)))
+            for name in self.grown:
+                setattr(self, name, np.pad(getattr(self, name), (0, self.size)))
+        self.vectors[:, self.size] = w / norm
+        self.betas[self.size] = norm
+        self.size += 1
+
+    def diagnostics(self) -> dict:
+        """Drift ||V^H V - I||_2 of the stored basis V, reorthogonalization count."""
+        gram = self.vectors[:, :self.size].conj().T @ self.vectors[:, :self.size]
+        return {"basis_orthogonality_drift": linalg.spectral_norm(gram - np.eye(self.size)),
+                "reorthogonalizations": self.reorthogonalizations}
+
+
+class _LanczosBasis(_StoredBasis):
     """Stored Lanczos basis, kept semi-orthogonal by partial reorthogonalization.
 
     Simon's omega-recurrence (H. Simon, *The Lanczos algorithm with partial
@@ -251,33 +301,48 @@ class _LanczosBasis:
     whole basis, twice, and so is the vector after it, because the
     three-term recurrence hands the contamination of the current vector on
     to the next; the estimates then restart at roundoff level.  With
-    ``full`` every vector is orthogonalized and the estimates are not run.
+    ``cfg.reorthogonalize`` every vector is orthogonalized and the estimates
+    are not run.
     """
 
-    def __init__(self, v0, max_iterations, full):
-        n = v0.shape[0]
-        capacity = min(max_iterations, n) + 1
-        self.vectors = np.empty((n, capacity), dtype=np.complex128, order="F")
-        self.vectors[:, 0] = v0
-        self.alphas = np.empty(capacity)
-        self.betas = np.zeros(capacity)     # betas[k] couples v_{k-1} and v_k
-        self.size = 1
-        self.full = full
+    grown = ("alphas", "betas")
+
+    def __init__(self, x0, v0, cfg):
+        super().__init__(v0, cfg)
+        self.alphas = np.zeros(self.vectors.shape[1])
+        self.full = cfg.reorthogonalize
         self.follow_up = False
-        self.roundoff = np.finfo(float).eps * math.sqrt(n)
+        self.roundoff = np.finfo(float).eps * math.sqrt(v0.shape[0])
         self.omega_prev = np.zeros(0)
         self.omega = np.ones(1)
-        #: Running estimate of ||T||, the largest row sum |alpha| + beta + beta'.
-        self.norm_estimate = 0.0
-        self.reorthogonalizations = 0
+        self.x = x0
+        self.dir_prev = np.zeros_like(v0)
+        self.dir_prev2 = np.zeros_like(v0)
+
+    def expand(self, op):
+        j = self.size - 1
+        v = self.vectors[:, j]
+        av = op.apply(v)
+        alpha = np.vdot(v, av).real
+        w = av - alpha * v
+        beta = self.betas[j]
+        if j > 0:
+            w = w - beta * self.vectors[:, j - 1]
+        beta_next = linalg.vector_norm(w)
+        if self.loses_orthogonality(alpha, beta_next):
+            w = self.orthogonalize(w)
+            beta_next = linalg.vector_norm(w)
+        column = np.array([0.0, beta, alpha, beta_next][max(0, 2 - j):])
+        return column, w, beta_next
 
     def loses_orthogonality(self, alpha, beta_next) -> bool:
         """Take alpha_j and the norm of the unnormalized v_{j+1}; say whether
-        v_{j+1} must be reorthogonalized before it is normalized."""
+        v_{j+1} must be reorthogonalized before it is normalized.  Also keeps
+        ``scale``, the largest row sum |alpha| + beta + beta' of T so far."""
         j = self.size - 1
         beta = self.betas[j]
         self.alphas[j] = alpha
-        self.norm_estimate = max(self.norm_estimate, abs(alpha) + beta + beta_next)
+        self.scale = max(self.scale, abs(alpha) + beta + beta_next)
         om_prev, om = self.omega_prev, self.omega
         self.omega_prev = om
         if self.full or self.follow_up:
@@ -291,7 +356,7 @@ class _LanczosBasis:
              + (self.alphas[:j] - alpha) * om[:j]
              - beta * om_prev)
         t[1:] += self.betas[1:j] * om[:j - 1]
-        theta = self.roundoff * self.norm_estimate
+        theta = self.roundoff * self.scale
         nxt = np.empty(j + 2)
         nxt[:j] = (t + np.copysign(theta, t)) / beta_next
         nxt[j] = theta / beta_next          # local orthogonality to v_j
@@ -301,38 +366,93 @@ class _LanczosBasis:
 
     def orthogonalize(self, w):
         """Orthogonalize ``w`` against the stored basis twice (CGS2)."""
-        basis = self.vectors[:, :self.size]
-        for _ in range(2):
-            w = w - basis @ np.conj(np.conj(w) @ basis)
+        w, _ = _cgs2(self.vectors[:, :self.size], w)
         self.reorthogonalizations += 1
         self.follow_up = not (self.full or self.follow_up)
         self.omega = np.full(self.size + 1, self.roundoff)
         self.omega[-1] = 1.0
         return w
 
-    def append(self, v, beta):
-        """Store v_{j+1} with its coupling coefficient beta_{j+1}."""
-        if self.size == self.vectors.shape[1]:
-            self._grow()
-        self.vectors[:, self.size] = v
-        self.betas[self.size] = beta
-        self.size += 1
-        return self.vectors[:, self.size - 1]
+    def advance(self, updated, coefficient):
+        delta = updated[-3] if updated.shape[0] > 2 else 0.0
+        epsilon = updated[-4] if updated.shape[0] > 3 else 0.0
+        direction = (self.vectors[:, self.size - 1] - delta * self.dir_prev
+                     - epsilon * self.dir_prev2) / updated[-2]
+        self.dir_prev2, self.dir_prev = self.dir_prev, direction
+        self.x = self.x + coefficient * direction
+        return self.x
 
-    def _grow(self):
-        # Only a run longer than the dimension gets here.
-        size = self.size
-        vectors = np.empty((self.vectors.shape[0], 2 * size), dtype=np.complex128, order="F")
-        vectors[:, :size] = self.vectors
-        self.vectors = vectors
-        self.alphas = np.concatenate([self.alphas, np.empty(size)])
-        self.betas = np.concatenate([self.betas, np.zeros(size)])
 
-    def diagnostics(self) -> dict:
-        return {
-            "basis_orthogonality_drift": _orthogonality_drift(self.vectors[:, :self.size]),
-            "reorthogonalizations": self.reorthogonalizations,
-        }
+class _ArnoldiBasis(_StoredBasis):
+    """Stored Arnoldi basis, every new vector orthogonalized by CGS2.
+
+    The iterate is x0 + V y, with y from the triangular factor R and the
+    rotated right-hand side g; GMRES cannot keep MINRES's short direction
+    recurrence without losing accuracy (Sleijpen, van der Vorst and
+    Modersitzki, SIAM J. Matrix Anal. Appl. 22, 2000).
+    """
+
+    grown = ("betas", "r", "g")
+
+    def __init__(self, x0, v0, cfg):
+        super().__init__(v0, cfg)
+        capacity = self.vectors.shape[1]
+        self.x0 = x0
+        self.r = np.zeros((capacity, capacity), dtype=np.complex128, order="F")
+        self.g = np.zeros(capacity, dtype=np.complex128)
+
+    def expand(self, op):
+        basis = self.vectors[:, :self.size]
+        w, h = _cgs2(basis, op.apply(basis[:, -1]))
+        self.reorthogonalizations += 1
+        h_next = linalg.vector_norm(w)
+        column = np.append(h, h_next)
+        self.scale = max(self.scale, float(np.max(np.abs(column))))
+        return column, w, h_next
+
+    def advance(self, updated, coefficient):
+        j = self.size
+        self.r[:j, j - 1] = updated[:-1]
+        self.g[j - 1] = coefficient
+        y = blas.ztrsv(self.r[:j, :j], self.g[:j])
+        return self.x0 + self.vectors[:, :j] @ y
+
+
+def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
+    """MINRES or GMRES, by the basis that ``basis_type`` grows; the rule for
+    an exhausted Krylov space is the one in the module docstring."""
+    run = _Run(op, b, x0, cfg)
+    x = run.x
+    r0 = b - op.apply(x)
+    beta1 = linalg.vector_norm(r0)
+    value = run.start(beta1)
+    if run.tol_reached(value):
+        return run.report(SolveStatus.CONVERGED, x)
+
+    basis = basis_type(x, r0 / beta1, cfg)
+    rotations: list[linalg.GivensRotation] = []
+    g = complex(beta1)                 # last entry of the rotated right-hand side
+    for iteration in range(1, cfg.max_iterations + 1):
+        column, w, h_next = basis.expand(op)
+        updated, rot = linalg.givens_qr_step(
+            column, rotations[len(rotations) + 2 - column.shape[0]:])
+        g_next = -np.conj(rot.s) * g
+        exhausted = h_next <= cfg.breakdown_threshold * beta1
+        if exhausted and not (abs(updated[-2]) > cfg.breakdown_threshold * basis.scale
+                              and run.tol_reached(abs(g_next))):
+            return run.report(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration,
+                              diagnostics=basis.diagnostics())
+
+        rotations.append(rot)
+        x = basis.advance(updated, rot.c * g)
+        g = g_next
+        value = run.record(x, abs(g))
+        if run.tol_reached(value):
+            return run.report(SolveStatus.CONVERGED, x, diagnostics=basis.diagnostics())
+        if exhausted or run.stagnated():
+            return run.report(SolveStatus.STAGNATED, x, diagnostics=basis.diagnostics())
+        basis.append(w, h_next)
+    return run.report(SolveStatus.MAX_ITERATIONS, x, diagnostics=basis.diagnostics())
 
 
 def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
@@ -355,186 +475,24 @@ def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     if op.hermitian is not True:
         raise ValueError("minres_solve requires an operator flagged hermitian")
-
-    run = _Run(op, b, x0, cfg)
-    x = run.x
-    r0 = b - op.apply(x)
-    beta1 = linalg.vector_norm(r0)
-    value = run.start(beta1)
-    if run.tol_reached(value):
-        return run.report(SolveStatus.CONVERGED, x)
-
-    lanczos = _LanczosBasis(r0 / beta1, cfg.max_iterations, cfg.reorthogonalize)
-    v_prev = np.zeros_like(r0)
-    v = lanczos.vectors[:, 0]
-    dir_prev = np.zeros_like(r0)
-    dir_prev2 = np.zeros_like(r0)
-    rotations: list[linalg.GivensRotation] = []
-    eta = complex(beta1)
-    beta = 0.0
-
-    for iteration in range(1, cfg.max_iterations + 1):
-        av = op.apply(v)
-        alpha = np.vdot(v, av).real
-        w = av - alpha * v
-        if iteration > 1:
-            w = w - beta * v_prev
-        beta_next = linalg.vector_norm(w)
-        if lanczos.loses_orthogonality(alpha, beta_next):
-            w = lanczos.orthogonalize(w)
-            beta_next = linalg.vector_norm(w)
-
-        if iteration == 1:
-            column = np.array([alpha, beta_next])
-            priors = []
-        elif iteration == 2:
-            column = np.array([beta, alpha, beta_next])
-            priors = rotations[-1:]
-        else:
-            column = np.array([0.0, beta, alpha, beta_next])
-            priors = rotations[-2:]
-        updated, rot = linalg.givens_qr_step(column, priors)
-        gamma = updated[-2]
-        delta = updated[-3] if iteration >= 2 else 0.0
-        epsilon = updated[-4] if iteration >= 3 else 0.0
-        eta_next = -np.conj(rot.s) * eta
-
-        if beta_next <= cfg.breakdown_threshold * beta1:
-            # The Krylov space cannot be continued.  The step is committed
-            # only if the tridiagonal factor is numerically nonsingular and
-            # the new iterate's residual meets the tolerance (lucky
-            # termination); otherwise the run is frozen at the last valid
-            # iterate.
-            usable = abs(gamma) > cfg.breakdown_threshold * lanczos.norm_estimate
-            if usable and run.tol_reached(abs(eta_next)):
-                direction = (v - delta * dir_prev - epsilon * dir_prev2) / gamma
-                x_next = x + (rot.c * eta) * direction
-                value = run.residual(x_next, abs(eta_next))
-                if run.tol_reached(value):
-                    run.record(x_next, abs(eta_next), value)
-                    return run.report(SolveStatus.CONVERGED, x_next,
-                                      diagnostics=lanczos.diagnostics())
-            return run.report(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration,
-                              diagnostics=lanczos.diagnostics())
-
-        rotations.append(rot)
-        direction = (v - delta * dir_prev - epsilon * dir_prev2) / gamma
-        x = x + (rot.c * eta) * direction
-        eta = eta_next
-        dir_prev2 = dir_prev
-        dir_prev = direction
-
-        value = run.record(x, abs(eta))
-        if run.tol_reached(value):
-            return run.report(SolveStatus.CONVERGED, x, diagnostics=lanczos.diagnostics())
-        if run.stagnated():
-            return run.report(SolveStatus.STAGNATED, x, diagnostics=lanczos.diagnostics())
-
-        v_prev = v
-        v = lanczos.append(w / beta_next, beta_next)
-        beta = beta_next
-    return run.report(SolveStatus.MAX_ITERATIONS, x, diagnostics=lanczos.diagnostics())
-
-
-def _orthogonality_drift(vectors) -> float:
-    """||V^H V - I||_2 of the basis stored as the columns of ``vectors``."""
-    gram = vectors.conj().T @ vectors
-    return linalg.spectral_norm(gram - np.eye(gram.shape[0]))
+    return _minimal_residual(op, b, x0, cfg, _LanczosBasis)
 
 
 def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     """GMRES with a full Arnoldi recurrence (no restarting).
 
-    Modified Gram-Schmidt orthogonalization (twice when reorthogonalization
-    is requested), Givens-rotation update of the Hessenberg least-squares
-    problem, and explicit per-iteration residuals.  Applicable to any square
-    operator.  A breakdown is reported when the continuation vector vanishes
-    and the committed step's explicit residual misses the tolerance (or its
-    pivot is numerically zero); this happens on singular systems, and on
-    nonsingular ones whose tolerance is below the attainable accuracy.
+    Classical Gram-Schmidt run twice (CGS2) on every Arnoldi vector,
+    Givens-rotation update of the Hessenberg least-squares problem, the
+    iterate formed from the stored basis, and explicit per-iteration
+    residuals.  Applicable to any square operator.  A breakdown is reported
+    when the continuation vector vanishes and the last step's pivot is
+    numerically zero or its recurrence residual misses the tolerance, as on
+    singular systems; a committed last step whose explicit residual misses
+    the tolerance (nonsingular, but the tolerance lies below the attainable
+    accuracy) is reported as stagnated.
+
+    ``diagnostics`` holds the same keys as :func:`minres_solve`'s, with one
+    reorthogonalization counted per step.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
-
-    run = _Run(op, b, x0, cfg)
-    x = run.x
-    r0 = b - op.apply(x)
-    beta1 = linalg.vector_norm(r0)
-    value = run.start(beta1)
-    if run.tol_reached(value):
-        return run.report(SolveStatus.CONVERGED, x)
-
-    basis = [r0 / beta1]
-    r_columns: list[np.ndarray] = []   # triangular factor, column-major
-    rotations: list[linalg.GivensRotation] = []
-    g = [complex(beta1)]               # rotated right-hand side
-    scale = 0.0                        # largest Hessenberg entry so far
-
-    def assemble(j):
-        # Solve the j-by-j triangular system and expand into the full space.
-        y = np.zeros(j, dtype=np.complex128)
-        for col in range(j - 1, -1, -1):
-            acc = g[col]
-            for row in range(col + 1, j):
-                acc -= r_columns[row][col] * y[row]
-            y[col] = acc / r_columns[col][col]
-        correction = np.zeros(op.dim, dtype=np.complex128)
-        for col in range(j):
-            correction += y[col] * basis[col]
-        return x0 + correction
-
-    for iteration in range(1, cfg.max_iterations + 1):
-        j = iteration - 1
-        w = op.apply(basis[j])
-        h = np.zeros(j + 2, dtype=np.complex128)
-        for i in range(j + 1):
-            h[i] = np.vdot(basis[i], w)
-            w = w - h[i] * basis[i]
-        if cfg.reorthogonalize:
-            for i in range(j + 1):
-                correction = np.vdot(basis[i], w)
-                h[i] += correction
-                w = w - correction * basis[i]
-        h_next = linalg.vector_norm(w)
-        h[j + 1] = h_next
-        scale = max(scale, float(np.max(np.abs(h))))
-
-        updated, rot = linalg.givens_qr_step(h, rotations)
-        gamma = updated[-2]
-        g_rotated, g_next = rot.apply(g[-1], 0.0)
-        recurrence_norm = abs(g_next)
-
-        if h_next <= cfg.breakdown_threshold * beta1:
-            # Invariant subspace reached: commit the final column only for a
-            # genuine lucky termination (numerically nonsingular triangular
-            # factor, residual at the tolerance), otherwise freeze at the
-            # last iterate.
-            usable = abs(gamma) > cfg.breakdown_threshold * scale
-            if usable and run.tol_reached(recurrence_norm):
-                r_columns.append(updated[:-1])
-                g[-1] = g_rotated
-                x_next = assemble(iteration)
-                value = run.residual(x_next, recurrence_norm)
-                if run.tol_reached(value):
-                    run.record(x_next, recurrence_norm, value)
-                    return run.report(SolveStatus.CONVERGED, x_next,
-                                      diagnostics=_arnoldi_diag(basis))
-            return run.report(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration,
-                              diagnostics=_arnoldi_diag(basis))
-
-        rotations.append(rot)
-        r_columns.append(updated[:-1])
-        g[-1] = g_rotated
-        g.append(g_next)
-
-        x = assemble(iteration)
-        value = run.record(x, recurrence_norm)
-        if run.tol_reached(value):
-            return run.report(SolveStatus.CONVERGED, x, diagnostics=_arnoldi_diag(basis))
-        if run.stagnated():
-            return run.report(SolveStatus.STAGNATED, x, diagnostics=_arnoldi_diag(basis))
-        basis.append(w / h_next)
-    return run.report(SolveStatus.MAX_ITERATIONS, x, diagnostics=_arnoldi_diag(basis))
-
-
-def _arnoldi_diag(basis):
-    return {"basis_orthogonality_drift": _orthogonality_drift(np.column_stack(basis))}
+    return _minimal_residual(op, b, x0, cfg, _ArnoldiBasis)

@@ -91,7 +91,7 @@ class TestRun:
 
 
 class TestCheck:
-    @pytest.mark.parametrize("suite", ["spectrum", "breakdown"])
+    @pytest.mark.parametrize("suite", ["projections", "equivalence", "spectrum", "breakdown"])
     def test_suite_passes(self, suite, tmp_path):
         out = tmp_path / "check.json"
         assert cli.main(["check", suite, "--seed", "0", "--output", str(out)]) == 0

@@ -232,14 +232,16 @@ class TestMinres:
         assert rep.status is SolveStatus.CONVERGED
         assert rep.diagnostics["reorthogonalizations"] == rep.iterations_used
 
-    def test_runs_past_the_dimension(self):
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_runs_past_the_dimension(self, solver):
         # With breakdown and residual tolerances out of reach the iteration
-        # continues beyond n steps, and the stored basis must grow.
+        # continues beyond n steps, and the stored basis (and GMRES's
+        # triangular factor) must grow.
         op = dense_operator(np.diag([1.0, -2.0, 3.0, 4.0]))
         b = np.ones(4)
         cfg = SolveConfig(max_iterations=20, residual_tolerance=1e-30,
                           breakdown_threshold=1e-300)
-        rep = minres_solve(op, b, cfg=cfg)
+        rep = solver(op, b, cfg=cfg)
         assert rep.status is SolveStatus.MAX_ITERATIONS
         assert rep.iterations_used == 20
         np.testing.assert_allclose(rep.final_iterate, [1.0, -0.5, 1.0 / 3.0, 0.25],
@@ -300,6 +302,20 @@ class TestGmres:
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations_used <= 1
 
+    def test_diagnostics_match_minres(self):
+        # Both minimal-residual solvers report the same diagnostics; GMRES
+        # orthogonalizes every Arnoldi vector twice, one CGS2 per step.
+        rng = np.random.default_rng(15)
+        a = random_hermitian_indefinite(rng, 30)
+        b = rng.standard_normal(30)
+        rep_g = gmres_solve(dense_operator(a), b)
+        rep_m = minres_solve(dense_operator(a), b)
+        assert rep_g.status is SolveStatus.CONVERGED
+        assert set(rep_g.diagnostics) == set(rep_m.diagnostics) == {
+            "basis_orthogonality_drift", "reorthogonalizations"}
+        assert rep_g.diagnostics["reorthogonalizations"] == rep_g.iterations_used
+        assert rep_g.diagnostics["basis_orthogonality_drift"] <= 1e-12
+
     def test_accepts_plain_ndarray(self):
         a = np.diag([2.0, 5.0])
         rep = gmres_solve(a, np.array([2.0, 5.0]))
@@ -348,6 +364,22 @@ class TestStagnation:
         assert rep.status is not SolveStatus.CONVERGED
         assert rep.residual_norms[-1] == pytest.approx(
             np.linalg.norm(b - a @ rep.final_iterate), rel=1e-12)
+
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_exhausted_space_commits_the_last_step(self, solver):
+        # On the same system the last step's pivot is usable and its
+        # recurrence residual meets the tolerance, so the step is committed;
+        # its explicit residual, about 1e-8, misses the tolerance, so the run
+        # stagnates there instead of falling back to the step-2 iterate,
+        # whose residual is 1.0.
+        q = linalg.random_orthogonal(3, 0)
+        a = q @ np.diag([1.0, -2.0, 1e-8]) @ q.conj().T
+        b = q @ np.ones(3)
+        rep = solver(dense_operator(a), b)
+        assert rep.status is SolveStatus.STAGNATED
+        assert rep.iterations_used == 3
+        assert rep.breakdown_iteration is None
+        assert np.linalg.norm(b - a @ rep.final_iterate) <= 1e-7 * np.linalg.norm(b)
 
     def test_max_iterations_status(self):
         rng = np.random.default_rng(13)
