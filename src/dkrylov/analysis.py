@@ -164,30 +164,6 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode,
     return SpectrumCheck(computed, expected, max_mismatch, tolerance, True)
 
 
-def effective_condition_number(a, u, invariance_tol: float = 1e-10) -> float:
-    """Condition number of the deflated operator restricted to its image.
-
-    For a Hermitian positive definite matrix and a basis spanning an exact
-    invariant subspace, this is the ratio of the extreme eigenvalues that
-    survive deflation; it never exceeds the condition number of the matrix
-    itself.  Raises NotInvariantError when the basis fails the invariance
-    check.
-    """
-    a = linalg.as_matrix(a)
-    u = linalg.as_matrix(u)
-    eig = linalg.hermitian_eigen(a)
-    if eig.eigenvalues[0] <= 0:
-        raise ValueError("effective condition number requires a positive definite matrix")
-    theta = _invariant_eigenvalues(a, u, invariance_tol)
-    anorm = linalg.spectral_norm(a)
-    remaining = _remove_matched(np.sort(eig.eigenvalues), theta,
-                                1e-8 * max(anorm, np.finfo(float).tiny))
-    if remaining.size == 0:
-        raise ValueError("deflation removed the entire spectrum")
-    kappa = float(remaining.max() / remaining.min())
-    return kappa
-
-
 def _invariant_eigenvalues(a, u, tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of ``a`` restricted to span(u); fails if not invariant."""
     q = linalg.orthonormal_basis(u)

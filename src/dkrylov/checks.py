@@ -19,19 +19,11 @@ from .problems import (breakdown_prone_basis, eigenvector_basis,
 from .projection import Deflator, GalerkinMode
 from .solvers import SolveConfig, SolveStatus
 
-SUITES = ("projections", "equivalence", "spectrum", "breakdown")
-
 
 def run_suite(name: str, seed: int = 0) -> dict:
-    if name == "projections":
-        return projection_suite(seed)
-    if name == "equivalence":
-        return equivalence_suite(seed)
-    if name == "spectrum":
-        return spectrum_suite(seed)
-    if name == "breakdown":
-        return breakdown_suite(seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    return SUITES[name](seed)
 
 
 def _check(name, violation, tolerance):
@@ -276,3 +268,8 @@ def breakdown_suite(seed: int = 0, pairs: int = 12, guesses_per_invariant: int =
                invariant_breakdowns, 0),
     ]
     return _finish("breakdown", seed, checks)
+
+
+#: Suite name -> suite function, in the order the ``check`` command lists them.
+SUITES = {"projections": projection_suite, "equivalence": equivalence_suite,
+          "spectrum": spectrum_suite, "breakdown": breakdown_suite}

@@ -8,6 +8,10 @@ one shared reference, ||b|| of the problem (1 when b = 0), so the variants
 can be compared with each other; the JSON output records it as
 ``reference_norm``.
 
+Every spec value is typed by one schema when the spec is read, so a bad
+value exits with code 2 before any problem is built; requirements that tie
+keys together are checked while the experiment is built, before any solve.
+
 Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error,
 3 construction/setup error.
 """
@@ -18,7 +22,6 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,99 +38,12 @@ from .solvers import SolveConfig
 
 CSV_HEADER = "variant,iteration,rel_residual_original,rel_residual_deflated,status"
 
-_SECTIONS = {
-    "problem": {"generator", "m", "n", "outliers", "alpha", "seed",
-                "a", "b", "x0", "path"},
-    "deflation": {"eigen_indices", "breakdown_indices", "file",
-                  "perturb_eps", "perturb_seed"},
-    "run": {"variants", "x0", "x0_seed", "x0_perturbation",
-            "breakdown_coefficient_seed"},
-    "solver": {"tolerance", "max_iterations", "breakdown_threshold",
-               "explicit_residuals", "reorthogonalize"},
-    "output": {"path", "format"},
-}
-
-_GENERATORS = ("symmetric-indefinite", "clustered-spd", "toy-breakdown",
-               "near-invariant", "file", "container")
+_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
+             "false": False, "no": False, "0": False, "off": False}
 
 
 class SpecError(ValueError):
     """The experiment spec file could not be parsed or validated."""
-
-
-class SetupError(RuntimeError):
-    """The experiment could not be constructed from a valid spec."""
-
-
-@dataclass
-class ExperimentSpec:
-    problem: dict
-    deflation: dict = field(default_factory=dict)
-    run: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-
-
-def parse_spec(path) -> ExperimentSpec:
-    """Parse an INI or JSON spec file, rejecting unknown sections and keys."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise SpecError(f"{path}: top-level JSON value must be an object")
-        sections = {name: dict(value) for name, value in raw.items()}
-    else:
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text, source=str(path))
-        except configparser.Error as exc:
-            raise SpecError(f"{path}: invalid spec file ({exc})") from exc
-        sections = {name: dict(parser.items(name)) for name in parser.sections()}
-
-    for name, keys in sections.items():
-        if name not in _SECTIONS:
-            raise SpecError(f"{path}: unknown section [{name}]")
-        unknown = set(keys) - _SECTIONS[name]
-        if unknown:
-            raise SpecError(f"{path}: unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
-    if "problem" not in sections:
-        raise SpecError(f"{path}: missing [problem] section")
-    return ExperimentSpec(
-        problem=sections.get("problem", {}),
-        deflation=sections.get("deflation", {}),
-        run=sections.get("run", {}),
-        solver=sections.get("solver", {}),
-        output=sections.get("output", {}),
-    )
-
-
-def _as_int(section, key, value):
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"[{section}] {key} must be an integer, got {value!r}") from exc
-
-
-def _as_float(section, key, value):
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"[{section}] {key} must be a number, got {value!r}") from exc
-
-
-def _as_bool(section, key, value):
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("true", "yes", "1", "on"):
-        return True
-    if text in ("false", "no", "0", "off"):
-        return False
-    raise SpecError(f"[{section}] {key} must be a boolean, got {value!r}")
 
 
 def parse_index_list(text) -> list[int]:
@@ -141,33 +57,110 @@ def parse_index_list(text) -> list[int]:
             lo_s, hi_s = part.split("-", 1)
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
-                raise SpecError(f"descending index range {part!r}")
+                raise ValueError(f"descending index range {part!r}")
             indices.extend(range(lo, hi + 1))
         else:
             indices.append(int(part))
     if not indices:
-        raise SpecError("empty index list")
+        raise ValueError("empty index list")
     return indices
 
 
-def build_problem(spec: ExperimentSpec, seed_override=None) -> TestProblem:
-    section = spec.problem
-    generator = section.get("generator")
-    if generator not in _GENERATORS:
-        raise SpecError(f"[problem] generator must be one of {', '.join(_GENERATORS)}")
-    seed = seed_override if seed_override is not None else _as_int(
-        "problem", "seed", section.get("seed", 0))
+def _boolean(value) -> bool:
+    return value if isinstance(value, bool) else _BOOLEANS[str(value).strip().lower()]
+
+
+def _variants(value) -> list[MethodVariant]:
+    names = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    return [MethodVariant(str(name).strip()) for name in names if str(name).strip()]
+
+
+def _choice(*names):
+    return (lambda value: names[names.index(str(value).strip().lower())],
+            f"one of {', '.join(names)}")
+
+
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_BOOL = (_boolean, "a boolean")
+_TEXT = (str, "a string")
+_INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
+
+#: Section -> key -> (function that types the value, what it expects).
+_SCHEMA = {
+    "problem": {"generator": _choice("symmetric-indefinite", "clustered-spd", "toy-breakdown",
+                                     "near-invariant", "file", "container"),
+                "m": _INT, "n": _INT, "outliers": _INT, "alpha": _FLOAT, "seed": _INT,
+                "a": _TEXT, "b": _TEXT, "x0": _TEXT, "path": _TEXT},
+    "deflation": {"eigen_indices": _INDICES, "breakdown_indices": _INDICES, "file": _TEXT,
+                  "perturb_eps": _FLOAT, "perturb_seed": _INT},
+    "run": {"variants": (_variants, "variant names from "
+                         + ", ".join(v.value for v in MethodVariant)),
+            "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _INT,
+            "x0_perturbation": _FLOAT, "breakdown_coefficient_seed": _INT},
+    "solver": {"tolerance": _FLOAT, "max_iterations": _INT, "breakdown_threshold": _FLOAT,
+               "explicit_residuals": _BOOL, "reorthogonalize": _BOOL},
+    "output": {"path": _TEXT, "format": _choice("csv", "json")},
+}
+
+#: [solver] keys whose SolveConfig field has another name.
+_SOLVER_FIELDS = {"tolerance": "residual_tolerance"}
+
+
+def parse_spec(path) -> dict[str, dict]:
+    """Parse an INI or JSON spec file into one dict of typed values per
+    :data:`_SCHEMA` section, rejecting unknown sections and keys."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"{path}: cannot read spec ({exc})") from exc
+    if text.lstrip().startswith("{"):
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
+            raise SpecError(f"{path}: JSON spec must be an object of section objects")
+    else:
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(text, source=str(path))
+        except configparser.Error as exc:
+            raise SpecError(f"{path}: invalid spec file ({exc})") from exc
+        raw = {name: dict(parser.items(name)) for name in parser.sections()}
+
+    sections = {}
+    for name, values in raw.items():
+        if name not in _SCHEMA:
+            raise SpecError(f"{path}: unknown section [{name}]")
+        unknown = set(values) - set(_SCHEMA[name])
+        if unknown:
+            raise SpecError(f"{path}: unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
+        sections[name] = {}
+        for key, value in values.items():
+            convert, expected = _SCHEMA[name][key]
+            try:
+                sections[name][key] = convert(value)
+            except (TypeError, ValueError, KeyError) as exc:
+                raise SpecError(f"{path}: [{name}] {key} must be {expected}, "
+                                f"got {value!r}") from exc
+    if "generator" not in sections.get("problem", {}):
+        raise SpecError(f"{path}: [problem] generator is required")
+    return {name: sections.get(name, {}) for name in _SCHEMA}
+
+
+def build_problem(spec: dict, seed_override=None) -> TestProblem:
+    section = spec["problem"]
+    generator = section["generator"]
+    seed = section.get("seed", 0) if seed_override is None else seed_override
     if generator == "symmetric-indefinite":
-        return symmetric_indefinite_problem(_as_int("problem", "m", section.get("m", 50)), seed)
+        return symmetric_indefinite_problem(section.get("m", 50), seed)
     if generator == "clustered-spd":
-        return clustered_spd_problem(
-            _as_int("problem", "n", section.get("n", 80)),
-            _as_int("problem", "outliers", section.get("outliers", 5)),
-            seed)
+        return clustered_spd_problem(section.get("n", 80), section.get("outliers", 5), seed)
     if generator == "toy-breakdown":
         return toy_breakdown_problem()
     if generator == "near-invariant":
-        return near_invariant_problem(_as_float("problem", "alpha", section.get("alpha", 1e-3)))
+        return near_invariant_problem(section.get("alpha", 1e-3))
     if generator == "container":
         if "path" not in section:
             raise SpecError("[problem] container generator requires path")
@@ -182,44 +175,26 @@ def build_problem(spec: ExperimentSpec, seed_override=None) -> TestProblem:
     return TestProblem(a=a, b=b, x0=x0, label=f"file({section['a']})", seed=seed)
 
 
-def build_basis(spec: ExperimentSpec, problem: TestProblem):
-    section = spec.deflation
+def build_basis(spec: dict, problem: TestProblem):
+    section = spec["deflation"]
     sources = [key for key in ("eigen_indices", "breakdown_indices", "file") if key in section]
     if len(sources) > 1:
         raise SpecError(f"[deflation] choose one basis source, got {', '.join(sources)}")
     if not sources:
         basis = problem.u
     elif sources[0] == "eigen_indices":
-        basis = eigenvector_basis(problem, parse_index_list(section["eigen_indices"]))
+        basis = eigenvector_basis(problem, section["eigen_indices"])
     elif sources[0] == "breakdown_indices":
-        basis = breakdown_prone_basis(problem, parse_index_list(section["breakdown_indices"]))
+        basis = breakdown_prone_basis(problem, section["breakdown_indices"])
     else:
         basis = dkio.read_matrix_market(section["file"])
     if basis is not None and "perturb_eps" in section:
-        basis = perturb_basis(
-            basis,
-            _as_float("deflation", "perturb_eps", section["perturb_eps"]),
-            _as_int("deflation", "perturb_seed", section.get("perturb_seed", 0)),
-        )
+        basis = perturb_basis(basis, section["perturb_eps"], section.get("perturb_seed", 0))
     return basis
 
 
-def build_solve_config(spec: ExperimentSpec, tol_override=None, maxit_override=None) -> SolveConfig:
-    section = spec.solver
-    kwargs = {}
-    if "tolerance" in section:
-        kwargs["residual_tolerance"] = _as_float("solver", "tolerance", section["tolerance"])
-    if "max_iterations" in section:
-        kwargs["max_iterations"] = _as_int("solver", "max_iterations", section["max_iterations"])
-    if "breakdown_threshold" in section:
-        kwargs["breakdown_threshold"] = _as_float(
-            "solver", "breakdown_threshold", section["breakdown_threshold"])
-    if "explicit_residuals" in section:
-        kwargs["explicit_residuals"] = _as_bool(
-            "solver", "explicit_residuals", section["explicit_residuals"])
-    if "reorthogonalize" in section:
-        kwargs["reorthogonalize"] = _as_bool(
-            "solver", "reorthogonalize", section["reorthogonalize"])
+def build_solve_config(spec: dict, tol_override=None, maxit_override=None) -> SolveConfig:
+    kwargs = {_SOLVER_FIELDS.get(key, key): value for key, value in spec["solver"].items()}
     if tol_override is not None:
         kwargs["residual_tolerance"] = tol_override
     if maxit_override is not None:
@@ -230,45 +205,31 @@ def build_solve_config(spec: ExperimentSpec, tol_override=None, maxit_override=N
         raise SpecError(f"[solver] {exc}") from exc
 
 
-def build_variants(spec: ExperimentSpec) -> list[MethodVariant]:
-    text = spec.run.get("variants")
-    if not text:
+def build_variants(spec: dict) -> list[MethodVariant]:
+    if not spec["run"].get("variants"):
         raise SpecError("[run] variants is required")
-    if isinstance(text, (list, tuple)):
-        names = [str(t).strip() for t in text]
-    else:
-        names = [t.strip() for t in str(text).split(",") if t.strip()]
-    variants = []
-    known = {v.value: v for v in MethodVariant}
-    for name in names:
-        if name not in known:
-            raise SpecError(f"[run] unknown variant {name!r}; known: {', '.join(known)}")
-        variants.append(known[name])
-    return variants
+    return spec["run"]["variants"]
 
 
-def build_initial_guess(spec: ExperimentSpec, problem: TestProblem, basis) -> np.ndarray:
-    section = spec.run
-    choice = str(section.get("x0", "zero")).strip().lower()
+def build_initial_guess(spec: dict, problem: TestProblem, basis) -> np.ndarray:
+    section = spec["run"]
+    choice = section.get("x0", "zero")
     n = problem.dim
-    seed = _as_int("run", "x0_seed", section.get("x0_seed", 0))
+    seed = section.get("x0_seed", 0)
     if choice == "zero":
         x0 = problem.x0.copy()
     elif choice == "random":
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(n).astype(np.complex128)
-    elif choice == "breakdown-guess":
+    else:  # "breakdown-guess"
         if basis is None:
             raise SpecError("[run] x0 = breakdown-guess requires a deflation basis")
-        coeff_seed = _as_int("run", "breakdown_coefficient_seed",
-                             section.get("breakdown_coefficient_seed", 0))
+        coeff_seed = section.get("breakdown_coefficient_seed", 0)
         rng = np.random.default_rng(coeff_seed)
         coeff = rng.standard_normal(basis.shape[1]).astype(np.complex128)
         x0 = breakdown_initial_guess(problem.a, problem.b, basis, coeff)
-    else:
-        raise SpecError(f"[run] unknown x0 choice {choice!r}")
     if "x0_perturbation" in section:
-        eps = _as_float("run", "x0_perturbation", section["x0_perturbation"])
+        eps = section["x0_perturbation"]
         rng = np.random.default_rng(seed + 1)
         delta = rng.standard_normal(n).astype(np.complex128)
         delta *= eps * max(1.0, linalg.vector_norm(x0)) / linalg.vector_norm(delta)
@@ -317,43 +278,41 @@ def render_json(results: list[DualReport], reference: float) -> str:
                       indent=2, sort_keys=True) + "\n"
 
 
+def _error(exc, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
+def _emit(rendered: str, path) -> None:
+    """Write ``rendered`` to ``path``, or to standard output when it is unset."""
+    if path:
+        Path(path).write_text(rendered, encoding="ascii")
+    else:
+        sys.stdout.write(rendered)
+
+
 def cmd_run(args) -> int:
     try:
         spec = parse_spec(args.spec_file)
         variants = build_variants(spec)
         cfg = build_solve_config(spec, args.tol, args.maxit)
-    except (SpecError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         problem = build_problem(spec, args.seed)
         basis = build_basis(spec, problem)
         x0 = build_initial_guess(spec, problem, basis)
         needs_basis = [v for v in variants if v not in PLAIN_VARIANTS]
         if needs_basis and basis is None:
-            raise SetupError(
+            raise ValueError(
                 f"variants {', '.join(v.value for v in needs_basis)} require a deflation basis")
         results = [run_method(variant, problem.a, problem.b, basis, x0, cfg)
                    for variant in variants]
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except Exception as exc:  # construction / solver errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
 
-    fmt = args.format or spec.output.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        print(f"error: unknown output format {fmt!r}", file=sys.stderr)
-        return 2
     reference = reference_norm(problem.b)
-    rendered = (render_csv(results, reference) if fmt == "csv"
-                else render_json(results, reference))
-    out_path = args.output or spec.output.get("path")
-    if out_path:
-        Path(out_path).write_text(rendered, encoding="ascii")
-    else:
-        sys.stdout.write(rendered)
+    render = render_json if (args.format or spec["output"].get("format")) == "json" else render_csv
+    _emit(render(results, reference), args.output or spec["output"].get("path"))
     for result in results:
         rep = result.deflated_report
         final = result.original_residual_norms[-1]
@@ -368,47 +327,32 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        report = run_suite(args.suite, args.seed if args.seed is not None else 0)
+        report = run_suite(args.suite, args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(rendered, encoding="ascii")
-    else:
-        sys.stdout.write(rendered)
+        return _error(exc, 2)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
     return 0 if report["passed"] else 1
 
 
 def cmd_diagnose(args) -> int:
     try:
         spec = parse_spec(args.spec_file)
-    except (SpecError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         problem = build_problem(spec, args.seed)
         basis = build_basis(spec, problem)
         if basis is None:
-            raise SetupError("diagnose requires a deflation basis")
+            raise ValueError("diagnose requires a deflation basis")
         diagnosis = diagnose_breakdown(problem.a, basis)
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     payload = {
         "intersection_nontrivial": diagnosis.intersection_nontrivial,
         "smallest_indicator": diagnosis.smallest_indicator,
         "largest_principal_angle_radians": diagnosis.largest_principal_angle_rad,
         "largest_principal_angle_degrees": diagnosis.largest_principal_angle_deg,
     }
-    rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(rendered, encoding="ascii")
-    else:
-        sys.stdout.write(rendered)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     return 0
 
 

@@ -40,9 +40,6 @@ class LinearOperator:
         out = linalg.as_vector(self._matvec(v), self.dim)
         return out
 
-    def __call__(self, v) -> np.ndarray:
-        return self.apply(v)
-
     def verify(self, tol: float = PROBE_TOLERANCE) -> None:
         """Spot-check linearity and (if declared) the Hermitian property.
 

@@ -8,7 +8,7 @@ subscript convention in the numerical linear algebra literature; storage is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class TestProblem:
     eigenvectors: np.ndarray | None = None
     seed: int = 0
     label: str = ""
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -69,7 +68,6 @@ def symmetric_indefinite_problem(m: int, seed: int = 0) -> TestProblem:
         eigenvectors=w,
         seed=seed,
         label=f"symmetric-indefinite(m={m})",
-        metadata={"m": m},
     )
 
 
@@ -164,7 +162,6 @@ def near_invariant_problem(alpha: float) -> TestProblem:
         u=u,
         known_solution=x,
         label=f"near-invariant(alpha={alpha:g})",
-        metadata={"alpha": alpha},
     )
 
 
@@ -194,5 +191,4 @@ def clustered_spd_problem(n: int = 80, n_outliers: int = 5, seed: int = 0,
         eigenvectors=w,
         seed=seed,
         label=f"clustered-spd(n={n})",
-        metadata={"n_outliers": n_outliers},
     )

@@ -3,7 +3,10 @@
 All three solvers record the explicitly computed residual norm ||b - op x_n||
 per iteration by default (recurrence estimates are kept alongside for
 cross-checking), classify termination into converged / breakdown / stagnated /
-max-iterations, and never silently return a breakdown as success.
+max-iterations, and never silently return a breakdown as success.  Without
+per-iteration explicit residuals, a run that converges by its recurrence
+residual records the explicit residual of its final iterate instead, and is
+reported as stagnated if that misses the tolerance.
 
 MINRES and GMRES are one minimal-residual iteration that differs only in how
 the Krylov basis grows: by the Lanczos or by the Arnoldi recurrence.
@@ -24,6 +27,7 @@ deflated systems, are the usual cause.
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass, field
@@ -77,9 +81,9 @@ class SolveConfig:
     reorthogonalize: bool = False
 
     def __post_init__(self):
-        if self.residual_tolerance <= 0:
+        if not self.residual_tolerance > 0:     # also rejects NaN
             raise ValueError("residual_tolerance must be positive")
-        if self.breakdown_threshold <= 0:
+        if not self.breakdown_threshold > 0:
             raise ValueError("breakdown_threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -121,7 +125,7 @@ class _Run:
         self.residual_norms = []
         self.recurrence_norms = []
         self.iterates = [] if cfg.record_history else None
-        self.best = []
+        self.best = collections.deque(maxlen=STAGNATION_WINDOW + 1)
 
     def record(self, x, recurrence_norm) -> float:
         """Record ``x`` with its residual norm, explicit or the recurrence's."""
@@ -145,15 +149,18 @@ class _Run:
         return value <= self.cfg.residual_tolerance * self.denominator
 
     def stagnated(self) -> bool:
-        n = len(self.best) - 1
-        if n < STAGNATION_WINDOW:
+        if len(self.best) <= STAGNATION_WINDOW:
             return False
         current = self.best[-1]
         if self.tol_reached(current):
             return False
-        return current > self.best[-1 - STAGNATION_WINDOW] * STAGNATION_FACTOR
+        return current > self.best[0] * STAGNATION_FACTOR
 
     def report(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
+        if status is SolveStatus.CONVERGED and not self.cfg.explicit_residuals:
+            self.residual_norms[-1] = linalg.vector_norm(self.b - self.op.apply(x))
+            if not self.tol_reached(self.residual_norms[-1]):
+                status = SolveStatus.STAGNATED
         return SolveReport(
             final_iterate=x,
             residual_norms=np.asarray(self.residual_norms, dtype=float),

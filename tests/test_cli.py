@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import dkrylov
 from dkrylov import cli
 from dkrylov import io as dkio
+from dkrylov import linalg
 from dkrylov.problems import symmetric_indefinite_problem
 
 SIX_VARIANTS = ["minres", "rminres-explicit", "rminres-deflation-only",
@@ -84,6 +86,37 @@ class TestRun:
         spec["solver"] = {"tolerence": 1e-8}
         assert cli.main(["run", write_spec(tmp_path, spec)]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {**paper_spec(), "deflation": {"eigen_indices": "1-x"}},
+        {**paper_spec(), "output": {"format": "xml"}},
+        {"problem": {"generator": "toy-breakdown", "m": "abc"}, "run": {"variants": "minres"}},
+        {**paper_spec(), "problem": 5},
+        b"\xff[problem]\n",
+    ], ids=["bad-index-list", "bad-format", "bad-unused-key", "section-not-object",
+            "not-utf8"])
+    def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
+        calls = []
+        monkeypatch.setattr(cli, "run_method", lambda *args: calls.append(args))
+        path = tmp_path / "spec"
+        path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+        assert cli.main(["run", str(path)]) == 2
+        assert calls == []
+
+    def test_ini_spec_matches_json_spec(self, tmp_path):
+        spec = paper_spec()
+        spec["solver"] = {"explicit_residuals": True, "tolerance": 1e-10}
+        json_out, ini_out = tmp_path / "json.out", tmp_path / "ini.out"
+        assert cli.main(["run", write_spec(tmp_path, spec), "--output", str(json_out)]) == 0
+        ini = tmp_path / "spec.ini"
+        ini.write_text(
+            "[problem]\ngenerator = symmetric-indefinite\nm = 20\n"
+            "[deflation]\neigen_indices = 1-5,21-25\n"
+            f"[run]\nvariants = {', '.join(SIX_VARIANTS)}\nx0 = zero\n"
+            "[solver]\nexplicit_residuals = yes\ntolerance = 1e-10\n"
+            "[output]\nformat = json\n", encoding="ascii")
+        assert cli.main(["run", str(ini), "--output", str(ini_out)]) == 0
+        assert ini_out.read_bytes() == json_out.read_bytes()
+
     def test_deflated_variant_without_basis_exits_3(self, tmp_path):
         spec = paper_spec()
         del spec["deflation"]
@@ -113,6 +146,15 @@ class TestDiagnose:
         spec = write_spec(tmp_path, paper_spec(**deflation))
         assert cli.main(["diagnose", spec, "--output", str(out)]) == 0
         assert json.loads(out.read_text(encoding="ascii"))["intersection_nontrivial"] is flagged
+
+
+class TestPackage:
+    def test_public_names_resolve_and_kernels_stay_in_linalg(self):
+        assert all(hasattr(dkrylov, name) for name in dkrylov.__all__)
+        for name in ("GivensRotation", "givens_qr_step", "inner", "solve_dense",
+                     "random_orthogonal", "hermitian_eigen", "HermitianEigenDecomposition"):
+            assert hasattr(linalg, name), name
+            assert not hasattr(dkrylov, name), name
 
 
 class TestIo:

@@ -49,6 +49,8 @@ class TestSolveConfig:
         {"residual_tolerance": -1e-3},
         {"breakdown_threshold": 0.0},
         {"max_iterations": 0},
+        {"residual_tolerance": float("nan")},
+        {"breakdown_threshold": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -351,16 +353,20 @@ class TestStagnation:
         assert rep.residual_norms[-1] == pytest.approx(0.5, rel=1e-10)
         assert np.linalg.norm(b - a @ rep.final_iterate) == pytest.approx(0.5, rel=1e-10)
 
-    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
-    def test_unattainable_tolerance_on_nonsingular_system(self, solver):
+    @pytest.mark.parametrize("solver, explicit_residuals", [
+        (minres_solve, True), (gmres_solve, True), (minres_solve, False), (gmres_solve, False),
+    ], ids=["minres_solve", "gmres_solve", "minres_solve-recurrence", "gmres_solve-recurrence"])
+    def test_unattainable_tolerance_on_nonsingular_system(self, solver, explicit_residuals):
         # Nonsingular, but at condition 2e8 the default tolerance lies below
         # the attainable accuracy: the Krylov space is exhausted at step 3
         # and the last step misses the tolerance, so the run is not
         # reported as converged, and what it records is the true residual.
+        # Without explicit residuals the recurrence residual meets the
+        # tolerance, so only the final explicit check can tell.
         q = linalg.random_orthogonal(3, 0)
         a = q @ np.diag([1.0, -2.0, 1e-8]) @ q.conj().T
         b = q @ np.ones(3)
-        rep = solver(dense_operator(a), b)
+        rep = solver(dense_operator(a), b, cfg=SolveConfig(explicit_residuals=explicit_residuals))
         assert rep.status is not SolveStatus.CONVERGED
         assert rep.residual_norms[-1] == pytest.approx(
             np.linalg.norm(b - a @ rep.final_iterate), rel=1e-12)
