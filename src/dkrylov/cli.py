@@ -12,8 +12,9 @@ Every spec value is typed by one schema when the spec is read, so a bad
 value exits with code 2 before any problem is built; requirements that tie
 keys together are checked while the experiment is built, before any solve.
 
-Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error,
-3 construction/setup error.
+Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error or an
+output path in a missing directory, 3 construction/setup error or a failed
+write of the output.
 """
 
 from __future__ import annotations
@@ -75,12 +76,19 @@ def _variants(value) -> list[MethodVariant]:
     return [MethodVariant(str(name).strip()) for name in names if str(name).strip()]
 
 
+def _integer(value) -> int:
+    # int() would truncate 5.7 and accept True; integer strings from INI pass.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _choice(*names):
     return (lambda value: names[names.index(str(value).strip().lower())],
             f"one of {', '.join(names)}")
 
 
-_INT = (int, "an integer")
+_INT = (_integer, "an integer")
 _FLOAT = (float, "a number")
 _BOOL = (_boolean, "a boolean")
 _TEXT = (str, "a string")
@@ -283,17 +291,32 @@ def _error(exc, code: int) -> int:
     return code
 
 
-def _emit(rendered: str, path) -> None:
-    """Write ``rendered`` to ``path``, or to standard output when it is unset."""
-    if path:
-        Path(path).write_text(rendered, encoding="ascii")
-    else:
-        sys.stdout.write(rendered)
+def _check_destination(path) -> None:
+    """Reject an output path whose directory does not exist, before any work."""
+    if path and not Path(path).parent.is_dir():
+        raise SpecError(f"output directory '{Path(path).parent}' does not exist")
+
+
+def _emit(rendered: str, path) -> int:
+    """Write ``rendered`` to ``path``, or to standard output when it is unset.
+
+    Returns 0, or exit code 3 after reporting a write that failed.
+    """
+    try:
+        if path:
+            Path(path).write_text(rendered, encoding="ascii")
+        else:
+            sys.stdout.write(rendered)
+    except OSError as exc:
+        return _error(f"cannot write output: {exc}", 3)
+    return 0
 
 
 def cmd_run(args) -> int:
     try:
         spec = parse_spec(args.spec_file)
+        destination = args.output or spec["output"].get("path")
+        _check_destination(destination)
         variants = build_variants(spec)
         cfg = build_solve_config(spec, args.tol, args.maxit)
         problem = build_problem(spec, args.seed)
@@ -312,7 +335,8 @@ def cmd_run(args) -> int:
 
     reference = reference_norm(problem.b)
     render = render_json if (args.format or spec["output"].get("format")) == "json" else render_csv
-    _emit(render(results, reference), args.output or spec["output"].get("path"))
+    if _emit(render(results, reference), destination):
+        return 3
     for result in results:
         rep = result.deflated_report
         final = result.original_residual_norms[-1]
@@ -327,16 +351,18 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     try:
+        _check_destination(args.output)
         report = run_suite(args.suite, args.seed)
     except ValueError as exc:
         return _error(exc, 2)
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
-    return 0 if report["passed"] else 1
+    return (_emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
+            or (0 if report["passed"] else 1))
 
 
 def cmd_diagnose(args) -> int:
     try:
         spec = parse_spec(args.spec_file)
+        _check_destination(args.output)
         problem = build_problem(spec, args.seed)
         basis = build_basis(spec, problem)
         if basis is None:
@@ -352,8 +378,7 @@ def cmd_diagnose(args) -> int:
         "largest_principal_angle_radians": diagnosis.largest_principal_angle_rad,
         "largest_principal_angle_degrees": diagnosis.largest_principal_angle_deg,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    return 0
+    return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,12 @@ Vectors are 1-d and matrices 2-d numpy arrays with complex128 entries; real
 input data is promoted so there is a single code path.  Factorizations are
 delegated to LAPACK through numpy/scipy; this module enforces the pivot and
 symmetry tolerances the rest of the library relies on.
+
+Two kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
+and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
+analysis, the check suites and the tests.  The solve path sizes a matrix with
+:func:`norm_estimate_and_hermitian` instead, which estimates ||a||_2 from
+products with a and a^H and never forms an n-by-n SVD.
 """
 
 from __future__ import annotations
@@ -13,12 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 #: Relative pivot threshold below which a dense factorization is declared singular.
 SINGULARITY_THRESHOLD = 1e-14
 
 #: Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOLERANCE = 1e-12
+
+#: Relative accuracy asked of ARPACK for the largest eigenvalue of a^H a.
+_NORM_ESTIMATE_TOLERANCE = 1e-3
+#: ARPACK restarts before the estimate gives up and takes the exact norm.
+_NORM_ESTIMATE_RESTARTS = 10
+#: Below this dimension an SVD is cheaper than the estimate and is used instead.
+_EXACT_NORM_BELOW = 32
 
 
 class SingularMatrixError(ValueError):
@@ -71,8 +85,58 @@ def hermitian_defect(a) -> float:
 
 
 def is_hermitian(a, tol: float = HERMITIAN_TOLERANCE) -> bool:
+    """Exact test ||a - a^H||_2 <= tol * ||a||_2 by two SVDs (an oracle)."""
     a = as_matrix(a)
     return hermitian_defect(a) <= tol * max(spectral_norm(a), np.finfo(float).tiny)
+
+
+def norm_estimate_and_hermitian(a) -> tuple[float, bool]:
+    """Estimate of ||a||_2 and a Hermitian test for a square matrix, without an n-by-n SVD.
+
+    The matrix is first divided by its largest entry modulus, so that neither
+    the estimate nor the test under- or overflows; a zero matrix gives
+    ``(0.0, True)``.  The estimate is the square root of the largest Ritz
+    value of a^H a, found by ARPACK (:func:`scipy.sparse.linalg.eigsh`) from a
+    seeded start vector to about 1e-3 relative accuracy, using products with
+    a and a^H only.  A Ritz value never exceeds the largest eigenvalue, so
+    the estimate is a lower bound up to roundoff.  If ARPACK fails or does
+    not converge within a few restarts, and for matrices smaller than 32, the
+    exact :func:`spectral_norm` is returned instead.
+
+    ``a`` counts as Hermitian when ||a - a^H||_F <= HERMITIAN_TOLERANCE *
+    estimate.  As ||.||_F >= ||.||_2 and the estimate does not exceed
+    ||a||_2, this accepts no matrix that :func:`is_hermitian` rejects.
+    """
+    a = as_matrix(a)
+    scale = float(np.abs(a).max(initial=0.0))
+    if not np.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
+    if scale == 0.0:
+        return 0.0, True
+    # Real matrices stored complex are sized in real arithmetic, at a quarter
+    # of the cost per product.
+    s = (a if a.imag.any() else a.real) / scale
+    norm = _norm_estimate(s)
+    hermitian = bool(np.linalg.norm(s - s.conj().T) <= HERMITIAN_TOLERANCE * norm)
+    return norm * scale, hermitian
+
+
+def _norm_estimate(s) -> float:
+    """||s||_2 from below by Lanczos on s^H s; exact for small or stubborn ``s``."""
+    n = s.shape[0]
+    if n < _EXACT_NORM_BELOW:
+        return spectral_norm(s)
+    # s^H (s v) as conj(conj(s v) @ s) needs no conjugated copy of s.
+    gram = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda v: ((s @ v).conj() @ s).conj(), dtype=s.dtype)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        ritz = scipy.sparse.linalg.eigsh(
+            gram, k=1, v0=start, tol=_NORM_ESTIMATE_TOLERANCE,
+            maxiter=_NORM_ESTIMATE_RESTARTS, return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackError:
+        return spectral_norm(s)
+    return float(np.sqrt(max(ritz[0], 0.0)))
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,17 @@ class LinearOperator:
 
 
 def dense_operator(a) -> LinearOperator:
-    """Wrap a dense square matrix; the symmetry flag is set by an explicit test."""
+    """Wrap a dense square matrix; the symmetry flag is set by an explicit test.
+
+    The test is :func:`linalg.norm_estimate_and_hermitian`: ||a - a^H||_F
+    against an estimate of ||a||_2, with no n-by-n SVD.  It accepts no matrix
+    that the exact oracle :func:`linalg.is_hermitian` rejects.
+    """
     a = linalg.as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    return LinearOperator(a.shape[0], lambda v: a @ v, linalg.is_hermitian(a), label="dense")
+    _, hermitian = linalg.norm_estimate_and_hermitian(a)
+    return LinearOperator(a.shape[0], lambda v: a @ v, hermitian, label="dense")
 
 
 def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:

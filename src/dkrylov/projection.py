@@ -12,6 +12,7 @@ works for any nonsingular matrix).
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +52,14 @@ class Deflator:
     never formed.  The matrix ``a`` is kept by reference and must not be
     mutated afterwards.  Instances are immutable apart from the diagnostic
     apply counters.
+
+    Set-up forms no n-by-n SVD.  ||a||_2 is estimated from below, to about
+    1e-3 relative, by :func:`linalg.norm_estimate_and_hermitian`, which also
+    decides ``a_hermitian`` from ||a - a^H||_F.  That estimate scales the
+    pivot tests of the HPD pre-check and of the coupling factorization, so
+    they are up to 1e-3 looser than with the exact norm (2e-3 where the
+    scale holds ||a||_2 squared).  Only the n-by-k basis is measured exactly
+    (:func:`linalg.spectral_norm`).
     """
 
     def __init__(self, a, u, mode: GalerkinMode, *, allow_indefinite: bool = False):
@@ -70,11 +79,8 @@ class Deflator:
         self.mode = mode
         self.dim = n
         self.k = k
-        # ||a||_2 is computed once: it decides symmetry as
-        # :func:`linalg.is_hermitian` does, and scales every pivot test.
-        a_norm = linalg.spectral_norm(a)
-        self.a_hermitian = bool(linalg.hermitian_defect(a) <= linalg.HERMITIAN_TOLERANCE
-                                * max(a_norm, np.finfo(float).tiny))
+        # One estimate of ||a||_2 decides symmetry and scales every pivot test.
+        a_norm, self.a_hermitian = linalg.norm_estimate_and_hermitian(a)
         self.u = u
         self.w = a @ u
 
@@ -104,10 +110,16 @@ class Deflator:
             raise SingularCouplingError(
                 f"coupling matrix is numerically singular ({exc})"
             ) from exc
+        # The factor is solved against by LAPACK directly: the same routine
+        # scipy's cho_solve/lu_solve call, without their per-call checks.
         if factor_fn is linalg.cholesky_factor_checked:
-            self._solve_coupling = lambda rhs: scipy.linalg.cho_solve(factorization, rhs)
+            c, lower = factorization
+            potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
+            self._coupling_lapack = functools.partial(potrs, c, lower=lower)
         else:
-            self._solve_coupling = lambda rhs: scipy.linalg.lu_solve(factorization, rhs)
+            lu, piv = factorization
+            getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+            self._coupling_lapack = functools.partial(getrs, lu, piv)
 
         self.apply_counts = {"project_residual": 0, "project_solution": 0,
                              "coarse_solve": 0, "corrections": 0}
@@ -125,6 +137,12 @@ class Deflator:
                 "residual-orthogonal mode requires a Hermitian positive definite "
                 "matrix (pass allow_indefinite=True to override)"
             ) from exc
+
+    def _solve_coupling(self, rhs) -> np.ndarray:
+        x, info = self._coupling_lapack(rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of the coupling solve")
+        return x
 
     # -- projector actions -------------------------------------------------
 

@@ -180,6 +180,8 @@ def _prepare(op, b, x0, cfg):
         raise TypeError("op must be a LinearOperator or a square ndarray")
     b = linalg.as_vector(b, op.dim)
     x0 = np.zeros(op.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, op.dim)
+    if not (np.isfinite(b).all() and np.isfinite(x0).all()):
+        raise ValueError("right-hand side and initial guess entries must be finite")
     cfg = cfg or SolveConfig()
     return op, b, x0, cfg
 

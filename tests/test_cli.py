@@ -92,8 +92,10 @@ class TestRun:
         {"problem": {"generator": "toy-breakdown", "m": "abc"}, "run": {"variants": "minres"}},
         {**paper_spec(), "problem": 5},
         b"\xff[problem]\n",
+        {**paper_spec(), "problem": {"generator": "symmetric-indefinite", "m": 5.7}},
+        {**paper_spec(), "problem": {"generator": "symmetric-indefinite", "m": True}},
     ], ids=["bad-index-list", "bad-format", "bad-unused-key", "section-not-object",
-            "not-utf8"])
+            "not-utf8", "fractional-int", "boolean-int"])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
         monkeypatch.setattr(cli, "run_method", lambda *args: calls.append(args))
@@ -101,6 +103,28 @@ class TestRun:
         path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         assert cli.main(["run", str(path)]) == 2
         assert calls == []
+
+    def test_integral_values_are_integers(self, tmp_path):
+        spec = paper_spec(m=20)
+        spec["problem"]["m"] = 20.0
+        spec["solver"] = {"max_iterations": "200"}
+        code, payload = run_json(tmp_path, spec)
+        assert code == 0
+        assert len(payload["results"]) == len(SIX_VARIANTS)
+
+    def test_output_into_missing_directory_exits_2_before_any_solve(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_method", lambda *args: calls.append(args))
+        out = tmp_path / "missing" / "out.json"
+        assert cli.main(["run", write_spec(tmp_path, paper_spec()), "--output", str(out)]) == 2
+        assert calls == []
+        assert "does not exist" in capsys.readouterr().err
+
+    def test_failed_write_exits_3(self, tmp_path, capsys):
+        # the destination's directory exists, but the destination is a directory
+        assert cli.main(["run", write_spec(tmp_path, paper_spec()), "--output", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot write output")
 
     def test_ini_spec_matches_json_spec(self, tmp_path):
         spec = paper_spec()
@@ -130,6 +154,15 @@ class TestCheck:
         assert cli.main(["check", suite, "--seed", "0", "--output", str(out)]) == 0
         assert json.loads(out.read_text(encoding="ascii"))["passed"] is True
 
+    def test_output_errors(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda name, seed: calls.append(name) or {
+            "suite": name, "passed": True, "checks": []})
+        missing = tmp_path / "missing" / "c.json"
+        assert cli.main(["check", "spectrum", "--output", str(missing)]) == 2
+        assert calls == []
+        assert cli.main(["check", "spectrum", "--output", str(tmp_path)]) == 3
+
     def test_failed_suite_exits_1(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "run_suite",
                             lambda name, seed: {"suite": name, "passed": False, "checks": []})
@@ -146,6 +179,15 @@ class TestDiagnose:
         spec = write_spec(tmp_path, paper_spec(**deflation))
         assert cli.main(["diagnose", spec, "--output", str(out)]) == 0
         assert json.loads(out.read_text(encoding="ascii"))["intersection_nontrivial"] is flagged
+
+    def test_output_errors(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "diagnose_breakdown", lambda *args: calls.append(args))
+        spec = write_spec(tmp_path, paper_spec())
+        assert cli.main(["diagnose", spec, "--output", str(tmp_path / "no" / "d.json")]) == 2
+        assert calls == []
+        monkeypatch.undo()
+        assert cli.main(["diagnose", spec, "--output", str(tmp_path)]) == 3
 
 
 class TestPackage:

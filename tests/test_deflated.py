@@ -190,6 +190,15 @@ class TestVariantDispatch:
         with pytest.raises(ValueError):
             run_method(MethodVariant.RMINRES_EXPLICIT, p.a, p.b)
 
+    @pytest.mark.parametrize("variant", list(MethodVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("where", ["b", "x0"])
+    def test_non_finite_input_rejected(self, variant, where):
+        p = clustered_spd_problem(40, 3, seed=1)
+        vectors = {"b": p.b.copy(), "x0": np.zeros(40, dtype=complex)}
+        vectors[where][7] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            run_method(variant, p.a, vectors["b"], p.eigenvectors[:, :3], vectors["x0"])
+
     def test_all_variants_run_on_indefinite_problem(self):
         p = symmetric_indefinite_problem(15, seed=3)
         u = eigenvector_basis(p, [1, 16])

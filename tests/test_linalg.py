@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dkrylov import linalg
+from dkrylov.operators import dense_operator
+from dkrylov.problems import clustered_spd_problem, symmetric_indefinite_problem
+from dkrylov.projection import Deflator, GalerkinMode
 
 
 def fsum_inner(x, y):
@@ -182,3 +187,92 @@ class TestPrincipalAngles:
         u = np.array([[1.0], [0.0], [0.0]])
         v = np.array([[0.0], [1.0], [0.0]])
         assert linalg.principal_angles(u, v)[-1] == pytest.approx(np.pi / 2)
+
+
+def _complex_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+class TestNormEstimate:
+    @pytest.mark.parametrize("make", [
+        lambda: clustered_spd_problem(600).a,
+        lambda: symmetric_indefinite_problem(200).a,
+        lambda: _complex_matrix(300, 4),
+        lambda: _complex_matrix(20, 5),
+    ], ids=["clustered-spd-600", "paper-m200", "complex-300", "below-cutoff-20"])
+    def test_at_most_1e3_below_the_exact_norm(self, make):
+        a = make()
+        exact = linalg.spectral_norm(a)
+        estimate, _ = linalg.norm_estimate_and_hermitian(a)
+        assert exact * (1 - 1e-3) <= estimate <= exact * (1 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e150])
+    @pytest.mark.parametrize("base", ["identity", "complex"])
+    def test_extreme_scales(self, scale, base):
+        # a^H a of 1e-300 * I underflows, so the matrix must be scaled first
+        a = scale * (np.eye(64) if base == "identity" else _complex_matrix(64, 6))
+        exact = linalg.spectral_norm(a)
+        estimate, hermitian = linalg.norm_estimate_and_hermitian(a)
+        assert exact * (1 - 1e-3) <= estimate <= exact * (1 + 1e-12)
+        assert hermitian is (scale == 0.0 or base == "identity")
+
+    def test_arpack_failure_falls_back_to_the_exact_norm(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        a = _complex_matrix(40, 9)
+        estimate, _ = linalg.norm_estimate_and_hermitian(a)
+        assert estimate == pytest.approx(linalg.spectral_norm(a), rel=1e-14)
+
+    def test_rejects_non_finite_entries(self):
+        a = np.eye(40)
+        a[3, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            linalg.norm_estimate_and_hermitian(a)
+
+    def test_frobenius_test_is_stricter_than_the_oracle(self):
+        # a - a^H = 0.5e-12 i I: its 2-norm passes the exact test, its
+        # Frobenius norm, ten times larger at n = 100, fails the estimate's
+        a = (1 + 0.25e-12j) * np.eye(100)
+        assert linalg.is_hermitian(a)
+        assert linalg.norm_estimate_and_hermitian(a)[1] is False
+
+    @pytest.mark.parametrize("rank", [1, 60])
+    def test_accepts_only_what_the_oracle_accepts(self, rank):
+        g = _complex_matrix(60, 7)
+        h = g + g.conj().T
+        hnorm = linalg.spectral_norm(h)
+        q = linalg.random_orthogonal(60, 8)[:, :rank]
+        skew = 1j * (q @ q.conj().T) * hnorm
+        accepted = []
+        for eps in (0.0, 1e-15, 1e-14, 1e-13, 2e-13, 4e-13, 1e-12, 2e-12, 1e-11):
+            a = h + eps * skew
+            new = linalg.norm_estimate_and_hermitian(a)[1]
+            assert not new or linalg.is_hermitian(a), eps
+            accepted.append(new)
+        # a rank-one defect has ||.||_F = ||.||_2: the two tests nearly agree
+        assert accepted == [True] * (6 if rank == 1 else 3) + [False] * (3 if rank == 1 else 6)
+
+    def test_set_up_runs_no_square_svd(self, monkeypatch):
+        shapes = []
+
+        def recording(svd):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return svd(a, *args, **kwargs)
+            return wrapper
+
+        # np.linalg.norm(a, 2) calls the svd of its implementation module
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", recording(module.svd))
+        monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd))
+        paper = symmetric_indefinite_problem(100)
+        spd = clustered_spd_problem(200)
+        Deflator(paper.a, paper.eigenvectors[:, :5], GalerkinMode.RESIDUAL_MINIMIZING)
+        Deflator(spd.a, spd.eigenvectors[:, :5], GalerkinMode.RESIDUAL_ORTHOGONAL)
+        dense_operator(paper.a)
+        dense_operator(spd.a)
+        assert shapes, "the wrappers saw no SVD at all, not even the n-by-k basis norm"
+        assert (200, 200) not in shapes
