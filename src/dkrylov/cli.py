@@ -179,7 +179,7 @@ def build_problem(spec: dict, seed_override=None) -> TestProblem:
     a = dkio.read_matrix_market(section["a"])
     b = dkio.read_matrix_market(section["b"])
     x0 = (dkio.read_matrix_market(section["x0"]) if "x0" in section
-          else np.zeros(a.shape[0], dtype=np.complex128))
+          else np.zeros(a.shape[0]))
     return TestProblem(a=a, b=b, x0=x0, label=f"file({section['a']})", seed=seed)
 
 
@@ -228,18 +228,18 @@ def build_initial_guess(spec: dict, problem: TestProblem, basis) -> np.ndarray:
         x0 = problem.x0.copy()
     elif choice == "random":
         rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal(n).astype(np.complex128)
+        x0 = rng.standard_normal(n)
     else:  # "breakdown-guess"
         if basis is None:
             raise SpecError("[run] x0 = breakdown-guess requires a deflation basis")
         coeff_seed = section.get("breakdown_coefficient_seed", 0)
         rng = np.random.default_rng(coeff_seed)
-        coeff = rng.standard_normal(basis.shape[1]).astype(np.complex128)
+        coeff = rng.standard_normal(basis.shape[1])
         x0 = breakdown_initial_guess(problem.a, problem.b, basis, coeff)
     if "x0_perturbation" in section:
         eps = section["x0_perturbation"]
         rng = np.random.default_rng(seed + 1)
-        delta = rng.standard_normal(n).astype(np.complex128)
+        delta = rng.standard_normal(n)
         delta *= eps * max(1.0, linalg.vector_norm(x0)) / linalg.vector_norm(delta)
         x0 = x0 + delta
     return x0

@@ -138,7 +138,7 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
     if recipe.solver == "minres" and not d.a_hermitian:
         raise ValueError(f"{variant.value} requires a Hermitian matrix")
     b = linalg.as_vector(b, d.dim)
-    x0 = np.zeros(d.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, d.dim)
+    x0 = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
     diagnostics = {}
     if recipe.guess == "shifted":
         x0 = d.initial_correction(x0, b)
@@ -153,7 +153,7 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
         if recipe.system == "two-sided":
             rhs = d.two_sided_rhs(b)
         else:
-            rhs = d.project_residual(b - d.a @ x0) + op.apply(x0)
+            rhs = d.project_residual(b - linalg.matvec(d.a, x0)) + op.apply(x0)
     correct = (d.correct_two_sided_iterate if recipe.system == "two-sided"
                else d.correct_iterate)
 
@@ -162,7 +162,7 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
     rep = solve(op, rhs, x0, cfg)
     if recipe.per_iterate:
         corrected = [correct(x, b) for x in rep.iterates]
-        original = np.array([linalg.vector_norm(b - d.a @ x) for x in corrected])
+        original = np.array([linalg.vector_norm(b - linalg.matvec(d.a, x)) for x in corrected])
     else:
         corrected = [correct(rep.final_iterate, b)]
         original = rep.residual_norms.copy()

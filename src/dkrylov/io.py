@@ -3,7 +3,9 @@
 The text container stores every array as "re im" pairs, one entry per line in
 row-major order, preceded by a header naming the field and its shape.  Matrix
 Market files use the dense ``array`` format via scipy and serve as the
-interchange format for user-supplied matrices on the command line.
+interchange format for user-supplied matrices on the command line.  Arrays are
+read back in their field (:func:`linalg.in_field`): float64 when no entry has
+a nonzero imaginary part, complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 
+from . import linalg
 from .problems import TestProblem
 
 _MAGIC = "dkrylov-problem 1"
@@ -69,12 +72,12 @@ def load_problem(path) -> TestProblem:
             arr = data.reshape(rows, cols)
             if cols == 1 and name in ("b", "x0", "known_solution", "known_spectrum"):
                 arr = arr.ravel()
-            fields[name] = arr
+            fields[name] = linalg.in_field(arr)
         else:
             raise ValueError(f"{path}: unexpected line {line!r}")
     if "a" not in fields or "b" not in fields:
         raise ValueError(f"{path}: container must define at least 'a' and 'b'")
-    fields.setdefault("x0", np.zeros(fields["a"].shape[0], dtype=np.complex128))
+    fields.setdefault("x0", np.zeros(fields["a"].shape[0]))
     if "known_spectrum" in fields:
         fields["known_spectrum"] = np.real(fields["known_spectrum"])
     return TestProblem(**fields)
@@ -90,7 +93,7 @@ def write_matrix_market(path, array) -> None:
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a dense Matrix Market file; single-column matrices come back 1-d."""
-    arr = np.asarray(scipy.io.mmread(str(path)), dtype=np.complex128)
+    arr = linalg.in_field(scipy.io.mmread(str(path)))
     if arr.ndim == 2 and arr.shape[1] == 1:
         return arr.ravel()
     return arr

@@ -1,9 +1,12 @@
-"""Dense complex linear algebra kernels shared by all higher-level modules.
+"""Dense linear algebra kernels shared by all higher-level modules.
 
-Vectors are 1-d and matrices 2-d numpy arrays with complex128 entries; real
-input data is promoted so there is a single code path.  Factorizations are
-delegated to LAPACK through numpy/scipy; this module enforces the pivot and
-symmetry tolerances the rest of the library relies on.
+Vectors are 1-d and matrices 2-d numpy arrays.  Their field is decided by
+their data (:func:`in_field`): an array with no nonzero imaginary part is
+float64, even when it arrives typed complex, and any other array is
+complex128.  A real system is therefore solved in real arithmetic, at about
+half the cost per matrix-vector product of complex arithmetic.
+Factorizations are delegated to LAPACK through numpy/scipy; this module
+enforces the pivot and symmetry tolerances the rest of the library relies on.
 
 Two kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
 and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
@@ -39,9 +42,35 @@ class SingularMatrixError(ValueError):
     """A dense factorization produced a pivot below the singularity threshold."""
 
 
+def in_field(x) -> np.ndarray:
+    """``x`` as an array in its field: float64 when no entry has a nonzero
+    imaginary part, complex128 otherwise.
+
+    A float64 array is returned as is; a complex array with zero imaginary
+    part comes back as a contiguous float64 copy of its real part.
+    """
+    x = np.asarray(x)
+    if x.dtype == np.float64:
+        return x
+    if x.dtype.kind == "c":
+        if x.imag.any():
+            return x.astype(np.complex128, copy=False)
+        return x.real.astype(np.float64, order="C")
+    return x.astype(np.float64)
+
+
+def matvec(a, x) -> np.ndarray:
+    """a @ x.  A complex ``x`` against a real ``a`` is multiplied by its real
+    and imaginary parts, so that ``a`` is never copied to complex."""
+    if x.dtype.kind == "c" and a.dtype.kind != "c":
+        return a @ x.real + 1j * (a @ x.imag)
+    return a @ x
+
+
 def as_vector(x, n: int | None = None) -> np.ndarray:
-    """Return ``x`` as a 1-d complex128 array, optionally checking its length."""
-    v = np.asarray(x, dtype=np.complex128)
+    """Return ``x`` as a 1-d array in its field (:func:`in_field`),
+    optionally checking its length."""
+    v = in_field(x)
     if v.ndim == 2 and 1 in v.shape:
         v = v.ravel()
     if v.ndim != 1:
@@ -52,7 +81,9 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
 
 
 def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
+    """Return ``a`` as a 2-d array in its field (:func:`in_field`); a vector
+    becomes one column."""
+    m = in_field(a)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
@@ -113,9 +144,7 @@ def norm_estimate_and_hermitian(a) -> tuple[float, bool]:
         raise ValueError("matrix entries must be finite")
     if scale == 0.0:
         return 0.0, True
-    # Real matrices stored complex are sized in real arithmetic, at a quarter
-    # of the cost per product.
-    s = (a if a.imag.any() else a.real) / scale
+    s = a / scale
     norm = _norm_estimate(s)
     hermitian = bool(np.linalg.norm(s - s.conj().T) <= HERMITIAN_TOLERANCE * norm)
     return norm * scale, hermitian
@@ -141,7 +170,10 @@ def _norm_estimate(s) -> float:
 
 @dataclass(frozen=True)
 class GivensRotation:
-    """Unitary 2x2 rotation [[c, s], [-conj(s), c]] with real c and |c|^2+|s|^2=1."""
+    """Unitary 2x2 rotation [[c, s], [-conj(s), c]] with real c and |c|^2+|s|^2=1.
+
+    ``s`` and ``r`` are real floats for a real rotation, complex otherwise.
+    """
 
     c: float
     s: complex
@@ -155,11 +187,15 @@ class GivensRotation:
 
 
 def make_givens(f: complex, g: complex) -> GivensRotation:
-    """Rotation annihilating ``g`` against ``f``: it maps (f, g) to (r, 0)."""
-    f = complex(f)
-    g = complex(g)
+    """Rotation annihilating ``g`` against ``f``: it maps (f, g) to (r, 0).
+
+    The rotation is real when ``f`` and ``g`` are.
+    """
+    field = complex if isinstance(f, complex) or isinstance(g, complex) else float
+    f = field(f)
+    g = field(g)
     if g == 0:
-        return GivensRotation(1.0, 0.0 + 0.0j, f)
+        return GivensRotation(1.0, field(0.0), f)
     if f == 0:
         ag = abs(g)
         return GivensRotation(0.0, np.conj(g) / ag, ag)
@@ -175,12 +211,15 @@ def givens_qr_step(column, prior_rotations) -> tuple[np.ndarray, GivensRotation]
     ``column`` holds the new nonzero column segment; ``prior_rotations[i]`` is
     applied to entries (i, i+1) in order, then a new rotation is generated to
     annihilate the last entry against the second-to-last.  Returns the updated
-    column (last entry zeroed) and the new rotation.
+    column (last entry zeroed) and the new rotation, both real when the column
+    and the prior rotations are.
     """
-    col = np.array(column, dtype=np.complex128)
+    rotations = list(prior_rotations)
+    complex_field = (np.iscomplexobj(column)
+                     or any(isinstance(rot.s, complex) for rot in rotations))
+    col = np.array(column, dtype=np.complex128 if complex_field else np.float64)
     if col.ndim != 1 or col.shape[0] < 2:
         raise ValueError("column must be a vector with at least two entries")
-    rotations = list(prior_rotations)
     if len(rotations) != col.shape[0] - 2:
         raise ValueError(
             f"need {col.shape[0] - 2} prior rotations for a column of "
@@ -195,7 +234,7 @@ def givens_qr_step(column, prior_rotations) -> tuple[np.ndarray, GivensRotation]
 
 
 def random_orthogonal(n: int, seed) -> np.ndarray:
-    """Seeded random real orthogonal matrix, stored complex.
+    """Seeded random real orthogonal matrix (float64).
 
     QR of a standard-normal matrix with the signs of diag(R) fixed, which
     makes the draw deterministic and Haar-like.
@@ -206,7 +245,7 @@ def random_orthogonal(n: int, seed) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
-    return (q * d).astype(np.complex128)
+    return q * d
 
 
 @dataclass(frozen=True)

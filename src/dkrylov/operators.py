@@ -22,23 +22,32 @@ _PROBE_COUNT = 3
 class LinearOperator:
     """Square linear map on C^n with an explicit symmetry declaration.
 
-    ``hermitian`` is True, False or None (unknown).  The map must be
+    ``hermitian`` is True, False or None (unknown).  ``dtype`` is the field
+    of the map's data, as in :class:`scipy.sparse.linalg.LinearOperator`:
+    float64 for a map with real entries, complex128 otherwise (the default,
+    which is always correct).  A solver runs in the common field of the
+    operator, the right-hand side and the initial guess, so a real operator
+    still maps complex vectors and must do so linearly.  The map must be
     deterministic and linear; ``verify`` spot-checks both properties with a
     few seeded probe vectors.
     """
 
-    def __init__(self, dim: int, matvec, hermitian: bool | None = None, label: str = ""):
+    def __init__(self, dim: int, matvec, hermitian: bool | None = None, label: str = "",
+                 dtype=np.complex128):
         if dim < 1:
             raise ValueError("operator dimension must be at least 1")
         self.dim = int(dim)
         self._matvec = matvec
         self.hermitian = hermitian
         self.label = label
+        self.dtype = np.dtype(dtype)
 
     def apply(self, v) -> np.ndarray:
+        """The map applied to ``v``, which it receives in the common field of
+        ``v`` and ``dtype``."""
         v = linalg.as_vector(v, self.dim)
-        out = linalg.as_vector(self._matvec(v), self.dim)
-        return out
+        v = v.astype(np.result_type(v, self.dtype), copy=False)
+        return linalg.as_vector(self._matvec(v), self.dim)
 
     def verify(self, tol: float = PROBE_TOLERANCE) -> None:
         """Spot-check linearity and (if declared) the Hermitian property.
@@ -81,13 +90,15 @@ def dense_operator(a) -> LinearOperator:
 
     The test is :func:`linalg.norm_estimate_and_hermitian`: ||a - a^H||_F
     against an estimate of ||a||_2, with no n-by-n SVD.  It accepts no matrix
-    that the exact oracle :func:`linalg.is_hermitian` rejects.
+    that the exact oracle :func:`linalg.is_hermitian` rejects.  The operator's
+    ``dtype`` is the field of ``a`` (:func:`linalg.as_matrix`).
     """
     a = linalg.as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     _, hermitian = linalg.norm_estimate_and_hermitian(a)
-    return LinearOperator(a.shape[0], lambda v: a @ v, hermitian, label="dense")
+    return LinearOperator(a.shape[0], lambda v: linalg.matvec(a, v), hermitian,
+                          label="dense", dtype=a.dtype)
 
 
 def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:
@@ -98,11 +109,12 @@ def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:
     Hermitian.  kind "two_sided" (residual-minimizing mode only) projects on
     both sides, which restores hermiticity whenever the base matrix is
     Hermitian.  The composition is spot-checked with
-    :meth:`LinearOperator.verify` before it is returned.
+    :meth:`LinearOperator.verify` before it is returned.  Its ``dtype`` is
+    the deflator's field.
     """
     a = deflator.a
     if kind == "left":
-        matvec = lambda v: deflator.project_residual(a @ v)  # noqa: E731
+        matvec = lambda v: deflator.project_residual(linalg.matvec(a, v))  # noqa: E731
         if deflator.mode is GalerkinMode.RESIDUAL_ORTHOGONAL:
             hermitian = deflator.a_hermitian
         else:
@@ -111,11 +123,12 @@ def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:
     elif kind == "two_sided":
         if deflator.mode is not GalerkinMode.RESIDUAL_MINIMIZING:
             raise ValueError("two_sided operators require residual-minimizing mode")
-        matvec = lambda v: deflator.project_residual(a @ deflator.project_residual(v))  # noqa: E731
+        matvec = lambda v: deflator.project_residual(  # noqa: E731
+            linalg.matvec(a, deflator.project_residual(v)))
         hermitian = deflator.a_hermitian
         label = "two-sided-projected"
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    op = LinearOperator(deflator.dim, matvec, hermitian, label=label)
+    op = LinearOperator(deflator.dim, matvec, hermitian, label=label, dtype=a.dtype)
     op.verify()
     return op

@@ -3,7 +3,8 @@
 Every generator is a pure function of its parameters and seed.  Index
 arguments that select eigenvector columns are 1-based, matching the usual
 subscript convention in the numerical linear algebra literature; storage is
-0-based internally.
+0-based internally.  Every generated system is real and stored float64, so it
+is solved in real arithmetic.
 """
 
 from __future__ import annotations
@@ -58,12 +59,12 @@ def symmetric_indefinite_problem(m: int, seed: int = 0) -> TestProblem:
                           -np.sqrt(np.arange(1, m + 1))])
     a = (w * lam) @ w.conj().T
     a = 0.5 * (a + a.conj().T)
-    b = np.random.default_rng(ss_b).standard_normal(n).astype(np.complex128)
+    b = np.random.default_rng(ss_b).standard_normal(n)
     b /= linalg.vector_norm(b)
     return TestProblem(
         a=a,
         b=b,
-        x0=np.zeros(n, dtype=np.complex128),
+        x0=np.zeros(n),
         known_spectrum=lam.copy(),
         eigenvectors=w,
         seed=seed,
@@ -124,15 +125,15 @@ def toy_breakdown_problem() -> TestProblem:
     """2x2 exchange system whose one-dimensional deflation space is orthogonal
     to its image, the smallest instance on which the left-projected system
     breaks down from a zero initial guess."""
-    a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    b = np.array([1.0, 0.0], dtype=np.complex128)
-    u = np.array([[1.0], [0.0]], dtype=np.complex128)
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = np.array([1.0, 0.0])
+    u = np.array([[1.0], [0.0]])
     return TestProblem(
         a=a,
         b=b,
-        x0=np.zeros(2, dtype=np.complex128),
+        x0=np.zeros(2),
         u=u,
-        known_solution=np.array([0.0, 1.0], dtype=np.complex128),
+        known_solution=np.array([0.0, 1.0]),
         label="toy-breakdown",
     )
 
@@ -147,18 +148,15 @@ def near_invariant_problem(alpha: float) -> TestProblem:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     inv = 1.0 / alpha
-    a = np.array(
-        [[0.0, 1.0, -inv],
-         [1.0, 0.0, inv],
-         [0.0, 0.0, 1.0]],
-        dtype=np.complex128,
-    )
-    u = np.array([[0.0], [1.0], [0.0]], dtype=np.complex128)
-    x = np.ones(3, dtype=np.complex128)
+    a = np.array([[0.0, 1.0, -inv],
+                  [1.0, 0.0, inv],
+                  [0.0, 0.0, 1.0]])
+    u = np.array([[0.0], [1.0], [0.0]])
+    x = np.ones(3)
     return TestProblem(
         a=a,
         b=a @ x,
-        x0=np.zeros(3, dtype=np.complex128),
+        x0=np.zeros(3),
         u=u,
         known_solution=x,
         label=f"near-invariant(alpha={alpha:g})",
@@ -181,12 +179,12 @@ def clustered_spd_problem(n: int = 80, n_outliers: int = 5, seed: int = 0,
     lam = np.concatenate([outliers, np.sort(cluster)])
     a = (w * lam) @ w.conj().T
     a = 0.5 * (a + a.conj().T)
-    b = rng.standard_normal(n).astype(np.complex128)
+    b = rng.standard_normal(n)
     b /= linalg.vector_norm(b)
     return TestProblem(
         a=a,
         b=b,
-        x0=np.zeros(n, dtype=np.complex128),
+        x0=np.zeros(n),
         known_spectrum=lam.copy(),
         eigenvectors=w,
         seed=seed,

@@ -60,6 +60,12 @@ class Deflator:
     they are up to 1e-3 looser than with the exact norm (2e-3 where the
     scale holds ||a||_2 squared).  Only the n-by-k basis is measured exactly
     (:func:`linalg.spectral_norm`).
+
+    ``a``, ``u``, ``w`` and the coupling factor are kept in the common field
+    of ``a`` and ``u`` (:func:`linalg.as_matrix`), so a real system is
+    factored and projected in real arithmetic.  The methods also accept
+    vectors of the other field: a complex vector against a real deflator is
+    projected as its real and imaginary parts.
     """
 
     def __init__(self, a, u, mode: GalerkinMode, *, allow_indefinite: bool = False):
@@ -68,6 +74,9 @@ class Deflator:
             raise ValueError("matrix must be square")
         n = a.shape[0]
         u = linalg.as_matrix(u)
+        field = np.result_type(a, u)
+        a = a.astype(field, copy=False)
+        u = u.astype(field, copy=False)
         if u.shape[0] != n:
             raise ValueError(f"basis has {u.shape[0]} rows, expected {n}")
         k = u.shape[1]
@@ -111,13 +120,17 @@ class Deflator:
                 f"coupling matrix is numerically singular ({exc})"
             ) from exc
         # The factor is solved against by LAPACK directly: the same routine
-        # scipy's cho_solve/lu_solve call, without their per-call checks.
+        # scipy's cho_solve/lu_solve call, without their per-call checks.  A
+        # coupling matrix with no imaginary part is factored real; its factor
+        # is kept in the deflator's field all the same.
         if factor_fn is linalg.cholesky_factor_checked:
             c, lower = factorization
+            c = c.astype(field, copy=False)
             potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
             self._coupling_lapack = functools.partial(potrs, c, lower=lower)
         else:
             lu, piv = factorization
+            lu = lu.astype(field, copy=False)
             getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
             self._coupling_lapack = functools.partial(getrs, lu, piv)
 
@@ -139,6 +152,8 @@ class Deflator:
             ) from exc
 
     def _solve_coupling(self, rhs) -> np.ndarray:
+        if rhs.dtype.kind == "c" and self.a.dtype.kind != "c":
+            return self._solve_coupling(rhs.real) + 1j * self._solve_coupling(rhs.imag)
         x, info = self._coupling_lapack(rhs)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of the coupling solve")
@@ -165,7 +180,7 @@ class Deflator:
         """Solution-space projector: annihilates the augmentation space itself."""
         v = linalg.as_vector(v, self.dim)
         self.apply_counts["project_solution"] += 1
-        return v - self.u @ self._solve_coupling(self._bu.conj().T @ (self.a @ v))
+        return v - self.u @ self._solve_coupling(self._bu.conj().T @ linalg.matvec(self.a, v))
 
     # -- right-hand sides for the deflated systems --------------------------
 
@@ -173,7 +188,7 @@ class Deflator:
         """Right-hand side of the two-sided projected (Hermitian) system."""
         self._require_minimizing("two_sided_rhs")
         b = linalg.as_vector(b, self.dim)
-        amb = self.a @ (self.a @ self.coarse_solve(b))
+        amb = linalg.matvec(self.a, linalg.matvec(self.a, self.coarse_solve(b)))
         return self.project_residual(b - amb)
 
     # -- iterate corrections -------------------------------------------------
@@ -187,7 +202,7 @@ class Deflator:
         x_hat = linalg.as_vector(x_hat, self.dim)
         b = linalg.as_vector(b, self.dim)
         self.apply_counts["corrections"] += 1
-        residual = b - self.a @ x_hat
+        residual = b - linalg.matvec(self.a, x_hat)
         return x_hat + self.u @ self._solve_coupling(self._bu.conj().T @ residual)
 
     def correct_two_sided_iterate(self, x_bar, b) -> np.ndarray:
@@ -198,7 +213,7 @@ class Deflator:
         self.apply_counts["corrections"] += 1
         ub = self._solve_coupling(self.u.conj().T @ b)
         inner_term = self.project_residual(x_bar) + self.w @ ub
-        coarse = self.u @ self._solve_coupling(self.u.conj().T @ (self.a @ b))
+        coarse = self.u @ self._solve_coupling(self.u.conj().T @ linalg.matvec(self.a, b))
         return self.project_solution(inner_term) + coarse
 
     def adapted_initial_guess(self, x0, b) -> np.ndarray:
@@ -218,7 +233,7 @@ class Deflator:
             raise ModeMismatchError("initial_correction requires residual-orthogonal mode")
         x_prev = linalg.as_vector(x_prev, self.dim)
         b = linalg.as_vector(b, self.dim)
-        return x_prev + self.coarse_solve(b - self.a @ x_prev)
+        return x_prev + self.coarse_solve(b - linalg.matvec(self.a, x_prev))
 
     def dense_deflated_matrix(self) -> np.ndarray:
         """Densely formed left-projected matrix, for analysis and tests only."""

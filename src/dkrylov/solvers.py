@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas
+import scipy.linalg
 
 from . import linalg
 from .operators import LinearOperator, dense_operator
@@ -97,7 +97,9 @@ class SolveReport:
     the initial residual); ``iterates``, when history recording is on, is the
     matching list of approximations.  After a breakdown the report is frozen
     at the last valid iterate and ``breakdown_iteration`` names the step that
-    failed.
+    failed.  Iterates come back in the run's field, the common field of the
+    operator's ``dtype``, the right-hand side and the initial guess: float64
+    for a real system, complex128 otherwise.
     """
 
     final_iterate: np.ndarray
@@ -179,9 +181,12 @@ def _prepare(op, b, x0, cfg):
     if not isinstance(op, LinearOperator):
         raise TypeError("op must be a LinearOperator or a square ndarray")
     b = linalg.as_vector(b, op.dim)
-    x0 = np.zeros(op.dim, dtype=np.complex128) if x0 is None else linalg.as_vector(x0, op.dim)
+    x0 = linalg.as_vector(np.zeros(op.dim) if x0 is None else x0, op.dim)
     if not (np.isfinite(b).all() and np.isfinite(x0).all()):
         raise ValueError("right-hand side and initial guess entries must be finite")
+    field = np.result_type(op.dtype, b, x0)
+    b = b.astype(field, copy=False)
+    x0 = x0.astype(field, copy=False)
     cfg = cfg or SolveConfig()
     return op, b, x0, cfg
 
@@ -275,7 +280,7 @@ class _StoredBasis:
 
     def __init__(self, v0, cfg):
         capacity = min(cfg.max_iterations, v0.shape[0]) + 1
-        self.vectors = np.empty((v0.shape[0], capacity), dtype=np.complex128, order="F")
+        self.vectors = np.empty((v0.shape[0], capacity), dtype=v0.dtype, order="F")
         self.vectors[:, 0] = v0
         self.betas = np.zeros(capacity)     # betas[k] couples v_{k-1} and v_k
         self.size = 1
@@ -341,7 +346,9 @@ class _LanczosBasis(_StoredBasis):
         if self.loses_orthogonality(alpha, beta_next):
             w = self.orthogonalize(w)
             beta_next = linalg.vector_norm(w)
-        column = np.array([0.0, beta, alpha, beta_next][max(0, 2 - j):])
+        # In the run's field, so that the Givens rotations are complex on a
+        # complex run although T is real.
+        column = np.array([0.0, beta, alpha, beta_next][max(0, 2 - j):], dtype=v.dtype)
         return column, w, beta_next
 
     def loses_orthogonality(self, alpha, beta_next) -> bool:
@@ -407,8 +414,9 @@ class _ArnoldiBasis(_StoredBasis):
         super().__init__(v0, cfg)
         capacity = self.vectors.shape[1]
         self.x0 = x0
-        self.r = np.zeros((capacity, capacity), dtype=np.complex128, order="F")
-        self.g = np.zeros(capacity, dtype=np.complex128)
+        self.r = np.zeros((capacity, capacity), dtype=v0.dtype, order="F")
+        self.g = np.zeros(capacity, dtype=v0.dtype)
+        self.trsv, = scipy.linalg.get_blas_funcs(("trsv",), (self.r,))
 
     def expand(self, op):
         basis = self.vectors[:, :self.size]
@@ -423,7 +431,7 @@ class _ArnoldiBasis(_StoredBasis):
         j = self.size
         self.r[:j, j - 1] = updated[:-1]
         self.g[j - 1] = coefficient
-        y = blas.ztrsv(self.r[:j, :j], self.g[:j])
+        y = self.trsv(self.r[:j, :j], self.g[:j])
         return self.x0 + self.vectors[:, :j] @ y
 
 
@@ -440,7 +448,8 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
 
     basis = basis_type(x, r0 / beta1, cfg)
     rotations: list[linalg.GivensRotation] = []
-    g = complex(beta1)                 # last entry of the rotated right-hand side
+    # Last entry of the rotated right-hand side, real on a real run.
+    g = complex(beta1) if np.iscomplexobj(b) else beta1
     for iteration in range(1, cfg.max_iterations + 1):
         column, w, h_next = basis.expand(op)
         updated, rot = linalg.givens_qr_step(
