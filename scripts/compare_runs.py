@@ -1,0 +1,195 @@
+"""Compare every method variant's runs between this checkout and another one.
+
+    python scripts/compare_runs.py OTHER_CHECKOUT [--equivalence SEED:COUNT ...]
+
+OTHER_CHECKOUT is a second checkout of the repository, typically of the
+parent commit (``git clone . ../parent && git -C ../parent checkout HEAD~1``).
+Each checkout runs in its own process and imports ``dkrylov`` from its own
+``src/``.  Both run all eight variants under ``SolveConfig()`` and
+``SolveConfig(explicit_residuals=False)`` on these systems:
+
+* the paper's +-sqrt(j) problem at m=50 and m=200, deflating eigenvectors
+  ``1-5,m+1..m+5``;
+* ``clustered_spd_problem(600)``, deflating its five outlier eigenvectors;
+* ``checks.equivalence_instances(SEED, COUNT)`` for each ``--equivalence``
+  (default ``0:6``), complex Hermitian systems.
+
+One line per run gives the status and iteration count of each checkout (or
+the exception a run raised), the largest deviation of its original and
+deflated residual curves divided by ||b||, and whether every report field
+(every ``DualReport``/``SolveReport`` field, iterate, diagnostics entry and
+the deflator's ``a_hermitian``, ``apply_counts``, ``w`` and coupling matrix)
+is equal under ``np.array_equal`` with the same dtype.  Exits 1 when a
+status, an iteration count or a raised exception differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+HERE_CHECKOUT = Path(__file__).resolve().parent.parent
+
+
+def _systems(equivalence):
+    from dkrylov import checks, problems
+
+    for m in (50, 200):
+        p = problems.symmetric_indefinite_problem(m, seed=0)
+        u = problems.eigenvector_basis(p, list(range(1, 6)) + list(range(m + 1, m + 6)))
+        yield f"paper-m{m}", p.a, p.b, u, None
+    p = problems.clustered_spd_problem(600)
+    yield "clustered-spd-600", p.a, p.b, problems.eigenvector_basis(p, range(1, 6)), None
+    for seed, count in equivalence:
+        for i, (a, b, u, x0) in enumerate(checks.equivalence_instances(seed, count)):
+            yield f"equivalence-{seed}-{i}", a, b, u, x0
+
+
+def _flatten(obj, name, out):
+    """Every leaf of a report as ``out[path] = value``."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _flatten(getattr(obj, f.name), f"{name}.{f.name}", out)
+    elif hasattr(obj, "apply_counts"):  # a Deflator
+        for attr in ("a_hermitian", "apply_counts", "w", "coupling"):
+            _flatten(getattr(obj, attr), f"{name}.{attr}", out)
+    elif isinstance(obj, dict):
+        for key in sorted(obj, key=str):
+            _flatten(obj[key], f"{name}[{key}]", out)
+    elif isinstance(obj, (list, tuple)):
+        out[f"{name}.len"] = len(obj)
+        for i, item in enumerate(obj):
+            _flatten(item, f"{name}[{i}]", out)
+    elif isinstance(obj, enum.Enum):
+        out[name] = obj.value
+    elif obj is None or isinstance(obj, (str, bool, int, float, complex, np.ndarray, np.generic)):
+        out[name] = obj
+    else:
+        out[name] = repr(obj)
+
+
+def collect(equivalence) -> dict:
+    """Outcome of every run in this process's ``dkrylov``, keyed by run."""
+    from dkrylov import MethodVariant, SolveConfig, run_method
+
+    configs = {"explicit": SolveConfig(), "recurrence": SolveConfig(explicit_residuals=False)}
+    outcomes = {}
+    for system, a, b, u, x0 in _systems(equivalence):
+        for config, cfg in configs.items():
+            for variant in MethodVariant:
+                key = (system, config, variant.value)
+                try:
+                    report = run_method(variant, a, b, u, x0, cfg)
+                except Exception as exc:  # the type is the outcome
+                    outcomes[key] = {"raised": type(exc).__name__}
+                    continue
+                fields = {}
+                _flatten(report, "report", fields)
+                outcomes[key] = {"b_norm": float(np.linalg.norm(b)), "fields": fields}
+    return outcomes
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, (np.ndarray, np.generic)) or isinstance(y, (np.ndarray, np.generic)):
+        x, y = np.asarray(x), np.asarray(y)
+        if x.dtype != y.dtype:
+            return False
+        return bool(np.array_equal(x, y, equal_nan=x.dtype.kind in "fc"))
+    return type(x) is type(y) and (x == y or x != x and y != y)
+
+
+def _curve_deviation(this, other) -> float:
+    worst = 0.0
+    for name in ("report.original_residual_norms", "report.deflated_report.residual_norms"):
+        x, y = this["fields"][name], other["fields"][name]
+        k = min(len(x), len(y))
+        if k:
+            worst = max(worst, float(np.max(np.abs(x[:k] - y[:k]))))
+    return worst / this["b_norm"]
+
+
+def _summary(outcome) -> str:
+    if "raised" in outcome:
+        return f"raised {outcome['raised']}"
+    fields = outcome["fields"]
+    return f"{fields['report.deflated_report.status']} in {fields['report.deflated_report.iterations_used']}"
+
+
+def compare(this: dict, other: dict) -> int:
+    mismatches = 0
+    equal_runs = 0
+    worst = 0.0
+    print(f"{'system':<20} {'config':<10} {'variant':<30} {'this':<22} {'other':<22} "
+          f"{'curve dev':>9}  fields")
+    for key in this:
+        a, b = this[key], other[key]
+        a_sum, b_sum = _summary(a), _summary(b)
+        mismatches += a_sum != b_sum
+        if "raised" in a or "raised" in b:
+            dev, equal = "-", "equal" if a_sum == b_sum else "DIFFER"
+            equal_runs += a_sum == b_sum
+        else:
+            deviation = _curve_deviation(a, b)
+            worst = max(worst, deviation)
+            dev = f"{deviation:.1e}"
+            names = set(a["fields"]) | set(b["fields"])
+            differ = sorted(n for n in names if n not in a["fields"] or n not in b["fields"]
+                            or not _same(a["fields"][n], b["fields"][n]))
+            equal_runs += not differ
+            equal = "equal" if not differ else f"{len(differ)} differ, e.g. {differ[0]}"
+        flag = "" if a_sum == b_sum else "  <-- MISMATCH"
+        print(f"{key[0]:<20} {key[1]:<10} {key[2]:<30} {a_sum:<22} {b_sum:<22} "
+              f"{dev:>9}  {equal}{flag}")
+    print(f"{len(this)} runs: {mismatches} with a different status, iteration count or "
+          f"exception; {equal_runs} with every field equal; largest curve deviation "
+          f"{worst:.2e} * ||b||")
+    return 1 if mismatches else 0
+
+
+def _run_checkout(checkout: Path, equivalence, out: Path) -> dict:
+    subprocess.run([sys.executable, __file__, "--collect", str(checkout), str(out),
+                    "--equivalence", *(f"{s}:{c}" for s, c in equivalence)], check=True)
+    with open(out, "rb") as fh:
+        return pickle.load(fh)
+
+
+def _equivalence_spec(text: str) -> tuple[int, int]:
+    seed, count = text.split(":")
+    return int(seed), int(count)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, nargs="?", help="the checkout to compare against")
+    parser.add_argument("--equivalence", type=_equivalence_spec, nargs="+", default=[(0, 6)],
+                        metavar="SEED:COUNT")
+    parser.add_argument("--collect", nargs=2, metavar=("CHECKOUT", "OUT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        checkout, out = Path(args.collect[0]).resolve(), args.collect[1]
+        sys.path.insert(0, str(checkout / "src"))
+        import dkrylov
+        if not Path(dkrylov.__file__).resolve().is_relative_to(checkout):
+            raise SystemExit(f"imported dkrylov from {dkrylov.__file__}, not {checkout}")
+        with open(out, "wb") as fh:
+            pickle.dump(collect(args.equivalence), fh)
+        return 0
+    if args.other is None:
+        parser.error("the other checkout is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        this = _run_checkout(HERE_CHECKOUT, args.equivalence, Path(tmp) / "this.pkl")
+        other = _run_checkout(args.other.resolve(), args.equivalence, Path(tmp) / "other.pkl")
+    return compare(this, other)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

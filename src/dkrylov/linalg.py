@@ -8,6 +8,15 @@ half the cost per matrix-vector product of complex arithmetic.
 Factorizations are delegated to LAPACK through numpy/scipy; this module
 enforces the pivot and symmetry tolerances the rest of the library relies on.
 
+Products of a square matrix with vectors go through :func:`product`, which
+picks the kernel once per matrix: a float64 matrix of order at least 32 that
+equals its transpose bit for bit is applied by BLAS ``dsymv``, which reads
+one triangle; every other matrix is applied by ``a @ x``.  Exact equality is
+the gate, not the Hermitian tolerance, so a nearly symmetric matrix is never
+replaced by one of its triangles.  A complex vector against a real matrix is
+multiplied by its real and imaginary parts, so the matrix is never copied to
+complex.
+
 Two kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
 and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
 analysis, the check suites and the tests.  The solve path sizes a matrix with
@@ -17,6 +26,7 @@ products with a and a^H and never forms an n-by-n SVD.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +46,8 @@ _NORM_ESTIMATE_TOLERANCE = 1e-3
 _NORM_ESTIMATE_RESTARTS = 10
 #: Below this dimension an SVD is cheaper than the estimate and is used instead.
 _EXACT_NORM_BELOW = 32
+#: Smallest order at which a symmetric matrix is applied through one triangle.
+_SYMV_FROM = 32
 
 
 class SingularMatrixError(ValueError):
@@ -59,12 +71,37 @@ def in_field(x) -> np.ndarray:
     return x.astype(np.float64)
 
 
-def matvec(a, x) -> np.ndarray:
-    """a @ x.  A complex ``x`` against a real ``a`` is multiplied by its real
-    and imaginary parts, so that ``a`` is never copied to complex."""
-    if x.dtype.kind == "c" and a.dtype.kind != "c":
-        return a @ x.real + 1j * (a @ x.imag)
-    return a @ x
+def product(a):
+    """The map x -> a @ x for a square matrix ``a`` and vectors ``x``, with
+    its kernel chosen once, here.
+
+    A float64 ``a`` of order at least 32 that equals its transpose bit for
+    bit is applied by BLAS ``dsymv`` on the F-contiguous view ``a.T``, which
+    reads one triangle and needs no copy of ``a`` (a non-contiguous ``a`` is
+    copied once, here).  Any other ``a`` is applied by ``a @ x``.  A complex
+    ``x`` against a real ``a`` is multiplied by its real and imaginary parts.
+    ``a`` is kept by reference and must not be mutated afterwards.
+    """
+    real = _symmetric_product(a) or a.__matmul__
+    if a.dtype.kind == "c":
+        return real
+
+    def apply(x):
+        if x.dtype.kind == "c":
+            return real(x.real) + 1j * real(x.imag)
+        return real(x)
+    return apply
+
+
+def _symmetric_product(a):
+    """x -> a @ x by BLAS ``dsymv``, or None unless ``a`` is a float64 matrix
+    of order at least 32 equal to its transpose."""
+    if a.dtype != np.float64 or a.shape[0] < _SYMV_FROM or not np.array_equal(a, a.T):
+        return None
+    # a == a.T, so a C-ordered a is read through its transpose, an F-ordered
+    # one as it is, and only a non-contiguous one is copied.
+    triangle = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+    return functools.partial(scipy.linalg.blas.dsymv, 1.0, triangle)
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:
@@ -155,9 +192,13 @@ def _norm_estimate(s) -> float:
     n = s.shape[0]
     if n < _EXACT_NORM_BELOW:
         return spectral_norm(s)
-    # s^H (s v) as conj(conj(s v) @ s) needs no conjugated copy of s.
-    gram = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda v: ((s @ v).conj() @ s).conj(), dtype=s.dtype)
+    symv = _symmetric_product(s)
+    if symv is not None:
+        matvec = lambda v: symv(symv(v))  # noqa: E731
+    else:
+        # s^H (s v) as conj(conj(s v) @ s) needs no conjugated copy of s.
+        matvec = lambda v: ((s @ v).conj() @ s).conj()  # noqa: E731
+    gram = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=s.dtype)
     start = np.random.default_rng(0).standard_normal(n)
     try:
         ritz = scipy.sparse.linalg.eigsh(

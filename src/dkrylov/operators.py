@@ -88,16 +88,21 @@ class LinearOperator:
 def dense_operator(a) -> LinearOperator:
     """Wrap a dense square matrix; the symmetry flag is set by an explicit test.
 
-    The test is :func:`linalg.norm_estimate_and_hermitian`: ||a - a^H||_F
-    against an estimate of ||a||_2, with no n-by-n SVD.  It accepts no matrix
-    that the exact oracle :func:`linalg.is_hermitian` rejects.  The operator's
-    ``dtype`` is the field of ``a`` (:func:`linalg.as_matrix`).
+    A matrix equal to its conjugate transpose bit for bit is Hermitian.  Any
+    other is tested by :func:`linalg.norm_estimate_and_hermitian`:
+    ||a - a^H||_F against an estimate of ||a||_2, with no n-by-n SVD.  Neither
+    test accepts a matrix that the exact oracle :func:`linalg.is_hermitian`
+    rejects.  The operator's ``dtype`` is the field of ``a``
+    (:func:`linalg.as_matrix`), and it applies ``a`` through
+    :func:`linalg.product`: BLAS ``dsymv`` on one triangle for an exactly
+    symmetric float64 ``a`` of order at least 32, ``a @ x`` otherwise.
     """
     a = linalg.as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    _, hermitian = linalg.norm_estimate_and_hermitian(a)
-    return LinearOperator(a.shape[0], lambda v: linalg.matvec(a, v), hermitian,
+    hermitian = (np.array_equal(a, a.conj().T)
+                 or linalg.norm_estimate_and_hermitian(a)[1])
+    return LinearOperator(a.shape[0], linalg.product(a), hermitian,
                           label="dense", dtype=a.dtype)
 
 
@@ -110,11 +115,12 @@ def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:
     both sides, which restores hermiticity whenever the base matrix is
     Hermitian.  The composition is spot-checked with
     :meth:`LinearOperator.verify` before it is returned.  Its ``dtype`` is
-    the deflator's field.
+    the deflator's field, and it multiplies by the base matrix through the
+    deflator's ``a_product``.
     """
-    a = deflator.a
+    a_product = deflator.a_product
     if kind == "left":
-        matvec = lambda v: deflator.project_residual(linalg.matvec(a, v))  # noqa: E731
+        matvec = lambda v: deflator.project_residual(a_product(v))  # noqa: E731
         if deflator.mode is GalerkinMode.RESIDUAL_ORTHOGONAL:
             hermitian = deflator.a_hermitian
         else:
@@ -124,11 +130,12 @@ def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:
         if deflator.mode is not GalerkinMode.RESIDUAL_MINIMIZING:
             raise ValueError("two_sided operators require residual-minimizing mode")
         matvec = lambda v: deflator.project_residual(  # noqa: E731
-            linalg.matvec(a, deflator.project_residual(v)))
+            a_product(deflator.project_residual(v)))
         hermitian = deflator.a_hermitian
         label = "two-sided-projected"
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    op = LinearOperator(deflator.dim, matvec, hermitian, label=label, dtype=a.dtype)
+    op = LinearOperator(deflator.dim, matvec, hermitian, label=label,
+                        dtype=deflator.a.dtype)
     op.verify()
     return op

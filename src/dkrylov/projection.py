@@ -66,6 +66,11 @@ class Deflator:
     factored and projected in real arithmetic.  The methods also accept
     vectors of the other field: a complex vector against a real deflator is
     projected as its real and imaginary parts.
+
+    Every product of ``a`` with a vector goes through ``a_product``, chosen
+    once by :func:`linalg.product`: BLAS ``dsymv`` on one triangle when ``a``
+    is float64, of order at least 32 and exactly symmetric, ``a @ x``
+    otherwise.  ``w = a @ u`` stays one matrix-matrix product.
     """
 
     def __init__(self, a, u, mode: GalerkinMode, *, allow_indefinite: bool = False):
@@ -85,6 +90,7 @@ class Deflator:
         if not (np.isfinite(a).all() and np.isfinite(u).all()):
             raise ValueError("matrix and basis entries must be finite")
         self.a = a
+        self.a_product = linalg.product(a)
         self.mode = mode
         self.dim = n
         self.k = k
@@ -180,7 +186,7 @@ class Deflator:
         """Solution-space projector: annihilates the augmentation space itself."""
         v = linalg.as_vector(v, self.dim)
         self.apply_counts["project_solution"] += 1
-        return v - self.u @ self._solve_coupling(self._bu.conj().T @ linalg.matvec(self.a, v))
+        return v - self.u @ self._solve_coupling(self._bu.conj().T @ self.a_product(v))
 
     # -- right-hand sides for the deflated systems --------------------------
 
@@ -188,7 +194,7 @@ class Deflator:
         """Right-hand side of the two-sided projected (Hermitian) system."""
         self._require_minimizing("two_sided_rhs")
         b = linalg.as_vector(b, self.dim)
-        amb = linalg.matvec(self.a, linalg.matvec(self.a, self.coarse_solve(b)))
+        amb = self.a_product(self.a_product(self.coarse_solve(b)))
         return self.project_residual(b - amb)
 
     # -- iterate corrections -------------------------------------------------
@@ -202,7 +208,7 @@ class Deflator:
         x_hat = linalg.as_vector(x_hat, self.dim)
         b = linalg.as_vector(b, self.dim)
         self.apply_counts["corrections"] += 1
-        residual = b - linalg.matvec(self.a, x_hat)
+        residual = b - self.a_product(x_hat)
         return x_hat + self.u @ self._solve_coupling(self._bu.conj().T @ residual)
 
     def correct_two_sided_iterate(self, x_bar, b) -> np.ndarray:
@@ -213,7 +219,7 @@ class Deflator:
         self.apply_counts["corrections"] += 1
         ub = self._solve_coupling(self.u.conj().T @ b)
         inner_term = self.project_residual(x_bar) + self.w @ ub
-        coarse = self.u @ self._solve_coupling(self.u.conj().T @ linalg.matvec(self.a, b))
+        coarse = self.u @ self._solve_coupling(self.u.conj().T @ self.a_product(b))
         return self.project_solution(inner_term) + coarse
 
     def adapted_initial_guess(self, x0, b) -> np.ndarray:
@@ -233,7 +239,7 @@ class Deflator:
             raise ModeMismatchError("initial_correction requires residual-orthogonal mode")
         x_prev = linalg.as_vector(x_prev, self.dim)
         b = linalg.as_vector(b, self.dim)
-        return x_prev + self.coarse_solve(b - linalg.matvec(self.a, x_prev))
+        return x_prev + self.coarse_solve(b - self.a_product(x_prev))
 
     def dense_deflated_matrix(self) -> np.ndarray:
         """Densely formed left-projected matrix, for analysis and tests only."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dkrylov import linalg
+from dkrylov.deflated import MethodVariant, run_method
 from dkrylov.operators import dense_operator
 from dkrylov.problems import clustered_spd_problem, symmetric_indefinite_problem
 from dkrylov.projection import Deflator, GalerkinMode
@@ -276,3 +277,99 @@ class TestNormEstimate:
         dense_operator(spd.a)
         assert shapes, "the wrappers saw no SVD at all, not even the n-by-k basis norm"
         assert (200, 200) not in shapes
+
+    def test_dense_operator_takes_the_estimate_flag(self):
+        # the exact-equality shortcut of dense_operator must not change a flag
+        g = _complex_matrix(60, 7)
+        h = g + g.conj().T
+        q = linalg.random_orthogonal(60, 8)[:, :1]
+        skew = 1j * (q @ q.T)
+        matrices = [clustered_spd_problem(600).a, symmetric_indefinite_problem(200).a,
+                    _complex_matrix(300, 4), _complex_matrix(20, 5),
+                    (1 + 0.25e-12j) * np.eye(100), h]
+        matrices += [scale * base for scale in (0.0, 1e-300, 1e150)
+                     for base in (np.eye(64), _complex_matrix(64, 6))]
+        matrices += [h + eps * linalg.spectral_norm(h) * skew for eps in (1e-15, 1e-13, 1e-11)]
+        for a in matrices:
+            assert dense_operator(a).hermitian is linalg.norm_estimate_and_hermitian(a)[1]
+
+
+def _symmetric(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g + g.T
+
+
+@pytest.fixture
+def symv_calls(monkeypatch):
+    """The number of BLAS dsymv calls made by products chosen afterwards."""
+    calls = []
+    dsymv = scipy.linalg.blas.dsymv
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dsymv(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dsymv", counting)
+    return calls
+
+
+class TestProduct:
+    """linalg.product applies an exactly symmetric float64 matrix by one triangle."""
+
+    @pytest.mark.parametrize("n", [32, 200, 600])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_triangle_agrees_with_full_product(self, n, field, symv_calls):
+        a = _symmetric(n, n)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(n)
+        if field == "complex":
+            x = x + 1j * rng.standard_normal(n)
+        y = linalg.product(a)(x)
+        assert symv_calls
+        assert y.dtype == x.dtype
+        bound = 4 * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(x)
+        assert np.linalg.norm(y - a @ x) <= bound
+
+    def test_nearly_symmetric_matrix_keeps_the_full_product(self, symv_calls):
+        k = np.random.default_rng(3).standard_normal((200, 200))
+        a = _symmetric(200, 2) + 1e-14 * (k - k.T)
+        assert linalg.norm_estimate_and_hermitian(a)[1]
+        assert not np.array_equal(a, a.T)
+        x = np.random.default_rng(1).standard_normal(200)
+        np.testing.assert_array_equal(linalg.product(a)(x), a @ x)
+        assert not symv_calls
+
+    def test_complex_hermitian_matrix_keeps_the_full_product(self, symv_calls):
+        g = _complex_matrix(200, 2)
+        h = g + g.conj().T
+        x = _complex_matrix(200, 3)[:, 0]
+        np.testing.assert_array_equal(linalg.product(h)(x), h @ x)
+        np.testing.assert_array_equal(linalg.product(h)(x.real), h @ x.real)
+        assert not symv_calls
+
+    @pytest.mark.parametrize("n", [3, 31])
+    def test_small_matrix_keeps_the_full_product(self, n, symv_calls):
+        a = _symmetric(n, 4)
+        x = _complex_matrix(n, 5)[:, 0]
+        mul = linalg.product(a)
+        np.testing.assert_array_equal(mul(x.real), a @ x.real)
+        np.testing.assert_array_equal(mul(x), a @ x.real + 1j * (a @ x.imag))
+        assert not symv_calls
+
+    def test_layouts_give_the_same_product(self, symv_calls):
+        big = _symmetric(400, 6)
+        strided = big[::2, ::2]
+        assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+        x = _complex_matrix(200, 7)[:, 0]
+        expected = linalg.product(np.ascontiguousarray(strided))(x)
+        for a in (np.asfortranarray(strided), strided):
+            np.testing.assert_array_equal(linalg.product(a)(x), expected)
+        assert len(symv_calls) == 6
+
+    def test_deflated_cg_uses_the_triangle(self, symv_calls, monkeypatch):
+        # an exact norm makes the solve's products the only dsymv calls
+        monkeypatch.setattr(linalg, "_EXACT_NORM_BELOW", 10**9)
+        p = clustered_spd_problem(200)
+        report = run_method(MethodVariant.DEFLATED_CG, p.a, p.b, p.eigenvectors[:, :5])
+        assert report.status.value == "converged"
+        assert len(symv_calls) > report.deflated_report.iterations_used

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from dkrylov import linalg
 from dkrylov.operators import LinearOperator, deflated_operator, dense_operator
@@ -41,6 +42,22 @@ class TestDenseOperator:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             dense_operator(np.ones((2, 3)))
+
+    def test_exactly_symmetric_flag_needs_no_estimate(self, monkeypatch):
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        g = np.random.default_rng(2).standard_normal((200, 200))
+        assert dense_operator(g + g.T).hermitian is True
+        assert not calls
+        # a matrix that is not exactly Hermitian still gets the estimate
+        assert dense_operator(g).hermitian is False
+        assert len(calls) == 1
 
     def test_verify_catches_wrong_flag(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
