@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,13 +84,21 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _finite(value) -> float:
+    # float() would accept True, "nan" and "inf".
+    number = float(value)
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
 def _choice(*names):
     return (lambda value: names[names.index(str(value).strip().lower())],
             f"one of {', '.join(names)}")
 
 
 _INT = (_integer, "an integer")
-_FLOAT = (float, "a number")
+_FLOAT = (_finite, "a finite number")
 _BOOL = (_boolean, "a boolean")
 _TEXT = (str, "a string")
 _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')

@@ -129,7 +129,7 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
     # Looked up per call, so that rebinding a solver's module name takes effect.
     solve = {"cg": cg_solve, "minres": minres_solve, "gmres": gmres_solve}[recipe.solver]
     if recipe.mode is None:
-        rep = solve(dense_operator(linalg.as_matrix(a)), b, x0, cfg)
+        rep = solve(dense_operator(a), b, x0, cfg)
         return DualReport(variant, rep, rep.residual_norms.copy(), rep.final_iterate)
     if u is None:
         raise ValueError(f"variant {variant.value} requires a deflation basis")

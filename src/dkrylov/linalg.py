@@ -8,20 +8,16 @@ half the cost per matrix-vector product of complex arithmetic.
 Factorizations are delegated to LAPACK through numpy/scipy; this module
 enforces the pivot and symmetry tolerances the rest of the library relies on.
 
-Products of a square matrix with vectors go through :func:`product`, which
-picks the kernel once per matrix: a float64 matrix of order at least 32 that
-equals its transpose bit for bit is applied by BLAS ``dsymv``, which reads
-one triangle; every other matrix is applied by ``a @ x``.  Exact equality is
-the gate, not the Hermitian tolerance, so a nearly symmetric matrix is never
-replaced by one of its triangles.  A complex vector against a real matrix is
-multiplied by its real and imaginary parts, so the matrix is never copied to
-complex.
+The solve path looks at a dense square matrix once, through
+:class:`SquareMatrix`: one conversion, one reduction that gives the entry
+scale and rejects a non-finite entry, one exact test of ``a == a^H`` that
+chooses the product kernel, and an estimate of ||a||_2 from products alone
+when a caller asks for it.  No caller repeats a pass over the matrix.
 
 Two kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
 and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
 analysis, the check suites and the tests.  The solve path sizes a matrix with
-:func:`norm_estimate_and_hermitian` instead, which estimates ||a||_2 from
-products with a and a^H and never forms an n-by-n SVD.
+:attr:`SquareMatrix.norm` instead, which never forms an n-by-n SVD.
 """
 
 from __future__ import annotations
@@ -69,39 +65,6 @@ def in_field(x) -> np.ndarray:
             return x.astype(np.complex128, copy=False)
         return x.real.astype(np.float64, order="C")
     return x.astype(np.float64)
-
-
-def product(a):
-    """The map x -> a @ x for a square matrix ``a`` and vectors ``x``, with
-    its kernel chosen once, here.
-
-    A float64 ``a`` of order at least 32 that equals its transpose bit for
-    bit is applied by BLAS ``dsymv`` on the F-contiguous view ``a.T``, which
-    reads one triangle and needs no copy of ``a`` (a non-contiguous ``a`` is
-    copied once, here).  Any other ``a`` is applied by ``a @ x``.  A complex
-    ``x`` against a real ``a`` is multiplied by its real and imaginary parts.
-    ``a`` is kept by reference and must not be mutated afterwards.
-    """
-    real = _symmetric_product(a) or a.__matmul__
-    if a.dtype.kind == "c":
-        return real
-
-    def apply(x):
-        if x.dtype.kind == "c":
-            return real(x.real) + 1j * real(x.imag)
-        return real(x)
-    return apply
-
-
-def _symmetric_product(a):
-    """x -> a @ x by BLAS ``dsymv``, or None unless ``a`` is a float64 matrix
-    of order at least 32 equal to its transpose."""
-    if a.dtype != np.float64 or a.shape[0] < _SYMV_FROM or not np.array_equal(a, a.T):
-        return None
-    # a == a.T, so a C-ordered a is read through its transpose, an F-ordered
-    # one as it is, and only a non-contiguous one is copied.
-    triangle = a.T if a.flags.c_contiguous else np.asfortranarray(a)
-    return functools.partial(scipy.linalg.blas.dsymv, 1.0, triangle)
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:
@@ -158,55 +121,98 @@ def is_hermitian(a, tol: float = HERMITIAN_TOLERANCE) -> bool:
     return hermitian_defect(a) <= tol * max(spectral_norm(a), np.finfo(float).tiny)
 
 
-def norm_estimate_and_hermitian(a) -> tuple[float, bool]:
-    """Estimate of ||a||_2 and a Hermitian test for a square matrix, without an n-by-n SVD.
+class SquareMatrix:
+    """The facts set-up needs about a dense square matrix, from one look at it.
 
-    The matrix is first divided by its largest entry modulus, so that neither
-    the estimate nor the test under- or overflows; a zero matrix gives
-    ``(0.0, True)``.  The estimate is the square root of the largest Ritz
-    value of a^H a, found by ARPACK (:func:`scipy.sparse.linalg.eigsh`) from a
-    seeded start vector to about 1e-3 relative accuracy, using products with
-    a and a^H only.  A Ritz value never exceeds the largest eigenvalue, so
-    the estimate is a lower bound up to roundoff.  If ARPACK fails or does
-    not converge within a few restarts, and for matrices smaller than 32, the
-    exact :func:`spectral_norm` is returned instead.
+    ``a`` is the matrix in the common field of its data and ``field``
+    (:func:`as_matrix`), kept by reference where no conversion is needed; it
+    must not be mutated afterwards.  Construction makes one reduction for the
+    largest entry modulus, which also rejects a non-finite entry, and one test
+    of ``a == a^H`` bit for bit; it copies a real ``a`` nowhere.
 
-    ``a`` counts as Hermitian when ||a - a^H||_F <= HERMITIAN_TOLERANCE *
-    estimate.  As ||.||_F >= ||.||_2 and the estimate does not exceed
-    ||a||_2, this accepts no matrix that :func:`is_hermitian` rejects.
+    ``product`` is x -> a @ x: BLAS ``dsymv`` on one triangle for a float64
+    ``a`` of order at least 32 that passed the exact test (read through the
+    F-contiguous view ``a.T``; a non-contiguous ``a`` is copied once), and
+    ``a @ x`` for any other, so a nearly symmetric ``a`` is never replaced by
+    a triangle.  A complex ``x`` against a real ``a`` is multiplied by its
+    real and imaginary parts.  ``norm`` and ``hermitian`` are computed on
+    first use.
     """
-    a = as_matrix(a)
-    scale = float(np.abs(a).max(initial=0.0))
-    if not np.isfinite(scale):
-        raise ValueError("matrix entries must be finite")
-    if scale == 0.0:
-        return 0.0, True
-    s = a / scale
-    norm = _norm_estimate(s)
-    hermitian = bool(np.linalg.norm(s - s.conj().T) <= HERMITIAN_TOLERANCE * norm)
-    return norm * scale, hermitian
 
+    def __init__(self, a, field=np.float64):
+        a = as_matrix(a)
+        a = a.astype(np.result_type(a, field), copy=False)
+        if a.shape[0] != a.shape[1]:
+            raise ValueError("matrix must be square")
+        if a.dtype.kind == "c":
+            scale = np.abs(a).max(initial=0.0)
+        else:
+            scale = np.maximum(a.max(initial=0.0), -a.min(initial=0.0))
+        if not np.isfinite(scale):      # NaN propagates through max and min
+            raise ValueError("matrix entries must be finite")
+        self.a = a
+        self._scale = float(scale)
+        self._exactly_hermitian = np.array_equal(a, a.conj().T)
+        if a.dtype == np.float64 and self._exactly_hermitian and a.shape[0] >= _SYMV_FROM:
+            triangle = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+            real = functools.partial(scipy.linalg.blas.dsymv, 1.0, triangle)
+        else:
+            real = a.__matmul__
+        if a.dtype.kind == "c":
+            self.product = real
+            return
 
-def _norm_estimate(s) -> float:
-    """||s||_2 from below by Lanczos on s^H s; exact for small or stubborn ``s``."""
-    n = s.shape[0]
-    if n < _EXACT_NORM_BELOW:
-        return spectral_norm(s)
-    symv = _symmetric_product(s)
-    if symv is not None:
-        matvec = lambda v: symv(symv(v))  # noqa: E731
-    else:
-        # s^H (s v) as conj(conj(s v) @ s) needs no conjugated copy of s.
-        matvec = lambda v: ((s @ v).conj() @ s).conj()  # noqa: E731
-    gram = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=s.dtype)
-    start = np.random.default_rng(0).standard_normal(n)
-    try:
-        ritz = scipy.sparse.linalg.eigsh(
-            gram, k=1, v0=start, tol=_NORM_ESTIMATE_TOLERANCE,
-            maxiter=_NORM_ESTIMATE_RESTARTS, return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackError:
-        return spectral_norm(s)
-    return float(np.sqrt(max(ritz[0], 0.0)))
+        def apply(x):
+            if x.dtype.kind == "c":
+                return real(x.real) + 1j * real(x.imag)
+            return real(x)
+        self.product = apply
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """Estimate of ||a||_2 from below, without an n-by-n SVD.
+
+        The square root of ARPACK's largest Ritz value of s^H s, s = a divided
+        by its largest entry modulus, from a seeded start to about 1e-3
+        relative.  A product with s is ``product`` of the vector divided by
+        that modulus, so nothing under- or overflows and no scaled copy of
+        ``a`` is made.  Below order 32, and when ARPACK fails or does not
+        converge in a few restarts, it is the exact :func:`spectral_norm`.
+        """
+        a, scale, n = self.a, self._scale, self.a.shape[0]
+        if scale == 0.0:
+            return 0.0
+        if n < _EXACT_NORM_BELOW:
+            return spectral_norm(a)
+        scaled = lambda v: self.product(v / scale)  # noqa: E731
+        if self._exactly_hermitian:
+            gram = lambda v: scaled(scaled(v))  # noqa: E731
+        else:
+            # s^H (s v) as conj(conj(s v) @ s) needs no conjugated copy of a.
+            gram = lambda v: ((scaled(v) / scale).conj() @ a).conj()  # noqa: E731
+        gram = scipy.sparse.linalg.LinearOperator((n, n), matvec=gram, dtype=a.dtype)
+        start = np.random.default_rng(0).standard_normal(n)
+        try:
+            ritz = scipy.sparse.linalg.eigsh(
+                gram, k=1, v0=start, tol=_NORM_ESTIMATE_TOLERANCE,
+                maxiter=_NORM_ESTIMATE_RESTARTS, return_eigenvectors=False)
+        except scipy.sparse.linalg.ArpackError:
+            return spectral_norm(a)
+        return float(np.sqrt(max(ritz[0], 0.0))) * scale
+
+    @functools.cached_property
+    def hermitian(self) -> bool:
+        """True for an ``a`` equal to a^H bit for bit, with no estimate.  Any
+        other ``a`` is Hermitian when ||s - s^H||_F <= HERMITIAN_TOLERANCE *
+        ``norm`` of s, on the scaled values s of :attr:`norm` so that the
+        difference cannot underflow.  As ||.||_F >= ||.||_2 and the estimate
+        is a lower bound, this accepts nothing :func:`is_hermitian` rejects.
+        """
+        if self._exactly_hermitian:
+            return True
+        defect = self.a - self.a.conj().T
+        defect /= self._scale
+        return bool(np.linalg.norm(defect) <= HERMITIAN_TOLERANCE * (self.norm / self._scale))
 
 
 @dataclass(frozen=True)

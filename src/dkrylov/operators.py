@@ -86,24 +86,15 @@ class LinearOperator:
 
 
 def dense_operator(a) -> LinearOperator:
-    """Wrap a dense square matrix; the symmetry flag is set by an explicit test.
-
-    A matrix equal to its conjugate transpose bit for bit is Hermitian.  Any
-    other is tested by :func:`linalg.norm_estimate_and_hermitian`:
-    ||a - a^H||_F against an estimate of ||a||_2, with no n-by-n SVD.  Neither
-    test accepts a matrix that the exact oracle :func:`linalg.is_hermitian`
-    rejects.  The operator's ``dtype`` is the field of ``a``
-    (:func:`linalg.as_matrix`), and it applies ``a`` through
-    :func:`linalg.product`: BLAS ``dsymv`` on one triangle for an exactly
-    symmetric float64 ``a`` of order at least 32, ``a @ x`` otherwise.
+    """Wrap a dense square matrix, looked at once through one
+    :class:`linalg.SquareMatrix`: it rejects a non-finite entry, applies
+    ``a`` by its ``product`` and takes its ``hermitian`` flag, which needs no
+    norm estimate for an exactly Hermitian ``a``.  The operator's ``dtype``
+    is the field of ``a``.
     """
-    a = linalg.as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    hermitian = (np.array_equal(a, a.conj().T)
-                 or linalg.norm_estimate_and_hermitian(a)[1])
-    return LinearOperator(a.shape[0], linalg.product(a), hermitian,
-                          label="dense", dtype=a.dtype)
+    matrix = linalg.SquareMatrix(a)
+    return LinearOperator(matrix.a.shape[0], matrix.product, matrix.hermitian,
+                          label="dense", dtype=matrix.a.dtype)
 
 
 def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:

@@ -53,49 +53,40 @@ class Deflator:
     mutated afterwards.  Instances are immutable apart from the diagnostic
     apply counters.
 
-    Set-up forms no n-by-n SVD.  ||a||_2 is estimated from below, to about
-    1e-3 relative, by :func:`linalg.norm_estimate_and_hermitian`, which also
-    decides ``a_hermitian`` from ||a - a^H||_F.  That estimate scales the
-    pivot tests of the HPD pre-check and of the coupling factorization, so
-    they are up to 1e-3 looser than with the exact norm (2e-3 where the
-    scale holds ||a||_2 squared).  Only the n-by-k basis is measured exactly
-    (:func:`linalg.spectral_norm`).
+    Set-up looks at ``a`` once, through one :class:`linalg.SquareMatrix`,
+    which gives ``a_product``, ``a_hermitian`` and an estimate of ||a||_2, a
+    lower bound to about 1e-3 relative, without an n-by-n SVD or a scaled copy
+    of ``a``.  The estimate scales the pivot tests of the HPD pre-check and of
+    the coupling factorization, so they are up to 1e-3 looser than with the
+    exact norm (2e-3 where the scale holds ||a||_2 squared); only the n-by-k
+    basis is measured exactly.
 
     ``a``, ``u``, ``w`` and the coupling factor are kept in the common field
     of ``a`` and ``u`` (:func:`linalg.as_matrix`), so a real system is
     factored and projected in real arithmetic.  The methods also accept
     vectors of the other field: a complex vector against a real deflator is
     projected as its real and imaginary parts.
-
-    Every product of ``a`` with a vector goes through ``a_product``, chosen
-    once by :func:`linalg.product`: BLAS ``dsymv`` on one triangle when ``a``
-    is float64, of order at least 32 and exactly symmetric, ``a @ x``
-    otherwise.  ``w = a @ u`` stays one matrix-matrix product.
     """
 
     def __init__(self, a, u, mode: GalerkinMode, *, allow_indefinite: bool = False):
-        a = linalg.as_matrix(a)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        n = a.shape[0]
         u = linalg.as_matrix(u)
-        field = np.result_type(a, u)
-        a = a.astype(field, copy=False)
-        u = u.astype(field, copy=False)
+        matrix = linalg.SquareMatrix(a, u.dtype)
+        a = matrix.a
+        n = a.shape[0]
+        u = u.astype(a.dtype, copy=False)
         if u.shape[0] != n:
             raise ValueError(f"basis has {u.shape[0]} rows, expected {n}")
         k = u.shape[1]
         if not 0 < k < n:
             raise ValueError(f"basis dimension must satisfy 0 < k < {n}, got {k}")
-        if not (np.isfinite(a).all() and np.isfinite(u).all()):
-            raise ValueError("matrix and basis entries must be finite")
+        if not np.isfinite(u).all():
+            raise ValueError("basis entries must be finite")
         self.a = a
-        self.a_product = linalg.product(a)
+        self.a_product = matrix.product
         self.mode = mode
         self.dim = n
         self.k = k
-        # One estimate of ||a||_2 decides symmetry and scales every pivot test.
-        a_norm, self.a_hermitian = linalg.norm_estimate_and_hermitian(a)
+        a_norm, self.a_hermitian = matrix.norm, matrix.hermitian
         self.u = u
         self.w = a @ u
 
@@ -131,12 +122,12 @@ class Deflator:
         # is kept in the deflator's field all the same.
         if factor_fn is linalg.cholesky_factor_checked:
             c, lower = factorization
-            c = c.astype(field, copy=False)
+            c = c.astype(a.dtype, copy=False)
             potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
             self._coupling_lapack = functools.partial(potrs, c, lower=lower)
         else:
             lu, piv = factorization
-            lu = lu.astype(field, copy=False)
+            lu = lu.astype(a.dtype, copy=False)
             getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
             self._coupling_lapack = functools.partial(getrs, lu, piv)
 
@@ -194,8 +185,10 @@ class Deflator:
         """Right-hand side of the two-sided projected (Hermitian) system."""
         self._require_minimizing("two_sided_rhs")
         b = linalg.as_vector(b, self.dim)
-        amb = self.a_product(self.a_product(self.coarse_solve(b)))
-        return self.project_residual(b - amb)
+        # A (w y) from the stored w = A u spares a product with A, and w y is
+        # |lambda_min| times smaller than u y when u spans small eigenvalues.
+        y = self._solve_coupling(self.u.conj().T @ b)
+        return self.project_residual(b - self.a_product(self.w @ y))
 
     # -- iterate corrections -------------------------------------------------
 

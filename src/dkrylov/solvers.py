@@ -81,10 +81,10 @@ class SolveConfig:
     reorthogonalize: bool = False
 
     def __post_init__(self):
-        if not self.residual_tolerance > 0:     # also rejects NaN
-            raise ValueError("residual_tolerance must be positive")
-        if not self.breakdown_threshold > 0:
-            raise ValueError("breakdown_threshold must be positive")
+        if not 0 < self.residual_tolerance < math.inf:     # also rejects NaN
+            raise ValueError("residual_tolerance must be positive and finite")
+        if not 0 < self.breakdown_threshold < math.inf:
+            raise ValueError("breakdown_threshold must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -94,11 +94,17 @@ class TestRun:
         b"\xff[problem]\n",
         {**paper_spec(), "problem": {"generator": "symmetric-indefinite", "m": 5.7}},
         {**paper_spec(), "problem": {"generator": "symmetric-indefinite", "m": True}},
+        {**paper_spec(), "solver": {"tolerance": "inf"}},
+        {**paper_spec(), "solver": {"breakdown_threshold": "inf"}},
+        {**paper_spec(), "problem": {"generator": "near-invariant", "alpha": "nan"}},
+        {**paper_spec(), "problem": {"generator": "near-invariant", "alpha": True}},
     ], ids=["bad-index-list", "bad-format", "bad-unused-key", "section-not-object",
-            "not-utf8", "fractional-int", "boolean-int"])
+            "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
+            "infinite-breakdown-threshold", "nan-alpha", "boolean-float"])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
         monkeypatch.setattr(cli, "run_method", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "build_problem", lambda *args: calls.append(args))
         path = tmp_path / "spec"
         path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         assert cli.main(["run", str(path)]) == 2

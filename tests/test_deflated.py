@@ -4,9 +4,11 @@ import pytest
 from dkrylov import linalg
 from dkrylov.checks import curve_deviation, equivalence_suite
 from dkrylov.deflated import MethodVariant, run_method
+from dkrylov.operators import dense_operator
 from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
                               eigenvector_basis, symmetric_indefinite_problem,
                               toy_breakdown_problem)
+from dkrylov.projection import Deflator, GalerkinMode
 from dkrylov.solvers import SolveConfig, SolveStatus
 
 
@@ -85,6 +87,22 @@ class TestEquivalences:
         r1 = run_method(MethodVariant.DEFLATED_GMRES, a, b, u)
         r2 = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u)
         assert curve_deviation(r1, r2) <= 1e-8
+
+    def test_two_sided_start_matches_adapted_guess_on_small_eigenvalues(self):
+        # u spans the five smallest eigenvalues, so u (w^H w)^-1 u^H b is
+        # about 1/lambda_min^2 times ||b||; the two-sided right-hand side must
+        # not pass through it
+        p = clustered_spd_problem(80)
+        u = eigenvector_basis(p, range(1, 6))
+        free = run_method(MethodVariant.DEFLATED_MINRES, p.a, p.b, u)
+        adapted = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, p.a, p.b, u)
+        deviation = 0.0
+        for x, y in ((free.original_residual_norms, adapted.original_residual_norms),
+                     (free.deflated_report.residual_norms,
+                      adapted.deflated_report.residual_norms)):
+            k = min(len(x), len(y))
+            deviation = max(deviation, np.max(np.abs(x[:k] - y[:k])))
+        assert deviation <= 1e-13 * np.linalg.norm(p.b)
 
     def test_full_suite(self):
         report = equivalence_suite(seed=20, instances=6)
@@ -198,6 +216,20 @@ class TestVariantDispatch:
         vectors[where][7] = np.nan
         with pytest.raises(ValueError, match="must be finite"):
             run_method(variant, p.a, vectors["b"], p.eigenvectors[:, :3], vectors["x0"])
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b, u: dense_operator(a),
+        lambda a, b, u: run_method(MethodVariant.MINRES, a, b),
+        lambda a, b, u: run_method(MethodVariant.CG, a, b),
+        lambda a, b, u: Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING),
+    ], ids=["dense-operator", "minres", "cg", "deflator"])
+    def test_non_finite_matrix_rejected(self, build):
+        p = clustered_spd_problem(40, 3, seed=1)
+        a = p.a.copy()
+        a[5, 5] = np.inf      # on the diagonal: still exactly symmetric
+        assert np.array_equal(a, a.T)
+        with pytest.raises(ValueError, match="finite"):
+            build(a, np.ones(40), p.eigenvectors[:, :3])
 
     def test_all_variants_run_on_indefinite_problem(self):
         p = symmetric_indefinite_problem(15, seed=3)

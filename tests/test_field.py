@@ -202,7 +202,7 @@ class TestMixedInput:
         op = dense_operator(p.a)
         assert op.dtype == np.float64
         self.assert_split(op.apply, v)
-        a_product = linalg.product(p.a)
+        a_product = linalg.SquareMatrix(p.a).product
         np.testing.assert_array_equal(op.apply(v), a_product(v.real) + 1j * a_product(v.imag))
         for kind in ("left", "two_sided"):
             op = deflated_operator(Deflator(p.a, u, MR), kind)

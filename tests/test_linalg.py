@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,12 @@ def _complex_matrix(n, seed):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def _norm_and_hermitian(a):
+    """The estimate of ||a||_2 and the Hermitian flag of the set-up entry point."""
+    matrix = linalg.SquareMatrix(a)
+    return matrix.norm, matrix.hermitian
+
+
 class TestNormEstimate:
     @pytest.mark.parametrize("make", [
         lambda: clustered_spd_problem(600).a,
@@ -205,7 +212,7 @@ class TestNormEstimate:
     def test_at_most_1e3_below_the_exact_norm(self, make):
         a = make()
         exact = linalg.spectral_norm(a)
-        estimate, _ = linalg.norm_estimate_and_hermitian(a)
+        estimate, _ = _norm_and_hermitian(a)
         assert exact * (1 - 1e-3) <= estimate <= exact * (1 + 1e-12)
 
     @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e150])
@@ -214,7 +221,7 @@ class TestNormEstimate:
         # a^H a of 1e-300 * I underflows, so the matrix must be scaled first
         a = scale * (np.eye(64) if base == "identity" else _complex_matrix(64, 6))
         exact = linalg.spectral_norm(a)
-        estimate, hermitian = linalg.norm_estimate_and_hermitian(a)
+        estimate, hermitian = _norm_and_hermitian(a)
         assert exact * (1 - 1e-3) <= estimate <= exact * (1 + 1e-12)
         assert hermitian is (scale == 0.0 or base == "identity")
 
@@ -224,21 +231,21 @@ class TestNormEstimate:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
         a = _complex_matrix(40, 9)
-        estimate, _ = linalg.norm_estimate_and_hermitian(a)
+        estimate, _ = _norm_and_hermitian(a)
         assert estimate == pytest.approx(linalg.spectral_norm(a), rel=1e-14)
 
     def test_rejects_non_finite_entries(self):
         a = np.eye(40)
         a[3, 5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            linalg.norm_estimate_and_hermitian(a)
+            _norm_and_hermitian(a)
 
     def test_frobenius_test_is_stricter_than_the_oracle(self):
         # a - a^H = 0.5e-12 i I: its 2-norm passes the exact test, its
         # Frobenius norm, ten times larger at n = 100, fails the estimate's
         a = (1 + 0.25e-12j) * np.eye(100)
         assert linalg.is_hermitian(a)
-        assert linalg.norm_estimate_and_hermitian(a)[1] is False
+        assert linalg.SquareMatrix(a).hermitian is False
 
     @pytest.mark.parametrize("rank", [1, 60])
     def test_accepts_only_what_the_oracle_accepts(self, rank):
@@ -250,7 +257,7 @@ class TestNormEstimate:
         accepted = []
         for eps in (0.0, 1e-15, 1e-14, 1e-13, 2e-13, 4e-13, 1e-12, 2e-12, 1e-11):
             a = h + eps * skew
-            new = linalg.norm_estimate_and_hermitian(a)[1]
+            new = linalg.SquareMatrix(a).hermitian
             assert not new or linalg.is_hermitian(a), eps
             accepted.append(new)
         # a rank-one defect has ||.||_F = ||.||_2: the two tests nearly agree
@@ -278,6 +285,37 @@ class TestNormEstimate:
         assert shapes, "the wrappers saw no SVD at all, not even the n-by-k basis norm"
         assert (200, 200) not in shapes
 
+    def test_set_up_makes_no_square_temporary(self):
+        a = clustered_spd_problem(400).a
+        assert a.dtype == np.float64 and np.array_equal(a, a.T)
+        tracemalloc.start()
+        try:
+            matrix = linalg.SquareMatrix(a)
+            assert matrix.norm > 0 and matrix.hermitian
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 2
+
+    def test_set_up_tests_exact_equality_once(self, monkeypatch):
+        calls = []
+        array_equal = np.array_equal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counting)
+        g = _complex_matrix(60, 7)
+        u = np.random.default_rng(8).standard_normal((60, 3))
+        for a in (clustered_spd_problem(60).a, g + g.conj().T, g):
+            calls.clear()
+            dense_operator(a)
+            assert len(calls) == 1
+            calls.clear()
+            Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING)
+            assert len(calls) == 1
+
     def test_dense_operator_takes_the_estimate_flag(self):
         # the exact-equality shortcut of dense_operator must not change a flag
         g = _complex_matrix(60, 7)
@@ -291,7 +329,7 @@ class TestNormEstimate:
                      for base in (np.eye(64), _complex_matrix(64, 6))]
         matrices += [h + eps * linalg.spectral_norm(h) * skew for eps in (1e-15, 1e-13, 1e-11)]
         for a in matrices:
-            assert dense_operator(a).hermitian is linalg.norm_estimate_and_hermitian(a)[1]
+            assert dense_operator(a).hermitian is linalg.SquareMatrix(a).hermitian
 
 
 def _symmetric(n, seed):
@@ -314,7 +352,7 @@ def symv_calls(monkeypatch):
 
 
 class TestProduct:
-    """linalg.product applies an exactly symmetric float64 matrix by one triangle."""
+    """linalg.SquareMatrix.product applies an exactly symmetric float64 matrix by one triangle."""
 
     @pytest.mark.parametrize("n", [32, 200, 600])
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -324,7 +362,7 @@ class TestProduct:
         x = rng.standard_normal(n)
         if field == "complex":
             x = x + 1j * rng.standard_normal(n)
-        y = linalg.product(a)(x)
+        y = linalg.SquareMatrix(a).product(x)
         assert symv_calls
         assert y.dtype == x.dtype
         bound = 4 * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(x)
@@ -333,25 +371,25 @@ class TestProduct:
     def test_nearly_symmetric_matrix_keeps_the_full_product(self, symv_calls):
         k = np.random.default_rng(3).standard_normal((200, 200))
         a = _symmetric(200, 2) + 1e-14 * (k - k.T)
-        assert linalg.norm_estimate_and_hermitian(a)[1]
+        assert linalg.SquareMatrix(a).hermitian
         assert not np.array_equal(a, a.T)
         x = np.random.default_rng(1).standard_normal(200)
-        np.testing.assert_array_equal(linalg.product(a)(x), a @ x)
+        np.testing.assert_array_equal(linalg.SquareMatrix(a).product(x), a @ x)
         assert not symv_calls
 
     def test_complex_hermitian_matrix_keeps_the_full_product(self, symv_calls):
         g = _complex_matrix(200, 2)
         h = g + g.conj().T
         x = _complex_matrix(200, 3)[:, 0]
-        np.testing.assert_array_equal(linalg.product(h)(x), h @ x)
-        np.testing.assert_array_equal(linalg.product(h)(x.real), h @ x.real)
+        np.testing.assert_array_equal(linalg.SquareMatrix(h).product(x), h @ x)
+        np.testing.assert_array_equal(linalg.SquareMatrix(h).product(x.real), h @ x.real)
         assert not symv_calls
 
     @pytest.mark.parametrize("n", [3, 31])
     def test_small_matrix_keeps_the_full_product(self, n, symv_calls):
         a = _symmetric(n, 4)
         x = _complex_matrix(n, 5)[:, 0]
-        mul = linalg.product(a)
+        mul = linalg.SquareMatrix(a).product
         np.testing.assert_array_equal(mul(x.real), a @ x.real)
         np.testing.assert_array_equal(mul(x), a @ x.real + 1j * (a @ x.imag))
         assert not symv_calls
@@ -361,9 +399,9 @@ class TestProduct:
         strided = big[::2, ::2]
         assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
         x = _complex_matrix(200, 7)[:, 0]
-        expected = linalg.product(np.ascontiguousarray(strided))(x)
+        expected = linalg.SquareMatrix(np.ascontiguousarray(strided)).product(x)
         for a in (np.asfortranarray(strided), strided):
-            np.testing.assert_array_equal(linalg.product(a)(x), expected)
+            np.testing.assert_array_equal(linalg.SquareMatrix(a).product(x), expected)
         assert len(symv_calls) == 6
 
     def test_deflated_cg_uses_the_triangle(self, symv_calls, monkeypatch):

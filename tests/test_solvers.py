@@ -51,6 +51,8 @@ class TestSolveConfig:
         {"max_iterations": 0},
         {"residual_tolerance": float("nan")},
         {"breakdown_threshold": float("nan")},
+        {"residual_tolerance": float("inf")},
+        {"breakdown_threshold": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
