@@ -15,8 +15,11 @@ Each checkout runs in its own process and imports ``dkrylov`` from its own
   (default ``0:6``), complex Hermitian systems.
 
 One line per run gives the status and iteration count of each checkout (or
-the exception a run raised), the largest deviation of its original and
-deflated residual curves divided by ||b||, and whether every report field
+the exception a run raised), the final original residual ||b - A x|| of the
+corrected iterate in units of tolerance * ||b|| for each checkout (so a
+status that moved can be read against whether the run met its tolerance on
+the original system), the largest deviation of its original and deflated
+residual curves divided by ||b||, and whether every report field
 (every ``DualReport``/``SolveReport`` field, iterate, diagnostics entry and
 the deflator's ``a_hermitian``, ``apply_counts``, ``w`` and coupling matrix)
 is equal under ``np.array_equal`` with the same dtype.  Exits 1 when a
@@ -93,7 +96,10 @@ def collect(equivalence) -> dict:
                     continue
                 fields = {}
                 _flatten(report, "report", fields)
-                outcomes[key] = {"b_norm": float(np.linalg.norm(b)), "fields": fields}
+                b_norm = float(np.linalg.norm(b))
+                residual = float(np.linalg.norm(b - a @ report.corrected_iterate))
+                outcomes[key] = {"b_norm": b_norm, "fields": fields,
+                                 "final": residual / (cfg.residual_tolerance * b_norm)}
     return outcomes
 
 
@@ -116,6 +122,10 @@ def _curve_deviation(this, other) -> float:
     return worst / this["b_norm"]
 
 
+def _final(outcome) -> str:
+    return "-" if "raised" in outcome else f"{outcome['final']:.2g}"
+
+
 def _summary(outcome) -> str:
     if "raised" in outcome:
         return f"raised {outcome['raised']}"
@@ -128,7 +138,7 @@ def compare(this: dict, other: dict) -> int:
     equal_runs = 0
     worst = 0.0
     print(f"{'system':<20} {'config':<10} {'variant':<30} {'this':<22} {'other':<22} "
-          f"{'curve dev':>9}  fields")
+          f"{'res/tol':>8} {'other':>8} {'curve dev':>9}  fields")
     for key in this:
         a, b = this[key], other[key]
         a_sum, b_sum = _summary(a), _summary(b)
@@ -147,7 +157,7 @@ def compare(this: dict, other: dict) -> int:
             equal = "equal" if not differ else f"{len(differ)} differ, e.g. {differ[0]}"
         flag = "" if a_sum == b_sum else "  <-- MISMATCH"
         print(f"{key[0]:<20} {key[1]:<10} {key[2]:<30} {a_sum:<22} {b_sum:<22} "
-              f"{dev:>9}  {equal}{flag}")
+              f"{_final(a):>8} {_final(b):>8} {dev:>9}  {equal}{flag}")
     print(f"{len(this)} runs: {mismatches} with a different status, iteration count or "
           f"exception; {equal_runs} with every field equal; largest curve deviation "
           f"{worst:.2e} * ||b||")

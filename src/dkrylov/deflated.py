@@ -34,7 +34,8 @@ import numpy as np
 from . import linalg
 from .operators import deflated_operator, dense_operator
 from .projection import Deflator, GalerkinMode
-from .solvers import SolveConfig, SolveReport, cg_solve, gmres_solve, minres_solve
+from .solvers import (SolveConfig, SolveReport, SolveStatus, cg_solve, gmres_solve,
+                      minres_solve)
 
 
 class MethodVariant(enum.Enum):
@@ -123,6 +124,13 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
     MINRES-based deflated variants require a Hermitian matrix; deflated CG
     requires a Hermitian positive definite one; deflated GMRES accepts any
     nonsingular matrix.
+
+    A deflated run iterates on a projected system whose right-hand side can
+    be far larger than b, so its own tolerance test does not bound the
+    original residual.  The corrected iterate's residual ||b - A x|| is
+    therefore formed once, recorded as ``diagnostics["original_residual_norm"]``,
+    and a converged run whose residual exceeds 10 * tolerance * max(||b||,
+    ||b - A x0||) for the given x0 is reported as stagnated.
     """
     recipe = _RECIPES[variant]
     cfg = cfg or SolveConfig()
@@ -138,7 +146,7 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
     if recipe.solver == "minres" and not d.a_hermitian:
         raise ValueError(f"{variant.value} requires a Hermitian matrix")
     b = linalg.as_vector(b, d.dim)
-    x0 = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
+    x0 = x_given = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
     diagnostics = {}
     if recipe.guess == "shifted":
         x0 = d.initial_correction(x0, b)
@@ -163,7 +171,15 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
     if recipe.per_iterate:
         corrected = [correct(x, b) for x in rep.iterates]
         original = np.array([linalg.vector_norm(b - d.a_product(x)) for x in corrected])
+        final = float(original[-1])
     else:
         corrected = [correct(rep.final_iterate, b)]
         original = rep.residual_norms.copy()
+        final = linalg.vector_norm(b - d.a_product(corrected[-1]))
+    diagnostics["original_residual_norm"] = final
+    limit = 10 * cfg.residual_tolerance
+    # b - A x0 is formed only for a residual that misses 10 tol ||b||.
+    if (rep.converged and final > limit * linalg.vector_norm(b)
+            and final > limit * linalg.vector_norm(b - d.a_product(x_given))):
+        rep = replace(rep, status=SolveStatus.STAGNATED)
     return DualReport(variant, rep, original, corrected[-1], len(corrected), d, diagnostics)

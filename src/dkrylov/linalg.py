@@ -14,10 +14,15 @@ scale and rejects a non-finite entry, one exact test of ``a == a^H`` that
 chooses the product kernel, and an estimate of ||a||_2 from products alone
 when a caller asks for it.  No caller repeats a pass over the matrix.
 
-Two kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
+Three kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
 and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
 analysis, the check suites and the tests.  The solve path sizes a matrix with
-:attr:`SquareMatrix.norm` instead, which never forms an n-by-n SVD.
+:attr:`SquareMatrix.bound`, the upper bound ||a||_2 <= n max|a_ij| that the
+entry scale gives for free, and with :attr:`SquareMatrix.norm`, an estimate
+from below that never forms an n-by-n SVD.  The checked factorizations judge
+a pivot against the bound first and ask for the estimate only for a pivot
+that fails there (:func:`lu_factor_checked`), so a well-conditioned matrix is
+factored without any estimate and every decision is the estimate's.
 """
 
 from __future__ import annotations
@@ -135,8 +140,9 @@ class SquareMatrix:
     F-contiguous view ``a.T``; a non-contiguous ``a`` is copied once), and
     ``a @ x`` for any other, so a nearly symmetric ``a`` is never replaced by
     a triangle.  A complex ``x`` against a real ``a`` is multiplied by its
-    real and imaginary parts.  ``norm`` and ``hermitian`` are computed on
-    first use.
+    real and imaginary parts.  ``bound`` is n times the largest entry
+    modulus, an upper bound on ||a||_F >= ||a||_2 that costs nothing;
+    ``norm`` and ``hermitian`` are computed on first use.
     """
 
     def __init__(self, a, field=np.float64):
@@ -152,6 +158,7 @@ class SquareMatrix:
             raise ValueError("matrix entries must be finite")
         self.a = a
         self._scale = float(scale)
+        self.bound = a.shape[0] * self._scale
         self._exactly_hermitian = np.array_equal(a, a.conj().T)
         if a.dtype == np.float64 and self._exactly_hermitian and a.shape[0] >= _SYMV_FROM:
             triangle = a.T if a.flags.c_contiguous else np.asfortranarray(a)
@@ -319,13 +326,34 @@ def hermitian_eigen(a, tol: float = HERMITIAN_TOLERANCE) -> HermitianEigenDecomp
     return HermitianEigenDecomposition(w, q)
 
 
-def lu_factor_checked(a, threshold: float = SINGULARITY_THRESHOLD, scale: float | None = None):
+def _check_pivot(smallest: float, threshold: float, scale, what: str) -> None:
+    """Raise SingularMatrixError when ``smallest`` < ``threshold`` * ``scale``,
+    a number or a pair (bound, exact) as in :func:`lu_factor_checked`.  A pivot
+    that passes against an upper bound passes against the scale itself, so
+    the decision and its message are always the scale's."""
+    tiny = np.finfo(float).tiny
+    if isinstance(scale, tuple):
+        bound, exact = scale
+        if smallest >= threshold * max(bound, tiny):
+            return
+        scale = exact()
+    scale = max(scale, tiny)
+    if smallest < threshold * scale:
+        raise SingularMatrixError(
+            f"smallest {what} {smallest:.3e} below {threshold:g} * {scale:.3e}"
+        )
+
+
+def lu_factor_checked(a, threshold: float = SINGULARITY_THRESHOLD, scale=None):
     """Pivoted LU factorization that raises SingularMatrixError on tiny pivots.
 
     ``scale`` sets the magnitude the pivots are measured against; it defaults
     to the matrix's own spectral norm but callers that know the natural size
     of the entries (e.g. a coupling matrix that may be numerically zero)
-    should pass it explicitly.
+    should pass it explicitly.  A scale that is costly to compute may be
+    passed as a pair (bound, exact): an upper bound on it and a function that
+    returns it, called only when the smallest pivot falls below
+    ``threshold`` * bound.  The matrix is factored once either way.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -333,14 +361,10 @@ def lu_factor_checked(a, threshold: float = SINGULARITY_THRESHOLD, scale: float 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a)
-    if scale is None:
-        scale = spectral_norm(a)
-    scale = max(scale, np.finfo(float).tiny)
     pivots = np.abs(np.diag(lu))
-    if pivots.size and float(pivots.min()) < threshold * scale:
-        raise SingularMatrixError(
-            f"smallest pivot {pivots.min():.3e} below {threshold:g} * {scale:.3e}"
-        )
+    if pivots.size:
+        _check_pivot(float(pivots.min()), threshold,
+                     spectral_norm(a) if scale is None else scale, "pivot")
     return lu, piv
 
 
@@ -352,28 +376,40 @@ def solve_dense(a, b) -> np.ndarray:
     return scipy.linalg.lu_solve(lu_piv, b)
 
 
-def cholesky_factor_checked(e, threshold: float = SINGULARITY_THRESHOLD,
-                            scale: float | None = None):
+def cholesky_factor_checked(e, threshold: float = SINGULARITY_THRESHOLD, scale=None):
     """Cholesky factorization of a Hermitian positive definite matrix.
 
     Raises SingularMatrixError when the matrix is not positive definite or a
     pivot (squared diagonal of L) falls below the relative threshold; see
-    :func:`lu_factor_checked` for the ``scale`` convention.
+    :func:`lu_factor_checked` for the ``scale`` convention.  The factor is
+    that of the Hermitian part 0.5 (e + e^H).
+
+    ``e`` may be a :class:`SquareMatrix`, whose scale defaults to the pair
+    (``bound``, ``norm``), so that its estimate is made only for a pivot
+    close to the threshold.  One that is exactly Hermitian is its own
+    Hermitian part and is already known to be finite, so LAPACK factors its
+    data directly, without the symmetrized copy or a second scan.
     """
-    e = as_matrix(e)
-    e = 0.5 * (e + e.conj().T)
+    exact = False
+    if isinstance(e, SquareMatrix):
+        matrix, e, exact = e, e.a, e._exactly_hermitian
+        if scale is None:
+            scale = (matrix.bound, lambda: matrix.norm)
+        # a.T equals a bit for bit; for a real C-ordered a it is the
+        # Fortran-ordered matrix LAPACK reads, so the copy is a plain one.
+        if exact and e.dtype.kind == "f" and e.flags.c_contiguous:
+            e = e.T
+    if not exact:
+        e = as_matrix(e)
+        e = 0.5 * (e + e.conj().T)
     try:
-        factor = scipy.linalg.cho_factor(e, lower=True)
+        factor = scipy.linalg.cho_factor(e, lower=True, check_finite=not exact)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
-    if scale is None:
-        scale = spectral_norm(e)
-    scale = max(scale, np.finfo(float).tiny)
     pivots = np.diag(factor[0]).real ** 2
-    if pivots.size and float(pivots.min()) < threshold * scale:
-        raise SingularMatrixError(
-            f"smallest Cholesky pivot {pivots.min():.3e} below {threshold:g} * {scale:.3e}"
-        )
+    if pivots.size:
+        _check_pivot(float(pivots.min()), threshold,
+                     spectral_norm(e) if scale is None else scale, "Cholesky pivot")
     return factor
 
 

@@ -54,12 +54,16 @@ class Deflator:
     apply counters.
 
     Set-up looks at ``a`` once, through one :class:`linalg.SquareMatrix`,
-    which gives ``a_product``, ``a_hermitian`` and an estimate of ||a||_2, a
-    lower bound to about 1e-3 relative, without an n-by-n SVD or a scaled copy
-    of ``a``.  The estimate scales the pivot tests of the HPD pre-check and of
-    the coupling factorization, so they are up to 1e-3 looser than with the
-    exact norm (2e-3 where the scale holds ||a||_2 squared); only the n-by-k
-    basis is measured exactly.
+    which gives ``a_product``, ``a_hermitian`` and the size of ``a`` that
+    scales the pivot tests of the HPD pre-check and of the coupling
+    factorization.  Each test judges its smallest pivot first against the
+    free bound n max|a_ij| >= ||a||_2; only a pivot that fails there asks for
+    the estimate of ||a||_2, a lower bound to about 1e-3 relative made from
+    products with ``a``, which then decides.  So a well-conditioned set-up
+    costs its factorizations and no estimate, and every test accepts and
+    rejects exactly as it would against the estimate: up to 1e-3 looser than
+    with the exact norm (2e-3 where the scale holds ||a||_2 squared).  Only
+    the n-by-k basis is measured exactly.
 
     ``a``, ``u``, ``w`` and the coupling factor are kept in the common field
     of ``a`` and ``u`` (:func:`linalg.as_matrix`), so a real system is
@@ -86,7 +90,7 @@ class Deflator:
         self.mode = mode
         self.dim = n
         self.k = k
-        a_norm, self.a_hermitian = matrix.norm, matrix.hermitian
+        self.a_hermitian = matrix.hermitian
         self.u = u
         self.w = a @ u
 
@@ -96,22 +100,23 @@ class Deflator:
         u_norm = linalg.spectral_norm(self.u)
         if mode is GalerkinMode.RESIDUAL_ORTHOGONAL:
             if not allow_indefinite:
-                self._require_hpd(a_norm)
+                self._require_hpd(matrix)
             self._bu = self.u
             self.coupling = self.u.conj().T @ self.w
-            coupling_scale = a_norm * u_norm**2
+            coupling_scale = lambda a_norm: a_norm * u_norm**2  # noqa: E731
             factor_fn = (linalg.lu_factor_checked if allow_indefinite
                          else linalg.cholesky_factor_checked)
         elif mode is GalerkinMode.RESIDUAL_MINIMIZING:
             self._bu = self.w
             self.coupling = self.w.conj().T @ self.w
-            coupling_scale = (a_norm * u_norm) ** 2
+            coupling_scale = lambda a_norm: (a_norm * u_norm) ** 2  # noqa: E731
             factor_fn = linalg.cholesky_factor_checked
         else:
             raise ValueError(f"unknown mode {mode!r}")
 
         try:
-            factorization = factor_fn(self.coupling, scale=coupling_scale)
+            factorization = factor_fn(self.coupling, scale=(
+                coupling_scale(matrix.bound), lambda: coupling_scale(matrix.norm)))
         except SingularMatrixError as exc:
             raise SingularCouplingError(
                 f"coupling matrix is numerically singular ({exc})"
@@ -134,19 +139,15 @@ class Deflator:
         self.apply_counts = {"project_residual": 0, "project_solution": 0,
                              "coarse_solve": 0, "corrections": 0}
 
-    def _require_hpd(self, a_norm):
+    def _require_hpd(self, matrix):
+        message = ("residual-orthogonal mode requires a Hermitian positive definite "
+                   "matrix (pass allow_indefinite=True to override)")
         if not self.a_hermitian:
-            raise ValueError(
-                "residual-orthogonal mode requires a Hermitian positive definite "
-                "matrix (pass allow_indefinite=True to override)"
-            )
+            raise ValueError(message)
         try:
-            linalg.cholesky_factor_checked(self.a, scale=a_norm)
+            linalg.cholesky_factor_checked(matrix)
         except SingularMatrixError as exc:
-            raise ValueError(
-                "residual-orthogonal mode requires a Hermitian positive definite "
-                "matrix (pass allow_indefinite=True to override)"
-            ) from exc
+            raise ValueError(message) from exc
 
     def _solve_coupling(self, rhs) -> np.ndarray:
         if rhs.dtype.kind == "c" and self.a.dtype.kind != "c":

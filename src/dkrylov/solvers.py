@@ -129,11 +129,14 @@ class _Run:
         self.iterates = [] if cfg.record_history else None
         self.best = collections.deque(maxlen=STAGNATION_WINDOW + 1)
 
-    def record(self, x, recurrence_norm) -> float:
-        """Record ``x`` with its residual norm, explicit or the recurrence's."""
-        explicit = recurrence_norm
-        if self.cfg.explicit_residuals:
-            explicit = linalg.vector_norm(self.b - self.op.apply(x))
+    def record(self, x, recurrence_norm, explicit=None) -> float:
+        """Record ``x`` with its residual norm: ``explicit`` when the caller
+        has formed it, else ||b - op x|| when the config asks for explicit
+        residuals, else the recurrence's."""
+        if explicit is None:
+            explicit = recurrence_norm
+            if self.cfg.explicit_residuals:
+                explicit = linalg.vector_norm(self.b - self.op.apply(x))
         self.residual_norms.append(explicit)
         self.recurrence_norms.append(recurrence_norm)
         if self.iterates is not None:
@@ -143,9 +146,11 @@ class _Run:
         return explicit
 
     def start(self, r0_norm) -> float:
+        """Record x0 with ``r0_norm``, the norm ||b - op x0|| the solver has
+        just formed, so that it is not formed again."""
         self.denominator = max(r0_norm, linalg.vector_norm(self.b),
                                np.finfo(float).tiny)
-        return self.record(self.x, r0_norm)
+        return self.record(self.x, r0_norm, explicit=r0_norm)
 
     def tol_reached(self, value) -> bool:
         return value <= self.cfg.residual_tolerance * self.denominator

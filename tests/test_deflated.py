@@ -261,3 +261,52 @@ class TestVariantDispatch:
         deferred = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u)
         assert deferred.correction_count == 1
         assert explicit.correction_count == len(explicit.original_residual_norms)
+
+
+class TestOriginalSystemStatus:
+    """A converged deflated run must have converged on the original system."""
+
+    @staticmethod
+    def near_zero_system():
+        # a deflated eigenvalue of 1e-6 and a basis off its eigenvector by
+        # 1e-6: the two-sided right-hand side is about 2.4e4 times ||b||
+        q = linalg.random_orthogonal(40, 0)
+        lam = np.r_[1e-6, np.linspace(1, 2, 19), -np.linspace(1, 2, 20)]
+        a = (q * lam) @ q.T
+        a = 0.5 * (a + a.T)
+        b = np.ones(40) / np.sqrt(40)
+        u = q[:, :1] + 1e-6 * np.random.default_rng(1).standard_normal((40, 1))
+        return a, b, u
+
+    @pytest.mark.parametrize("variant", [MethodVariant.DEFLATED_MINRES,
+                                         MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS])
+    def test_amplified_rhs_run_is_not_converged(self, variant):
+        a, b, u = self.near_zero_system()
+        result = run_method(variant, a, b, u, cfg=SolveConfig(residual_tolerance=1e-8))
+        residual = np.linalg.norm(b - a @ result.corrected_iterate)
+        assert residual > 1e-6
+        assert result.status is SolveStatus.STAGNATED
+        assert result.diagnostics["original_residual_norm"] == pytest.approx(residual, rel=1e-3)
+
+    @pytest.mark.parametrize("variant", [MethodVariant.RMINRES_DEFLATION_ONLY,
+                                         MethodVariant.RMINRES_EXPLICIT,
+                                         MethodVariant.DEFLATED_GMRES])
+    def test_runs_that_reach_the_tolerance_stay_converged(self, variant):
+        a, b, u = self.near_zero_system()
+        result = run_method(variant, a, b, u, cfg=SolveConfig(residual_tolerance=1e-8))
+        assert result.status is SolveStatus.CONVERGED
+        residual = np.linalg.norm(b - a @ result.corrected_iterate)
+        assert residual <= 10 * 1e-8 * np.linalg.norm(b)
+        # the two products differ by roundoff of ||A|| ||x||, about 1e6 here
+        assert result.diagnostics["original_residual_norm"] == pytest.approx(residual, rel=1e-2)
+
+    def test_reference_includes_the_initial_residual(self):
+        # with a large x0 the tolerance is relative to ||b - A x0||, not ||b||
+        a, b, u = hermitian_instance(4)
+        x0 = 1e6 * np.ones(a.shape[0])
+        cfg = SolveConfig(residual_tolerance=1e-10)
+        result = run_method(MethodVariant.DEFLATED_GMRES, a, b, u, x0, cfg)
+        assert result.status is SolveStatus.CONVERGED
+        residual = result.diagnostics["original_residual_norm"]
+        assert 10 * 1e-10 * np.linalg.norm(b) < residual
+        assert residual <= 10 * 1e-10 * np.linalg.norm(b - a @ x0)

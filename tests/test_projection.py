@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from dkrylov import linalg
 from dkrylov.checks import projection_suite
-from dkrylov.problems import (breakdown_prone_basis, eigenvector_basis,
+from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem, eigenvector_basis,
                               symmetric_indefinite_problem,
                               toy_breakdown_problem)
 from dkrylov.projection import (Deflator, GalerkinMode, ModeMismatchError,
@@ -73,6 +74,89 @@ class TestConstruction:
             err = linalg.spectral_norm(d.coupling - expected)
             bound = 1e-12 * linalg.spectral_norm(a) * linalg.spectral_norm(u) ** 2
             assert err <= max(bound, 1e-15)
+
+
+@pytest.fixture
+def estimates(monkeypatch):
+    """The list of ARPACK calls made while the test runs."""
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    return calls
+
+
+def near_dependent_basis(delta_squared, n=64):
+    """[e1, e1 + delta e2]: against a = I its coupling's second pivot is
+    delta^2, and ||u||_2^2 is 2 to within delta."""
+    u = np.eye(n)[:, :2].copy()
+    u[0, 1] = 1.0
+    u[1, 1] = np.sqrt(delta_squared)
+    return u
+
+
+class TestPivotScale:
+    """The pivot tests are judged against n max|a_ij| first, and against the
+    estimate of ||a||_2 only when a pivot fails there."""
+
+    def test_well_conditioned_set_up_makes_no_estimate(self, estimates):
+        spd = clustered_spd_problem(600)
+        Deflator(spd.a, eigenvector_basis(spd, range(1, 6)), OR)
+        paper = symmetric_indefinite_problem(200)
+        Deflator(paper.a, eigenvector_basis(paper, [1, 2, 3, 201, 202, 203]), MR)
+        assert not estimates
+
+    @pytest.mark.parametrize("mode, allow_indefinite", [(OR, False), (OR, True), (MR, False)],
+                             ids=["cholesky", "lu", "minimizing"])
+    def test_pivot_between_estimate_and_bound_is_accepted(self, estimates, mode,
+                                                          allow_indefinite):
+        # 1e-14 ||a|| ||u||^2 = 2e-14 < pivot 1e-13 < 1e-14 n max|a_ij| ||u||^2 = 1.28e-12
+        d = Deflator(np.eye(64), near_dependent_basis(1e-13), mode,
+                     allow_indefinite=allow_indefinite)
+        assert len(estimates) == 1
+        assert d.k == 2
+
+    @pytest.mark.parametrize("mode, allow_indefinite, pivot", [
+        (OR, False, "Cholesky pivot"), (OR, True, "pivot"), (MR, False, "Cholesky pivot")],
+        ids=["cholesky", "lu", "minimizing"])
+    def test_pivot_below_the_estimate_is_rejected(self, estimates, mode, allow_indefinite,
+                                                  pivot):
+        with pytest.raises(SingularCouplingError,
+                           match=rf"numerically singular \(smallest {pivot} 1\.\d+e-15 "
+                                 rf"below 1e-14 \* 2\.000e\+00\)"):
+            Deflator(np.eye(64), near_dependent_basis(1e-15), mode,
+                     allow_indefinite=allow_indefinite)
+        assert len(estimates) == 1
+
+    def test_indefinite_symmetric_matrix_fails_the_hpd_check(self, estimates):
+        p = symmetric_indefinite_problem(40, seed=5)
+        assert np.array_equal(p.a, p.a.T)
+        with pytest.raises(ValueError, match="Hermitian positive definite"):
+            Deflator(p.a, eigenvector_basis(p, [1]), OR)
+        assert not estimates    # the factorization itself fails
+
+    @pytest.mark.parametrize("smallest, accepted", [(1e-13, True), (1e-15, False)])
+    def test_hpd_check_decides_a_close_pivot_by_the_estimate(self, estimates, smallest,
+                                                             accepted):
+        # the bound is 64, ||a||_2 is 1: only 1e-13 passes 1e-14 ||a||_2
+        a = np.diag(np.r_[np.ones(63), smallest])
+        u = np.eye(64)[:, :1]
+        if accepted:
+            Deflator(a, u, OR)
+        else:
+            with pytest.raises(ValueError, match="Hermitian positive definite"):
+                Deflator(a, u, OR)
+        assert len(estimates) == 1
+
+    def test_hpd_check_leaves_the_matrix_untouched(self):
+        spd = clustered_spd_problem(100)
+        a = spd.a.copy()
+        Deflator(a, eigenvector_basis(spd, range(1, 6)), OR)
+        np.testing.assert_array_equal(a, spd.a)
 
 
 class TestCoarseSolve:

@@ -3,7 +3,7 @@ import pytest
 
 from dkrylov import linalg
 from dkrylov.checks import equivalence_instances
-from dkrylov.operators import deflated_operator, dense_operator
+from dkrylov.operators import LinearOperator, deflated_operator, dense_operator
 from dkrylov.problems import symmetric_indefinite_problem, toy_breakdown_problem
 from dkrylov.projection import Deflator, GalerkinMode
 from dkrylov.solvers import (IndefiniteOperatorError, SolveConfig, SolveStatus,
@@ -121,6 +121,18 @@ class TestCg:
         rep = cg_solve(dense_operator(a), b, x0)
         r0 = np.linalg.norm(b - a @ x0)
         assert rep.residual_norms[0] == pytest.approx(r0, rel=1e-14)
+
+    def test_one_product_for_r0_and_two_per_step(self):
+        # r0 is formed once and recorded as the explicit residual of x0; each
+        # step applies the operator to p and to the new iterate
+        rng = np.random.default_rng(3)
+        a = random_hpd(rng, 30)
+        b = rng.standard_normal(30)
+        calls = []
+        op = LinearOperator(30, lambda v: calls.append(1) or a @ v, hermitian=True)
+        rep = cg_solve(op, b, rng.standard_normal(30))
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations_used > 1
+        assert len(calls) == 1 + 2 * rep.iterations_used
 
 
 class TestMinres:
