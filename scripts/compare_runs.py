@@ -1,6 +1,7 @@
 """Compare every method variant's runs between this checkout and another one.
 
     python scripts/compare_runs.py OTHER_CHECKOUT [--equivalence SEED:COUNT ...]
+                                   [--ill-conditioned]
 
 OTHER_CHECKOUT is a second checkout of the repository, typically of the
 parent commit (``git clone . ../parent && git -C ../parent checkout HEAD~1``).
@@ -12,7 +13,16 @@ Each checkout runs in its own process and imports ``dkrylov`` from its own
   ``1-5,m+1..m+5``;
 * ``clustered_spd_problem(600)``, deflating its five outlier eigenvectors;
 * ``checks.equivalence_instances(SEED, COUNT)`` for each ``--equivalence``
-  (default ``0:6``), complex Hermitian systems.
+  (default ``0:6``), complex Hermitian systems;
+* with ``--ill-conditioned``, 18 real symmetric systems Q diag(lam) Q^T,
+  ``Q = linalg.random_orthogonal(n, seed)``, with |lam| log-spaced from 1,
+  a standard-normal b drawn after the signs, each system's own tolerance
+  and ``max_iterations=3000``: 12 at tolerance 1e-10 (s = 0..11,
+  n = 150 + 10 s, seed 100 + s, 3 + s % 4 decades, random signs for odd s)
+  and 6 at tolerance 1e-8 (s = 0..5, n = 200, seed 200 + s, 7 + s % 2
+  decades, random signs for s % 3 == 1).  There MINRES's finite-precision
+  behaviour decides the status.  They deflate the eigenvectors of the five
+  largest |lam|, whose coupling stays far from singular.
 
 One line per run gives the status and iteration count of each checkout (or
 the exception a run raised), the final original residual ||b - A x|| of the
@@ -42,18 +52,39 @@ import numpy as np
 HERE_CHECKOUT = Path(__file__).resolve().parent.parent
 
 
-def _systems(equivalence):
+def _ill_conditioned(name, n, seed, decades, signs, tolerance):
+    from dkrylov import linalg
+
+    q = linalg.random_orthogonal(n, seed)
+    rng = np.random.default_rng(seed)
+    lam = np.logspace(0, decades, n)
+    if signs:
+        lam = lam * rng.choice([-1, 1], n)
+    a = (q * lam) @ q.T
+    a = 0.5 * (a + a.T)
+    settings = {"residual_tolerance": tolerance, "max_iterations": 3000}
+    return name, a, rng.standard_normal(n), q[:, -5:], None, settings
+
+
+def _systems(equivalence, ill_conditioned):
+    """(name, a, b, u, x0, SolveConfig settings) of every compared system."""
     from dkrylov import checks, problems
 
     for m in (50, 200):
         p = problems.symmetric_indefinite_problem(m, seed=0)
         u = problems.eigenvector_basis(p, list(range(1, 6)) + list(range(m + 1, m + 6)))
-        yield f"paper-m{m}", p.a, p.b, u, None
+        yield f"paper-m{m}", p.a, p.b, u, None, {}
     p = problems.clustered_spd_problem(600)
-    yield "clustered-spd-600", p.a, p.b, problems.eigenvector_basis(p, range(1, 6)), None
+    yield "clustered-spd-600", p.a, p.b, problems.eigenvector_basis(p, range(1, 6)), None, {}
     for seed, count in equivalence:
         for i, (a, b, u, x0) in enumerate(checks.equivalence_instances(seed, count)):
-            yield f"equivalence-{seed}-{i}", a, b, u, x0
+            yield f"equivalence-{seed}-{i}", a, b, u, x0, {}
+    if ill_conditioned:
+        for s in range(12):
+            yield _ill_conditioned(f"ill-1e-10-{s}", 150 + 10 * s, 100 + s, 3 + s % 4,
+                                   s % 2 == 1, 1e-10)
+        for s in range(6):
+            yield _ill_conditioned(f"ill-1e-8-{s}", 200, 200 + s, 7 + s % 2, s % 3 == 1, 1e-8)
 
 
 def _flatten(obj, name, out):
@@ -79,14 +110,15 @@ def _flatten(obj, name, out):
         out[name] = repr(obj)
 
 
-def collect(equivalence) -> dict:
+def collect(equivalence, ill_conditioned) -> dict:
     """Outcome of every run in this process's ``dkrylov``, keyed by run."""
     from dkrylov import MethodVariant, SolveConfig, run_method
 
-    configs = {"explicit": SolveConfig(), "recurrence": SolveConfig(explicit_residuals=False)}
+    configs = {"explicit": {}, "recurrence": {"explicit_residuals": False}}
     outcomes = {}
-    for system, a, b, u, x0 in _systems(equivalence):
-        for config, cfg in configs.items():
+    for system, a, b, u, x0, settings in _systems(equivalence, ill_conditioned):
+        for config, switches in configs.items():
+            cfg = SolveConfig(**settings, **switches)
             for variant in MethodVariant:
                 key = (system, config, variant.value)
                 try:
@@ -164,9 +196,10 @@ def compare(this: dict, other: dict) -> int:
     return 1 if mismatches else 0
 
 
-def _run_checkout(checkout: Path, equivalence, out: Path) -> dict:
+def _run_checkout(checkout: Path, equivalence, ill_conditioned, out: Path) -> dict:
     subprocess.run([sys.executable, __file__, "--collect", str(checkout), str(out),
-                    "--equivalence", *(f"{s}:{c}" for s, c in equivalence)], check=True)
+                    "--equivalence", *(f"{s}:{c}" for s, c in equivalence),
+                    *(["--ill-conditioned"] if ill_conditioned else [])], check=True)
     with open(out, "rb") as fh:
         return pickle.load(fh)
 
@@ -181,6 +214,8 @@ def main(argv=None) -> int:
     parser.add_argument("other", type=Path, nargs="?", help="the checkout to compare against")
     parser.add_argument("--equivalence", type=_equivalence_spec, nargs="+", default=[(0, 6)],
                         metavar="SEED:COUNT")
+    parser.add_argument("--ill-conditioned", action="store_true",
+                        help="also compare the 18 ill-conditioned real symmetric systems")
     parser.add_argument("--collect", nargs=2, metavar=("CHECKOUT", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -191,13 +226,15 @@ def main(argv=None) -> int:
         if not Path(dkrylov.__file__).resolve().is_relative_to(checkout):
             raise SystemExit(f"imported dkrylov from {dkrylov.__file__}, not {checkout}")
         with open(out, "wb") as fh:
-            pickle.dump(collect(args.equivalence), fh)
+            pickle.dump(collect(args.equivalence, args.ill_conditioned), fh)
         return 0
     if args.other is None:
         parser.error("the other checkout is required")
     with tempfile.TemporaryDirectory() as tmp:
-        this = _run_checkout(HERE_CHECKOUT, args.equivalence, Path(tmp) / "this.pkl")
-        other = _run_checkout(args.other.resolve(), args.equivalence, Path(tmp) / "other.pkl")
+        this = _run_checkout(HERE_CHECKOUT, args.equivalence, args.ill_conditioned,
+                             Path(tmp) / "this.pkl")
+        other = _run_checkout(args.other.resolve(), args.equivalence, args.ill_conditioned,
+                              Path(tmp) / "other.pkl")
     return compare(this, other)
 
 

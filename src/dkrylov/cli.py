@@ -116,7 +116,7 @@ _SCHEMA = {
             "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _INT,
             "x0_perturbation": _FLOAT, "breakdown_coefficient_seed": _INT},
     "solver": {"tolerance": _FLOAT, "max_iterations": _INT, "breakdown_threshold": _FLOAT,
-               "explicit_residuals": _BOOL, "reorthogonalize": _BOOL},
+               "explicit_residuals": _BOOL},
     "output": {"path": _TEXT, "format": _choice("csv", "json")},
 }
 

@@ -222,69 +222,48 @@ class SquareMatrix:
         return bool(np.linalg.norm(defect) <= HERMITIAN_TOLERANCE * (self.norm / self._scale))
 
 
-@dataclass(frozen=True)
-class GivensRotation:
-    """Unitary 2x2 rotation [[c, s], [-conj(s), c]] with real c and |c|^2+|s|^2=1.
-
-    ``s`` and ``r`` are real floats for a real rotation, complex otherwise.
-    """
-
-    c: float
-    s: complex
-    r: complex
-
-    def apply(self, f: complex, g: complex) -> tuple[complex, complex]:
-        return (
-            self.c * f + self.s * g,
-            -np.conj(self.s) * f + self.c * g,
-        )
-
-
-def make_givens(f: complex, g: complex) -> GivensRotation:
-    """Rotation annihilating ``g`` against ``f``: it maps (f, g) to (r, 0).
-
-    The rotation is real when ``f`` and ``g`` are.
-    """
-    field = complex if isinstance(f, complex) or isinstance(g, complex) else float
-    f = field(f)
-    g = field(g)
+def make_givens(f, g):
+    """``(c, s, r)``: the rotation [[c, s], [-conj(s), c]], real c and
+    |c|^2 + |s|^2 = 1, that maps (f, g) to (r, 0); real for real f and g."""
     if g == 0:
-        return GivensRotation(1.0, field(0.0), f)
+        return 1.0, 0.0, f
     if f == 0:
         ag = abs(g)
-        return GivensRotation(0.0, np.conj(g) / ag, ag)
+        return 0.0, g.conjugate() / ag, ag
     af = abs(f)
-    d = np.hypot(af, abs(g))
+    d = float(np.hypot(af, abs(g)))
     phase = f / af
-    return GivensRotation(af / d, phase * np.conj(g) / d, phase * d)
+    return af / d, phase * g.conjugate() / d, phase * d
 
 
-def givens_qr_step(column, prior_rotations) -> tuple[np.ndarray, GivensRotation]:
+def givens_qr_step(column, c, s):
     """One column update of a running QR factorization by Givens rotations.
 
-    ``column`` holds the new nonzero column segment; ``prior_rotations[i]`` is
-    applied to entries (i, i+1) in order, then a new rotation is generated to
-    annihilate the last entry against the second-to-last.  Returns the updated
-    column (last entry zeroed) and the new rotation, both real when the column
-    and the prior rotations are.
+    ``column`` holds the new nonzero column segment; the prior rotation
+    ``(c[i], s[i])`` of the arrays ``c``, ``s`` is applied to entries (i, i+1)
+    in order, then a new rotation annihilates the last entry against the
+    second-to-last.  Returns the updated column (float64 for a real column,
+    complex128 otherwise) and the new rotation's ``c`` and ``s``.
     """
-    rotations = list(prior_rotations)
-    complex_field = (np.iscomplexobj(column)
-                     or any(isinstance(rot.s, complex) for rot in rotations))
-    col = np.array(column, dtype=np.complex128 if complex_field else np.float64)
-    if col.ndim != 1 or col.shape[0] < 2:
+    column = np.asarray(column)
+    if column.ndim != 1 or column.shape[0] < 2:
         raise ValueError("column must be a vector with at least two entries")
-    if len(rotations) != col.shape[0] - 2:
-        raise ValueError(
-            f"need {col.shape[0] - 2} prior rotations for a column of "
-            f"length {col.shape[0]}, got {len(rotations)}"
-        )
-    for i, rot in enumerate(rotations):
-        col[i], col[i + 1] = rot.apply(col[i], col[i + 1])
-    rot = make_givens(col[-2], col[-1])
-    col[-2] = rot.r
-    col[-1] = 0.0
-    return col, rot
+    m = column.shape[0] - 2
+    if not len(c) == len(s) == m:
+        raise ValueError(f"need {m} prior rotations for a column of length "
+                         f"{column.shape[0]}, got {len(c)} and {len(s)}")
+    # The cascade runs on Python scalars, each entry read and written once;
+    # their float arithmetic is the IEEE arithmetic of numpy's.
+    entries = column.tolist()
+    f = entries[0]
+    for i, (ci, si) in enumerate(zip(c.tolist(), s.tolist())):
+        g = entries[i + 1]
+        entries[i] = ci * f + si * g
+        f = -si.conjugate() * f + ci * g
+    c_new, s_new, entries[m] = make_givens(f, entries[m + 1])
+    entries[m + 1] = 0.0
+    field = np.complex128 if column.dtype.kind == "c" else np.float64
+    return np.array(entries, dtype=field), c_new, s_new
 
 
 def random_orthogonal(n: int, seed) -> np.ndarray:

@@ -206,15 +206,16 @@ class Deflator:
         return x_hat + self.u @ self._solve_coupling(self._bu.conj().T @ residual)
 
     def correct_two_sided_iterate(self, x_bar, b) -> np.ndarray:
-        """Map a two-sided-projected-system iterate to an original-system iterate."""
+        """Map a two-sided-projected-system iterate to an original-system iterate.
+
+        Assumes a Hermitian ``a``, the only case the two-sided system is
+        built for: then w^H = u^H a, and the two-sided correction is
+        :meth:`correct_iterate` of the left-projected iterate
+        :meth:`adapted_initial_guess` makes of ``x_bar``.  For any other
+        ``a`` the result is not the two-sided correction.
+        """
         self._require_minimizing("correct_two_sided_iterate")
-        x_bar = linalg.as_vector(x_bar, self.dim)
-        b = linalg.as_vector(b, self.dim)
-        self.apply_counts["corrections"] += 1
-        ub = self._solve_coupling(self.u.conj().T @ b)
-        inner_term = self.project_residual(x_bar) + self.w @ ub
-        coarse = self.u @ self._solve_coupling(self.u.conj().T @ self.a_product(b))
-        return self.project_solution(inner_term) + coarse
+        return self.correct_iterate(self.adapted_initial_guess(x_bar, b), b)
 
     def adapted_initial_guess(self, x0, b) -> np.ndarray:
         """Initial guess that makes the left-projected run match the two-sided one."""
@@ -231,9 +232,7 @@ class Deflator:
         """
         if self.mode is not GalerkinMode.RESIDUAL_ORTHOGONAL:
             raise ModeMismatchError("initial_correction requires residual-orthogonal mode")
-        x_prev = linalg.as_vector(x_prev, self.dim)
-        b = linalg.as_vector(b, self.dim)
-        return x_prev + self.coarse_solve(b - self.a_product(x_prev))
+        return self.correct_iterate(x_prev, b)
 
     def dense_deflated_matrix(self) -> np.ndarray:
         """Densely formed left-projected matrix, for analysis and tests only."""

@@ -98,9 +98,11 @@ class TestRun:
         {**paper_spec(), "solver": {"breakdown_threshold": "inf"}},
         {**paper_spec(), "problem": {"generator": "near-invariant", "alpha": "nan"}},
         {**paper_spec(), "problem": {"generator": "near-invariant", "alpha": True}},
+        {**paper_spec(), "solver": {"reorthogonalize": True}},
     ], ids=["bad-index-list", "bad-format", "bad-unused-key", "section-not-object",
             "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
-            "infinite-breakdown-threshold", "nan-alpha", "boolean-float"])
+            "infinite-breakdown-threshold", "nan-alpha", "boolean-float",
+            "removed-reorthogonalize-key"])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
         monkeypatch.setattr(cli, "run_method", lambda *args: calls.append(args))
@@ -199,7 +201,7 @@ class TestDiagnose:
 class TestPackage:
     def test_public_names_resolve_and_kernels_stay_in_linalg(self):
         assert all(hasattr(dkrylov, name) for name in dkrylov.__all__)
-        for name in ("GivensRotation", "givens_qr_step", "inner", "solve_dense",
+        for name in ("make_givens", "givens_qr_step", "inner", "solve_dense",
                      "random_orthogonal", "hermitian_eigen", "HermitianEigenDecomposition"):
             assert hasattr(linalg, name), name
             assert not hasattr(dkrylov, name), name

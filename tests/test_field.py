@@ -68,11 +68,12 @@ class TestFieldRule:
         assert linalg.random_orthogonal(4, 0).dtype == np.float64
 
     def test_real_givens_rotation(self):
-        rot = linalg.make_givens(3.0, 4.0)
-        assert isinstance(rot.s, float) and isinstance(rot.r, float)
-        col, _ = linalg.givens_qr_step(np.array([1.0, 2.0, 3.0]), [rot])
-        assert col.dtype == np.float64
-        col, _ = linalg.givens_qr_step(np.array([1.0, 2.0, 3.0]), [linalg.make_givens(1j, 1.0)])
+        c, s, r = linalg.make_givens(3.0, 4.0)
+        assert np.isrealobj(s) and np.isrealobj(r)
+        col, _, s = linalg.givens_qr_step(np.array([1.0, 2.0, 3.0]), np.array([c]), np.array([s]))
+        assert col.dtype == np.float64 and np.isrealobj(s)
+        c, s, _ = linalg.make_givens(1j, 1.0)
+        col, _, _ = linalg.givens_qr_step(np.array([1j, 2.0, 3.0]), np.array([c]), np.array([s]))
         assert col.dtype == np.complex128
 
 

@@ -50,24 +50,25 @@ class TestInner:
 
 class TestGivens:
     def test_three_four_five(self):
-        col, rot = linalg.givens_qr_step([3.0, 4.0], [])
-        assert rot.c == pytest.approx(0.6)
-        assert rot.s == pytest.approx(0.8)
+        col, c, s = linalg.givens_qr_step([3.0, 4.0], np.zeros(0), np.zeros(0))
+        assert c == pytest.approx(0.6)
+        assert s == pytest.approx(0.8)
         np.testing.assert_allclose(col, [5.0, 0.0], atol=1e-15)
 
     def test_already_triangular_gives_identity(self):
-        col, rot = linalg.givens_qr_step([1.0, 0.0], [])
-        assert rot.c == 1.0 and rot.s == 0.0
+        col, c, s = linalg.givens_qr_step([1.0, 0.0], np.zeros(0), np.zeros(0))
+        assert c == 1.0 and s == 0.0
         np.testing.assert_allclose(col, [1.0, 0.0])
 
     def test_unitarity(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             f, g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            rot = linalg.make_givens(f, g)
-            assert abs(rot.c) ** 2 + abs(rot.s) ** 2 == pytest.approx(1.0, abs=1e-14)
-            r, zero = rot.apply(f, g)
-            assert abs(zero) <= 1e-14 * math.hypot(abs(f), abs(g))
+            c, s, r = linalg.make_givens(f, g)
+            assert abs(c) ** 2 + abs(s) ** 2 == pytest.approx(1.0, abs=1e-14)
+            rotated = np.array([[c, s], [-np.conj(s), c]]) @ [f, g]
+            assert rotated[0] == pytest.approx(r, abs=1e-13)
+            assert abs(rotated[1]) <= 1e-14 * math.hypot(abs(f), abs(g))
             assert abs(r) == pytest.approx(math.hypot(abs(f), abs(g)), abs=1e-13)
 
     def test_prior_rotations_then_annihilation(self):
@@ -75,7 +76,9 @@ class TestGivens:
         column = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         priors = [linalg.make_givens(*(rng.standard_normal(2) + 1j * rng.standard_normal(2)))
                   for _ in range(2)]
-        updated, rot = linalg.givens_qr_step(column, priors)
+        c = np.array([p[0] for p in priors])
+        s = np.array([p[1] for p in priors])
+        updated, _, _ = linalg.givens_qr_step(column, c, s)
         assert abs(updated[-1]) <= 1e-14 * np.linalg.norm(column)
         # rotations preserve the norm
         assert np.linalg.norm(updated) == pytest.approx(np.linalg.norm(column), rel=1e-13)
@@ -86,12 +89,12 @@ class TestGivens:
         rng = np.random.default_rng(11)
         n = 6
         h = np.triu(rng.standard_normal((n + 1, n)) + 1j * rng.standard_normal((n + 1, n)), -1)
-        rotations = []
+        c = np.zeros(n)
+        s = np.zeros(n, dtype=complex)
         r_cols = []
         for j in range(n):
             col = h[: j + 2, j].copy()
-            updated, rot = linalg.givens_qr_step(col, rotations)
-            rotations.append(rot)
+            updated, c[j], s[j] = linalg.givens_qr_step(col, c[:j], s[:j])
             r_cols.append(updated[:-1])
         r = np.zeros((n, n), dtype=complex)
         for j, col in enumerate(r_cols):
@@ -100,7 +103,9 @@ class TestGivens:
 
     def test_prior_count_validated(self):
         with pytest.raises(ValueError):
-            linalg.givens_qr_step([1.0, 2.0, 3.0], [])
+            linalg.givens_qr_step([1.0, 2.0, 3.0], np.zeros(0), np.zeros(0))
+        with pytest.raises(ValueError):
+            linalg.givens_qr_step([1.0, 2.0, 3.0], np.ones(1), np.zeros(0))
 
 
 class TestRandomOrthogonal:

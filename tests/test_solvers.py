@@ -23,6 +23,18 @@ def random_hermitian_indefinite(rng, n):
     return 0.5 * (a + a.conj().T)
 
 
+def logspaced_system(n, seed, decades, signs=False):
+    """Real symmetric Q diag(lam) Q^T with |lam| log-spaced over ``decades``
+    from 1, random signs on request, and a standard-normal right-hand side."""
+    q = linalg.random_orthogonal(n, seed)
+    rng = np.random.default_rng(seed)
+    lam = np.logspace(0, decades, n)
+    if signs:
+        lam = lam * rng.choice([-1, 1], n)
+    a = (q * lam) @ q.T
+    return 0.5 * (a + a.T), rng.standard_normal(n)
+
+
 def krylov_least_squares_residuals(a, b, x0, steps):
     """Dense least-squares oracle: optimal residual over x0 + K_n for each n."""
     r0 = b - a @ x0
@@ -134,6 +146,18 @@ class TestCg:
         assert rep.status is SolveStatus.CONVERGED and rep.iterations_used > 1
         assert len(calls) == 1 + 2 * rep.iterations_used
 
+    @pytest.mark.parametrize("seed, decades", [(0, 4), (1, 5), (4, 4), (5, 6)])
+    def test_rising_residual_is_not_stagnation(self, seed, decades):
+        # CG's residual first rises to 3-7 ||r0|| here, so the best residual
+        # of the first 50 steps is still ||r0||; judged on it, every run
+        # ended stagnated at step 50.  Its minimal-residual companion
+        # decreases, and the runs converge in 687 to 4645 steps.
+        a, b = logspaced_system(200, seed, decades)
+        rep = cg_solve(dense_operator(a), b,
+                       cfg=SolveConfig(residual_tolerance=1e-10, max_iterations=6000))
+        assert rep.status is SolveStatus.CONVERGED
+        assert np.linalg.norm(b - a @ rep.final_iterate) <= 1e-10 * np.linalg.norm(b)
+
 
 class TestMinres:
     def test_diagonal_three_steps(self):
@@ -212,17 +236,17 @@ class TestMinres:
         assert rep.diagnostics["basis_orthogonality_drift"] >= 0.0
 
     def test_reorthogonalization_reduces_drift(self):
+        # The one reorthogonalization rule keeps ||V^H V - I||_2 within
+        # steps * eps^(3/4): 9.5e-11 for the 52 steps here, where it reads
+        # 6.0e-14.  With the trigger at sqrt(eps) it read 1.3e-10.
         rng = np.random.default_rng(9)
         a = random_hermitian_indefinite(rng, 60)
         b = rng.standard_normal(60)
-        cfg_plain = SolveConfig(residual_tolerance=1e-12, max_iterations=200)
-        cfg_reorth = SolveConfig(residual_tolerance=1e-12, max_iterations=200,
-                                 reorthogonalize=True)
-        drift_plain = minres_solve(dense_operator(a), b, cfg=cfg_plain).diagnostics[
-            "basis_orthogonality_drift"]
-        drift_reorth = minres_solve(dense_operator(a), b, cfg=cfg_reorth).diagnostics[
-            "basis_orthogonality_drift"]
-        assert drift_reorth <= drift_plain
+        rep = minres_solve(dense_operator(a), b,
+                           cfg=SolveConfig(residual_tolerance=1e-12, max_iterations=200))
+        assert rep.status is SolveStatus.CONVERGED
+        drift = rep.diagnostics["basis_orthogonality_drift"]
+        assert drift <= rep.iterations_used * np.finfo(float).eps ** 0.75
 
     def test_semi_orthogonal_on_deflated_equivalence_instance(self):
         # Instance 3 of the seed-20 equivalence suite (n=46, k=5): the
@@ -240,13 +264,16 @@ class TestMinres:
         drift = rep.diagnostics["basis_orthogonality_drift"]
         assert drift <= rep.iterations_used * np.sqrt(np.finfo(float).eps)
 
-    def test_full_reorthogonalization_every_step(self):
-        rng = np.random.default_rng(14)
-        a = random_hermitian_indefinite(rng, 30)
-        b = rng.standard_normal(30)
-        rep = minres_solve(dense_operator(a), b, cfg=SolveConfig(reorthogonalize=True))
+    @pytest.mark.parametrize("s", [0, 1, 2, 3], ids=["spd-1e3", "indefinite-1e4",
+                                                      "spd-1e5", "indefinite-1e6"])
+    def test_reaches_the_tolerance_when_ill_conditioned(self, s):
+        # With reorthogonalization triggered at sqrt(eps) these runs stalled
+        # at ||b - A x|| / ||b|| from 4.8e-10 to 7.0e-7 and ended stagnated.
+        a, b = logspaced_system(150 + 10 * s, 100 + s, 3 + s, signs=s % 2 == 1)
+        rep = minres_solve(dense_operator(a), b,
+                           cfg=SolveConfig(residual_tolerance=1e-10, max_iterations=3000))
         assert rep.status is SolveStatus.CONVERGED
-        assert rep.diagnostics["reorthogonalizations"] == rep.iterations_used
+        assert np.linalg.norm(b - a @ rep.final_iterate) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     def test_runs_past_the_dimension(self, solver):
@@ -348,10 +375,8 @@ class TestStagnation:
         assert rep.status in (SolveStatus.BREAKDOWN, SolveStatus.STAGNATED)
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
-    @pytest.mark.parametrize("reorthogonalize", [False, True])
     @pytest.mark.parametrize("explicit_residuals", [False, True])
-    def test_singular_last_step_is_not_committed(self, solver, reorthogonalize,
-                                                 explicit_residuals):
+    def test_singular_last_step_is_not_committed(self, solver, explicit_residuals):
         # The Krylov space is exhausted at step 4 with a singular
         # least-squares factor; the least possible residual is 0.5, so the
         # step must not be committed as a lucky termination.  Without
@@ -359,7 +384,6 @@ class TestStagnation:
         a = np.diag([1.0, 2.0, 3.0, 0.0])
         b = np.array([1.0, 1.0, 1.0, 0.5])
         cfg = SolveConfig(max_iterations=200, residual_tolerance=1e-10,
-                          reorthogonalize=reorthogonalize,
                           explicit_residuals=explicit_residuals)
         rep = solver(dense_operator(a), b, cfg=cfg)
         assert rep.status is SolveStatus.BREAKDOWN
