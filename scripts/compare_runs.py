@@ -2,6 +2,7 @@
 
     python scripts/compare_runs.py OTHER_CHECKOUT [--equivalence SEED:COUNT ...]
                                    [--ill-conditioned]
+    python scripts/compare_runs.py OTHER_CHECKOUT --cli
 
 OTHER_CHECKOUT is a second checkout of the repository, typically of the
 parent commit (``git clone . ../parent && git -C ../parent checkout HEAD~1``).
@@ -34,6 +35,14 @@ residual curves divided by ||b||, and whether every report field
 the deflator's ``a_hermitian``, ``apply_counts``, ``w`` and coupling matrix)
 is equal under ``np.array_equal`` with the same dtype.  Exits 1 when a
 status, an iteration count or a raised exception differs, 0 otherwise.
+
+With ``--cli`` it compares ``dkrylov run`` instead: each checkout runs the
+paper's spec (all six MINRES and GMRES variants, deflating ``1-5,m+1..m+5``)
+at m=50 and m=200, each with ``x0 = zero`` and ``x0 = random``, and the
+breakdown spec (m=50, ``breakdown_indices 1-5``, ``x0 = breakdown-guess``),
+each under ``--format json`` and ``--format csv``.  One line per run says
+whether the exit code, standard output and standard error are equal byte for
+byte; it exits 1 unless all of them are.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import json
 import pickle
 import subprocess
 import sys
@@ -204,6 +214,55 @@ def _run_checkout(checkout: Path, equivalence, ill_conditioned, out: Path) -> di
         return pickle.load(fh)
 
 
+#: Runs ``dkrylov``'s command line from the ``src`` directory given as its
+#: first argument, with the rest of the arguments.
+_CLI = ("import sys; src = sys.argv.pop(1); sys.path.insert(0, src); import dkrylov; "
+        "assert dkrylov.__file__.startswith(src), dkrylov.__file__; "
+        "from dkrylov.cli import main; sys.exit(main())")
+
+SIX_VARIANTS = ["minres", "rminres-explicit", "rminres-deflation-only", "deflated-minres",
+                "deflated-minres-adapted-guess", "deflated-gmres"]
+
+
+def _cli_specs():
+    """(name, spec) of every ``dkrylov run`` that ``--cli`` compares."""
+    for m in (50, 200):
+        for x0 in ("zero", "random"):
+            yield f"paper-m{m}-{x0}", {
+                "problem": {"generator": "symmetric-indefinite", "m": m},
+                "deflation": {"eigen_indices": f"1-5,{m + 1}-{m + 5}"},
+                "run": {"variants": SIX_VARIANTS, "x0": x0}}
+    yield "breakdown-m50", {
+        "problem": {"generator": "symmetric-indefinite", "m": 50},
+        "deflation": {"breakdown_indices": "1-5"},
+        "run": {"variants": SIX_VARIANTS, "x0": "breakdown-guess"}}
+
+
+def compare_cli(other: Path) -> int:
+    """Run every ``--cli`` spec in both checkouts; 1 unless all outputs agree."""
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in _cli_specs():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(spec), encoding="ascii")
+            for fmt in ("json", "csv"):
+                runs = [subprocess.run([sys.executable, "-c", _CLI, str(checkout / "src"),
+                                        "run", str(path), "--format", fmt],
+                                       capture_output=True)
+                        for checkout in (HERE_CHECKOUT, other.resolve())]
+                this, that = runs
+                same = {"exit code": this.returncode == that.returncode,
+                        "stdout": this.stdout == that.stdout,
+                        "stderr": this.stderr == that.stderr}
+                differ += not all(same.values())
+                verdict = ("equal" if all(same.values()) else
+                           "DIFFER in " + ", ".join(k for k, v in same.items() if not v))
+                print(f"{name:<20} {fmt:<5} exit {this.returncode}/{that.returncode} "
+                      f"stdout {len(this.stdout)} bytes  {verdict}")
+    print(f"{differ} of the dkrylov runs differ")
+    return 1 if differ else 0
+
+
 def _equivalence_spec(text: str) -> tuple[int, int]:
     seed, count = text.split(":")
     return int(seed), int(count)
@@ -216,6 +275,8 @@ def main(argv=None) -> int:
                         metavar="SEED:COUNT")
     parser.add_argument("--ill-conditioned", action="store_true",
                         help="also compare the 18 ill-conditioned real symmetric systems")
+    parser.add_argument("--cli", action="store_true",
+                        help="compare dkrylov run output byte for byte instead")
     parser.add_argument("--collect", nargs=2, metavar=("CHECKOUT", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -230,6 +291,8 @@ def main(argv=None) -> int:
         return 0
     if args.other is None:
         parser.error("the other checkout is required")
+    if args.cli:
+        return compare_cli(args.other)
     with tempfile.TemporaryDirectory() as tmp:
         this = _run_checkout(HERE_CHECKOUT, args.equivalence, args.ill_conditioned,
                              Path(tmp) / "this.pkl")

@@ -13,7 +13,7 @@ import numpy as np
 from . import linalg
 from .analysis import (breakdown_initial_guess, check_deflated_spectrum,
                        diagnose_breakdown)
-from .deflated import MethodVariant, run_method
+from .deflated import MethodVariant, run_method, run_methods
 from .problems import (breakdown_prone_basis, eigenvector_basis,
                        symmetric_indefinite_problem)
 from .projection import Deflator, GalerkinMode
@@ -157,12 +157,11 @@ def equivalence_suite(seed: int = 0, instances: int = 10) -> dict:
     dev_explicit = 0.0
     dev_gmres = 0.0
     dev_adapted = 0.0
+    variants = (MethodVariant.RMINRES_EXPLICIT, MethodVariant.RMINRES_DEFLATION_ONLY,
+                MethodVariant.DEFLATED_MINRES, MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS,
+                MethodVariant.DEFLATED_GMRES)
     for a, b, u, x0 in equivalence_instances(seed, instances):
-        r_exp = run_method(MethodVariant.RMINRES_EXPLICIT, a, b, u, x0, cfg)
-        r_only = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u, x0, cfg)
-        r_free = run_method(MethodVariant.DEFLATED_MINRES, a, b, u, x0, cfg)
-        r_adap = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, a, b, u, x0, cfg)
-        r_gm = run_method(MethodVariant.DEFLATED_GMRES, a, b, u, x0, cfg)
+        r_exp, r_only, r_free, r_adap, r_gm = run_methods(variants, a, b, u, x0, cfg)
 
         dev_explicit = max(dev_explicit, curve_deviation(r_exp, r_only))
         dev_gmres = max(dev_gmres, curve_deviation(r_gm, r_only))
@@ -270,6 +269,61 @@ def breakdown_suite(seed: int = 0, pairs: int = 12, guesses_per_invariant: int =
     return _finish("breakdown", seed, checks)
 
 
+def status_suite(seed: int = 0, systems: int = 24) -> dict:
+    """A converged run meets its tolerance on the original system.
+
+    Every ``CONVERGED`` run must have ||b - A x|| <= 10 tol max(||b||,
+    ||b - A x0||) for its corrected iterate x; any other outcome (stagnated,
+    breakdown, the iteration limit or a raised error) is an honest one.
+
+    The systems are real symmetric ``a = Q diag(lam) Q^T`` of order 20-80
+    whose |lam| are log-uniform over up to 10 decades below 1, positive on
+    about half of the draws and of random sign on the others; a basis of the
+    1-5 eigenvectors of smallest |lam| plus noise of size 1e-12 to 1e-1; a
+    standard-normal b; a random x0 on about half of the draws; and a
+    tolerance from 1e-12 to 1e-6.  Deflating near-null eigenvectors blows up
+    the deflated right-hand sides, so a deflated run's own tolerance test
+    does not bound the original residual.  Each system runs the six MINRES
+    and GMRES variants, and on a positive definite draw the two CG variants
+    as well, through one :func:`run_methods` call; a call that raises (a
+    numerically singular coupling, for one) counts for the whole system.
+    """
+    rng = np.random.default_rng(seed)
+    cg_variants = (MethodVariant.CG, MethodVariant.DEFLATED_CG)
+    worst = 0.0
+    runs = converged = raised = 0
+    for _ in range(systems):
+        n = int(rng.integers(20, 81))
+        k = int(rng.integers(1, 6))
+        spd = bool(rng.integers(2))
+        lam = 10.0 ** -rng.uniform(0.0, rng.uniform(0.0, 10.0), n)
+        if not spd:
+            lam *= rng.choice([-1.0, 1.0], n)
+        q = linalg.random_orthogonal(n, int(rng.integers(2**31)))
+        a = (q * lam) @ q.T
+        a = 0.5 * (a + a.T)
+        u = q[:, np.argsort(np.abs(lam))[:k]]
+        u = u + 10.0 ** rng.uniform(-12.0, -1.0) * rng.standard_normal((n, k))
+        b = rng.standard_normal(n)
+        x0 = rng.standard_normal(n) if rng.integers(2) else np.zeros(n)
+        tol = 10.0 ** rng.uniform(-12.0, -6.0)
+        variants = [v for v in MethodVariant if spd or v not in cg_variants]
+        try:
+            reports = run_methods(variants, a, b, u, x0, SolveConfig(residual_tolerance=tol))
+        except (ValueError, RuntimeError):
+            raised += 1
+            continue
+        scale = tol * max(linalg.vector_norm(b), linalg.vector_norm(b - a @ x0))
+        runs += len(reports)
+        for rep in reports:
+            if rep.status is SolveStatus.CONVERGED:
+                converged += 1
+                worst = max(worst, linalg.vector_norm(b - a @ rep.corrected_iterate) / scale)
+    checks = [_check(f"converged_residual_over_tol_({converged}_converged_of_{runs}_runs,"
+                     f"_{raised}_of_{systems}_systems_raised)", worst, 10.0)]
+    return _finish("status", seed, checks)
+
+
 #: Suite name -> suite function, in the order the ``check`` command lists them.
 SUITES = {"projections": projection_suite, "equivalence": equivalence_suite,
-          "spectrum": spectrum_suite, "breakdown": breakdown_suite}
+          "spectrum": spectrum_suite, "breakdown": breakdown_suite, "status": status_suite}

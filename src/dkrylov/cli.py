@@ -32,7 +32,7 @@ from . import io as dkio
 from . import linalg
 from .analysis import breakdown_initial_guess, diagnose_breakdown
 from .checks import SUITES, run_suite
-from .deflated import PLAIN_VARIANTS, DualReport, MethodVariant, run_method
+from .deflated import PLAIN_VARIANTS, DualReport, MethodVariant, run_methods
 from .problems import (TestProblem, breakdown_prone_basis, clustered_spd_problem,
                        eigenvector_basis, near_invariant_problem, perturb_basis,
                        symmetric_indefinite_problem, toy_breakdown_problem)
@@ -335,8 +335,7 @@ def cmd_run(args) -> int:
         if needs_basis and basis is None:
             raise ValueError(
                 f"variants {', '.join(v.value for v in needs_basis)} require a deflation basis")
-        results = [run_method(variant, problem.a, problem.b, basis, x0, cfg)
-                   for variant in variants]
+        results = run_methods(variants, problem.a, problem.b, basis, x0, cfg)
     except SpecError as exc:
         return _error(exc, 2)
     except Exception as exc:  # construction / solver errors

@@ -19,6 +19,14 @@ augmentation) and reports the deflated history, which the correction
 preserves.  The table layout follows KryPy, the source paper's reference
 implementation (github.com/andrenarchy/krypy).
 
+:func:`run_methods` runs a list of variants on one system and builds each
+shared ingredient once: one :class:`Deflator` per Galerkin mode, one verified
+projected operator per kind, and one iteration per distinct recipe.  So
+``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` share one iteration, the
+explicit/implicit equivalence made literal, and each is corrected from it at
+its own time.  A shared deflator's ``apply_counts`` total the whole run.
+:func:`run_method` is :func:`run_methods` of one variant.
+
 A breakdown of the underlying solver freezes the report at the last valid
 iterate; the correction formula is still applied so the (generally wrong)
 corrected iterate can be inspected.
@@ -117,9 +125,23 @@ class DualReport:
         return self.deflated_report.status
 
 
-def run_method(variant: MethodVariant, a, b, u=None, x0=None,
-               cfg: SolveConfig | None = None) -> DualReport:
-    """Run one method variant on a system, deflated variants requiring a basis.
+def run_methods(variants, a, b, u=None, x0=None,
+                cfg: SolveConfig | None = None) -> list[DualReport]:
+    """Run method variants on one system, in order, sharing what they share.
+
+    Variants of one Galerkin mode share one :class:`Deflator`, variants of one
+    projected operator share one verified ``deflated_operator``, and variants
+    of one recipe (solver, mode, system and initial-guess map) share one
+    iteration: ``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` are the same
+    iteration corrected at different times, which is the paper's equivalence
+    of explicit and implicit augmentation made literal.  A shared iteration
+    records its iterates when any of its variants needs them (recording does
+    not change an iteration); a variant whose ``cfg`` does not record history
+    gets ``iterates=None``.  Each report holds its own copy of the
+    :class:`SolveReport`, so every report is the one the variant would get if
+    it were run alone, bit for bit, except that a shared deflator's
+    ``apply_counts`` total the whole run.  The first variant that fails
+    raises, with the error it raises alone.
 
     MINRES-based deflated variants require a Hermitian matrix; deflated CG
     requires a Hermitian positive definite one; deflated GMRES accepts any
@@ -132,19 +154,68 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
     and a converged run whose residual exceeds 10 * tolerance * max(||b||,
     ||b - A x0||) for the given x0 is reported as stagnated.
     """
-    recipe = _RECIPES[variant]
     cfg = cfg or SolveConfig()
     # Looked up per call, so that rebinding a solver's module name takes effect.
-    solve = {"cg": cg_solve, "minres": minres_solve, "gmres": gmres_solve}[recipe.solver]
-    if recipe.mode is None:
-        rep = solve(dense_operator(a), b, x0, cfg)
-        return DualReport(variant, rep, rep.residual_norms.copy(), rep.final_iterate)
-    if u is None:
-        raise ValueError(f"variant {variant.value} requires a deflation basis")
+    solvers = {"cg": cg_solve, "minres": minres_solve, "gmres": gmres_solve}
+    variants = list(variants)
+    recipes = [_RECIPES[v] for v in variants]
+    with_history = {_key(r) for r in recipes if r.per_iterate}
+    made = {}
 
-    d = Deflator(a, u, recipe.mode)
-    if recipe.solver == "minres" and not d.a_hermitian:
-        raise ValueError(f"{variant.value} requires a Hermitian matrix")
+    def once(key, make):
+        if key not in made:
+            made[key] = make()
+        return made[key]
+
+    results = []
+    for variant, recipe in zip(variants, recipes):
+        key = _key(recipe)
+        solve = solvers[recipe.solver]
+        solve_cfg = replace(cfg, record_history=True) if key in with_history else cfg
+        keep_iterates = cfg.record_history or recipe.per_iterate
+        if recipe.mode is None:
+            rep = once(key, lambda: solve(once("dense", lambda: dense_operator(a)),
+                                          b, x0, solve_cfg))
+            rep = _own_copy(rep, keep_iterates)
+            results.append(DualReport(variant, rep, rep.residual_norms.copy(),
+                                      rep.final_iterate))
+            continue
+        if u is None:
+            raise ValueError(f"variant {variant.value} requires a deflation basis")
+        d = once(recipe.mode, lambda: Deflator(a, u, recipe.mode))
+        if recipe.solver == "minres" and not d.a_hermitian:
+            raise ValueError(f"{variant.value} requires a Hermitian matrix")
+        rep, b_vec, x_given, diagnostics = once(
+            key, lambda: _deflated_solve(recipe, d, b, x0, solve_cfg, once, solve))
+        results.append(_correct(variant, recipe, d, _own_copy(rep, keep_iterates),
+                                b_vec, x_given, dict(diagnostics), cfg))
+    return results
+
+
+def run_method(variant: MethodVariant, a, b, u=None, x0=None,
+               cfg: SolveConfig | None = None) -> DualReport:
+    """Run one method variant: :func:`run_methods` of ``[variant]``."""
+    return run_methods([variant], a, b, u, x0, cfg)[0]
+
+
+def _key(recipe: _Recipe) -> tuple:
+    """What decides a recipe's iteration: all of it but ``per_iterate``."""
+    return recipe.solver, recipe.mode, recipe.system, recipe.guess
+
+
+def _own_copy(rep: SolveReport, keep_iterates: bool) -> SolveReport:
+    """A report of its own for one variant, whose history is kept only if
+    the variant asked for it."""
+    keep = keep_iterates and rep.iterates is not None
+    return replace(rep, residual_norms=rep.residual_norms.copy(),
+                   iterates=list(rep.iterates) if keep else None,
+                   diagnostics=dict(rep.diagnostics))
+
+
+def _deflated_solve(recipe, d, b, x0, cfg, once, solve):
+    """The iteration of a deflated recipe with the system it ran on:
+    ``(report, b, x0 as given, diagnostics)``; the projected operator is
+    verified ``once`` per (mode, kind)."""
     b = linalg.as_vector(b, d.dim)
     x0 = x_given = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
     diagnostics = {}
@@ -153,21 +224,22 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
     elif recipe.guess == "adapted":
         x0 = diagnostics["adapted_initial_guess"] = d.adapted_initial_guess(x0, b)
 
+    kind = "left" if recipe.system == "left" else "two_sided"
+    op = once((d.mode, kind), lambda: deflated_operator(d, kind))
     if recipe.system == "left":
-        op = deflated_operator(d, "left")
         rhs = d.project_residual(b)
+    elif recipe.system == "two-sided":
+        rhs = d.two_sided_rhs(b)
     else:
-        op = deflated_operator(d, "two_sided")
-        if recipe.system == "two-sided":
-            rhs = d.two_sided_rhs(b)
-        else:
-            rhs = d.project_residual(b - d.a_product(x0)) + op.apply(x0)
+        rhs = d.project_residual(b - d.a_product(x0)) + op.apply(x0)
+    return solve(op, rhs, x0, cfg), b, x_given, diagnostics
+
+
+def _correct(variant, recipe, d, rep, b, x_given, diagnostics, cfg) -> DualReport:
+    """Correct a deflated run back to the original system and judge its status
+    there."""
     correct = (d.correct_two_sided_iterate if recipe.system == "two-sided"
                else d.correct_iterate)
-
-    if recipe.per_iterate:
-        cfg = replace(cfg, record_history=True)
-    rep = solve(op, rhs, x0, cfg)
     if recipe.per_iterate:
         corrected = [correct(x, b) for x in rep.iterates]
         original = np.array([linalg.vector_norm(b - d.a_product(x)) for x in corrected])

@@ -28,11 +28,13 @@ factored without any estimate and every decision is the estimate's.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 #: Relative pivot threshold below which a dense factorization is declared singular.
@@ -85,9 +87,19 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     return v
 
 
+def is_float_vector(x, n: int) -> bool:
+    """True for a float64 ndarray of shape (n,), which :func:`as_vector`
+    returns as it is, so that a caller may skip the conversion."""
+    return type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
+
+
 def as_matrix(a) -> np.ndarray:
     """Return ``a`` as a 2-d array in its field (:func:`in_field`); a vector
-    becomes one column."""
+    becomes one column.  A scipy.sparse matrix is rejected with a TypeError:
+    every kernel here needs a dense array."""
+    if scipy.sparse.issparse(a):
+        raise TypeError(f"{type(a).__name__} is not supported: a dense array is required "
+                        "(convert it with .toarray())")
     m = in_field(a)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
@@ -104,6 +116,17 @@ def inner(x, y) -> complex:
 
 
 def vector_norm(x) -> float:
+    """||x||_2 of a float64 or complex128 array, flattened, by numpy's own
+    formula for ``np.linalg.norm(x)`` and so equal to it bit for bit, without
+    its argument handling; any other dtype goes through ``np.linalg.norm``."""
+    x = np.asarray(x)
+    if x.dtype == np.float64:
+        x = x.ravel(order="K")
+        return math.sqrt(x.dot(x))
+    if x.dtype == np.complex128:
+        x = x.ravel(order="K")
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(x))
 
 

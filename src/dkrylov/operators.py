@@ -44,10 +44,13 @@ class LinearOperator:
 
     def apply(self, v) -> np.ndarray:
         """The map applied to ``v``, which it receives in the common field of
-        ``v`` and ``dtype``."""
-        v = linalg.as_vector(v, self.dim)
-        v = v.astype(np.result_type(v, self.dtype), copy=False)
-        return linalg.as_vector(self._matvec(v), self.dim)
+        ``v`` and ``dtype``.  A float64 vector of length ``dim`` against a
+        float64 map, and a float64 result of that length, pass unconverted."""
+        if not (self.dtype == np.float64 and linalg.is_float_vector(v, self.dim)):
+            v = linalg.as_vector(v, self.dim)
+            v = v.astype(np.result_type(v, self.dtype), copy=False)
+        out = self._matvec(v)
+        return out if linalg.is_float_vector(out, self.dim) else linalg.as_vector(out, self.dim)
 
     def verify(self, tol: float = PROBE_TOLERANCE) -> None:
         """Spot-check linearity and (if declared) the Hermitian property.

@@ -113,6 +113,7 @@ class Deflator:
             factor_fn = linalg.cholesky_factor_checked
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        self._bu_h = self._bu.conj().T
 
         try:
             factorization = factor_fn(self.coupling, scale=(
@@ -170,15 +171,16 @@ class Deflator:
 
         Applied to b it gives the right-hand side of the left-projected system.
         """
-        v = linalg.as_vector(v, self.dim)
+        if not linalg.is_float_vector(v, self.dim):
+            v = linalg.as_vector(v, self.dim)
         self.apply_counts["project_residual"] += 1
-        return v - self.w @ self._solve_coupling(self._bu.conj().T @ v)
+        return v - self.w @ self._solve_coupling(self._bu_h @ v)
 
     def project_solution(self, v) -> np.ndarray:
         """Solution-space projector: annihilates the augmentation space itself."""
         v = linalg.as_vector(v, self.dim)
         self.apply_counts["project_solution"] += 1
-        return v - self.u @ self._solve_coupling(self._bu.conj().T @ self.a_product(v))
+        return v - self.u @ self._solve_coupling(self._bu_h @ self.a_product(v))
 
     # -- right-hand sides for the deflated systems --------------------------
 
@@ -203,7 +205,7 @@ class Deflator:
         b = linalg.as_vector(b, self.dim)
         self.apply_counts["corrections"] += 1
         residual = b - self.a_product(x_hat)
-        return x_hat + self.u @ self._solve_coupling(self._bu.conj().T @ residual)
+        return x_hat + self.u @ self._solve_coupling(self._bu_h @ residual)
 
     def correct_two_sided_iterate(self, x_bar, b) -> np.ndarray:
         """Map a two-sided-projected-system iterate to an original-system iterate.
@@ -236,7 +238,7 @@ class Deflator:
 
     def dense_deflated_matrix(self) -> np.ndarray:
         """Densely formed left-projected matrix, for analysis and tests only."""
-        return self.a - self.w @ self._solve_coupling(self._bu.conj().T @ self.a)
+        return self.a - self.w @ self._solve_coupling(self._bu_h @ self.a)
 
     def _require_minimizing(self, name: str):
         if self.mode is not GalerkinMode.RESIDUAL_MINIMIZING:

@@ -1,13 +1,16 @@
+import collections
 import json
 
 import numpy as np
 import pytest
 
 import dkrylov
-from dkrylov import cli
+from dkrylov import cli, deflated
 from dkrylov import io as dkio
 from dkrylov import linalg
+from dkrylov.operators import LinearOperator
 from dkrylov.problems import symmetric_indefinite_problem
+from dkrylov.projection import Deflator
 
 SIX_VARIANTS = ["minres", "rminres-explicit", "rminres-deflation-only",
                 "deflated-minres", "deflated-minres-adapted-guess", "deflated-gmres"]
@@ -105,7 +108,7 @@ class TestRun:
             "removed-reorthogonalize-key"])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
-        monkeypatch.setattr(cli, "run_method", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
         monkeypatch.setattr(cli, "build_problem", lambda *args: calls.append(args))
         path = tmp_path / "spec"
         path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
@@ -123,11 +126,35 @@ class TestRun:
     def test_output_into_missing_directory_exits_2_before_any_solve(self, tmp_path, monkeypatch,
                                                                     capsys):
         calls = []
-        monkeypatch.setattr(cli, "run_method", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
         out = tmp_path / "missing" / "out.json"
         assert cli.main(["run", write_spec(tmp_path, paper_spec()), "--output", str(out)]) == 2
         assert calls == []
         assert "does not exist" in capsys.readouterr().err
+
+    def test_six_variants_share_one_set_up(self, tmp_path, monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def verify(op, *args):
+            counts["verify " + op.label] += 1
+            return original_verify(op, *args)
+
+        original_verify = LinearOperator.verify
+        monkeypatch.setattr(LinearOperator, "verify", verify)
+        monkeypatch.setattr(Deflator, "__init__", counting("Deflator", Deflator.__init__))
+        for name in ("cg_solve", "minres_solve", "gmres_solve"):
+            monkeypatch.setattr(deflated, name, counting(name, getattr(deflated, name)))
+        code, payload = run_json(tmp_path, paper_spec())
+        assert code == 0
+        assert [r["variant"] for r in payload["results"]] == SIX_VARIANTS
+        assert counts == {"Deflator": 1, "verify two-sided-projected": 1,
+                          "verify left-projected": 1, "minres_solve": 4, "gmres_solve": 1}
 
     def test_failed_write_exits_3(self, tmp_path, capsys):
         # the destination's directory exists, but the destination is a directory
@@ -156,7 +183,8 @@ class TestRun:
 
 
 class TestCheck:
-    @pytest.mark.parametrize("suite", ["projections", "equivalence", "spectrum", "breakdown"])
+    @pytest.mark.parametrize("suite", ["projections", "equivalence", "spectrum", "breakdown",
+                                       "status"])
     def test_suite_passes(self, suite, tmp_path):
         out = tmp_path / "check.json"
         assert cli.main(["check", suite, "--seed", "0", "--output", str(out)]) == 0

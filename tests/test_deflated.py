@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dkrylov import linalg
-from dkrylov.checks import curve_deviation, equivalence_suite
-from dkrylov.deflated import MethodVariant, run_method
+from dkrylov.checks import curve_deviation, equivalence_instances, equivalence_suite
+from dkrylov.deflated import MethodVariant, run_method, run_methods
 from dkrylov.operators import dense_operator
 from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
                               eigenvector_basis, symmetric_indefinite_problem,
@@ -310,3 +313,102 @@ class TestOriginalSystemStatus:
         residual = result.diagnostics["original_residual_norm"]
         assert 10 * 1e-10 * np.linalg.norm(b) < residual
         assert residual <= 10 * 1e-10 * np.linalg.norm(b - a @ x0)
+
+
+def same(x, y) -> bool:
+    """Equal field by field: arrays under np.array_equal with the same dtype."""
+    if dataclasses.is_dataclass(x) or isinstance(x, Deflator):
+        fields = ([f.name for f in dataclasses.fields(x)] if dataclasses.is_dataclass(x)
+                  else ["a_hermitian", "w", "coupling"])
+        return type(x) is type(y) and all(same(getattr(x, f), getattr(y, f)) for f in fields)
+    if isinstance(x, dict):
+        return isinstance(y, dict) and list(x) == list(y) and all(same(x[k], y[k]) for k in x)
+    if isinstance(x, list):
+        return (isinstance(y, list) and len(x) == len(y)
+                and all(same(p, q) for p, q in zip(x, y)))
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    return type(x) is type(y) and x == y
+
+
+def run_alone(variant, *args):
+    try:
+        return run_method(variant, *args)
+    except Exception as exc:  # the exception is the outcome
+        return exc
+
+
+def paper_system(x0):
+    p = symmetric_indefinite_problem(20, seed=0)
+    u = eigenvector_basis(p, list(range(1, 6)) + list(range(21, 26)))
+    return p.a, p.b, u, x0(p.dim)
+
+
+SYSTEMS = [paper_system(lambda n: None),
+           paper_system(lambda n: np.random.default_rng(0).standard_normal(n)),
+           *equivalence_instances(0, 3)]
+
+
+class TestRunMethods:
+    """One run of all variants equals a run of each variant alone."""
+
+    @pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig(record_history=False)],
+                             ids=["default", "no-history"])
+    @pytest.mark.parametrize("system", SYSTEMS,
+                             ids=["paper-zero", "paper-random", *(f"equivalence-0-{i}"
+                                                                 for i in range(3))])
+    def test_equals_per_variant_runs(self, system, cfg):
+        args = (*system, cfg)
+        alone = {v: run_alone(v, *args) for v in MethodVariant}
+        remaining = list(MethodVariant)
+        raising = [v for v in remaining if isinstance(alone[v], Exception)]
+        assert raising[:2] == [MethodVariant.CG, MethodVariant.DEFLATED_CG]
+        for variant in raising:
+            # the first variant that fails raises its own error
+            with pytest.raises(type(alone[variant])) as info:
+                run_methods(remaining, *args)
+            assert str(info.value) == str(alone[variant])
+            remaining.remove(variant)
+        reports = run_methods(iter(remaining), *args)
+        assert [r.variant for r in reports] == remaining
+        for report in reports:
+            assert same(report, alone[report.variant]), report.variant
+        shared = {id(r.deflated_report) for r in reports}
+        assert len(shared) == len(reports)
+
+    def test_explicit_variant_keeps_its_history_alone(self):
+        a, b, u, x0 = SYSTEMS[0]
+        cfg = SolveConfig(record_history=False)
+        explicit, deferred = run_methods([MethodVariant.RMINRES_EXPLICIT,
+                                          MethodVariant.RMINRES_DEFLATION_ONLY], a, b, u, x0, cfg)
+        assert deferred.deflated_report.iterates is None
+        assert len(explicit.deflated_report.iterates) == explicit.correction_count
+        assert explicit.deflator is deferred.deflator
+
+    def test_shared_deflator_counts_the_whole_run(self):
+        a, b, u, x0 = SYSTEMS[0]
+        variants = [MethodVariant.RMINRES_DEFLATION_ONLY, MethodVariant.DEFLATED_GMRES]
+        reports = run_methods(variants, a, b, u, x0)
+        alone = [run_method(v, a, b, u, x0) for v in variants]
+        counts = reports[0].deflator.apply_counts
+        # each projected operator is verified once, and both runs add up
+        assert counts["corrections"] == sum(r.deflator.apply_counts["corrections"]
+                                            for r in alone) == 2
+        assert counts["project_residual"] == sum(r.deflator.apply_counts["project_residual"]
+                                                 for r in alone)
+
+
+class TestSparseInput:
+    @pytest.mark.parametrize("build", [
+        lambda a, b, u: Deflator(a, u, GalerkinMode.RESIDUAL_ORTHOGONAL),
+        lambda a, b, u: Deflator(np.eye(a.shape[0]), scipy.sparse.csr_matrix(u),
+                                 GalerkinMode.RESIDUAL_MINIMIZING),
+        lambda a, b, u: dense_operator(a),
+        lambda a, b, u: run_method(MethodVariant.CG, a, b),
+        lambda a, b, u: run_method(MethodVariant.DEFLATED_CG, a, b, u),
+    ], ids=["deflator", "deflator-basis", "dense-operator", "cg", "deflated-cg"])
+    def test_rejected_at_the_boundary(self, build):
+        p = clustered_spd_problem(80)
+        u = eigenvector_basis(p, range(1, 6))
+        with pytest.raises(TypeError, match="csr_matrix is not supported: a dense array"):
+            build(scipy.sparse.csr_matrix(p.a), p.b, u)

@@ -48,6 +48,22 @@ class TestInner:
         assert linalg.inner(x, y) == pytest.approx(np.conj(linalg.inner(y, x)))
 
 
+class TestVectorNorm:
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.standard_normal(400),
+        lambda rng: rng.standard_normal(401) + 1j * rng.standard_normal(401),
+        lambda rng: rng.standard_normal((30, 7)),
+        lambda rng: (rng.standard_normal((20, 9)) + 1j * rng.standard_normal((20, 9))).T,
+        lambda rng: rng.standard_normal(300)[::3],
+        lambda rng: rng.integers(-5, 5, 17),
+        lambda rng: rng.standard_normal(9).astype(np.float32),
+        lambda rng: [3.0, 4.0],
+    ], ids=["real", "complex", "matrix", "complex-transposed", "strided", "integer", "float32", "list"])
+    def test_equals_numpy_bit_for_bit(self, make):
+        x = make(np.random.default_rng(3))
+        assert linalg.vector_norm(x) == float(np.linalg.norm(x))
+
+
 class TestGivens:
     def test_three_four_five(self):
         col, c, s = linalg.givens_qr_step([3.0, 4.0], np.zeros(0), np.zeros(0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dkrylov import linalg
+from dkrylov import linalg, solvers
 from dkrylov.checks import equivalence_instances
 from dkrylov.operators import LinearOperator, deflated_operator, dense_operator
 from dkrylov.problems import symmetric_indefinite_problem, toy_breakdown_problem
@@ -363,6 +363,33 @@ class TestGmres:
         a = np.diag([2.0, 5.0])
         rep = gmres_solve(a, np.array([2.0, 5.0]))
         np.testing.assert_allclose(rep.final_iterate, [1.0, 1.0], atol=1e-10)
+
+
+class TestDriftDiagnostic:
+    @pytest.mark.parametrize("solve", [minres_solve, gmres_solve])
+    def test_eigenvalue_drift_matches_the_svd_norm(self, solve, monkeypatch):
+        # ||V^H V - I||_2 is read off eigvalsh of the Hermitian defect; the
+        # SVD-based spectral norm of the same defect agrees to roundoff.
+        seen = []
+        diagnostics = solvers._StoredBasis.diagnostics
+
+        def recording(basis):
+            out = diagnostics(basis)
+            v = basis.vectors[:, :basis.size]
+            seen.append((out["basis_orthogonality_drift"],
+                         linalg.spectral_norm(v.conj().T @ v - np.eye(basis.size))))
+            return out
+
+        monkeypatch.setattr(solvers._StoredBasis, "diagnostics", recording)
+        rng = np.random.default_rng(9)
+        a = random_hermitian_indefinite(rng, 60)
+        rep = solve(dense_operator(a), rng.standard_normal(60),
+                    cfg=SolveConfig(residual_tolerance=1e-12, max_iterations=200))
+        assert rep.status is SolveStatus.CONVERGED
+        (drift, oracle), = seen
+        assert rep.diagnostics["basis_orthogonality_drift"] == drift
+        assert 0.0 < oracle
+        assert abs(drift - oracle) <= 1e-15
 
 
 class TestStagnation:
