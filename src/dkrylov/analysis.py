@@ -20,6 +20,14 @@ from .projection import Deflator, GalerkinMode
 #: its image.
 INTERSECTION_THRESHOLD = 1e-10
 
+#: Relative defect up to which a basis combination counts as orthogonal to its
+#: image in :func:`breakdown_initial_guess`.
+GUESS_TOLERANCE = 1e-8
+
+#: Largest eigenvalue mismatch :func:`check_deflated_spectrum` accepts,
+#: relative to ||a||_2.
+SPECTRUM_TOLERANCE = 1e-8
+
 
 class GuessInvalidError(ValueError):
     """The requested breakdown guess does not satisfy the breakdown geometry."""
@@ -58,34 +66,36 @@ class BreakdownDiagnosis:
         return float(np.degrees(self.largest_principal_angle_rad))
 
 
-def diagnose_breakdown(a, u, threshold: float = INTERSECTION_THRESHOLD) -> BreakdownDiagnosis:
+def diagnose_breakdown(a, u) -> BreakdownDiagnosis:
     """Decide whether the deflation space intersects the orthogonal complement
-    of its image under ``a``."""
+    of its image under ``a``: whether the smallest indicator is below
+    INTERSECTION_THRESHOLD."""
     a = linalg.as_matrix(a)
     u = linalg.as_matrix(u)
     k = u.shape[1]
-    qu = linalg.orthonormal_basis(u)
+    qu = scipy.linalg.orth(u)
     if qu.shape[1] != k:
         raise ValueError("deflation basis is rank deficient")
-    qau = linalg.orthonormal_basis(a @ u)
+    qau = scipy.linalg.orth(a @ u)
     s = scipy.linalg.svd(qau.conj().T @ qu, compute_uv=False)
     smallest = float(s.min()) if s.size else 0.0
     angle = float(np.arccos(np.clip(smallest, 0.0, 1.0)))
     return BreakdownDiagnosis(
-        intersection_nontrivial=smallest < threshold,
+        intersection_nontrivial=smallest < INTERSECTION_THRESHOLD,
         smallest_indicator=smallest,
         largest_principal_angle_rad=angle,
     )
 
 
-def breakdown_initial_guess(a, b, u, coefficients, tol: float = 1e-8) -> np.ndarray:
+def breakdown_initial_guess(a, b, u, coefficients) -> np.ndarray:
     """Initial guess that forces a first-step breakdown of the left-projected run.
 
     The guess solves a x0 = b - v for v the given combination of basis
     columns; it is valid only when v lies in the orthogonal complement of the
     image of the basis (then the initial deflated residual equals v and is
     annihilated by the deflated operator).  Raises GuessInvalidError when the
-    basis does not realize that geometry.
+    basis does not realize that geometry to GUESS_TOLERANCE, and
+    SingularMatrixError when ``a`` is numerically singular.
     """
     a = linalg.as_matrix(a)
     u = linalg.as_matrix(u)
@@ -100,18 +110,18 @@ def breakdown_initial_guess(a, b, u, coefficients, tol: float = 1e-8) -> np.ndar
     # orthogonal to the image of the basis); the projected image of v is then
     # zero identically.
     defect = linalg.vector_norm(d.project_residual(v) - v)
-    if defect > tol * vnorm:
+    if defect > GUESS_TOLERANCE * vnorm:
         raise GuessInvalidError(
             f"basis combination is not orthogonal to its image "
-            f"(defect {defect:.3e} vs {tol:g} * {vnorm:.3e})"
+            f"(defect {defect:.3e} vs {GUESS_TOLERANCE:g} * {vnorm:.3e})"
         )
     image_defect = linalg.vector_norm(d.project_residual(a @ v))
     scale = linalg.spectral_norm(a) * vnorm
-    if image_defect > tol * max(scale, np.finfo(float).tiny):
+    if image_defect > GUESS_TOLERANCE * max(scale, np.finfo(float).tiny):
         raise GuessInvalidError(
             f"projected image of the combination does not vanish ({image_defect:.3e})"
         )
-    return linalg.solve_dense(a, b - v)
+    return scipy.linalg.lu_solve(linalg.lu_factor_checked(a), b - v)
 
 
 @dataclass(frozen=True)
@@ -125,8 +135,7 @@ class SpectrumCheck:
     passed: bool
 
 
-def check_deflated_spectrum(a, u, mode: GalerkinMode,
-                            tol_factor: float = 1e-8) -> SpectrumCheck:
+def check_deflated_spectrum(a, u, mode: GalerkinMode) -> SpectrumCheck:
     """Verify that deflating an invariant subspace moves exactly its
     eigenvalues to zero and leaves the rest of the spectrum intact.
 
@@ -134,7 +143,7 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode,
     subspace; forms the dense left-projected matrix and compares its spectrum
     (as a multiset) against {0 with the basis dimension's multiplicity} plus
     the non-deflated eigenvalues.  Raises VerificationFailedError on mismatch
-    beyond ``tol_factor`` times the matrix norm.
+    beyond SPECTRUM_TOLERANCE times the matrix norm.
     """
     a = linalg.as_matrix(a)
     u = linalg.as_matrix(u)
@@ -145,14 +154,14 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode,
     d = Deflator(a, u, mode, allow_indefinite=True)
     deflated = d.dense_deflated_matrix()
     anorm = linalg.spectral_norm(a)
-    tolerance = tol_factor * max(anorm, np.finfo(float).tiny)
+    tolerance = SPECTRUM_TOLERANCE * max(anorm, np.finfo(float).tiny)
     if linalg.hermitian_defect(deflated) > tolerance:
         raise NotInvariantError(
             "deflated matrix is not Hermitian; the basis cannot span an "
             "invariant subspace of a Hermitian matrix"
         )
-    computed = np.sort(linalg.hermitian_eigen(deflated, tol=np.inf).eigenvalues)
-    full = np.sort(linalg.hermitian_eigen(a).eigenvalues)
+    computed = _hermitian_eigenvalues(deflated)
+    full = _hermitian_eigenvalues(a)
     remaining = _remove_matched(full, theta, tolerance)
     expected = np.sort(np.concatenate([np.zeros(k), remaining]))
     max_mismatch = float(np.max(np.abs(computed - expected)))
@@ -164,9 +173,17 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode,
     return SpectrumCheck(computed, expected, max_mismatch, tolerance, True)
 
 
-def _invariant_eigenvalues(a, u, tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of ``a`` restricted to span(u); fails if not invariant."""
-    q = linalg.orthonormal_basis(u)
+def _hermitian_eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``a``, a matrix that is
+    Hermitian only to roundoff."""
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+
+
+def _invariant_eigenvalues(a, u) -> np.ndarray:
+    """Eigenvalues of ``a`` restricted to span(u); fails unless the residual
+    ||a q - q (q^H a q)||_2 is at most 1e-10 ||a||_2."""
+    tol = 1e-10
+    q = scipy.linalg.orth(u)
     if q.shape[1] != u.shape[1]:
         raise ValueError("basis is rank deficient")
     aq = a @ q
@@ -177,7 +194,7 @@ def _invariant_eigenvalues(a, u, tol: float = 1e-10) -> np.ndarray:
         raise NotInvariantError(
             f"basis is not invariant: residual {defect:.3e} vs {tol:g} * {scale:.3e}"
         )
-    return np.sort(linalg.hermitian_eigen(restriction, tol=1e-8).eigenvalues)
+    return _hermitian_eigenvalues(restriction)
 
 
 def _remove_matched(values: np.ndarray, removed: np.ndarray, tol: float) -> np.ndarray:

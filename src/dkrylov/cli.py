@@ -32,7 +32,7 @@ from . import io as dkio
 from . import linalg
 from .analysis import breakdown_initial_guess, diagnose_breakdown
 from .checks import SUITES, run_suite
-from .deflated import PLAIN_VARIANTS, DualReport, MethodVariant, run_methods
+from .deflated import DualReport, MethodVariant, run_methods
 from .problems import (TestProblem, breakdown_prone_basis, clustered_spd_problem,
                        eigenvector_basis, near_invariant_problem, perturb_basis,
                        symmetric_indefinite_problem, toy_breakdown_problem)
@@ -331,10 +331,6 @@ def cmd_run(args) -> int:
         problem = build_problem(spec, args.seed)
         basis = build_basis(spec, problem)
         x0 = build_initial_guess(spec, problem, basis)
-        needs_basis = [v for v in variants if v not in PLAIN_VARIANTS]
-        if needs_basis and basis is None:
-            raise ValueError(
-                f"variants {', '.join(v.value for v in needs_basis)} require a deflation basis")
         results = run_methods(variants, problem.a, problem.b, basis, x0, cfg)
     except SpecError as exc:
         return _error(exc, 2)

@@ -104,9 +104,6 @@ _RECIPES = {
     MethodVariant.DEFLATED_GMRES: _Recipe("gmres", _MR),
 }
 
-#: Variants that run without a deflation basis.
-PLAIN_VARIANTS = tuple(v for v, recipe in _RECIPES.items() if recipe.mode is None)
-
 
 @dataclass
 class DualReport:
@@ -140,8 +137,10 @@ def run_methods(variants, a, b, u=None, x0=None,
     gets ``iterates=None``.  Each report holds its own copy of the
     :class:`SolveReport`, so every report is the one the variant would get if
     it were run alone, bit for bit, except that a shared deflator's
-    ``apply_counts`` total the whole run.  The first variant that fails
-    raises, with the error it raises alone.
+    ``apply_counts`` total the whole run.  Without a basis ``u``, one
+    ValueError names every variant that needs one, before any solve;
+    otherwise the first variant that fails raises, with the error it raises
+    alone.
 
     MINRES-based deflated variants require a Hermitian matrix; deflated CG
     requires a Hermitian positive definite one; deflated GMRES accepts any
@@ -159,6 +158,9 @@ def run_methods(variants, a, b, u=None, x0=None,
     solvers = {"cg": cg_solve, "minres": minres_solve, "gmres": gmres_solve}
     variants = list(variants)
     recipes = [_RECIPES[v] for v in variants]
+    needs_basis = [v.value for v, r in zip(variants, recipes) if r.mode is not None]
+    if u is None and needs_basis:
+        raise ValueError(f"variants {', '.join(needs_basis)} require a deflation basis")
     with_history = {_key(r) for r in recipes if r.per_iterate}
     made = {}
 
@@ -180,8 +182,6 @@ def run_methods(variants, a, b, u=None, x0=None,
             results.append(DualReport(variant, rep, rep.residual_norms.copy(),
                                       rep.final_iterate))
             continue
-        if u is None:
-            raise ValueError(f"variant {variant.value} requires a deflation basis")
         d = once(recipe.mode, lambda: Deflator(a, u, recipe.mode))
         if recipe.solver == "minres" and not d.a_hermitian:
             raise ValueError(f"{variant.value} requires a Hermitian matrix")

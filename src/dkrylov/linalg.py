@@ -12,7 +12,9 @@ The solve path looks at a dense square matrix once, through
 :class:`SquareMatrix`: one conversion, one reduction that gives the entry
 scale and rejects a non-finite entry, one exact test of ``a == a^H`` that
 chooses the product kernel, and an estimate of ||a||_2 from products alone
-when a caller asks for it.  No caller repeats a pass over the matrix.
+when a caller asks for it.  Each :class:`SquareMatrix` makes these passes
+once, but a caller may build several: ``deflated.run_methods`` builds one for
+its plain variants and one in the :class:`Deflator` of each Galerkin mode.
 
 Three kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
 and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
@@ -30,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -143,10 +144,12 @@ def hermitian_defect(a) -> float:
     return spectral_norm(a - a.conj().T)
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOLERANCE) -> bool:
-    """Exact test ||a - a^H||_2 <= tol * ||a||_2 by two SVDs (an oracle)."""
+def is_hermitian(a) -> bool:
+    """Exact test ||a - a^H||_2 <= HERMITIAN_TOLERANCE * ||a||_2 by two SVDs
+    (an oracle)."""
     a = as_matrix(a)
-    return hermitian_defect(a) <= tol * max(spectral_norm(a), np.finfo(float).tiny)
+    scale = max(spectral_norm(a), np.finfo(float).tiny)
+    return hermitian_defect(a) <= HERMITIAN_TOLERANCE * scale
 
 
 class SquareMatrix:
@@ -304,50 +307,28 @@ def random_orthogonal(n: int, seed) -> np.ndarray:
     return q * d
 
 
-@dataclass(frozen=True)
-class HermitianEigenDecomposition:
-    """Eigenvalues in ascending order and a unitary matrix of eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigen(a, tol: float = HERMITIAN_TOLERANCE) -> HermitianEigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Raises ValueError when the input is not Hermitian within ``tol`` relative
-    to its spectral norm.  Intended as an analysis/test oracle, not for the
-    solver hot path.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not is_hermitian(a, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, q = np.linalg.eigh(0.5 * (a + a.conj().T))
-    return HermitianEigenDecomposition(w, q)
-
-
-def _check_pivot(smallest: float, threshold: float, scale, what: str) -> None:
-    """Raise SingularMatrixError when ``smallest`` < ``threshold`` * ``scale``,
-    a number or a pair (bound, exact) as in :func:`lu_factor_checked`.  A pivot
-    that passes against an upper bound passes against the scale itself, so
-    the decision and its message are always the scale's."""
+def _check_pivot(smallest: float, scale, what: str) -> None:
+    """Raise SingularMatrixError when ``smallest`` < SINGULARITY_THRESHOLD *
+    ``scale``, a number or a pair (bound, exact) as in
+    :func:`lu_factor_checked`.  A pivot that passes against an upper bound
+    passes against the scale itself, so the decision and its message are
+    always the scale's."""
     tiny = np.finfo(float).tiny
     if isinstance(scale, tuple):
         bound, exact = scale
-        if smallest >= threshold * max(bound, tiny):
+        if smallest >= SINGULARITY_THRESHOLD * max(bound, tiny):
             return
         scale = exact()
     scale = max(scale, tiny)
-    if smallest < threshold * scale:
+    if smallest < SINGULARITY_THRESHOLD * scale:
         raise SingularMatrixError(
-            f"smallest {what} {smallest:.3e} below {threshold:g} * {scale:.3e}"
+            f"smallest {what} {smallest:.3e} below {SINGULARITY_THRESHOLD:g} * {scale:.3e}"
         )
 
 
-def lu_factor_checked(a, threshold: float = SINGULARITY_THRESHOLD, scale=None):
-    """Pivoted LU factorization that raises SingularMatrixError on tiny pivots.
+def lu_factor_checked(a, scale=None):
+    """Pivoted LU factorization that raises SingularMatrixError on a pivot
+    below SINGULARITY_THRESHOLD times ``scale``.
 
     ``scale`` sets the magnitude the pivots are measured against; it defaults
     to the matrix's own spectral norm but callers that know the natural size
@@ -355,7 +336,7 @@ def lu_factor_checked(a, threshold: float = SINGULARITY_THRESHOLD, scale=None):
     should pass it explicitly.  A scale that is costly to compute may be
     passed as a pair (bound, exact): an upper bound on it and a function that
     returns it, called only when the smallest pivot falls below
-    ``threshold`` * bound.  The matrix is factored once either way.
+    SINGULARITY_THRESHOLD * bound.  The matrix is factored once either way.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -365,26 +346,18 @@ def lu_factor_checked(a, threshold: float = SINGULARITY_THRESHOLD, scale=None):
         lu, piv = scipy.linalg.lu_factor(a)
     pivots = np.abs(np.diag(lu))
     if pivots.size:
-        _check_pivot(float(pivots.min()), threshold,
-                     spectral_norm(a) if scale is None else scale, "pivot")
+        _check_pivot(float(pivots.min()), spectral_norm(a) if scale is None else scale,
+                     "pivot")
     return lu, piv
 
 
-def solve_dense(a, b) -> np.ndarray:
-    """Solve a small dense square system, rejecting numerically singular input."""
-    a = as_matrix(a)
-    b = as_vector(b, a.shape[0])
-    lu_piv = lu_factor_checked(a)
-    return scipy.linalg.lu_solve(lu_piv, b)
-
-
-def cholesky_factor_checked(e, threshold: float = SINGULARITY_THRESHOLD, scale=None):
+def cholesky_factor_checked(e, scale=None):
     """Cholesky factorization of a Hermitian positive definite matrix.
 
     Raises SingularMatrixError when the matrix is not positive definite or a
-    pivot (squared diagonal of L) falls below the relative threshold; see
-    :func:`lu_factor_checked` for the ``scale`` convention.  The factor is
-    that of the Hermitian part 0.5 (e + e^H).
+    pivot (squared diagonal of L) falls below SINGULARITY_THRESHOLD times the
+    scale; see :func:`lu_factor_checked` for the ``scale`` convention.  The
+    factor is that of the Hermitian part 0.5 (e + e^H).
 
     ``e`` may be a :class:`SquareMatrix`, whose scale defaults to the pair
     (``bound``, ``norm``), so that its estimate is made only for a pivot
@@ -410,14 +383,9 @@ def cholesky_factor_checked(e, threshold: float = SINGULARITY_THRESHOLD, scale=N
         raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
     pivots = np.diag(factor[0]).real ** 2
     if pivots.size:
-        _check_pivot(float(pivots.min()), threshold,
-                     spectral_norm(e) if scale is None else scale, "Cholesky pivot")
+        _check_pivot(float(pivots.min()), spectral_norm(e) if scale is None else scale,
+                     "Cholesky pivot")
     return factor
-
-
-def orthonormal_basis(a) -> np.ndarray:
-    """Orthonormal basis of the column span (SVD-based, rank-revealing)."""
-    return scipy.linalg.orth(as_matrix(a))
 
 
 def principal_angles(x, y) -> np.ndarray:

@@ -52,8 +52,9 @@ class LinearOperator:
         out = self._matvec(v)
         return out if linalg.is_float_vector(out, self.dim) else linalg.as_vector(out, self.dim)
 
-    def verify(self, tol: float = PROBE_TOLERANCE) -> None:
-        """Spot-check linearity and (if declared) the Hermitian property.
+    def verify(self) -> None:
+        """Spot-check linearity and (if declared) the Hermitian property to
+        PROBE_TOLERANCE.
 
         Uses a fixed seed derived from the dimension so the check itself is
         deterministic; raises ValueError on a violated contract.
@@ -66,7 +67,7 @@ class LinearOperator:
             ax = self.apply(x)
             scale = max(scale, linalg.vector_norm(ax) / linalg.vector_norm(x))
             probes.append((x, ax))
-        floor = np.finfo(float).tiny
+        floor, tol = np.finfo(float).tiny, PROBE_TOLERANCE
         for (x, ax), (y, ay) in zip(probes, probes[1:]):
             alpha, beta = 0.37 - 0.21j, -1.11 + 0.52j
             lhs = self.apply(alpha * x + beta * y)

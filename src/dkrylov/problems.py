@@ -163,18 +163,18 @@ def near_invariant_problem(alpha: float) -> TestProblem:
     )
 
 
-def clustered_spd_problem(n: int = 80, n_outliers: int = 5, seed: int = 0,
-                          outlier_scale: float = 1e-3) -> TestProblem:
+def clustered_spd_problem(n: int = 80, n_outliers: int = 5, seed: int = 0) -> TestProblem:
     """Hermitian positive definite system with a few small outlying
-    eigenvalues below a well-conditioned cluster, the standard setting in
-    which deflating the outliers accelerates conjugate gradients."""
+    eigenvalues, 1e-3 j for j = 1..n_outliers, below a well-conditioned
+    cluster in [1, 2], the standard setting in which deflating the outliers
+    accelerates conjugate gradients."""
     if not 0 < n_outliers < n:
         raise ValueError("need 0 < n_outliers < n")
     ss = np.random.SeedSequence(seed)
     ss_w, ss_b = ss.spawn(2)
     w = linalg.random_orthogonal(n, ss_w)
     rng = np.random.default_rng(ss_b)
-    outliers = outlier_scale * (1.0 + np.arange(n_outliers, dtype=float))
+    outliers = 1e-3 * (1.0 + np.arange(n_outliers, dtype=float))
     cluster = 1.0 + rng.uniform(0.0, 1.0, size=n - n_outliers)
     lam = np.concatenate([outliers, np.sort(cluster)])
     a = (w * lam) @ w.conj().T

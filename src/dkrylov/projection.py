@@ -161,7 +161,8 @@ class Deflator:
     # -- projector actions -------------------------------------------------
 
     def coarse_solve(self, v) -> np.ndarray:
-        """Augmentation-space correction u (u^H b^H a u)^-1 u^H v."""
+        """Augmentation-space correction u (b^H a u)^-1 u^H v, with b = u in
+        residual-orthogonal mode and b = w = a u in residual-minimizing mode."""
         v = linalg.as_vector(v, self.dim)
         self.apply_counts["coarse_solve"] += 1
         return self.u @ self._solve_coupling(self.u.conj().T @ v)

@@ -227,7 +227,6 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     if run.tol_reached(value):
         return run.report(SolveStatus.CONVERGED, x)
 
-    residual_vectors = [r.copy()] if cfg.record_history else None
     p = r.copy()
     rho = np.vdot(r, r).real
     for iteration in range(1, cfg.max_iterations + 1):
@@ -240,29 +239,20 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
                     f"negative curvature {curvature:.3e} at iteration {iteration}"
                 )
             if run.tol_reached(run.residual_norms[-1]):
-                return run.report(SolveStatus.CONVERGED, x, diagnostics=_cg_diag(residual_vectors))
-            return run.report(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration,
-                              diagnostics=_cg_diag(residual_vectors))
+                return run.report(SolveStatus.CONVERGED, x)
+            return run.report(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration)
         alpha = rho / curvature
         x = x + alpha * p
         r = r - alpha * ap
         rho_next = np.vdot(r, r).real
-        if residual_vectors is not None:
-            residual_vectors.append(r.copy())
         value = run.record(x, math.sqrt(max(rho_next, 0.0)))
         if run.tol_reached(value):
-            return run.report(SolveStatus.CONVERGED, x, diagnostics=_cg_diag(residual_vectors))
+            return run.report(SolveStatus.CONVERGED, x)
         if run.stagnated():
-            return run.report(SolveStatus.STAGNATED, x, diagnostics=_cg_diag(residual_vectors))
+            return run.report(SolveStatus.STAGNATED, x)
         p = r + (rho_next / rho) * p
         rho = rho_next
-    return run.report(SolveStatus.MAX_ITERATIONS, x, diagnostics=_cg_diag(residual_vectors))
-
-
-def _cg_diag(residual_vectors):
-    if residual_vectors is None:
-        return {}
-    return {"residual_vectors": residual_vectors}
+    return run.report(SolveStatus.MAX_ITERATIONS, x)
 
 
 #: Estimated loss of orthogonality at which MINRES reorthogonalizes; why it is

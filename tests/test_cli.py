@@ -1,4 +1,6 @@
 import collections
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -226,13 +228,73 @@ class TestDiagnose:
         assert cli.main(["diagnose", spec, "--output", str(tmp_path)]) == 3
 
 
+#: Parameter names of every public callable, a class through its ``__init__``
+#: (None where that is inherited from outside the package).  A new option
+#: shows up here as a failing test.
+PUBLIC_PARAMETERS = {
+    "BreakdownDiagnosis": ["intersection_nontrivial", "smallest_indicator",
+                           "largest_principal_angle_rad"],
+    "Deflator": ["a", "u", "mode", "allow_indefinite"],
+    "DualReport": ["variant", "deflated_report", "original_residual_norms",
+                   "corrected_iterate", "correction_count", "deflator", "diagnostics"],
+    "GalerkinMode": None,
+    "GuessInvalidError": None,
+    "IndefiniteOperatorError": None,
+    "LinearOperator": ["dim", "matvec", "hermitian", "label", "dtype"],
+    "MethodVariant": None,
+    "ModeMismatchError": None,
+    "NotInvariantError": None,
+    "SingularCouplingError": None,
+    "SingularMatrixError": None,
+    "SolveConfig": ["residual_tolerance", "max_iterations", "breakdown_threshold",
+                    "record_history", "explicit_residuals"],
+    "SolveReport": ["final_iterate", "residual_norms", "status", "iterations_used",
+                    "breakdown_iteration", "recurrence_residual_norms", "iterates",
+                    "diagnostics"],
+    "SolveStatus": None,
+    "SpectrumCheck": ["computed", "expected", "max_mismatch", "tolerance", "passed"],
+    "TestProblem": ["a", "b", "x0", "u", "known_solution", "known_spectrum",
+                    "eigenvectors", "seed", "label"],
+    "VerificationFailedError": ["message", "max_mismatch"],
+    "breakdown_initial_guess": ["a", "b", "u", "coefficients"],
+    "breakdown_prone_basis": ["problem", "indices"],
+    "cg_solve": ["op", "b", "x0", "cfg"],
+    "check_deflated_spectrum": ["a", "u", "mode"],
+    "clustered_spd_problem": ["n", "n_outliers", "seed"],
+    "deflated_operator": ["deflator", "kind"],
+    "dense_operator": ["a"],
+    "diagnose_breakdown": ["a", "u"],
+    "eigenvector_basis": ["problem", "indices"],
+    "gmres_solve": ["op", "b", "x0", "cfg"],
+    "minres_solve": ["op", "b", "x0", "cfg"],
+    "near_invariant_problem": ["alpha"],
+    "perturb_basis": ["u", "eps", "seed"],
+    "principal_angles": ["x", "y"],
+    "run_method": ["variant", "a", "b", "u", "x0", "cfg"],
+    "symmetric_indefinite_problem": ["m", "seed"],
+    "toy_breakdown_problem": [],
+}
+
+
+def parameter_names(obj):
+    target = obj.__init__ if isinstance(obj, type) else obj
+    if not getattr(target, "__module__", "").startswith("dkrylov."):
+        return None
+    return [name for name in inspect.signature(target).parameters if name != "self"]
+
+
 class TestPackage:
     def test_public_names_resolve_and_kernels_stay_in_linalg(self):
         assert all(hasattr(dkrylov, name) for name in dkrylov.__all__)
-        for name in ("make_givens", "givens_qr_step", "inner", "solve_dense",
-                     "random_orthogonal", "hermitian_eigen", "HermitianEigenDecomposition"):
+        for name in ("make_givens", "givens_qr_step", "inner", "random_orthogonal"):
             assert hasattr(linalg, name), name
             assert not hasattr(dkrylov, name), name
+
+    def test_public_options_are_pinned(self):
+        found = {name: parameter_names(getattr(dkrylov, name)) for name in dkrylov.__all__}
+        assert found == PUBLIC_PARAMETERS
+        fields = [f.name for f in dataclasses.fields(dkrylov.SolveConfig)]
+        assert fields == PUBLIC_PARAMETERS["SolveConfig"]
 
 
 class TestIo:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from dkrylov import linalg
+from dkrylov import deflated, linalg
 from dkrylov.checks import curve_deviation, equivalence_instances, equivalence_suite
 from dkrylov.deflated import MethodVariant, run_method, run_methods
 from dkrylov.operators import dense_operator
@@ -396,6 +396,21 @@ class TestRunMethods:
                                             for r in alone) == 2
         assert counts["project_residual"] == sum(r.deflator.apply_counts["project_residual"]
                                                  for r in alone)
+
+
+class TestMissingBasis:
+    def test_raises_once_before_any_solve(self, monkeypatch):
+        calls = []
+        solve = deflated.minres_solve
+        monkeypatch.setattr(deflated, "minres_solve",
+                            lambda *args: calls.append(args) or solve(*args))
+        p = symmetric_indefinite_problem(10)
+        variants = [MethodVariant.MINRES, MethodVariant.DEFLATED_MINRES,
+                    MethodVariant.DEFLATED_GMRES]
+        with pytest.raises(ValueError, match="^variants deflated-minres, deflated-gmres "
+                                             "require a deflation basis$"):
+            run_methods(variants, p.a, p.b)
+        assert calls == []
 
 
 class TestSparseInput:

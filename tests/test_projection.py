@@ -242,7 +242,7 @@ class TestProjectors:
                                    atol=1e-12 * np.linalg.norm(a) * np.linalg.norm(v))
 
     def test_identity_suite(self):
-        report = projection_suite(seed=11, instances=20)
+        report = projection_suite(seed=11)
         assert report["passed"], report
 
     def test_basis_independence(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dkrylov import linalg, solvers
 from dkrylov.checks import equivalence_instances
@@ -43,7 +44,7 @@ def krylov_least_squares_residuals(a, b, x0, steps):
         columns.append(a @ columns[-1])
     out = [np.linalg.norm(r0)]
     for n in range(1, steps + 1):
-        basis = linalg.orthonormal_basis(np.column_stack(columns[:n]))
+        basis = scipy.linalg.orth(np.column_stack(columns[:n]))
         target = a @ basis
         coeffs, *_ = np.linalg.lstsq(target, r0, rcond=None)
         out.append(np.linalg.norm(r0 - target @ coeffs))
@@ -119,9 +120,9 @@ class TestCg:
         b = rng.standard_normal(25)
         rep = cg_solve(dense_operator(a), b, cfg=SolveConfig(max_iterations=10,
                                                              residual_tolerance=1e-30))
-        vectors = rep.diagnostics["residual_vectors"]
-        v = np.column_stack(vectors[:-1])
-        r_last = vectors[-1]
+        residuals = [b - a @ x for x in rep.iterates]
+        v = np.column_stack(residuals[:-1])
+        r_last = residuals[-1]
         scale = np.linalg.norm(a) * np.linalg.norm(r_last) + 1e-300
         assert np.linalg.norm(v.conj().T @ r_last) <= 1e-10 * scale * v.shape[1]
 
