@@ -60,8 +60,7 @@ def _random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(g)
     lam = rng.uniform(1.0, 2.5, n) * rng.choice([-1.0, 1.0], n)
-    a = (q * lam) @ q.conj().T
-    return (0.5 * (a + a.conj().T)).astype(np.complex128)
+    return linalg.assemble_hermitian(q, lam)
 
 
 def _random_nonsingular(rng, n):
@@ -302,8 +301,7 @@ def status_suite(seed: int = 0) -> dict:
         if not spd:
             lam *= rng.choice([-1.0, 1.0], n)
         q = linalg.random_orthogonal(n, int(rng.integers(2**31)))
-        a = (q * lam) @ q.T
-        a = 0.5 * (a + a.T)
+        a = linalg.assemble_hermitian(q, lam)
         u = q[:, np.argsort(np.abs(lam))[:k]]
         u = u + 10.0 ** rng.uniform(-12.0, -1.0) * rng.standard_normal((n, k))
         b = rng.standard_normal(n)

@@ -211,7 +211,11 @@ def build_basis(spec: dict, problem: TestProblem):
 
 
 def build_solve_config(spec: dict, tol_override=None, maxit_override=None) -> SolveConfig:
+    """The run's :class:`SolveConfig`.  The command reports residuals and final
+    iterates only, so it records no iterate history; a variant that corrects
+    every iterate still records its own (:func:`run_methods`)."""
     kwargs = {_SOLVER_FIELDS.get(key, key): value for key, value in spec["solver"].items()}
+    kwargs["record_history"] = False
     if tol_override is not None:
         kwargs["residual_tolerance"] = tol_override
     if maxit_override is not None:

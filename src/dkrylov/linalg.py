@@ -36,7 +36,6 @@ import warnings
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 #: Relative pivot threshold below which a dense factorization is declared singular.
 SINGULARITY_THRESHOLD = 1e-14
@@ -211,7 +210,11 @@ class SquareMatrix:
         that modulus, so nothing under- or overflows and no scaled copy of
         ``a`` is made.  Below order 32, and when ARPACK fails or does not
         converge in a few restarts, it is the exact :func:`spectral_norm`.
+        ARPACK is imported here, on first use, so that a run which never
+        estimates a norm never loads ``scipy.sparse.linalg``.
         """
+        import scipy.sparse.linalg
+
         a, scale, n = self.a, self._scale, self.a.shape[0]
         if scale == 0.0:
             return 0.0
@@ -293,18 +296,40 @@ def givens_qr_step(column, c, s):
 
 
 def random_orthogonal(n: int, seed) -> np.ndarray:
-    """Seeded random real orthogonal matrix (float64).
+    """Seeded random real orthogonal matrix (float64, C-ordered).
 
     QR of a standard-normal matrix with the signs of diag(R) fixed, which
-    makes the draw deterministic and Haar-like.
+    makes the draw deterministic and Haar-like.  LAPACK factors a
+    Fortran-ordered copy of the draw in place and R is dropped once its
+    diagonal is read, so at most two n-by-n arrays are alive at once.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.sign(np.diag(r))
+    q, r = scipy.linalg.qr(
+        np.asfortranarray(np.random.default_rng(seed).standard_normal((n, n))),
+        overwrite_a=True, mode="economic", check_finite=False)
+    d = np.sign(r.diagonal())
+    del r
     d[d == 0] = 1.0
-    return q * d
+    q *= d
+    # Products with an F-ordered q round differently from those with a
+    # C-ordered one at some orders (n = 100); q is returned C-ordered.
+    return np.ascontiguousarray(q)
+
+
+def assemble_hermitian(q, lam) -> np.ndarray:
+    """q diag(lam) q^H, symmetrized to be exactly Hermitian.
+
+    The product is averaged with its conjugate transpose, so that the result
+    equals its conjugate transpose bit for bit and a real one is applied
+    through one triangle (:class:`SquareMatrix`).  The sum is halved in
+    place: the bits of 0.5 (a + a^H), with at most three n-by-n arrays
+    alive (q, the product and the sum) instead of four.
+    """
+    a = (q * lam) @ q.conj().T
+    a = a + a.conj().T
+    a *= 0.5
+    return a
 
 
 def _check_pivot(smallest: float, scale, what: str) -> None:

@@ -57,8 +57,7 @@ def symmetric_indefinite_problem(m: int, seed: int = 0) -> TestProblem:
     w = linalg.random_orthogonal(n, ss_w)
     lam = np.concatenate([np.sqrt(np.arange(1, m + 1)),
                           -np.sqrt(np.arange(1, m + 1))])
-    a = (w * lam) @ w.conj().T
-    a = 0.5 * (a + a.conj().T)
+    a = linalg.assemble_hermitian(w, lam)
     b = np.random.default_rng(ss_b).standard_normal(n)
     b /= linalg.vector_norm(b)
     return TestProblem(
@@ -177,8 +176,7 @@ def clustered_spd_problem(n: int = 80, n_outliers: int = 5, seed: int = 0) -> Te
     outliers = 1e-3 * (1.0 + np.arange(n_outliers, dtype=float))
     cluster = 1.0 + rng.uniform(0.0, 1.0, size=n - n_outliers)
     lam = np.concatenate([outliers, np.sort(cluster)])
-    a = (w * lam) @ w.conj().T
-    a = 0.5 * (a + a.conj().T)
+    a = linalg.assemble_hermitian(w, lam)
     b = rng.standard_normal(n)
     b /= linalg.vector_norm(b)
     return TestProblem(

@@ -2,6 +2,10 @@ import collections
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,32 @@ class TestRun:
             "[output]\nformat = json\n", encoding="ascii")
         assert cli.main(["run", str(ini), "--output", str(ini_out)]) == 0
         assert ini_out.read_bytes() == json_out.read_bytes()
+
+    def test_run_records_no_history_and_prints_the_same(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path, paper_spec())
+        build = cli.build_solve_config
+        assert build(cli.parse_spec(spec)).record_history is False
+        without, with_history = tmp_path / "without.out", tmp_path / "with.out"
+        assert cli.main(["run", spec, "--output", str(without)]) == 0
+        monkeypatch.setattr(cli, "build_solve_config",
+                            lambda *args: dataclasses.replace(build(*args), record_history=True))
+        assert cli.main(["run", spec, "--output", str(with_history)]) == 0
+        assert without.read_bytes() == with_history.read_bytes()
+
+    def test_paper_run_does_not_load_arpack(self, tmp_path):
+        # no set-up step of the paper's run estimates ||A||_2, so the run
+        # never imports scipy.sparse.linalg
+        spec = write_spec(tmp_path, paper_spec(200))
+        out = str(tmp_path / "out.json")
+        script = ("import sys; from dkrylov import cli; "
+                  f"code = cli.main(['run', {spec!r}, '--output', {out!r}]); "
+                  "print(code, 'scipy.sparse.linalg' in sys.modules)")
+        src = str(Path(dkrylov.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
     def test_deflated_variant_without_basis_exits_3(self, tmp_path):
         spec = paper_spec()

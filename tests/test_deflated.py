@@ -20,8 +20,7 @@ def hermitian_instance(seed, n=40, k=4):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(g)
     lam = rng.uniform(1.0, 2.5, n) * rng.choice([-1.0, 1.0], n)
-    a = (q * lam) @ q.conj().T
-    a = 0.5 * (a + a.conj().T)
+    a = linalg.assemble_hermitian(q, lam)
     u = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b /= np.linalg.norm(b)
@@ -275,8 +274,7 @@ class TestOriginalSystemStatus:
         # 1e-6: the two-sided right-hand side is about 2.4e4 times ||b||
         q = linalg.random_orthogonal(40, 0)
         lam = np.r_[1e-6, np.linspace(1, 2, 19), -np.linspace(1, 2, 20)]
-        a = (q * lam) @ q.T
-        a = 0.5 * (a + a.T)
+        a = linalg.assemble_hermitian(q, lam)
         b = np.ones(40) / np.sqrt(40)
         u = q[:, :1] + 1e-6 * np.random.default_rng(1).standard_normal((40, 1))
         return a, b, u

@@ -144,6 +144,47 @@ class TestRandomOrthogonal:
         norms = np.linalg.norm(w, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 7, 40, 301])
+    def test_is_the_sign_fixed_qr_of_the_draw(self, n):
+        g = np.random.default_rng(5).standard_normal((n, n))
+        w = linalg.random_orthogonal(n, 5)
+        assert w.dtype == np.float64 and w.flags.c_contiguous
+        r = w.T @ g
+        # w^T g is upper triangular with a positive diagonal
+        assert np.all(np.diag(r) > 0)
+        np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=1e-12 * np.abs(r).max())
+
+
+class TestAssembleHermitian:
+    @staticmethod
+    def reference(q, lam):
+        a = (q * lam) @ q.conj().T
+        return 0.5 * (a + a.conj().T)
+
+    @pytest.mark.parametrize("n", [1, 20, 33, 80])
+    def test_bits_of_the_averaged_product(self, n):
+        rng = np.random.default_rng(n)
+        lam = 10.0 ** -rng.uniform(0.0, 10.0, n) * rng.choice([-1.0, 1.0], n)
+        q = linalg.random_orthogonal(n, n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for basis in (q, np.linalg.qr(g)[0]):
+            a = linalg.assemble_hermitian(basis, lam)
+            expected = self.reference(basis, lam)
+            assert a.dtype == expected.dtype and a.flags.c_contiguous
+            assert np.array_equal(a, expected)
+            assert np.array_equal(a, a.conj().T)
+
+    def test_check_suite_instances_are_unchanged(self):
+        from dkrylov import checks
+        rng, again = np.random.default_rng(3), np.random.default_rng(3)
+        for n in (10, 40, 64):
+            a = checks._random_hermitian(rng, n)
+            g = again.standard_normal((n, n)) + 1j * again.standard_normal((n, n))
+            q, _ = np.linalg.qr(g)
+            lam = again.uniform(1.0, 2.5, n) * again.choice([-1.0, 1.0], n)
+            expected = self.reference(q, lam)
+            assert a.dtype == np.complex128 and np.array_equal(a, expected)
+
 
 class TestHermitianEigen:
     def test_square_root_spectrum(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,14 @@ class TestSymmetricIndefinite:
         np.testing.assert_allclose(np.linalg.eigvalsh(p.a), [-1.0, 1.0], atol=1e-12)
 
     def test_symmetric(self):
-        p = symmetric_indefinite_problem(10, seed=3)
-        assert linalg.hermitian_defect(p.a) <= 1e-12 * linalg.spectral_norm(p.a)
+        # exact symmetry is what applies a generated matrix through one
+        # triangle (linalg.SquareMatrix), so it is tested bit for bit
+        for a in (symmetric_indefinite_problem(10, seed=3).a,
+                  symmetric_indefinite_problem(16, seed=3).a,
+                  symmetric_indefinite_problem(150, seed=3).a,
+                  clustered_spd_problem(32, seed=3).a,
+                  clustered_spd_problem(301, seed=3).a):
+            assert np.array_equal(a, a.T)
 
     def test_norm_is_sqrt_m(self):
         for m in (4, 25):
@@ -163,3 +171,23 @@ class TestClusteredSpd:
         p = clustered_spd_problem(30, 3, seed=5)
         np.testing.assert_allclose(np.sort(p.known_spectrum), np.linalg.eigvalsh(p.a),
                                    atol=1e-10 * linalg.spectral_norm(p.a))
+
+
+class TestGenerationMemory:
+    """Generation holds at most three n-by-n float64 arrays at once: the
+    eigenvectors, their scaled copy and the product, then the eigenvectors,
+    the product and its symmetrized sum."""
+
+    @pytest.mark.parametrize("generate", [
+        lambda: linalg.random_orthogonal(300, 4),
+        lambda: symmetric_indefinite_problem(150, seed=4),
+        lambda: clustered_spd_problem(300, seed=4),
+    ], ids=["random_orthogonal", "symmetric_indefinite", "clustered_spd"])
+    def test_peak_is_three_square_arrays(self, generate):
+        tracemalloc.start()
+        try:
+            generate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * 300 * 300 * 8

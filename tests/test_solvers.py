@@ -20,8 +20,7 @@ def random_hermitian_indefinite(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(g)
     lam = rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
-    a = (q * lam) @ q.conj().T
-    return 0.5 * (a + a.conj().T)
+    return linalg.assemble_hermitian(q, lam)
 
 
 def logspaced_system(n, seed, decades, signs=False):
@@ -32,8 +31,7 @@ def logspaced_system(n, seed, decades, signs=False):
     lam = np.logspace(0, decades, n)
     if signs:
         lam = lam * rng.choice([-1, 1], n)
-    a = (q * lam) @ q.T
-    return 0.5 * (a + a.T), rng.standard_normal(n)
+    return linalg.assemble_hermitian(q, lam), rng.standard_normal(n)
 
 
 def krylov_least_squares_residuals(a, b, x0, steps):
