@@ -6,9 +6,11 @@
 
 OTHER_CHECKOUT is a second checkout of the repository, typically of the
 parent commit (``git clone . ../parent && git -C ../parent checkout HEAD~1``).
-Each checkout runs in its own process and imports ``dkrylov`` from its own
-``src/``.  Both run all eight variants under ``SolveConfig()`` and
-``SolveConfig(explicit_residuals=False)`` on these systems:
+Each checkout runs in its own process, which imports ``dkrylov`` from its
+own ``src/`` and whose BLAS thread variables (:data:`THREAD_VARIABLES`) are
+all pinned to 1, because a seeded problem's matrix depends on the thread
+count in its last bits; the output names the count each process ran with.
+Both run all eight variants under ``SolveConfig()`` on these systems:
 
 * the paper's +-sqrt(j) problem at m=50 and m=200, deflating eigenvectors
   ``1-5,m+1..m+5``;
@@ -51,6 +53,7 @@ import argparse
 import dataclasses
 import enum
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -60,6 +63,21 @@ from pathlib import Path
 import numpy as np
 
 HERE_CHECKOUT = Path(__file__).resolve().parent.parent
+
+#: The environment variables that set a BLAS library's thread count.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _one_thread_env() -> dict:
+    """This process's environment with every BLAS thread variable set to 1."""
+    return {**os.environ, **dict.fromkeys(THREAD_VARIABLES, "1")}
+
+
+def _threads() -> str:
+    """The BLAS thread count this process was started with."""
+    counts = {os.environ.get(name) for name in THREAD_VARIABLES}
+    return counts.pop() if len(counts) == 1 else "mixed"
 
 
 def _ill_conditioned(name, n, seed, decades, signs, tolerance):
@@ -124,24 +142,22 @@ def collect(equivalence, ill_conditioned) -> dict:
     """Outcome of every run in this process's ``dkrylov``, keyed by run."""
     from dkrylov import MethodVariant, SolveConfig, run_method
 
-    configs = {"explicit": {}, "recurrence": {"explicit_residuals": False}}
     outcomes = {}
     for system, a, b, u, x0, settings in _systems(equivalence, ill_conditioned):
-        for config, switches in configs.items():
-            cfg = SolveConfig(**settings, **switches)
-            for variant in MethodVariant:
-                key = (system, config, variant.value)
-                try:
-                    report = run_method(variant, a, b, u, x0, cfg)
-                except Exception as exc:  # the type is the outcome
-                    outcomes[key] = {"raised": type(exc).__name__}
-                    continue
-                fields = {}
-                _flatten(report, "report", fields)
-                b_norm = float(np.linalg.norm(b))
-                residual = float(np.linalg.norm(b - a @ report.corrected_iterate))
-                outcomes[key] = {"b_norm": b_norm, "fields": fields,
-                                 "final": residual / (cfg.residual_tolerance * b_norm)}
+        cfg = SolveConfig(**settings)
+        for variant in MethodVariant:
+            key = (system, variant.value)
+            try:
+                report = run_method(variant, a, b, u, x0, cfg)
+            except Exception as exc:  # the type is the outcome
+                outcomes[key] = {"raised": type(exc).__name__}
+                continue
+            fields = {}
+            _flatten(report, "report", fields)
+            b_norm = float(np.linalg.norm(b))
+            residual = float(np.linalg.norm(b - a @ report.corrected_iterate))
+            outcomes[key] = {"b_norm": b_norm, "fields": fields,
+                             "final": residual / (cfg.residual_tolerance * b_norm)}
     return outcomes
 
 
@@ -175,11 +191,12 @@ def _summary(outcome) -> str:
     return f"{fields['report.deflated_report.status']} in {fields['report.deflated_report.iterations_used']}"
 
 
-def compare(this: dict, other: dict) -> int:
+def compare(this: dict, other: dict, threads: tuple) -> int:
     mismatches = 0
     equal_runs = 0
     worst = 0.0
-    print(f"{'system':<20} {'config':<10} {'variant':<30} {'this':<22} {'other':<22} "
+    print(f"BLAS threads: this {threads[0]}, other {threads[1]}")
+    print(f"{'system':<20} {'variant':<30} {'this':<22} {'other':<22} "
           f"{'res/tol':>8} {'other':>8} {'curve dev':>9}  fields")
     for key in this:
         a, b = this[key], other[key]
@@ -198,7 +215,7 @@ def compare(this: dict, other: dict) -> int:
             equal_runs += not differ
             equal = "equal" if not differ else f"{len(differ)} differ, e.g. {differ[0]}"
         flag = "" if a_sum == b_sum else "  <-- MISMATCH"
-        print(f"{key[0]:<20} {key[1]:<10} {key[2]:<30} {a_sum:<22} {b_sum:<22} "
+        print(f"{key[0]:<20} {key[1]:<30} {a_sum:<22} {b_sum:<22} "
               f"{_final(a):>8} {_final(b):>8} {dev:>9}  {equal}{flag}")
     print(f"{len(this)} runs: {mismatches} with a different status, iteration count or "
           f"exception; {equal_runs} with every field equal; largest curve deviation "
@@ -206,10 +223,12 @@ def compare(this: dict, other: dict) -> int:
     return 1 if mismatches else 0
 
 
-def _run_checkout(checkout: Path, equivalence, ill_conditioned, out: Path) -> dict:
+def _run_checkout(checkout: Path, equivalence, ill_conditioned, out: Path) -> tuple:
+    """``(outcomes, BLAS thread count)`` of ``collect`` in ``checkout``."""
     subprocess.run([sys.executable, __file__, "--collect", str(checkout), str(out),
                     "--equivalence", *(f"{s}:{c}" for s, c in equivalence),
-                    *(["--ill-conditioned"] if ill_conditioned else [])], check=True)
+                    *(["--ill-conditioned"] if ill_conditioned else [])],
+                   check=True, env=_one_thread_env())
     with open(out, "rb") as fh:
         return pickle.load(fh)
 
@@ -241,6 +260,7 @@ def _cli_specs():
 def compare_cli(other: Path) -> int:
     """Run every ``--cli`` spec in both checkouts; 1 unless all outputs agree."""
     differ = 0
+    print("BLAS threads: 1")
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in _cli_specs():
             path = Path(tmp) / f"{name}.json"
@@ -248,7 +268,7 @@ def compare_cli(other: Path) -> int:
             for fmt in ("json", "csv"):
                 runs = [subprocess.run([sys.executable, "-c", _CLI, str(checkout / "src"),
                                         "run", str(path), "--format", fmt],
-                                       capture_output=True)
+                                       capture_output=True, env=_one_thread_env())
                         for checkout in (HERE_CHECKOUT, other.resolve())]
                 this, that = runs
                 same = {"exit code": this.returncode == that.returncode,
@@ -287,18 +307,18 @@ def main(argv=None) -> int:
         if not Path(dkrylov.__file__).resolve().is_relative_to(checkout):
             raise SystemExit(f"imported dkrylov from {dkrylov.__file__}, not {checkout}")
         with open(out, "wb") as fh:
-            pickle.dump(collect(args.equivalence, args.ill_conditioned), fh)
+            pickle.dump((collect(args.equivalence, args.ill_conditioned), _threads()), fh)
         return 0
     if args.other is None:
         parser.error("the other checkout is required")
     if args.cli:
         return compare_cli(args.other)
     with tempfile.TemporaryDirectory() as tmp:
-        this = _run_checkout(HERE_CHECKOUT, args.equivalence, args.ill_conditioned,
-                             Path(tmp) / "this.pkl")
-        other = _run_checkout(args.other.resolve(), args.equivalence, args.ill_conditioned,
-                              Path(tmp) / "other.pkl")
-    return compare(this, other)
+        this, this_threads = _run_checkout(HERE_CHECKOUT, args.equivalence,
+                                           args.ill_conditioned, Path(tmp) / "this.pkl")
+        other, other_threads = _run_checkout(args.other.resolve(), args.equivalence,
+                                             args.ill_conditioned, Path(tmp) / "other.pkl")
+    return compare(this, other, (this_threads, other_threads))
 
 
 if __name__ == "__main__":

@@ -40,9 +40,6 @@ from .solvers import SolveConfig
 
 CSV_HEADER = "variant,iteration,rel_residual_original,rel_residual_deflated,status"
 
-_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
-             "false": False, "no": False, "0": False, "off": False}
-
 
 class SpecError(ValueError):
     """The experiment spec file could not be parsed or validated."""
@@ -66,10 +63,6 @@ def parse_index_list(text) -> list[int]:
     if not indices:
         raise ValueError("empty index list")
     return indices
-
-
-def _boolean(value) -> bool:
-    return value if isinstance(value, bool) else _BOOLEANS[str(value).strip().lower()]
 
 
 def _variants(value) -> list[MethodVariant]:
@@ -99,7 +92,6 @@ def _choice(*names):
 
 _INT = (_integer, "an integer")
 _FLOAT = (_finite, "a finite number")
-_BOOL = (_boolean, "a boolean")
 _TEXT = (str, "a string")
 _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
 
@@ -115,8 +107,7 @@ _SCHEMA = {
                          + ", ".join(v.value for v in MethodVariant)),
             "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _INT,
             "x0_perturbation": _FLOAT, "breakdown_coefficient_seed": _INT},
-    "solver": {"tolerance": _FLOAT, "max_iterations": _INT, "breakdown_threshold": _FLOAT,
-               "explicit_residuals": _BOOL},
+    "solver": {"tolerance": _FLOAT, "max_iterations": _INT, "breakdown_threshold": _FLOAT},
     "output": {"path": _TEXT, "format": _choice("csv", "json")},
 }
 

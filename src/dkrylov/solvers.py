@@ -1,19 +1,23 @@
 """Base Krylov iterations: CG, MINRES and GMRES over a LinearOperator.
 
-All three solvers record the explicitly computed residual norm ||b - op x_n||
-per iteration by default (recurrence estimates are kept alongside for
-cross-checking), classify termination into converged / breakdown / stagnated /
-max-iterations, and never silently return a breakdown as success.  Without
-per-iteration explicit residuals, a run that converges by its recurrence
-residual records the explicit residual of its final iterate instead, and is
-reported as stagnated if that misses the tolerance.
+All three solvers record per iteration a residual norm that rests on no
+recurrence (the recurrence estimates are kept alongside for cross-checking),
+classify termination into converged / breakdown / stagnated /
+max-iterations, and never silently return a breakdown as success.  CG forms
+||b - op x_n||, a second product per step.  MINRES and GMRES keep op V
+beside the Krylov basis V and record ||r0 - (op V) y_n||, equal to
+||b - op x_n|| up to the roundoff of one product; a run that does not break
+down records b - op x, formed once, as its last residual, and a converged
+run that misses the tolerance by it is reported as stagnated.
 
 MINRES and GMRES are one minimal-residual iteration that differs only in how
-the Krylov basis grows: by the Lanczos or by the Arnoldi recurrence.  Each
-has one orthogonalization rule: GMRES orthogonalizes every Arnoldi vector
-twice, and MINRES reorthogonalizes when Simon's estimate of the loss of
-orthogonality passes eps^(3/4), below sqrt(eps), where the explicit residual
-stalls above the tolerance on ill-conditioned systems (:class:`_LanczosBasis`).
+the Krylov basis grows: by the Lanczos or by the Arnoldi recurrence.  Both
+form the iterate as x0 + V y, with y from the triangular factor of the
+projected least-squares problem (:class:`_StoredBasis`).  Each has one
+orthogonalization rule: GMRES orthogonalizes every Arnoldi vector twice, and
+MINRES reorthogonalizes when Simon's estimate of the loss of orthogonality
+passes eps^(3/4), below sqrt(eps), where the explicit residual stalls above
+the tolerance on ill-conditioned systems (:class:`_LanczosBasis`).
 
 A *breakdown* means the Krylov basis cannot be continued while the residual
 is still above tolerance.  When the continuation vector vanishes, the last
@@ -64,20 +68,20 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Tolerances and bookkeeping switches shared by all solvers.
+    """Tolerances and the history switch shared by all solvers.
 
     ``residual_tolerance`` is relative to max(||r0||, ||b||).
     ``breakdown_threshold`` is the relative cutoff below which a Lanczos or
     Arnoldi continuation vector counts as vanished, and below which a pivot
-    of the least-squares factor counts as zero.  Orthogonalization is not
-    configurable: each solver has one rule (:func:`minres_solve`).
+    of the least-squares factor counts as zero.  Neither orthogonalization
+    nor the recorded residual is configurable: each solver has one rule for
+    each (module docstring and :func:`minres_solve`).
     """
 
     residual_tolerance: float = 1e-10
     max_iterations: int = 1000
     breakdown_threshold: float = 1e-13
     record_history: bool = True
-    explicit_residuals: bool = True
 
     def __post_init__(self):
         if not 0 < self.residual_tolerance < math.inf:     # also rejects NaN
@@ -135,32 +139,27 @@ class _Run:
         self.iterates = [] if cfg.record_history else None
         self.best = collections.deque(maxlen=STAGNATION_WINDOW + 1)
 
-    def record(self, x, recurrence_norm, explicit=None) -> float:
-        """Record ``x`` with its residual norm: ``explicit`` when the caller
-        has formed it, else ||b - op x|| when the config asks for explicit
-        residuals, else the recurrence's."""
-        if explicit is None:
-            explicit = recurrence_norm
-            if self.cfg.explicit_residuals:
-                explicit = linalg.vector_norm(self.b - self.op.apply(x))
-        self.residual_norms.append(explicit)
+    def record(self, x, recurrence_norm, norm) -> float:
+        """Record ``x`` (None when the run keeps no history) with its
+        residual ``norm`` and its recurrence estimate."""
+        self.residual_norms.append(norm)
         self.recurrence_norms.append(recurrence_norm)
         if self.iterates is not None:
             self.iterates.append(x.copy())
         prev_best = self.best[-1] if self.best else math.inf
-        progress = explicit
-        if self.smooth and self.best and explicit > 0.0:
+        progress = norm
+        if self.smooth and self.best and norm > 0.0:
             # rho_k = (rho_{k-1}^-2 + ||r_k||^-2)^(-1/2), free of overflow.
-            progress = prev_best / math.hypot(1.0, prev_best / explicit)
+            progress = prev_best / math.hypot(1.0, prev_best / norm)
         self.best.append(min(prev_best, progress))
-        return explicit
+        return norm
 
     def start(self, r0_norm) -> float:
         """Record x0 with ``r0_norm``, the norm ||b - op x0|| the solver has
         just formed, so that it is not formed again."""
         self.denominator = max(r0_norm, linalg.vector_norm(self.b),
                                np.finfo(float).tiny)
-        return self.record(self.x, r0_norm, explicit=r0_norm)
+        return self.record(self.x, r0_norm, r0_norm)
 
     def tol_reached(self, value) -> bool:
         return value <= self.cfg.residual_tolerance * self.denominator
@@ -173,11 +172,18 @@ class _Run:
             return False
         return current > self.best[0] * STAGNATION_FACTOR
 
+    def finish(self, status, basis) -> SolveReport:
+        """Report a minimal-residual run at the last iterate of ``basis``,
+        whose recorded residual was not formed as b - op x: form it so, once,
+        record it in its place, and report a converged run that misses the
+        tolerance by it as stagnated."""
+        x = basis.iterate()
+        self.residual_norms[-1] = linalg.vector_norm(self.b - self.op.apply(x))
+        if status is SolveStatus.CONVERGED and not self.tol_reached(self.residual_norms[-1]):
+            status = SolveStatus.STAGNATED
+        return self.report(status, x, diagnostics=basis.diagnostics())
+
     def report(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
-        if status is SolveStatus.CONVERGED and not self.cfg.explicit_residuals:
-            self.residual_norms[-1] = linalg.vector_norm(self.b - self.op.apply(x))
-            if not self.tol_reached(self.residual_norms[-1]):
-                status = SolveStatus.STAGNATED
         return SolveReport(
             final_iterate=x,
             residual_norms=np.asarray(self.residual_norms, dtype=float),
@@ -232,9 +238,8 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     for iteration in range(1, cfg.max_iterations + 1):
         ap = op.apply(p)
         curvature = np.vdot(p, ap).real
-        scale = linalg.vector_norm(p) * linalg.vector_norm(ap)
         if curvature <= 0.0:
-            if curvature < -1e-12 * scale:
+            if curvature < -1e-12 * (linalg.vector_norm(p) * linalg.vector_norm(ap)):
                 raise IndefiniteOperatorError(
                     f"negative curvature {curvature:.3e} at iteration {iteration}"
                 )
@@ -245,7 +250,8 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
         x = x + alpha * p
         r = r - alpha * ap
         rho_next = np.vdot(r, r).real
-        value = run.record(x, math.sqrt(max(rho_next, 0.0)))
+        value = run.record(x, math.sqrt(max(rho_next, 0.0)),
+                           linalg.vector_norm(b - op.apply(x)))
         if run.tol_reached(value):
             return run.report(SolveStatus.CONVERGED, x)
         if run.stagnated():
@@ -271,34 +277,66 @@ def _cgs2(basis, w):
 
 
 class _StoredBasis:
-    """Krylov basis in one preallocated Fortran-order array, grown (with the
-    arrays named in ``grown``) only when a run outlasts the dimension.
+    """Krylov basis V and its products op V in preallocated Fortran-order
+    arrays, grown (with the arrays named in ``grown`` and the factor) only
+    when a run outlasts the dimension.
 
-    ``expand`` returns the new column of the projected matrix from the first
-    row a prior Givens rotation touches, the continuation vector and its
-    norm; ``advance`` turns the rotated column and right-hand side entry into
-    the new iterate; ``scale`` is the size the pivots are judged against.
-    ``c[k]``, ``s[k]`` is the Givens rotation of step k + 1 (``s`` in the
-    run's field).
+    ``expand`` applies op to the newest basis vector, stores the product and
+    returns the new column of the projected matrix from the first row a
+    prior Givens rotation touches, the continuation vector and its norm;
+    ``scale`` is the size the pivots are judged against.  ``c[k]``, ``s[k]``
+    is the Givens rotation of step k + 1 (``s`` in the run's field).
+
+    ``advance`` stores the rotated column in the triangular factor R, packed
+    by columns so that its leading j-by-j factor is a prefix that BLAS
+    ``tpsv`` reads in place, and the rotated right-hand side entry in g; it
+    solves y = R^-1 g and returns ||r0 - (op V) y||.  ``iterate`` forms
+    x0 + V y, which a run without history needs only at its end.  MINRES's
+    short direction recurrence would need only the last two directions but
+    loses attainable accuracy (Sleijpen, van der Vorst and Modersitzki, SIAM
+    J. Matrix Anal. Appl. 22, 2000).
     """
 
-    grown = ("betas", "c", "s")
+    grown = ("betas", "c", "s", "g")
 
-    def __init__(self, v0, cfg):
-        capacity = min(cfg.max_iterations, v0.shape[0]) + 1
-        self.vectors = np.empty((v0.shape[0], capacity), dtype=v0.dtype, order="F")
-        self.vectors[:, 0] = v0
+    def __init__(self, x0, r0, beta1, cfg):
+        n = r0.shape[0]
+        capacity = min(cfg.max_iterations, n) + 1
+        self.vectors = np.empty((n, capacity), dtype=r0.dtype, order="F")
+        self.vectors[:, 0] = r0 / beta1
+        self.products = np.empty_like(self.vectors)
+        self.factor = np.zeros(capacity * (capacity + 1) // 2, dtype=r0.dtype)
+        self.tpsv = scipy.linalg.get_blas_funcs("tpsv", (self.factor,))
+        self.x0, self.r0 = x0, r0
+        self.g = np.zeros(capacity, dtype=r0.dtype)
+        self.y = np.zeros(0, dtype=r0.dtype)
         self.betas = np.zeros(capacity)     # betas[k] couples v_{k-1} and v_k
         self.c = np.zeros(capacity)
-        self.s = np.zeros(capacity, dtype=v0.dtype)
+        self.s = np.zeros(capacity, dtype=r0.dtype)
         self.size = 1
         self.scale = 0.0
         self.reorthogonalizations = 0
+
+    def advance(self, updated, coefficient) -> float:
+        j = self.size
+        end = j * (j + 1) // 2          # where column j - 1 of R ends
+        self.factor[end + 1 - updated.shape[0]:end] = updated[:-1]
+        self.g[j - 1] = coefficient
+        self.y = self.tpsv(j, self.factor, self.g[:j])
+        return linalg.vector_norm(self.r0 - self.products[:, :j] @ self.y)
+
+    def iterate(self):
+        """x0 + V y of the last committed step."""
+        return self.x0 + self.vectors[:, :self.y.shape[0]] @ self.y
 
     def append(self, w, norm):
         """Store the continuation vector ``w`` normalized by ``norm``."""
         if self.size == self.vectors.shape[1]:
             self.vectors = np.pad(self.vectors, ((0, 0), (0, self.size)))
+            self.products = np.pad(self.products, ((0, 0), (0, self.size)))
+            capacity = 2 * self.size
+            self.factor = np.pad(self.factor, (0, capacity * (capacity + 1) // 2
+                                               - self.factor.shape[0]))
             for name in self.grown:
                 setattr(self, name, np.pad(getattr(self, name), (0, self.size)))
         self.vectors[:, self.size] = w / norm
@@ -338,23 +376,20 @@ class _LanczosBasis(_StoredBasis):
     steps (+-1), with 48 to 85% of the reorthogonalizations.
     """
 
-    grown = ("alphas", "betas", "c", "s")
+    grown = _StoredBasis.grown + ("alphas",)
 
-    def __init__(self, x0, v0, cfg):
-        super().__init__(v0, cfg)
+    def __init__(self, x0, r0, beta1, cfg):
+        super().__init__(x0, r0, beta1, cfg)
         self.alphas = np.zeros(self.vectors.shape[1])
         self.follow_up = False
-        self.roundoff = np.finfo(float).eps * math.sqrt(v0.shape[0])
+        self.roundoff = np.finfo(float).eps * math.sqrt(r0.shape[0])
         self.omega_prev = np.zeros(0)
         self.omega = np.ones(1)
-        self.x = x0
-        self.dir_prev = np.zeros_like(v0)
-        self.dir_prev2 = np.zeros_like(v0)
 
     def expand(self, op):
         j = self.size - 1
         v = self.vectors[:, j]
-        av = op.apply(v)
+        av = self.products[:, j] = op.apply(v)
         alpha = np.vdot(v, av).real
         w = av - alpha * v
         beta = self.betas[j]
@@ -407,50 +442,19 @@ class _LanczosBasis(_StoredBasis):
         self.omega[-1] = 1.0
         return w
 
-    def advance(self, updated, coefficient):
-        delta = updated[-3] if updated.shape[0] > 2 else 0.0
-        epsilon = updated[-4] if updated.shape[0] > 3 else 0.0
-        direction = (self.vectors[:, self.size - 1] - delta * self.dir_prev
-                     - epsilon * self.dir_prev2) / updated[-2]
-        self.dir_prev2, self.dir_prev = self.dir_prev, direction
-        self.x = self.x + coefficient * direction
-        return self.x
-
 
 class _ArnoldiBasis(_StoredBasis):
-    """Stored Arnoldi basis, every new vector orthogonalized by CGS2.
-
-    The iterate is x0 + V y, with y from the triangular factor R and the
-    rotated right-hand side g; GMRES cannot keep MINRES's short direction
-    recurrence without losing accuracy (Sleijpen, van der Vorst and
-    Modersitzki, SIAM J. Matrix Anal. Appl. 22, 2000).
-    """
-
-    grown = ("betas", "c", "s", "r", "g")
-
-    def __init__(self, x0, v0, cfg):
-        super().__init__(v0, cfg)
-        capacity = self.vectors.shape[1]
-        self.x0 = x0
-        self.r = np.zeros((capacity, capacity), dtype=v0.dtype, order="F")
-        self.g = np.zeros(capacity, dtype=v0.dtype)
-        self.trsv, = scipy.linalg.get_blas_funcs(("trsv",), (self.r,))
+    """Stored Arnoldi basis, every new vector orthogonalized by CGS2."""
 
     def expand(self, op):
         basis = self.vectors[:, :self.size]
-        w, h = _cgs2(basis, op.apply(basis[:, -1]))
+        av = self.products[:, self.size - 1] = op.apply(basis[:, -1])
+        w, h = _cgs2(basis, av)
         self.reorthogonalizations += 1
         h_next = linalg.vector_norm(w)
         column = np.append(h, h_next)
         self.scale = max(self.scale, float(np.max(np.abs(column))))
         return column, w, h_next
-
-    def advance(self, updated, coefficient):
-        j = self.size
-        self.r[:j, j - 1] = updated[:-1]
-        self.g[j - 1] = coefficient
-        y = self.trsv(self.r[:j, :j], self.g[:j])
-        return self.x0 + self.vectors[:, :j] @ y
 
 
 def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
@@ -464,7 +468,7 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
     if run.tol_reached(value):
         return run.report(SolveStatus.CONVERGED, x)
 
-    basis = basis_type(x, r0 / beta1, cfg)
+    basis = basis_type(x, r0, beta1, cfg)
     # Last entry of the rotated right-hand side, real on a real run.
     g = complex(beta1) if np.iscomplexobj(b) else beta1
     for iteration in range(1, cfg.max_iterations + 1):
@@ -476,28 +480,28 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
         exhausted = h_next <= cfg.breakdown_threshold * beta1
         if exhausted and not (abs(updated[-2]) > cfg.breakdown_threshold * basis.scale
                               and run.tol_reached(abs(g_next))):
-            return run.report(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration,
-                              diagnostics=basis.diagnostics())
+            return run.report(SolveStatus.BREAKDOWN, basis.iterate(),
+                              breakdown_iteration=iteration, diagnostics=basis.diagnostics())
 
         basis.c[j], basis.s[j] = c, s
-        x = basis.advance(updated, c * g)
+        residual = basis.advance(updated, c * g)
         g = g_next
-        value = run.record(x, abs(g))
+        value = run.record(basis.iterate() if cfg.record_history else None, abs(g), residual)
         if run.tol_reached(value):
-            return run.report(SolveStatus.CONVERGED, x, diagnostics=basis.diagnostics())
+            return run.finish(SolveStatus.CONVERGED, basis)
         if exhausted or run.stagnated():
-            return run.report(SolveStatus.STAGNATED, x, diagnostics=basis.diagnostics())
+            return run.finish(SolveStatus.STAGNATED, basis)
         basis.append(w, h_next)
-    return run.report(SolveStatus.MAX_ITERATIONS, x, diagnostics=basis.diagnostics())
+    return run.finish(SolveStatus.MAX_ITERATIONS, basis)
 
 
 def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     """Minimal residual method via the three-term Lanczos recurrence.
 
     The tridiagonal least-squares problem is updated with Givens rotations,
-    so only the last two solution directions are kept.  The Lanczos basis is
-    always stored: in finite precision the three-term recurrence loses
-    orthogonality, which delays convergence and limits the attainable
+    and the iterate is formed from the stored Lanczos basis, as in
+    :func:`gmres_solve`.  In finite precision the three-term recurrence
+    loses orthogonality, which delays convergence and limits the attainable
     residual.  One rule keeps it orthogonal (:class:`_LanczosBasis`): partial
     reorthogonalization at eps^(3/4), where the explicit residual reaches the
     tolerance that reorthogonalizing every vector reaches.  Works for
@@ -518,14 +522,14 @@ def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     """GMRES with a full Arnoldi recurrence (no restarting).
 
     Classical Gram-Schmidt run twice (CGS2) on every Arnoldi vector,
-    Givens-rotation update of the Hessenberg least-squares problem, the
-    iterate formed from the stored basis, and explicit per-iteration
-    residuals.  Applicable to any square operator.  A breakdown is reported
-    when the continuation vector vanishes and the last step's pivot is
-    numerically zero or its recurrence residual misses the tolerance, as on
-    singular systems; a committed last step whose explicit residual misses
-    the tolerance (nonsingular, but the tolerance lies below the attainable
-    accuracy) is reported as stagnated.
+    Givens-rotation update of the Hessenberg least-squares problem, and the
+    iterate and its residual formed from the stored basis and its products
+    (module docstring).  Applicable to any square operator.  A breakdown is
+    reported when the continuation vector vanishes and the last step's pivot
+    is numerically zero or its recurrence residual misses the tolerance, as
+    on singular systems; a committed last step whose explicit residual
+    misses the tolerance (nonsingular, but the tolerance lies below the
+    attainable accuracy) is reported as stagnated.
 
     ``diagnostics`` holds the same keys as :func:`minres_solve`'s, with one
     reorthogonalization counted per step.

@@ -108,10 +108,11 @@ class TestRun:
         {**paper_spec(), "problem": {"generator": "near-invariant", "alpha": "nan"}},
         {**paper_spec(), "problem": {"generator": "near-invariant", "alpha": True}},
         {**paper_spec(), "solver": {"reorthogonalize": True}},
+        {**paper_spec(), "solver": {"explicit_residuals": True}},
     ], ids=["bad-index-list", "bad-format", "bad-unused-key", "section-not-object",
             "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
             "infinite-breakdown-threshold", "nan-alpha", "boolean-float",
-            "removed-reorthogonalize-key"])
+            "removed-reorthogonalize-key", "removed-explicit-residuals-key"])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
         monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
@@ -169,7 +170,7 @@ class TestRun:
 
     def test_ini_spec_matches_json_spec(self, tmp_path):
         spec = paper_spec()
-        spec["solver"] = {"explicit_residuals": True, "tolerance": 1e-10}
+        spec["solver"] = {"max_iterations": 1000, "tolerance": 1e-10}
         json_out, ini_out = tmp_path / "json.out", tmp_path / "ini.out"
         assert cli.main(["run", write_spec(tmp_path, spec), "--output", str(json_out)]) == 0
         ini = tmp_path / "spec.ini"
@@ -177,7 +178,7 @@ class TestRun:
             "[problem]\ngenerator = symmetric-indefinite\nm = 20\n"
             "[deflation]\neigen_indices = 1-5,21-25\n"
             f"[run]\nvariants = {', '.join(SIX_VARIANTS)}\nx0 = zero\n"
-            "[solver]\nexplicit_residuals = yes\ntolerance = 1e-10\n"
+            "[solver]\nmax_iterations = 1000\ntolerance = 1e-10\n"
             "[output]\nformat = json\n", encoding="ascii")
         assert cli.main(["run", str(ini), "--output", str(ini_out)]) == 0
         assert ini_out.read_bytes() == json_out.read_bytes()
@@ -277,7 +278,7 @@ PUBLIC_PARAMETERS = {
     "SingularCouplingError": None,
     "SingularMatrixError": None,
     "SolveConfig": ["residual_tolerance", "max_iterations", "breakdown_threshold",
-                    "record_history", "explicit_residuals"],
+                    "record_history"],
     "SolveReport": ["final_iterate", "residual_norms", "status", "iterations_used",
                     "breakdown_iteration", "recurrence_residual_norms", "iterates",
                     "diagnostics"],

@@ -301,6 +301,23 @@ class TestOriginalSystemStatus:
         # the two products differ by roundoff of ||A|| ||x||, about 1e6 here
         assert result.diagnostics["original_residual_norm"] == pytest.approx(residual, rel=1e-2)
 
+    @pytest.mark.parametrize("variant", [MethodVariant.RMINRES_EXPLICIT,
+                                         MethodVariant.DEFLATED_MINRES])
+    def test_ill_conditioned_run_reaches_the_tolerance(self, variant):
+        # Q diag(lam) Q^T of order 200 with lam log-spaced over 8 decades,
+        # deflating the 5 largest.  When MINRES recorded b - A x per step
+        # and formed x by its short direction recurrence, both runs broke
+        # down at step 196, with ||b - A x|| of 1.08 and 1.35 tol ||b|| under
+        # one BLAS thread.
+        q = linalg.random_orthogonal(200, 203)
+        rng = np.random.default_rng(203)
+        a = linalg.assemble_hermitian(q, np.logspace(0, 8, 200))
+        b = rng.standard_normal(200)
+        cfg = SolveConfig(residual_tolerance=1e-8, max_iterations=3000)
+        result = run_method(variant, a, b, q[:, -5:], cfg=cfg)
+        assert result.status is SolveStatus.CONVERGED
+        assert np.linalg.norm(b - a @ result.corrected_iterate) <= 1e-8 * np.linalg.norm(b)
+
     def test_reference_includes_the_initial_residual(self):
         # with a large x0 the tolerance is relative to ||b - A x0||, not ||b||
         a, b, u = hermitian_instance(4)

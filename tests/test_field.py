@@ -84,8 +84,8 @@ class TestFieldOfARun:
         fields = []
         init = solvers._StoredBasis.__init__
 
-        def recording_init(self, v0, cfg):
-            init(self, v0, cfg)
+        def recording_init(self, *args):
+            init(self, *args)
             fields.append(self.vectors.dtype)
         monkeypatch.setattr(solvers._StoredBasis, "__init__", recording_init)
         return fields

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -53,7 +55,8 @@ class TestSolveConfig:
     def test_defaults_valid(self):
         cfg = SolveConfig()
         assert cfg.residual_tolerance == 1e-10
-        assert cfg.explicit_residuals is True
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "residual_tolerance", "max_iterations", "breakdown_threshold", "record_history"]
 
     @pytest.mark.parametrize("kwargs", [
         {"residual_tolerance": 0.0},
@@ -277,8 +280,8 @@ class TestMinres:
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     def test_runs_past_the_dimension(self, solver):
         # With breakdown and residual tolerances out of reach the iteration
-        # continues beyond n steps, and the stored basis (and GMRES's
-        # triangular factor) must grow.
+        # continues beyond n steps, and the stored basis, its products and
+        # the triangular factor must grow.
         op = dense_operator(np.diag([1.0, -2.0, 3.0, 4.0]))
         b = np.ones(4)
         cfg = SolveConfig(max_iterations=20, residual_tolerance=1e-30,
@@ -364,6 +367,49 @@ class TestGmres:
         np.testing.assert_allclose(rep.final_iterate, [1.0, 1.0], atol=1e-10)
 
 
+class TestMinimalResidualRecord:
+    """MINRES and GMRES apply the operator once per step and record
+    ||r0 - (op V) y|| from the stored products op V."""
+
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    @pytest.mark.parametrize("max_iterations", [1000, 5], ids=["converged", "max-iterations"])
+    def test_one_product_per_step(self, solver, max_iterations):
+        # r0, op v_j for each of the k steps, and b - op x once at the end
+        rng = np.random.default_rng(3)
+        a = random_hermitian_indefinite(rng, 30)
+        b = rng.standard_normal(30)
+        calls = []
+        op = LinearOperator(30, lambda v: calls.append(1) or a @ v, hermitian=True)
+        rep = solver(op, b, rng.standard_normal(30), SolveConfig(max_iterations=max_iterations))
+        assert rep.iterations_used > 1
+        assert len(calls) == rep.iterations_used + 2
+
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_recorded_residual_is_the_explicit_one_to_roundoff(self, solver):
+        # r0 - (A V) y and b - A (x0 + V y) are equal in exact arithmetic.
+        # In floating point they differ by the errors of four products, A x0,
+        # A V, (A V) y and A x_k, each within gamma_m |A| |z| for m <= n + k
+        # terms, gamma_m <= 1.01 m eps while m eps < 0.01 (Higham, *Accuracy
+        # and Stability of Numerical Algorithms*, 2002, 3.5).  In norm that
+        # is gamma_m ||A||_F ||z||, and the columns of A V add up to
+        # sqrt(k) ||y|| = sqrt(k) ||x_k - x0|| for orthonormal V; the
+        # subtractions and the norms add gamma_m of the residual itself.
+        rng = np.random.default_rng(11)
+        n = 40
+        a = (random_hermitian_indefinite(rng, n) if solver is minres_solve
+             else rng.standard_normal((n, n)) + 8.0 * np.eye(n))
+        b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+        rep = solver(dense_operator(a), b, x0)
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations_used > 20
+        a_norm, eps = np.linalg.norm(a), np.finfo(float).eps
+        for k, (x, recorded) in enumerate(zip(rep.iterates, rep.residual_norms)):
+            explicit = np.linalg.norm(b - a @ x)
+            gamma = 1.01 * (n + k) * eps
+            bound = 4 * gamma * (a_norm * np.sqrt(k) * (np.linalg.norm(x) + np.linalg.norm(x0))
+                                 + explicit)
+            assert abs(recorded - explicit) <= bound
+
+
 class TestDriftDiagnostic:
     @pytest.mark.parametrize("solve", [minres_solve, gmres_solve])
     def test_eigenvalue_drift_matches_the_svd_norm(self, solve, monkeypatch):
@@ -401,36 +447,32 @@ class TestStagnation:
         assert rep.status in (SolveStatus.BREAKDOWN, SolveStatus.STAGNATED)
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
-    @pytest.mark.parametrize("explicit_residuals", [False, True])
-    def test_singular_last_step_is_not_committed(self, solver, explicit_residuals):
+    def test_singular_last_step_is_not_committed(self, solver):
         # The Krylov space is exhausted at step 4 with a singular
         # least-squares factor; the least possible residual is 0.5, so the
-        # step must not be committed as a lucky termination.  Without
-        # explicit residuals only the pivot test can tell.
+        # step must not be committed as a lucky termination.  No residual of
+        # the uncommitted step is formed, so only the pivot test can tell.
         a = np.diag([1.0, 2.0, 3.0, 0.0])
         b = np.array([1.0, 1.0, 1.0, 0.5])
-        cfg = SolveConfig(max_iterations=200, residual_tolerance=1e-10,
-                          explicit_residuals=explicit_residuals)
+        cfg = SolveConfig(max_iterations=200, residual_tolerance=1e-10)
         rep = solver(dense_operator(a), b, cfg=cfg)
         assert rep.status is SolveStatus.BREAKDOWN
         assert rep.breakdown_iteration == 4
         assert rep.residual_norms[-1] == pytest.approx(0.5, rel=1e-10)
         assert np.linalg.norm(b - a @ rep.final_iterate) == pytest.approx(0.5, rel=1e-10)
 
-    @pytest.mark.parametrize("solver, explicit_residuals", [
-        (minres_solve, True), (gmres_solve, True), (minres_solve, False), (gmres_solve, False),
-    ], ids=["minres_solve", "gmres_solve", "minres_solve-recurrence", "gmres_solve-recurrence"])
-    def test_unattainable_tolerance_on_nonsingular_system(self, solver, explicit_residuals):
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_unattainable_tolerance_on_nonsingular_system(self, solver):
         # Nonsingular, but at condition 2e8 the default tolerance lies below
         # the attainable accuracy: the Krylov space is exhausted at step 3
         # and the last step misses the tolerance, so the run is not
         # reported as converged, and what it records is the true residual.
-        # Without explicit residuals the recurrence residual meets the
-        # tolerance, so only the final explicit check can tell.
+        # The recurrence residual meets the tolerance, so only the final
+        # explicit residual can tell.
         q = linalg.random_orthogonal(3, 0)
         a = q @ np.diag([1.0, -2.0, 1e-8]) @ q.conj().T
         b = q @ np.ones(3)
-        rep = solver(dense_operator(a), b, cfg=SolveConfig(explicit_residuals=explicit_residuals))
+        rep = solver(dense_operator(a), b)
         assert rep.status is not SolveStatus.CONVERGED
         assert rep.residual_norms[-1] == pytest.approx(
             np.linalg.norm(b - a @ rep.final_iterate), rel=1e-12)
