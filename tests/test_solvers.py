@@ -447,22 +447,33 @@ class TestStagnation:
         assert rep.status in (SolveStatus.BREAKDOWN, SolveStatus.STAGNATED)
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
-    def test_singular_last_step_is_not_committed(self, solver):
+    @pytest.mark.parametrize("record_history", [False, True])
+    def test_singular_last_step_is_not_committed(self, solver, record_history):
         # The Krylov space is exhausted at step 4 with a singular
         # least-squares factor; the least possible residual is 0.5, so the
         # step must not be committed as a lucky termination.  No residual of
         # the uncommitted step is formed, so only the pivot test can tell.
+        # The frozen iterate is the same whether or not the run forms the
+        # iterate at every step.
         a = np.diag([1.0, 2.0, 3.0, 0.0])
         b = np.array([1.0, 1.0, 1.0, 0.5])
-        cfg = SolveConfig(max_iterations=200, residual_tolerance=1e-10)
+        cfg = SolveConfig(max_iterations=200, residual_tolerance=1e-10,
+                          record_history=record_history)
         rep = solver(dense_operator(a), b, cfg=cfg)
         assert rep.status is SolveStatus.BREAKDOWN
         assert rep.breakdown_iteration == 4
         assert rep.residual_norms[-1] == pytest.approx(0.5, rel=1e-10)
         assert np.linalg.norm(b - a @ rep.final_iterate) == pytest.approx(0.5, rel=1e-10)
+        if record_history:
+            assert len(rep.iterates) == 4
+            np.testing.assert_array_equal(rep.iterates[-1], rep.final_iterate)
+        else:
+            assert rep.iterates is None
 
-    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
-    def test_unattainable_tolerance_on_nonsingular_system(self, solver):
+    @pytest.mark.parametrize("solver, recurrence", [
+        (minres_solve, False), (gmres_solve, False), (minres_solve, True), (gmres_solve, True),
+    ], ids=["minres_solve", "gmres_solve", "minres_solve-recurrence", "gmres_solve-recurrence"])
+    def test_unattainable_tolerance_on_nonsingular_system(self, solver, recurrence):
         # Nonsingular, but at condition 2e8 the default tolerance lies below
         # the attainable accuracy: the Krylov space is exhausted at step 3
         # and the last step misses the tolerance, so the run is not
@@ -474,8 +485,12 @@ class TestStagnation:
         b = q @ np.ones(3)
         rep = solver(dense_operator(a), b)
         assert rep.status is not SolveStatus.CONVERGED
-        assert rep.residual_norms[-1] == pytest.approx(
-            np.linalg.norm(b - a @ rep.final_iterate), rel=1e-12)
+        if recurrence:
+            tol = SolveConfig().residual_tolerance * np.linalg.norm(b)
+            assert rep.recurrence_residual_norms[-1] <= tol < rep.residual_norms[-1]
+        else:
+            assert rep.residual_norms[-1] == pytest.approx(
+                np.linalg.norm(b - a @ rep.final_iterate), rel=1e-12)
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     def test_exhausted_space_commits_the_last_step(self, solver):
