@@ -1,14 +1,25 @@
 """Base Krylov iterations: CG, MINRES and GMRES over a LinearOperator.
 
-All three solvers record per iteration a residual norm that rests on no
-recurrence (the recurrence estimates are kept alongside for cross-checking),
-classify termination into converged / breakdown / stagnated /
-max-iterations, and never silently return a breakdown as success.  CG forms
-||b - op x_n||, a second product per step.  MINRES and GMRES keep op V
-beside the Krylov basis V and record ||r0 - (op V) y_n||, equal to
-||b - op x_n|| up to the roundoff of one product; a run that does not break
-down records b - op x, formed once, as its last residual, and a converged
-run that misses the tolerance by it is reported as stagnated.
+All three solvers apply the operator once per step, record a residual norm
+per iteration with its recurrence estimate alongside, classify termination
+into converged / breakdown / stagnated / max-iterations, and never silently
+return a breakdown as success.  Every run but a minimal-residual breakdown
+ends with b - op x of the returned iterate formed once and recorded as its
+last residual (:meth:`_Run.finish`); a run that claims convergence and
+misses the tolerance by it is reported as stagnated.  A converged,
+stagnated or max-iterations run of k steps so makes k + 2 products: r0, one
+per step and the last.
+
+CG records its carried residual ||r_n||, which drifts from ||b - op x_n||
+by the residual gap that limits its attainable accuracy (Greenbaum, SIAM J.
+Matrix Anal. Appl. 18, 1997).  Only a recorded residual that meets the
+tolerance can end a run, so where the carried one does, CG forms
+b - op x_n and records it in its place; if that misses the tolerance, it
+replaces the carried residual and the iteration goes on from it (van der
+Vorst and Ye, SIAM J. Sci. Comput. 22, 2000), at one more product.  MINRES
+and GMRES keep op V beside the Krylov basis V and record
+||r0 - (op V) y_n||, equal to ||b - op x_n|| up to the roundoff of one
+product.
 
 MINRES and GMRES are one minimal-residual iteration that differs only in how
 the Krylov basis grows: by the Lanczos or by the Arnoldi recurrence.  Both
@@ -172,16 +183,18 @@ class _Run:
             return False
         return current > self.best[0] * STAGNATION_FACTOR
 
-    def finish(self, status, basis) -> SolveReport:
-        """Report a minimal-residual run at the last iterate of ``basis``,
-        whose recorded residual was not formed as b - op x: form it so, once,
-        record it in its place, and report a converged run that misses the
-        tolerance by it as stagnated."""
-        x = basis.iterate()
+    def finish(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
+        """Report the run at ``x``, whose last recorded residual was not
+        formed as b - op x: form it so, once, and record it in its place.  A
+        run that claims convergence is reported as stagnated if it misses the
+        tolerance by it, and a breakdown as converged if it meets it."""
         self.residual_norms[-1] = linalg.vector_norm(self.b - self.op.apply(x))
-        if status is SolveStatus.CONVERGED and not self.tol_reached(self.residual_norms[-1]):
+        if self.tol_reached(self.residual_norms[-1]):
+            if status is SolveStatus.BREAKDOWN:
+                status, breakdown_iteration = SolveStatus.CONVERGED, None
+        elif status is SolveStatus.CONVERGED:
             status = SolveStatus.STAGNATED
-        return self.report(status, x, diagnostics=basis.diagnostics())
+        return self.report(status, x, breakdown_iteration, diagnostics)
 
     def report(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
         return SolveReport(
@@ -215,11 +228,20 @@ def _prepare(op, b, x0, cfg):
 def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     """Conjugate gradients for Hermitian positive (semi)definite operators.
 
+    One operator product per step, applied to the search direction p.  The
+    recorded residual is the carried ||r_k|| = sqrt(rho_k) until it meets
+    the tolerance; there b - op x_k is formed and recorded instead, and the
+    run converges if it meets the tolerance too.  If it misses, it replaces
+    the carried residual, rho is taken from it, p's recurrence is kept and
+    the iteration goes on (module docstring).  Every other ending records
+    b - op x of the returned iterate as its last residual.
+
     On a consistent positive semidefinite system the iteration is well defined
     until termination.  A direction of significantly negative curvature raises
-    :class:`IndefiniteOperatorError`; a vanishing curvature with the residual
-    still above tolerance is reported as a breakdown (this cannot happen on a
-    consistent semidefinite system).
+    :class:`IndefiniteOperatorError`; a vanishing curvature is reported as a
+    breakdown at the last iterate if its true residual misses the tolerance
+    (this cannot happen on a consistent semidefinite system), and as
+    converged if it meets it.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     if op.hermitian is not True:
@@ -243,22 +265,28 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
                 raise IndefiniteOperatorError(
                     f"negative curvature {curvature:.3e} at iteration {iteration}"
                 )
-            if run.tol_reached(run.residual_norms[-1]):
-                return run.report(SolveStatus.CONVERGED, x)
-            return run.report(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration)
+            return run.finish(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration)
         alpha = rho / curvature
         x = x + alpha * p
         r = r - alpha * ap
         rho_next = np.vdot(r, r).real
-        value = run.record(x, math.sqrt(max(rho_next, 0.0)),
-                           linalg.vector_norm(b - op.apply(x)))
+        value = carried = math.sqrt(max(rho_next, 0.0))
+        if run.tol_reached(carried):
+            # Replace the carried residual by the true one and judge on it.
+            r = b - op.apply(x)
+            rho_next = np.vdot(r, r).real
+            value = linalg.vector_norm(r)
+        run.record(x, carried, value)
         if run.tol_reached(value):
             return run.report(SolveStatus.CONVERGED, x)
         if run.stagnated():
-            return run.report(SolveStatus.STAGNATED, x)
+            status = SolveStatus.STAGNATED
+            break
         p = r + (rho_next / rho) * p
         rho = rho_next
-    return run.report(SolveStatus.MAX_ITERATIONS, x)
+    else:
+        status = SolveStatus.MAX_ITERATIONS
+    return run.finish(status, x)
 
 
 #: Estimated loss of orthogonality at which MINRES reorthogonalizes; why it is
@@ -488,11 +516,15 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
         g = g_next
         value = run.record(basis.iterate() if cfg.record_history else None, abs(g), residual)
         if run.tol_reached(value):
-            return run.finish(SolveStatus.CONVERGED, basis)
+            status = SolveStatus.CONVERGED
+            break
         if exhausted or run.stagnated():
-            return run.finish(SolveStatus.STAGNATED, basis)
+            status = SolveStatus.STAGNATED
+            break
         basis.append(w, h_next)
-    return run.finish(SolveStatus.MAX_ITERATIONS, basis)
+    else:
+        status = SolveStatus.MAX_ITERATIONS
+    return run.finish(status, basis.iterate(), diagnostics=basis.diagnostics())
 
 
 def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:

@@ -36,6 +36,14 @@ def logspaced_system(n, seed, decades, signs=False):
     return linalg.assemble_hermitian(q, lam), rng.standard_normal(n)
 
 
+def counted_operator(a):
+    """dense_operator(a), and the list that gets one entry per product."""
+    matrix, calls = linalg.SquareMatrix(a), []
+    op = LinearOperator(a.shape[0], lambda v: calls.append(1) or matrix.product(v),
+                        matrix.hermitian, dtype=matrix.a.dtype)
+    return op, calls
+
+
 def krylov_least_squares_residuals(a, b, x0, steps):
     """Dense least-squares oracle: optimal residual over x0 + K_n for each n."""
     r0 = b - a @ x0
@@ -136,17 +144,22 @@ class TestCg:
         r0 = np.linalg.norm(b - a @ x0)
         assert rep.residual_norms[0] == pytest.approx(r0, rel=1e-14)
 
-    def test_one_product_for_r0_and_two_per_step(self):
-        # r0 is formed once and recorded as the explicit residual of x0; each
-        # step applies the operator to p and to the new iterate
-        rng = np.random.default_rng(3)
-        a = random_hpd(rng, 30)
-        b = rng.standard_normal(30)
-        calls = []
-        op = LinearOperator(30, lambda v: calls.append(1) or a @ v, hermitian=True)
-        rep = cg_solve(op, b, rng.standard_normal(30))
-        assert rep.status is SolveStatus.CONVERGED and rep.iterations_used > 1
-        assert len(calls) == 1 + 2 * rep.iterations_used
+    @pytest.mark.parametrize("ending", ["converged", "max-iterations", "stagnated"])
+    def test_one_product_per_step(self, ending):
+        # r0, op p for each of the k steps, and b - op x once at the end,
+        # where the carried residual meets the tolerance or the run stops
+        if ending == "stagnated":
+            a, b = logspaced_system(50, 0, 10)
+            x0, cfg = None, SolveConfig()
+        else:
+            rng = np.random.default_rng(3)
+            a = random_hpd(rng, 30)
+            b, x0 = rng.standard_normal(30), rng.standard_normal(30)
+            cfg = SolveConfig(max_iterations=1000 if ending == "converged" else 5)
+        op, calls = counted_operator(a)
+        rep = cg_solve(op, b, x0, cfg)
+        assert rep.status.value == ending and rep.iterations_used > 1
+        assert len(calls) == rep.iterations_used + 2
 
     @pytest.mark.parametrize("seed, decades", [(0, 4), (1, 5), (4, 4), (5, 6)])
     def test_rising_residual_is_not_stagnation(self, seed, decades):
@@ -159,6 +172,68 @@ class TestCg:
                        cfg=SolveConfig(residual_tolerance=1e-10, max_iterations=6000))
         assert rep.status is SolveStatus.CONVERGED
         assert np.linalg.norm(b - a @ rep.final_iterate) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("seed, decades", [(1, 5), (5, 6)])
+    def test_true_residual_that_misses_replaces_the_carried_one(self, seed, decades):
+        # Here the carried residual meets the tolerance while b - A x misses
+        # it (by 1.0016 and 1.46 times).  The true residual is recorded,
+        # replaces the carried one, and the run goes on to converge on it,
+        # at one product more than iterations_used + 2 for each such step.
+        a, b = logspaced_system(200, seed, decades)
+        op, calls = counted_operator(a)
+        rep = cg_solve(op, b, cfg=SolveConfig(residual_tolerance=1e-10, max_iterations=6000))
+        tol = 1e-10 * np.linalg.norm(b)
+        assert rep.status is SolveStatus.CONVERGED
+        assert np.linalg.norm(b - a @ rep.final_iterate) <= tol
+        replaced = ((rep.recurrence_residual_norms <= tol) & (rep.residual_norms > tol)).sum()
+        assert replaced >= 1
+        assert len(calls) == rep.iterations_used + 2 + replaced
+
+    @pytest.mark.parametrize("ending", ["converged", "max-iterations", "stagnated",
+                                        "breakdown", "replaced"])
+    def test_recorded_residual_is_within_the_residual_gap(self, ending):
+        # The carried residual r_k and b - A x_k part by the residual gap
+        # f_k = b - A x_k - r_k (Greenbaum, SIAM J. Matrix Anal. Appl. 18,
+        # 1997).  A step x' = fl(x + fl(alpha p)), r' = fl(r - fl(alpha
+        # fl(A p))) adds to f the rounding of the two updates and of the
+        # product: within gamma_{n+4} ||A||_F (||x|| + ||x'||) + u (||A||_F
+        # ||x'|| + ||r'||) in real arithmetic, with gamma_m = m u / (1 - m u)
+        # <= 1.01 m u while m u < 0.01 (Higham, *Accuracy and Stability of
+        # Numerical Algorithms*, 2002, 3.5).  f_0, the recorded norm and the
+        # test's own b - A x_k add gamma_{n+1} (||A||_F ||x|| + ||r||) each,
+        # and a true residual that replaces the carried one restarts the gap
+        # at that size.  Summed: |recorded_k - ||b - A x_k||| <=
+        # 4 gamma_{n+5} sum_{i<=k} (||A||_F ||x_i|| + ||r_i||).  Every ending
+        # records b - A x of the returned iterate last, to the roundoff of
+        # the solver's and the test's product: 4 gamma_{n+1} (||A||_F ||x||
+        # + ||b - A x||), and bit for bit through the solver's own product.
+        x0, cfg, status = None, SolveConfig(), ending
+        if ending in ("converged", "max-iterations"):
+            a, b = logspaced_system(40, 7, 3)
+            x0 = np.random.default_rng(1).standard_normal(40)
+            cfg = SolveConfig(max_iterations=1000 if ending == "converged" else 20)
+        elif ending == "stagnated":
+            a, b = logspaced_system(50, 0, 10)
+        elif ending == "breakdown":
+            # p = (0, 2) at step 2 has zero curvature, at ||b - A x|| = sqrt(2)
+            a, b = np.diag([1.0, 0.0]), np.ones(2)
+        else:
+            a, b = logspaced_system(200, 1, 5)
+            cfg, status = SolveConfig(max_iterations=6000), "converged"
+        rep = cg_solve(dense_operator(a), b, x0, cfg)
+        assert rep.status.value == status and rep.iterations_used >= 1
+        n, a_norm = a.shape[0], np.linalg.norm(a)
+        unit = 1.01 * np.finfo(float).eps / 2       # gamma_m <= m * unit
+        total = 0.0
+        for x, recorded in zip(rep.iterates, rep.residual_norms):
+            explicit = np.linalg.norm(b - a @ x)
+            total += a_norm * np.linalg.norm(x) + max(recorded, explicit)
+            assert abs(recorded - explicit) <= 4 * (n + 5) * unit * total
+        x = rep.final_iterate
+        explicit = np.linalg.norm(b - a @ x)
+        assert abs(rep.residual_norms[-1] - explicit) <= 4 * (n + 1) * unit * (
+            a_norm * np.linalg.norm(x) + explicit)
+        assert rep.residual_norms[-1] == linalg.vector_norm(b - dense_operator(a).apply(x))
 
 
 class TestMinres:
@@ -491,6 +566,20 @@ class TestStagnation:
         else:
             assert rep.residual_norms[-1] == pytest.approx(
                 np.linalg.norm(b - a @ rep.final_iterate), rel=1e-12)
+
+    def test_unattainable_tolerance_on_spd_system(self):
+        # CG on the positive definite twin of that system: its carried
+        # residual meets the tolerance at step 5 where the true one misses
+        # it, so the true residual replaces it there, and the run goes on
+        # until it stagnates at its last iterate.  It is not reported as converged, and its
+        # last recorded residual is the true one.
+        q = linalg.random_orthogonal(3, 0)
+        a = q @ np.diag([1.0, 2.0, 1e-8]) @ q.conj().T
+        b = q @ np.ones(3)
+        rep = cg_solve(dense_operator(a), b)
+        assert rep.status is not SolveStatus.CONVERGED
+        assert rep.residual_norms[-1] == pytest.approx(
+            np.linalg.norm(b - a @ rep.final_iterate), rel=1e-12)
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     def test_exhausted_space_commits_the_last_step(self, solver):
