@@ -3,6 +3,7 @@
     python scripts/compare_runs.py OTHER_CHECKOUT [--equivalence SEED:COUNT ...]
                                    [--ill-conditioned]
     python scripts/compare_runs.py OTHER_CHECKOUT --cli
+    python scripts/compare_runs.py OTHER_CHECKOUT --time
 
 OTHER_CHECKOUT is a second checkout of the repository, typically of the
 parent commit (``git clone . ../parent && git -C ../parent checkout HEAD~1``).
@@ -45,19 +46,40 @@ breakdown spec (m=50, ``breakdown_indices 1-5``, ``x0 = breakdown-guess``),
 each under ``--format json`` and ``--format csv``.  One line per run says
 whether the exit code, standard output and standard error are equal byte for
 byte; it exits 1 unless all of them are.
+
+With ``--time`` it times the two checkouts against each other instead, in one
+process whose BLAS thread variables are pinned to 1, with each checkout's
+``dkrylov`` imported under its own package name.  For :data:`TIME_ROUNDS`
+rounds, after :data:`WARM_UP_ROUNDS` untimed ones, it runs one op of each
+checkout per workload, which checkout goes first alternating by round:
+
+* ``paper-sweep-n400``: ``dkrylov run`` of the paper's spec at m=200 (n=400,
+  the six MINRES and GMRES variants, tolerance 1e-10), problem seeds 1 to 8
+  in turn;
+* ``recycle-spd-n1000``: deflated CG with a ``Deflator`` built once on
+  ``clustered_spd_problem(1000)``, one of 16 seeded right-hand sides in turn.
+
+Per workload it prints each checkout's median op time with its quartiles,
+the median of the paired ratios (this checkout's time over the other's) and
+a bootstrap 95% interval of that median from seeded resamples of the rounds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
+import importlib
+import importlib.util
+import io
 import json
 import os
 import pickle
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +305,96 @@ def compare_cli(other: Path) -> int:
     return 1 if differ else 0
 
 
+#: Timed rounds of ``--time``, and the untimed rounds before them.
+TIME_ROUNDS = 64
+WARM_UP_ROUNDS = 2
+#: Bootstrap resamples of the paired ratios, and the seed that draws them.
+RESAMPLES = 2000
+RESAMPLE_SEED = 0
+
+
+def paired_summary(this, other) -> dict:
+    """Quartiles (25%, median, 75%) of each side's times, the median of the
+    paired ratios this / other and the 2.5% and 97.5% percentiles of that
+    median over :data:`RESAMPLES` seeded bootstrap resamples of the pairs."""
+    this, other = np.asarray(this, dtype=float), np.asarray(other, dtype=float)
+    ratios = this / other
+    picks = np.random.default_rng(RESAMPLE_SEED).integers(
+        0, len(ratios), (RESAMPLES, len(ratios)))
+    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    return {"this": np.percentile(this, [25, 50, 75]),
+            "other": np.percentile(other, [25, 50, 75]),
+            "ratio": float(np.median(ratios)), "interval": (float(low), float(high))}
+
+
+def _import_as(name: str, checkout: Path):
+    """``checkout``'s ``dkrylov`` package, imported as the package ``name``."""
+    init = checkout / "src" / "dkrylov" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _timed_ops(name: str, checkout: Path, workdir: Path) -> dict:
+    """``{workload: op}`` of one checkout; ``op(round)`` runs one op."""
+    package = _import_as(name, checkout)
+    cli = importlib.import_module(f"{name}.cli")
+    spec = {"problem": {"generator": "symmetric-indefinite", "m": 200},
+            "deflation": {"eigen_indices": "1-5,201-205"},
+            "run": {"variants": SIX_VARIANTS, "x0": "zero"},
+            "solver": {"tolerance": 1e-10}, "output": {"format": "json"}}
+    spec_path, out = workdir / f"{name}.json", workdir / f"{name}-out.json"
+    spec_path.write_text(json.dumps(spec), encoding="ascii")
+
+    def sweep(r):
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["run", str(spec_path), "--seed", str(1 + r % 8), "--output", str(out)])
+
+    problem = package.clustered_spd_problem(1000, 5, 1)
+    d = package.Deflator(problem.a, package.eigenvector_basis(problem, range(1, 6)),
+                         package.GalerkinMode.RESIDUAL_ORTHOGONAL)
+    op = package.deflated_operator(d, "left")
+    rng = np.random.default_rng(1)
+    pool = [b / np.linalg.norm(b) for b in rng.standard_normal((16, 1000)).astype(complex)]
+    cfg = package.SolveConfig(residual_tolerance=1e-10)
+
+    def recycle(r):
+        b = pool[r % len(pool)]
+        x0 = d.initial_correction(np.zeros(1000, dtype=complex), b)
+        d.correct_iterate(package.cg_solve(op, d.project_residual(b), x0, cfg).final_iterate, b)
+
+    return {"paper-sweep-n400": sweep, "recycle-spd-n1000": recycle}
+
+
+def compare_time(other: Path) -> int:
+    """Time both checkouts' ops in alternation and print the paired ratios."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [_timed_ops(name, checkout, Path(tmp)) for name, checkout in
+                 (("dkrylov_this", HERE_CHECKOUT), ("dkrylov_other", other.resolve()))]
+        times = {workload: ([], []) for workload in sides[0]}
+        for r in range(WARM_UP_ROUNDS + TIME_ROUNDS):
+            for workload, pair in times.items():
+                for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                    start = time.perf_counter()
+                    sides[side][workload](r)
+                    if r >= WARM_UP_ROUNDS:
+                        pair[side].append(time.perf_counter() - start)
+    print(f"BLAS threads: {_threads()}; {TIME_ROUNDS} rounds after {WARM_UP_ROUNDS} "
+          "untimed; ms as 25% / median / 75%")
+    print(f"{'workload':<20} {'this':>24} {'other':>24} {'ratio':>6}  95% interval")
+    for workload, (this, that) in times.items():
+        summary = paired_summary(this, that)
+        low, high = summary["interval"]
+        this_ms, that_ms = ("/".join(f"{1e3 * t:.2f}" for t in summary[side])
+                            for side in ("this", "other"))
+        print(f"{workload:<20} {this_ms:>24} {that_ms:>24} {summary['ratio']:>6.3f}  "
+              f"{low:.3f} to {high:.3f}")
+    return 0
+
+
 def _equivalence_spec(text: str) -> tuple[int, int]:
     seed, count = text.split(":")
     return int(seed), int(count)
@@ -297,6 +409,8 @@ def main(argv=None) -> int:
                         help="also compare the 18 ill-conditioned real symmetric systems")
     parser.add_argument("--cli", action="store_true",
                         help="compare dkrylov run output byte for byte instead")
+    parser.add_argument("--time", action="store_true",
+                        help="time both checkouts' ops in one process instead")
     parser.add_argument("--collect", nargs=2, metavar=("CHECKOUT", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -313,6 +427,12 @@ def main(argv=None) -> int:
         parser.error("the other checkout is required")
     if args.cli:
         return compare_cli(args.other)
+    if args.time:
+        if _threads() != "1":   # numpy is loaded: pin the threads in a new process
+            argv = sys.argv[1:] if argv is None else argv
+            return subprocess.run([sys.executable, __file__, *argv],
+                                  env=_one_thread_env()).returncode
+        return compare_time(args.other)
     with tempfile.TemporaryDirectory() as tmp:
         this, this_threads = _run_checkout(HERE_CHECKOUT, args.equivalence,
                                            args.ill_conditioned, Path(tmp) / "this.pkl")

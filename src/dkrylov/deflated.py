@@ -132,11 +132,11 @@ def run_methods(variants, a, b, u=None, x0=None,
     iteration: ``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` are the same
     iteration corrected at different times, which is the paper's equivalence
     of explicit and implicit augmentation made literal.  A shared iteration
-    records its iterates when any of its variants needs them (recording does
+    records its history when any of its variants needs it (recording does
     not change an iteration); a variant whose ``cfg`` does not record history
-    gets ``iterates=None``.  Each report holds its own copy of the
-    :class:`SolveReport`, so every report is the one the variant would get if
-    it were run alone, bit for bit, except that a shared deflator's
+    gets ``iterates=None`` and no basis drift.  Each report holds its own copy
+    of the :class:`SolveReport`, so every report is the one the variant would
+    get if it were run alone, bit for bit, except that a shared deflator's
     ``apply_counts`` total the whole run.  Without a basis ``u``, one
     ValueError names every variant that needs one, before any solve;
     otherwise the first variant that fails raises, with the error it raises
@@ -204,12 +204,13 @@ def _key(recipe: _Recipe) -> tuple:
 
 
 def _own_copy(rep: SolveReport, keep_iterates: bool) -> SolveReport:
-    """A report of its own for one variant, whose history is kept only if
-    the variant asked for it."""
+    """A report of its own for one variant, whose history (the iterates and
+    the basis drift) is kept only if the variant asked for it."""
     keep = keep_iterates and rep.iterates is not None
+    diagnostics = {key: value for key, value in rep.diagnostics.items()
+                   if keep or key != "basis_orthogonality_drift"}
     return replace(rep, residual_norms=rep.residual_norms.copy(),
-                   iterates=list(rep.iterates) if keep else None,
-                   diagnostics=dict(rep.diagnostics))
+                   iterates=list(rep.iterates) if keep else None, diagnostics=diagnostics)
 
 
 def _deflated_solve(recipe, d, b, x0, cfg, once, solve):

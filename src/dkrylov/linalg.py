@@ -265,6 +265,23 @@ def make_givens(f, g):
     return af / d, phase * g.conjugate() / d, phase * d
 
 
+def givens_cascade(column, c, s):
+    """:func:`givens_qr_step` on a list ``column`` of Python numbers, updated
+    in place, with the prior rotations ``c``, ``s`` as sequences of Python
+    numbers; returns the new rotation's ``c`` and ``s``.  Python's float
+    arithmetic is the IEEE arithmetic of numpy's, so a column in a run's
+    field updates bit for bit as its array would."""
+    m = len(column) - 2
+    f = column[0]
+    for i, (ci, si) in enumerate(zip(c, s)):
+        g = column[i + 1]
+        column[i] = ci * f + si * g
+        f = -si.conjugate() * f + ci * g
+    c_new, s_new, column[m] = make_givens(f, column[m + 1])
+    column[m + 1] = 0.0
+    return c_new, s_new
+
+
 def givens_qr_step(column, c, s):
     """One column update of a running QR factorization by Givens rotations.
 
@@ -281,16 +298,8 @@ def givens_qr_step(column, c, s):
     if not len(c) == len(s) == m:
         raise ValueError(f"need {m} prior rotations for a column of length "
                          f"{column.shape[0]}, got {len(c)} and {len(s)}")
-    # The cascade runs on Python scalars, each entry read and written once;
-    # their float arithmetic is the IEEE arithmetic of numpy's.
     entries = column.tolist()
-    f = entries[0]
-    for i, (ci, si) in enumerate(zip(c.tolist(), s.tolist())):
-        g = entries[i + 1]
-        entries[i] = ci * f + si * g
-        f = -si.conjugate() * f + ci * g
-    c_new, s_new, entries[m] = make_givens(f, entries[m + 1])
-    entries[m + 1] = 0.0
+    c_new, s_new = givens_cascade(entries, c.tolist(), s.tolist())
     field = np.complex128 if column.dtype.kind == "c" else np.float64
     return np.array(entries, dtype=field), c_new, s_new
 

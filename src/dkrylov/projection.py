@@ -205,7 +205,10 @@ class Deflator:
         x_hat = linalg.as_vector(x_hat, self.dim)
         b = linalg.as_vector(b, self.dim)
         self.apply_counts["corrections"] += 1
-        residual = b - self.a_product(x_hat)
+        # An all-zero x_hat, such as the default initial guess, needs no
+        # product: b - a 0 is b, in the product's field.
+        residual = (b - self.a_product(x_hat) if x_hat.any()
+                    else b.astype(np.result_type(b, x_hat, self.a), copy=False))
         return x_hat + self.u @ self._solve_coupling(self._bu_h @ residual)
 
     def correct_two_sided_iterate(self, x_bar, b) -> np.ndarray:

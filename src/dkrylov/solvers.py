@@ -84,9 +84,11 @@ class SolveConfig:
     ``residual_tolerance`` is relative to max(||r0||, ||b||).
     ``breakdown_threshold`` is the relative cutoff below which a Lanczos or
     Arnoldi continuation vector counts as vanished, and below which a pivot
-    of the least-squares factor counts as zero.  Neither orthogonalization
-    nor the recorded residual is configurable: each solver has one rule for
-    each (module docstring and :func:`minres_solve`).
+    of the least-squares factor counts as zero.  ``record_history`` keeps a
+    run's history: its iterates and, for MINRES and GMRES, the drift of the
+    stored basis.  Neither orthogonalization nor the recorded residual is
+    configurable: each solver has one rule for each (module docstring and
+    :func:`minres_solve`).
     """
 
     residual_tolerance: float = 1e-10
@@ -298,9 +300,9 @@ def _cgs2(basis, w):
     """Orthogonalize ``w`` against the columns of ``basis`` by classical
     Gram-Schmidt run twice ("twice is enough": Giraud, Langou and Rozloznik
     2005); return the new vector and the summed coefficients basis^H w."""
-    h = np.conj(np.conj(w) @ basis)
+    h = (w.conj() @ basis).conj()
     w = w - basis @ h
-    correction = np.conj(np.conj(w) @ basis)
+    correction = (w.conj() @ basis).conj()
     return w - basis @ correction, h + correction
 
 
@@ -311,9 +313,10 @@ class _StoredBasis:
 
     ``expand`` applies op to the newest basis vector, stores the product and
     returns the new column of the projected matrix from the first row a
-    prior Givens rotation touches, the continuation vector and its norm;
-    ``scale`` is the size the pivots are judged against.  ``c[k]``, ``s[k]``
-    is the Givens rotation of step k + 1 (``s`` in the run's field).
+    prior Givens rotation touches, as a list of Python numbers in the run's
+    field (``scalar``), the continuation vector and its norm; ``scale`` is
+    the size the pivots are judged against.  ``c[k]``, ``s[k]`` is the
+    Givens rotation of step k + 1, kept in lists as the cascade returns it.
 
     ``advance`` stores the rotated column in the triangular factor R, packed
     by columns so that its leading j-by-j factor is a prefix that BLAS
@@ -325,7 +328,7 @@ class _StoredBasis:
     J. Matrix Anal. Appl. 22, 2000).
     """
 
-    grown = ("betas", "c", "s", "g")
+    grown = ("betas", "g")
 
     def __init__(self, x0, r0, beta1, cfg):
         n = r0.shape[0]
@@ -336,11 +339,13 @@ class _StoredBasis:
         self.factor = np.zeros(capacity * (capacity + 1) // 2, dtype=r0.dtype)
         self.tpsv = scipy.linalg.get_blas_funcs("tpsv", (self.factor,))
         self.x0, self.r0 = x0, r0
+        self.residual = np.empty_like(r0)
+        self.scalar = complex if r0.dtype.kind == "c" else float
+        self.record_history = cfg.record_history
         self.g = np.zeros(capacity, dtype=r0.dtype)
         self.y = np.zeros(0, dtype=r0.dtype)
         self.betas = np.zeros(capacity)     # betas[k] couples v_{k-1} and v_k
-        self.c = np.zeros(capacity)
-        self.s = np.zeros(capacity, dtype=r0.dtype)
+        self.c, self.s = [], []
         self.size = 1
         self.scale = 0.0
         self.reorthogonalizations = 0
@@ -348,10 +353,11 @@ class _StoredBasis:
     def advance(self, updated, coefficient) -> float:
         j = self.size
         end = j * (j + 1) // 2          # where column j - 1 of R ends
-        self.factor[end + 1 - updated.shape[0]:end] = updated[:-1]
+        self.factor[end + 1 - len(updated):end] = updated[:-1]
         self.g[j - 1] = coefficient
         self.y = self.tpsv(j, self.factor, self.g[:j])
-        return linalg.vector_norm(self.r0 - self.products[:, :j] @ self.y)
+        residual = np.matmul(self.products[:, :j], self.y, out=self.residual)
+        return linalg.vector_norm(np.subtract(self.r0, residual, out=residual))
 
     def iterate(self):
         """x0 + V y of the last committed step."""
@@ -367,13 +373,16 @@ class _StoredBasis:
                                                - self.factor.shape[0]))
             for name in self.grown:
                 setattr(self, name, np.pad(getattr(self, name), (0, self.size)))
-        self.vectors[:, self.size] = w / norm
+        np.divide(w, norm, out=self.vectors[:, self.size])
         self.betas[self.size] = norm
         self.size += 1
 
     def diagnostics(self) -> dict:
-        """Drift ||V^H V - I||_2 of the stored basis V, as the largest |eigenvalue|
-        of the Hermitian defect V^H V - I, and the reorthogonalization count."""
+        """The reorthogonalization count and, in a run that records history,
+        the drift ||V^H V - I||_2 of the stored basis V, as the largest
+        |eigenvalue| of the Hermitian defect V^H V - I."""
+        if not self.record_history:
+            return {"reorthogonalizations": self.reorthogonalizations}
         basis = self.vectors[:, :self.size]
         defect = basis.conj().T @ basis
         defect.flat[::self.size + 1] -= 1.0
@@ -418,19 +427,19 @@ class _LanczosBasis(_StoredBasis):
         j = self.size - 1
         v = self.vectors[:, j]
         av = self.products[:, j] = op.apply(v)
-        alpha = np.vdot(v, av).real
+        alpha = float(np.vdot(v, av).real)
         w = av - alpha * v
-        beta = self.betas[j]
+        beta = float(self.betas[j])
         if j > 0:
-            w = w - beta * self.vectors[:, j - 1]
+            w -= beta * self.vectors[:, j - 1]
         beta_next = linalg.vector_norm(w)
         if self.loses_orthogonality(alpha, beta_next):
             w = self.orthogonalize(w)
             beta_next = linalg.vector_norm(w)
         # In the run's field, so that the Givens rotations are complex on a
         # complex run although T is real.
-        column = np.array([0.0, beta, alpha, beta_next][max(0, 2 - j):], dtype=v.dtype)
-        return column, w, beta_next
+        column = [0.0, beta, alpha, beta_next][max(0, 2 - j):]
+        return list(map(self.scalar, column)), w, beta_next
 
     def loses_orthogonality(self, alpha, beta_next) -> bool:
         """Take alpha_j and the norm of the unnormalized v_{j+1}; say whether
@@ -449,17 +458,20 @@ class _LanczosBasis(_StoredBasis):
         # beta' omega'[k] = beta_{k+1} omega[k+1] + (alpha_k - alpha) omega[k]
         #                   + beta_k omega[k-1] - beta om_prev[k] + roundoff,
         # the roundoff term taken with the sign that makes |omega'| larger.
-        t = (self.betas[1:j + 1] * om[1:j + 1]
-             + (self.alphas[:j] - alpha) * om[:j]
-             - beta * om_prev)
-        t[1:] += self.betas[1:j] * om[:j - 1]
+        # Summed in place in the new estimates, term by term in this order.
         theta = self.roundoff * self.scale
         nxt = np.empty(j + 2)
-        nxt[:j] = (t + np.copysign(theta, t)) / beta_next
+        t, tail = nxt[:j], nxt[1:j]
+        np.multiply(self.betas[1:j + 1], om[1:j + 1], out=t)
+        t += (self.alphas[:j] - alpha) * om[:j]
+        t -= beta * om_prev
+        tail += self.betas[1:j] * om[:j - 1]
+        t += np.copysign(theta, t)
+        t /= beta_next
         nxt[j] = theta / beta_next          # local orthogonality to v_j
         nxt[j + 1] = 1.0
         self.omega = nxt
-        return float(np.max(np.abs(nxt[:j + 1]))) > REORTHOGONALIZATION_LEVEL
+        return abs(nxt[:j + 1]).max() > REORTHOGONALIZATION_LEVEL
 
     def orthogonalize(self, w):
         """Orthogonalize ``w`` against the stored basis twice (CGS2)."""
@@ -480,8 +492,9 @@ class _ArnoldiBasis(_StoredBasis):
         w, h = _cgs2(basis, av)
         self.reorthogonalizations += 1
         h_next = linalg.vector_norm(w)
-        column = np.append(h, h_next)
-        self.scale = max(self.scale, float(np.max(np.abs(column))))
+        self.scale = max(self.scale, float(np.abs(h).max()), h_next)
+        column = h.tolist()
+        column.append(self.scalar(h_next))
         return column, w, h_next
 
 
@@ -498,21 +511,22 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
 
     basis = basis_type(x, r0, beta1, cfg)
     # Last entry of the rotated right-hand side, real on a real run.
-    g = complex(beta1) if np.iscomplexobj(b) else beta1
+    g = basis.scalar(beta1)
     for iteration in range(1, cfg.max_iterations + 1):
         column, w, h_next = basis.expand(op)
         j = basis.size - 1              # rotations committed so far
-        first = j + 2 - column.shape[0]
-        updated, c, s = linalg.givens_qr_step(column, basis.c[first:j], basis.s[first:j])
-        g_next = -np.conj(s) * g
+        first = j + 2 - len(column)
+        c, s = linalg.givens_cascade(column, basis.c[first:j], basis.s[first:j])
+        g_next = -s.conjugate() * g
         exhausted = h_next <= cfg.breakdown_threshold * beta1
-        if exhausted and not (abs(updated[-2]) > cfg.breakdown_threshold * basis.scale
+        if exhausted and not (abs(column[-2]) > cfg.breakdown_threshold * basis.scale
                               and run.tol_reached(abs(g_next))):
             return run.report(SolveStatus.BREAKDOWN, basis.iterate(),
                               breakdown_iteration=iteration, diagnostics=basis.diagnostics())
 
-        basis.c[j], basis.s[j] = c, s
-        residual = basis.advance(updated, c * g)
+        basis.c.append(c)
+        basis.s.append(s)
+        residual = basis.advance(column, c * g)
         g = g_next
         value = run.record(basis.iterate() if cfg.record_history else None, abs(g), residual)
         if run.tol_reached(value):
@@ -540,9 +554,9 @@ def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     Hermitian indefinite and singular operators; on a singular inconsistent
     system the run ends in a breakdown once the Krylov space is exhausted.
 
-    ``diagnostics`` holds ``basis_orthogonality_drift`` (||V^H V - I||_2 of
-    the stored basis V) and ``reorthogonalizations`` (how many Lanczos
-    vectors were reorthogonalized).
+    ``diagnostics`` holds ``reorthogonalizations`` (how many Lanczos vectors
+    were reorthogonalized) and, in a run that records history,
+    ``basis_orthogonality_drift`` (||V^H V - I||_2 of the stored basis V).
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     if op.hermitian is not True:
@@ -564,7 +578,8 @@ def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     attainable accuracy) is reported as stagnated.
 
     ``diagnostics`` holds the same keys as :func:`minres_solve`'s, with one
-    reorthogonalization counted per step.
+    reorthogonalization counted per step and the drift only in a run that
+    records history.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     return _minimal_residual(op, b, x0, cfg, _ArnoldiBasis)

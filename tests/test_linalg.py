@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dkrylov import linalg
@@ -65,7 +65,68 @@ class TestVectorNorm:
         assert linalg.vector_norm(x) == float(np.linalg.norm(x))
 
 
+def reference_givens_qr_step(column, c, s):
+    """The array kernel that minimal-residual runs called before they ran
+    :func:`linalg.givens_cascade` on Python numbers, kept as the reference
+    that the cascade must match bit for bit."""
+    column = np.asarray(column)
+    m = column.shape[0] - 2
+    entries = column.tolist()
+    f = entries[0]
+    for i, (ci, si) in enumerate(zip(c.tolist(), s.tolist())):
+        g = entries[i + 1]
+        entries[i] = ci * f + si * g
+        f = -si.conjugate() * f + ci * g
+    c_new, s_new, entries[m] = linalg.make_givens(f, entries[m + 1])
+    entries[m + 1] = 0.0
+    field = np.complex128 if column.dtype.kind == "c" else np.float64
+    return np.array(entries, dtype=field), c_new, s_new
+
+
+def bits(values, field) -> bytes:
+    return np.array(values, dtype=field).tobytes()
+
+
+GIVENS_ENTRY = st.one_of(st.just(0.0), st.floats(-8.0, 8.0))
+NO_PRIORS = [(0.0, 0.0, 0.0, 0.0)] * 4
+
+
 class TestGivens:
+    @settings(max_examples=300, deadline=None)
+    @given(complex_run=st.booleans(),
+           column=st.lists(st.tuples(GIVENS_ENTRY, GIVENS_ENTRY), min_size=2, max_size=6),
+           priors=st.lists(st.tuples(*[GIVENS_ENTRY] * 4), min_size=4, max_size=4),
+           g=GIVENS_ENTRY)
+    @example(complex_run=False, column=[(0.0, 0.0), (2.0, 0.0)], priors=NO_PRIORS, g=1.0)
+    @example(complex_run=True, column=[(1.0, -1.0), (0.0, 0.0)], priors=NO_PRIORS, g=1.0)
+    @example(complex_run=True, column=[(1.0, 2.0), (3.0, 0.0), (0.5, 0.0)],
+             priors=[(1.0, 1.0, 0.0, 0.0)] * 4, g=2.0)
+    def test_solver_cascade_matches_the_array_kernel(self, complex_run, column, priors, g):
+        # The solver hands the cascade its column as Python numbers in the
+        # run's field and keeps each rotation as make_givens returns it (an
+        # s of 0.0 stays a float on a complex run), where the array kernel
+        # read both from arrays of the run's field.  The examples take the
+        # f = 0 and g = 0 branches of make_givens, and a float s = 0.0 prior.
+        # Every bit agrees, also of the pivot |r|, of the solver's rotated
+        # right-hand side -conj(s) g and of its factor entry c g.
+        field, scalar = (np.complex128, complex) if complex_run else (np.float64, float)
+        entries = [scalar(complex(*e)) if complex_run else e[0] for e in column]
+        m = len(entries) - 2
+        rotations = [linalg.make_givens(*(complex(p[0], p[1]), complex(p[2], p[3]))
+                                        if complex_run else (p[0], p[2])) for p in priors[:m]]
+        cs, ss = [r[0] for r in rotations], [r[1] for r in rotations]
+        original, arrays = np.array(entries, dtype=field), (np.array(cs), np.array(ss, dtype=field))
+        updated, c_ref, s_ref = reference_givens_qr_step(original, *arrays)
+        c, s = linalg.givens_cascade(entries, cs, ss)
+        assert bits(entries, field) == updated.tobytes()
+        assert bits([c], float) == bits([c_ref], float)
+        assert bits([s], field) == bits([s_ref], field)
+        assert bits([abs(entries[-2])], float) == bits([abs(updated[-2])], float)
+        g = scalar(g)
+        assert bits([-s.conjugate() * g], field) == bits([-np.conj(s_ref) * g], field)
+        assert bits([c * g], field) == bits([c_ref * g], field)
+        assert linalg.givens_qr_step(original, *arrays)[0].tobytes() == updated.tobytes()
+
     def test_three_four_five(self):
         col, c, s = linalg.givens_qr_step([3.0, 4.0], np.zeros(0), np.zeros(0))
         assert c == pytest.approx(0.6)

@@ -318,6 +318,25 @@ class TestCorrections:
         np.testing.assert_allclose(
             d.correct_two_sided_iterate(np.zeros(2), np.zeros(2)), np.zeros(2), atol=1e-15)
 
+    @pytest.mark.parametrize("field", [np.float64, np.complex128])
+    def test_zero_iterate_is_corrected_without_a_product(self, field):
+        # b - A x_hat of an all-zero x_hat, such as the default initial
+        # guess that initial_correction shifts, is b: no product with A is
+        # formed, and the corrected iterate is the one the product gives,
+        # bit for bit and in its field.
+        p = clustered_spd_problem(40, 3, 0)
+        d = Deflator(p.a, eigenvector_basis(p, range(1, 4)), OR)
+        b = p.b if field is np.float64 else p.b + 1j * p.b[::-1]
+        product, calls = d.a_product, []
+        d.a_product = lambda x: calls.append(1) or product(x)
+        for x_hat, products in ((np.zeros(40, dtype=field), 0), (p.b, 1)):
+            corrected = d.initial_correction(x_hat, b)
+            assert len(calls) == products
+            x_hat = linalg.as_vector(x_hat)
+            expected = x_hat + d.u @ d._solve_coupling(d._bu_h @ (b - product(x_hat)))
+            assert corrected.dtype == expected.dtype == field
+            assert corrected.tobytes() == expected.tobytes()
+
     def test_initial_correction_orthogonalizes_residual(self):
         rng = np.random.default_rng(15)
         a = random_hpd(rng, 15)

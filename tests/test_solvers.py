@@ -189,6 +189,36 @@ class TestCg:
         assert replaced >= 1
         assert len(calls) == rep.iterations_used + 2 + replaced
 
+    @pytest.mark.parametrize("seed, decades", [(1, 5), (5, 6)])
+    def test_direction_after_a_miss_is_built_from_the_true_residual(self, seed, decades):
+        # CG applies op to p_{k-1} at step k and to x_k where the carried
+        # residual meets the tolerance.  After a miss the next direction
+        # must be p_k = r + (rho' / rho) p_{k-1} with the true residual
+        # r = b - A x_k and rho' = r^H r: a run that records and judges the
+        # true residual but iterates on the carried one fails only here.
+        a, b = logspaced_system(200, seed, decades)
+        matrix, received = linalg.SquareMatrix(a), []
+        op = LinearOperator(200, lambda v: received.append(v.copy()) or matrix.product(v),
+                            hermitian=True, dtype=np.float64)
+        rep = cg_solve(op, b, cfg=SolveConfig(residual_tolerance=1e-10, max_iterations=6000))
+        assert rep.status is SolveStatus.CONVERGED
+        tol = 1e-10 * linalg.vector_norm(b)         # the run's own, with x0 = 0
+        at = 1                                      # received[0] is x0
+        rho = rep.recurrence_residual_norms[0] ** 2
+        misses = 0
+        for k in range(1, rep.iterations_used):
+            p, at = received[at], at + 1
+            if rep.recurrence_residual_norms[k] > tol:
+                rho = rep.recurrence_residual_norms[k] ** 2
+                continue
+            r = b - matrix.product(received[at])
+            at += 1
+            rho_true = np.vdot(r, r).real
+            expected = r + (rho_true / rho) * p
+            assert np.linalg.norm(received[at] - expected) <= 1e-12 * np.linalg.norm(expected)
+            rho, misses = rho_true, misses + 1
+        assert misses >= 1
+
     @pytest.mark.parametrize("ending", ["converged", "max-iterations", "stagnated",
                                         "breakdown", "replaced"])
     def test_recorded_residual_is_within_the_residual_gap(self, ending):
@@ -485,7 +515,61 @@ class TestMinimalResidualRecord:
             assert abs(recorded - explicit) <= bound
 
 
+def reference_omega(betas, alphas, om, om_prev, alpha, beta, beta_next, theta):
+    """Simon's omega recurrence as one expression, as _LanczosBasis summed it
+    before it summed in place: the reference it must match bit for bit."""
+    j = om_prev.shape[0]
+    t = betas[1:j + 1] * om[1:j + 1] + (alphas[:j] - alpha) * om[:j] - beta * om_prev
+    t[1:] += betas[1:j] * om[:j - 1]
+    nxt = np.empty(j + 2)
+    nxt[:j] = (t + np.copysign(theta, t)) / beta_next
+    nxt[j], nxt[j + 1] = theta / beta_next, 1.0
+    return nxt, float(np.max(np.abs(nxt[:j + 1])))
+
+
+class TestOmegaRecurrence:
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 40])
+    @pytest.mark.parametrize("level", [1e-14, 1e-10], ids=["keep", "reorthogonalize"])
+    def test_in_place_sum_matches_the_expression(self, j, level):
+        rng = np.random.default_rng(j)
+        basis = solvers._LanczosBasis(np.zeros(50), rng.standard_normal(50), 1.0,
+                                      SolveConfig())
+        basis.size, basis.scale = j + 1, 10.0       # above every row sum of T here
+        basis.betas[:j + 1] = rng.uniform(0.5, 2.0, j + 1)
+        basis.alphas[:j] = rng.uniform(-2.0, 2.0, j)
+        om, om_prev = level * rng.standard_normal(j + 1), level * rng.standard_normal(j)
+        om[-1] = om_prev[-1:] = 1.0                 # |v_k^H v_k|
+        basis.omega, basis.omega_prev = om, om_prev
+        expected, largest = reference_omega(basis.betas, basis.alphas, om, om_prev, 0.25,
+                                            basis.betas[j], 0.75, basis.roundoff * 10.0)
+        reorthogonalize = basis.loses_orthogonality(0.25, 0.75)
+        assert basis.omega.tobytes() == expected.tobytes()
+        assert reorthogonalize == (largest > solvers.REORTHOGONALIZATION_LEVEL)
+        assert reorthogonalize == (j > 0 and level > 1e-12)
+
+
 class TestDriftDiagnostic:
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    @pytest.mark.parametrize("ending", ["converged", "max-iterations", "stagnated", "breakdown"])
+    @pytest.mark.parametrize("record_history", [False, True])
+    def test_drift_is_measured_with_the_history(self, solver, ending, record_history):
+        # The basis drift is part of the history: every ending reports the
+        # reorthogonalization count, and the drift only where history is on.
+        max_iterations = 5 if ending == "max-iterations" else 1000
+        if ending in ("converged", "max-iterations"):
+            rng = np.random.default_rng(3)
+            a, b = random_hermitian_indefinite(rng, 30), rng.standard_normal(30)
+        elif ending == "stagnated":         # as in test_exhausted_space_commits_the_last_step
+            q = linalg.random_orthogonal(3, 0)
+            a, b = q @ np.diag([1.0, -2.0, 1e-8]) @ q.T, q @ np.ones(3)
+        else:                               # as in test_singular_last_step_is_not_committed
+            a, b = np.diag([1.0, 2.0, 3.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.5])
+        rep = solver(dense_operator(a), b, cfg=SolveConfig(max_iterations=max_iterations,
+                                                           record_history=record_history))
+        assert rep.status.value == ending
+        drift = {"basis_orthogonality_drift"} if record_history else set()
+        assert set(rep.diagnostics) == {"reorthogonalizations"} | drift
+
     @pytest.mark.parametrize("solve", [minres_solve, gmres_solve])
     def test_eigenvalue_drift_matches_the_svd_norm(self, solve, monkeypatch):
         # ||V^H V - I||_2 is read off eigvalsh of the Hermitian defect; the
