@@ -150,7 +150,12 @@ def equivalence_instances(seed: int, instances: int):
 
 
 def equivalence_suite(seed: int = 0, instances: int = 10) -> dict:
-    """Curve equalities between the mathematically equivalent variants."""
+    """Curve equalities between the mathematically equivalent variants.
+
+    Each ``max_violation`` is the worst over the first ``instances`` systems
+    of :func:`equivalence_instances`, so it can only grow with their count:
+    a figure quoted from this suite names its seed and its count.
+    """
     tol = 1e-8
     cfg = SolveConfig(residual_tolerance=1e-10, max_iterations=400)
     dev_explicit = 0.0

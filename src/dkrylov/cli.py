@@ -107,7 +107,7 @@ _SCHEMA = {
                          + ", ".join(v.value for v in MethodVariant)),
             "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _INT,
             "x0_perturbation": _FLOAT, "breakdown_coefficient_seed": _INT},
-    "solver": {"tolerance": _FLOAT, "max_iterations": _INT, "breakdown_threshold": _FLOAT},
+    "solver": {"tolerance": _FLOAT, "max_iterations": _INT},
     "output": {"path": _TEXT, "format": _choice("csv", "json")},
 }
 

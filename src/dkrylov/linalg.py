@@ -266,11 +266,16 @@ def make_givens(f, g):
 
 
 def givens_cascade(column, c, s):
-    """:func:`givens_qr_step` on a list ``column`` of Python numbers, updated
-    in place, with the prior rotations ``c``, ``s`` as sequences of Python
-    numbers; returns the new rotation's ``c`` and ``s``.  Python's float
-    arithmetic is the IEEE arithmetic of numpy's, so a column in a run's
-    field updates bit for bit as its array would."""
+    """One column update of a running QR factorization by Givens rotations.
+
+    ``column`` is a list of Python numbers, the new nonzero column segment,
+    updated in place: the prior rotation ``(c[i], s[i])`` of the sequences
+    ``c``, ``s``, ``len(column) - 2`` of them, is applied to entries
+    (i, i+1) in order, then a new rotation (:func:`make_givens`) annihilates
+    the last entry against the second-to-last.  Returns the new rotation's
+    ``c`` and ``s``.  Python's float arithmetic is the IEEE arithmetic of
+    numpy's, so a column in a run's field updates bit for bit as its array
+    would."""
     m = len(column) - 2
     f = column[0]
     for i, (ci, si) in enumerate(zip(c, s)):
@@ -280,28 +285,6 @@ def givens_cascade(column, c, s):
     c_new, s_new, column[m] = make_givens(f, column[m + 1])
     column[m + 1] = 0.0
     return c_new, s_new
-
-
-def givens_qr_step(column, c, s):
-    """One column update of a running QR factorization by Givens rotations.
-
-    ``column`` holds the new nonzero column segment; the prior rotation
-    ``(c[i], s[i])`` of the arrays ``c``, ``s`` is applied to entries (i, i+1)
-    in order, then a new rotation annihilates the last entry against the
-    second-to-last.  Returns the updated column (float64 for a real column,
-    complex128 otherwise) and the new rotation's ``c`` and ``s``.
-    """
-    column = np.asarray(column)
-    if column.ndim != 1 or column.shape[0] < 2:
-        raise ValueError("column must be a vector with at least two entries")
-    m = column.shape[0] - 2
-    if not len(c) == len(s) == m:
-        raise ValueError(f"need {m} prior rotations for a column of length "
-                         f"{column.shape[0]}, got {len(c)} and {len(s)}")
-    entries = column.tolist()
-    c_new, s_new = givens_cascade(entries, c.tolist(), s.tolist())
-    field = np.complex128 if column.dtype.kind == "c" else np.float64
-    return np.array(entries, dtype=field), c_new, s_new
 
 
 def random_orthogonal(n: int, seed) -> np.ndarray:

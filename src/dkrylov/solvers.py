@@ -7,8 +7,9 @@ return a breakdown as success.  Every run but a minimal-residual breakdown
 ends with b - op x of the returned iterate formed once and recorded as its
 last residual (:meth:`_Run.finish`); a run that claims convergence and
 misses the tolerance by it is reported as stagnated.  A converged,
-stagnated or max-iterations run of k steps so makes k + 2 products: r0, one
-per step and the last.
+stagnated or max-iterations CG run of k steps so makes k + 2 products: r0,
+one per step and the last; a MINRES or GMRES run makes k + 3, one more for
+the probe of its breakdown rule.
 
 CG records its carried residual ||r_n||, which drifts from ||b - op x_n||
 by the residual gap that limits its attainable accuracy (Greenbaum, SIAM J.
@@ -31,17 +32,21 @@ passes eps^(3/4), below sqrt(eps), where the explicit residual stalls above
 the tolerance on ill-conditioned systems (:class:`_LanczosBasis`).
 
 A *breakdown* means the Krylov basis cannot be continued while the residual
-is still above tolerance.  When the continuation vector vanishes, the last
-step is committed only if its pivot in the least-squares factor is
-numerically nonzero relative to the operator's scale and its recurrence
-residual meets the tolerance; the committed iterate is reported as converged
-if its explicit residual meets the tolerance too, and as stagnated if not,
-which happens on a nonsingular system whose tolerance lies below the accuracy
-attainable at its condition number (A = Q diag(1, -2, 1e-8) Q^H,
-b = Q (1, 1, 1) stagnates at step 3 with ||b - A x|| about 1e-8 under the
-default tolerance).  Otherwise the run is frozen at the last valid iterate
-and reported as a breakdown; singular systems, such as the left-projected
-deflated systems, are the usual cause.
+is still above tolerance.  MINRES and GMRES judge it on the operator's
+scale, never on b's: the larger of ||op z|| for one seeded unit probe z,
+formed once per run, and the running size of the projected matrix.  The
+basis is exhausted when its continuation vector's norm is at most
+:data:`BREAKDOWN_THRESHOLD` times that scale, or once it holds n vectors in
+C^n, so it never grows past n.  The last step of an exhausted basis is
+committed only if its pivot in the least-squares factor exceeds the same
+cutoff and its recurrence residual meets the tolerance; the committed
+iterate is reported as converged if its explicit residual meets the
+tolerance too, and as stagnated if not, which happens on a nonsingular
+system whose tolerance lies below the accuracy attainable at its condition
+number (A = Q diag(1, -2, 1e-8) Q^H, b = Q (1, 1, 1) stagnates at step 3
+with ||b - A x|| about 1e-8 under the default tolerance).  Otherwise the run
+is frozen at the last valid iterate and reported as a breakdown; singular
+systems, such as the left-projected deflated systems, are the usual cause.
 """
 
 from __future__ import annotations
@@ -64,6 +69,10 @@ STAGNATION_WINDOW = 50
 #: improvement than this while above tolerance flags stagnation.
 STAGNATION_FACTOR = 10.0 ** (-1.0 / STAGNATION_WINDOW)
 
+#: Cutoff, relative to the operator's scale, of a vanished MINRES or GMRES
+#: continuation and of a zero least-squares pivot (module docstring).
+BREAKDOWN_THRESHOLD = 1e-13
+
 
 class IndefiniteOperatorError(RuntimeError):
     """CG observed a direction of negative curvature; the operator is not
@@ -82,25 +91,20 @@ class SolveConfig:
     """Tolerances and the history switch shared by all solvers.
 
     ``residual_tolerance`` is relative to max(||r0||, ||b||).
-    ``breakdown_threshold`` is the relative cutoff below which a Lanczos or
-    Arnoldi continuation vector counts as vanished, and below which a pivot
-    of the least-squares factor counts as zero.  ``record_history`` keeps a
-    run's history: its iterates and, for MINRES and GMRES, the drift of the
-    stored basis.  Neither orthogonalization nor the recorded residual is
-    configurable: each solver has one rule for each (module docstring and
-    :func:`minres_solve`).
+    ``record_history`` keeps a run's history: its iterates and, for MINRES
+    and GMRES, the drift of the stored basis.  Neither orthogonalization,
+    the recorded residual nor the breakdown test is configurable: each
+    solver has one rule for each (module docstring, :func:`minres_solve`
+    and :data:`BREAKDOWN_THRESHOLD`).
     """
 
     residual_tolerance: float = 1e-10
     max_iterations: int = 1000
-    breakdown_threshold: float = 1e-13
     record_history: bool = True
 
     def __post_init__(self):
         if not 0 < self.residual_tolerance < math.inf:     # also rejects NaN
             raise ValueError("residual_tolerance must be positive and finite")
-        if not 0 < self.breakdown_threshold < math.inf:
-            raise ValueError("breakdown_threshold must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -308,15 +312,16 @@ def _cgs2(basis, w):
 
 class _StoredBasis:
     """Krylov basis V and its products op V in preallocated Fortran-order
-    arrays, grown (with the arrays named in ``grown`` and the factor) only
-    when a run outlasts the dimension.
+    arrays of at most n columns: a run ends once its basis holds n vectors
+    in C^n (module docstring), so nothing ever grows.
 
     ``expand`` applies op to the newest basis vector, stores the product and
     returns the new column of the projected matrix from the first row a
     prior Givens rotation touches, as a list of Python numbers in the run's
     field (``scalar``), the continuation vector and its norm; ``scale`` is
-    the size the pivots are judged against.  ``c[k]``, ``s[k]`` is the
-    Givens rotation of step k + 1, kept in lists as the cascade returns it.
+    the running size of the projected matrix, in the breakdown rule's scale.
+    ``c[k]``, ``s[k]`` is the Givens rotation of step k + 1, kept in lists as
+    the cascade returns it.
 
     ``advance`` stores the rotated column in the triangular factor R, packed
     by columns so that its leading j-by-j factor is a prefix that BLAS
@@ -328,11 +333,9 @@ class _StoredBasis:
     J. Matrix Anal. Appl. 22, 2000).
     """
 
-    grown = ("betas", "g")
-
     def __init__(self, x0, r0, beta1, cfg):
         n = r0.shape[0]
-        capacity = min(cfg.max_iterations, n) + 1
+        capacity = min(cfg.max_iterations + 1, n)
         self.vectors = np.empty((n, capacity), dtype=r0.dtype, order="F")
         self.vectors[:, 0] = r0 / beta1
         self.products = np.empty_like(self.vectors)
@@ -365,14 +368,6 @@ class _StoredBasis:
 
     def append(self, w, norm):
         """Store the continuation vector ``w`` normalized by ``norm``."""
-        if self.size == self.vectors.shape[1]:
-            self.vectors = np.pad(self.vectors, ((0, 0), (0, self.size)))
-            self.products = np.pad(self.products, ((0, 0), (0, self.size)))
-            capacity = 2 * self.size
-            self.factor = np.pad(self.factor, (0, capacity * (capacity + 1) // 2
-                                               - self.factor.shape[0]))
-            for name in self.grown:
-                setattr(self, name, np.pad(getattr(self, name), (0, self.size)))
         np.divide(w, norm, out=self.vectors[:, self.size])
         self.betas[self.size] = norm
         self.size += 1
@@ -412,8 +407,6 @@ class _LanczosBasis(_StoredBasis):
     each ends as with every vector reorthogonalized, in the same number of
     steps (+-1), with 48 to 85% of the reorthogonalizations.
     """
-
-    grown = _StoredBasis.grown + ("alphas",)
 
     def __init__(self, x0, r0, beta1, cfg):
         super().__init__(x0, r0, beta1, cfg)
@@ -509,6 +502,9 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
     if run.tol_reached(value):
         return run.report(SolveStatus.CONVERGED, x)
 
+    n = r0.shape[0]
+    probe = np.random.default_rng(0).standard_normal(n)
+    probe_scale = linalg.vector_norm(op.apply(probe / linalg.vector_norm(probe)))
     basis = basis_type(x, r0, beta1, cfg)
     # Last entry of the rotated right-hand side, real on a real run.
     g = basis.scalar(beta1)
@@ -518,9 +514,9 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
         first = j + 2 - len(column)
         c, s = linalg.givens_cascade(column, basis.c[first:j], basis.s[first:j])
         g_next = -s.conjugate() * g
-        exhausted = h_next <= cfg.breakdown_threshold * beta1
-        if exhausted and not (abs(column[-2]) > cfg.breakdown_threshold * basis.scale
-                              and run.tol_reached(abs(g_next))):
+        cutoff = BREAKDOWN_THRESHOLD * max(probe_scale, basis.scale)
+        exhausted = h_next <= cutoff or iteration == n
+        if exhausted and not (abs(column[-2]) > cutoff and run.tol_reached(abs(g_next))):
             return run.report(SolveStatus.BREAKDOWN, basis.iterate(),
                               breakdown_iteration=iteration, diagnostics=basis.diagnostics())
 
@@ -554,6 +550,11 @@ def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     Hermitian indefinite and singular operators; on a singular inconsistent
     system the run ends in a breakdown once the Krylov space is exhausted.
 
+    The basis is exhausted when the continuation vector's norm is at most
+    :data:`BREAKDOWN_THRESHOLD` times the operator's scale (one probe
+    product) or once it holds n vectors (module docstring); a run of k steps
+    makes k + 3 products: r0, the probe, one per step and the last.
+
     ``diagnostics`` holds ``reorthogonalizations`` (how many Lanczos vectors
     were reorthogonalized) and, in a run that records history,
     ``basis_orthogonality_drift`` (||V^H V - I||_2 of the stored basis V).
@@ -570,12 +571,13 @@ def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     Classical Gram-Schmidt run twice (CGS2) on every Arnoldi vector,
     Givens-rotation update of the Hessenberg least-squares problem, and the
     iterate and its residual formed from the stored basis and its products
-    (module docstring).  Applicable to any square operator.  A breakdown is
-    reported when the continuation vector vanishes and the last step's pivot
-    is numerically zero or its recurrence residual misses the tolerance, as
-    on singular systems; a committed last step whose explicit residual
-    misses the tolerance (nonsingular, but the tolerance lies below the
-    attainable accuracy) is reported as stagnated.
+    (module docstring).  Applicable to any square operator.  The basis is
+    exhausted as in :func:`minres_solve`, at the same k + 3 products.  A
+    breakdown is reported when the last step's pivot is numerically zero or
+    its recurrence residual misses the tolerance, as on singular systems; a
+    committed last step whose explicit residual misses the tolerance
+    (nonsingular, but the tolerance lies below the attainable accuracy) is
+    reported as stagnated.
 
     ``diagnostics`` holds the same keys as :func:`minres_solve`'s, with one
     reorthogonalization counted per step and the drift only in a run that

@@ -95,6 +95,16 @@ class TestRun:
         spec["solver"] = {"tolerence": 1e-8}
         assert cli.main(["run", write_spec(tmp_path, spec)]) == 2
 
+    @pytest.mark.parametrize("key", ["reorthogonalize", "explicit_residuals",
+                                     "breakdown_threshold"])
+    def test_retired_solver_key_is_named(self, tmp_path, capsys, key):
+        # Each retired SolveConfig field is a rule of the solvers now, and
+        # the spec key that set it is rejected as unknown.
+        spec = paper_spec()
+        spec["solver"] = {key: "inf"}
+        assert cli.main(["run", write_spec(tmp_path, spec)]) == 2
+        assert f"unknown key(s) in [solver]: {key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", [
         {**paper_spec(), "deflation": {"eigen_indices": "1-x"}},
         {**paper_spec(), "output": {"format": "xml"}},
@@ -277,8 +287,7 @@ PUBLIC_PARAMETERS = {
     "NotInvariantError": None,
     "SingularCouplingError": None,
     "SingularMatrixError": None,
-    "SolveConfig": ["residual_tolerance", "max_iterations", "breakdown_threshold",
-                    "record_history"],
+    "SolveConfig": ["residual_tolerance", "max_iterations", "record_history"],
     "SolveReport": ["final_iterate", "residual_norms", "status", "iterations_used",
                     "breakdown_iteration", "recurrence_residual_norms", "iterates",
                     "diagnostics"],
@@ -317,7 +326,7 @@ def parameter_names(obj):
 class TestPackage:
     def test_public_names_resolve_and_kernels_stay_in_linalg(self):
         assert all(hasattr(dkrylov, name) for name in dkrylov.__all__)
-        for name in ("make_givens", "givens_qr_step", "inner", "random_orthogonal"):
+        for name in ("make_givens", "givens_cascade", "inner", "random_orthogonal"):
             assert hasattr(linalg, name), name
             assert not hasattr(dkrylov, name), name
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 
 from dkrylov import deflated, linalg
+from dkrylov.analysis import breakdown_initial_guess
 from dkrylov.checks import curve_deviation, equivalence_instances, equivalence_suite
 from dkrylov.deflated import MethodVariant, run_method, run_methods
 from dkrylov.operators import dense_operator
@@ -12,7 +13,7 @@ from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
                               eigenvector_basis, symmetric_indefinite_problem,
                               toy_breakdown_problem)
 from dkrylov.projection import Deflator, GalerkinMode
-from dkrylov.solvers import SolveConfig, SolveStatus
+from dkrylov.solvers import SolveConfig, SolveStatus, gmres_solve
 
 
 def hermitian_instance(seed, n=40, k=4):
@@ -195,6 +196,45 @@ class TestBreakdownBehavior:
         assert free.status is SolveStatus.CONVERGED
         rel = np.linalg.norm(p.b - p.a @ free.corrected_iterate) / np.linalg.norm(p.b)
         assert rel <= 1e-10
+
+
+MINIMAL_RESIDUAL_VARIANTS = [
+    MethodVariant.MINRES, MethodVariant.RMINRES_EXPLICIT, MethodVariant.RMINRES_DEFLATION_ONLY,
+    MethodVariant.DEFLATED_MINRES, MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS,
+    MethodVariant.DEFLATED_GMRES]
+
+
+def paper_outcomes(scale):
+    """Status and step count of plain GMRES and of every MINRES/GMRES variant
+    on the paper problem (m=50, deflating 1-5,51-55) with b and x0 scaled by
+    ``scale``, and of the breakdown-guess run with the breakdown-prone basis
+    1-5, its breakdown step included."""
+    p = symmetric_indefinite_problem(50)
+    u = eigenvector_basis(p, [*range(1, 6), *range(51, 56)])
+    b, x0 = scale * p.b, scale * np.random.default_rng(1).standard_normal(p.dim)
+    reports = [r.deflated_report
+               for r in run_methods(MINIMAL_RESIDUAL_VARIANTS, p.a, b, u, x0)]
+    reports.append(gmres_solve(dense_operator(p.a), b, x0))
+    outcomes = [(rep.status, rep.iterations_used) for rep in reports]
+    u_break = breakdown_prone_basis(p, range(1, 6))
+    guess = breakdown_initial_guess(p.a, p.b, u_break, np.random.default_rng(0).standard_normal(5))
+    rep = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, p.a, b, u_break,
+                     scale * guess).deflated_report
+    return outcomes, (rep.status, rep.breakdown_iteration)
+
+
+class TestBreakdownRuleScale:
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    def test_outcomes_do_not_depend_on_the_scale_of_b(self, scale):
+        # The breakdown rule judges a continuation of a unit vector against
+        # the operator's scale, so scaling b and x0 changes no status or
+        # step count.  Judged against ||r0||, the runs broke down at step 1
+        # from ||b|| = 1e14 on, and the breakdown-guess run went on past
+        # step 1 at ||b|| <= 1e-8.
+        outcomes, breakdown = paper_outcomes(1.0)
+        assert breakdown == (SolveStatus.BREAKDOWN, 1)
+        assert all(status is SolveStatus.CONVERGED for status, _ in outcomes)
+        assert paper_outcomes(scale) == (outcomes, breakdown)
 
 
 class TestVariantDispatch:

@@ -70,11 +70,13 @@ class TestFieldRule:
     def test_real_givens_rotation(self):
         c, s, r = linalg.make_givens(3.0, 4.0)
         assert np.isrealobj(s) and np.isrealobj(r)
-        col, _, s = linalg.givens_qr_step(np.array([1.0, 2.0, 3.0]), np.array([c]), np.array([s]))
-        assert col.dtype == np.float64 and np.isrealobj(s)
+        col = [1.0, 2.0, 3.0]
+        _, s = linalg.givens_cascade(col, [c], [s])
+        assert all(type(entry) is float for entry in col) and type(s) is float
         c, s, _ = linalg.make_givens(1j, 1.0)
-        col, _, _ = linalg.givens_qr_step(np.array([1j, 2.0, 3.0]), np.array([c]), np.array([s]))
-        assert col.dtype == np.complex128
+        col = [1j, 2.0, 3.0]
+        linalg.givens_cascade(col, [c], [s])
+        assert all(type(entry) is complex for entry in col[:-1])
 
 
 class TestFieldOfARun:

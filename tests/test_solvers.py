@@ -64,17 +64,14 @@ class TestSolveConfig:
         cfg = SolveConfig()
         assert cfg.residual_tolerance == 1e-10
         assert [f.name for f in dataclasses.fields(cfg)] == [
-            "residual_tolerance", "max_iterations", "breakdown_threshold", "record_history"]
+            "residual_tolerance", "max_iterations", "record_history"]
 
     @pytest.mark.parametrize("kwargs", [
         {"residual_tolerance": 0.0},
         {"residual_tolerance": -1e-3},
-        {"breakdown_threshold": 0.0},
         {"max_iterations": 0},
         {"residual_tolerance": float("nan")},
-        {"breakdown_threshold": float("nan")},
         {"residual_tolerance": float("inf")},
-        {"breakdown_threshold": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -383,17 +380,23 @@ class TestMinres:
         assert np.linalg.norm(b - a @ rep.final_iterate) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
-    def test_runs_past_the_dimension(self, solver):
-        # With breakdown and residual tolerances out of reach the iteration
-        # continues beyond n steps, and the stored basis, its products and
-        # the triangular factor must grow.
+    @pytest.mark.parametrize("threshold", [solvers.BREAKDOWN_THRESHOLD, 0.0],
+                             ids=["rule", "dimension-only"])
+    def test_ends_within_the_dimension(self, solver, threshold, monkeypatch):
+        # A basis of n vectors in C^n cannot be continued, so a run in C^n
+        # whose tolerance is out of reach ends within n steps, at the
+        # solution, and its basis never holds more than n vectors; also
+        # where only an exactly zero continuation would count as vanished.
+        monkeypatch.setattr(solvers, "BREAKDOWN_THRESHOLD", threshold)
+        sizes = []
+        diagnostics = solvers._StoredBasis.diagnostics
+        monkeypatch.setattr(solvers._StoredBasis, "diagnostics",
+                            lambda basis: sizes.append(basis.vectors.shape[1]) or
+                            diagnostics(basis))
         op = dense_operator(np.diag([1.0, -2.0, 3.0, 4.0]))
-        b = np.ones(4)
-        cfg = SolveConfig(max_iterations=20, residual_tolerance=1e-30,
-                          breakdown_threshold=1e-300)
-        rep = solver(op, b, cfg=cfg)
-        assert rep.status is SolveStatus.MAX_ITERATIONS
-        assert rep.iterations_used == 20
+        rep = solver(op, np.ones(4), cfg=SolveConfig(max_iterations=20, residual_tolerance=1e-30))
+        assert rep.status is SolveStatus.STAGNATED
+        assert rep.iterations_used == 4 and sizes == [4]
         np.testing.assert_allclose(rep.final_iterate, [1.0, -0.5, 1.0 / 3.0, 0.25],
                                    atol=1e-12)
 
@@ -479,7 +482,8 @@ class TestMinimalResidualRecord:
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     @pytest.mark.parametrize("max_iterations", [1000, 5], ids=["converged", "max-iterations"])
     def test_one_product_per_step(self, solver, max_iterations):
-        # r0, op v_j for each of the k steps, and b - op x once at the end
+        # r0, the probe of the breakdown rule, op v_j for each of the k
+        # steps, and b - op x once at the end
         rng = np.random.default_rng(3)
         a = random_hermitian_indefinite(rng, 30)
         b = rng.standard_normal(30)
@@ -487,7 +491,7 @@ class TestMinimalResidualRecord:
         op = LinearOperator(30, lambda v: calls.append(1) or a @ v, hermitian=True)
         rep = solver(op, b, rng.standard_normal(30), SolveConfig(max_iterations=max_iterations))
         assert rep.iterations_used > 1
-        assert len(calls) == rep.iterations_used + 2
+        assert len(calls) == rep.iterations_used + 3
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     def test_recorded_residual_is_the_explicit_one_to_roundoff(self, solver):
