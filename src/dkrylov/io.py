@@ -2,10 +2,15 @@
 
 The text container stores every array as "re im" pairs, one entry per line in
 row-major order, preceded by a header naming the field and its shape.  Matrix
-Market files use the dense ``array`` format via scipy and serve as the
-interchange format for user-supplied matrices on the command line.  Arrays are
-read back in their field (:func:`linalg.in_field`): float64 when no entry has
-a nonzero imaginary part, complex128 otherwise.
+Market files are the interchange format for user-supplied matrices on the
+command line: they are written in the dense ``array`` format, and read in it
+or in the ``coordinate`` format that scipy writes for a sparse matrix, which
+is densified.  Arrays are read back in their field (:func:`linalg.in_field`):
+float64 when no entry has a nonzero imaginary part, complex128 otherwise.
+
+``scipy.io`` (and with it ``scipy.sparse``) is imported on first use, by the
+two Matrix Market functions, so that a process which never reads or writes
+such a file does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 
 from . import linalg
 from .problems import TestProblem
@@ -85,6 +89,8 @@ def load_problem(path) -> TestProblem:
 
 def write_matrix_market(path, array) -> None:
     """Write a dense vector or matrix in Matrix Market array format."""
+    import scipy.io
+
     arr = np.asarray(array, dtype=np.complex128)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
@@ -92,8 +98,15 @@ def write_matrix_market(path, array) -> None:
 
 
 def read_matrix_market(path) -> np.ndarray:
-    """Read a dense Matrix Market file; single-column matrices come back 1-d."""
-    arr = linalg.in_field(scipy.io.mmread(str(path)))
+    """Read a Matrix Market file as a dense array; single-column matrices come
+    back 1-d.  A ``coordinate`` file, which scipy reads as a sparse matrix, is
+    densified."""
+    import scipy.io
+
+    arr = scipy.io.mmread(str(path))
+    if not isinstance(arr, np.ndarray):
+        arr = arr.toarray()
+    arr = linalg.in_field(arr)
     if arr.ndim == 2 and arr.shape[1] == 1:
         return arr.ravel()
     return arr

@@ -25,17 +25,22 @@ from below that never forms an n-by-n SVD.  The checked factorizations judge
 a pivot against the bound first and ask for the estimate only for a pivot
 that fails there (:func:`lu_factor_checked`), so a well-conditioned matrix is
 factored without any estimate and every decision is the estimate's.
+
+Of scipy, only ``scipy.linalg`` is imported with this module.  ARPACK
+(``scipy.sparse.linalg``) is imported on first use, by
+:attr:`SquareMatrix.norm`, and ``scipy.sparse`` never: :func:`as_matrix`
+asks it about its argument only when some other code has loaded it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 #: Relative pivot threshold below which a dense factorization is declared singular.
 SINGULARITY_THRESHOLD = 1e-14
@@ -51,6 +56,8 @@ _NORM_ESTIMATE_RESTARTS = 10
 _EXACT_NORM_BELOW = 32
 #: Smallest order at which a symmetric matrix is applied through one triangle.
 _SYMV_FROM = 32
+#: Smallest sum of squares that :func:`vector_norm` takes as it is.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class SingularMatrixError(ValueError):
@@ -96,8 +103,10 @@ def is_float_vector(x, n: int) -> bool:
 def as_matrix(a) -> np.ndarray:
     """Return ``a`` as a 2-d array in its field (:func:`in_field`); a vector
     becomes one column.  A scipy.sparse matrix is rejected with a TypeError:
-    every kernel here needs a dense array."""
-    if scipy.sparse.issparse(a):
+    every kernel here needs a dense array.  No sparse object exists unless
+    ``scipy.sparse`` is loaded, so the test asks it only then."""
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(a):
         raise TypeError(f"{type(a).__name__} is not supported: a dense array is required "
                         "(convert it with .toarray())")
     m = in_field(a)
@@ -116,18 +125,34 @@ def inner(x, y) -> complex:
 
 
 def vector_norm(x) -> float:
-    """||x||_2 of a float64 or complex128 array, flattened, by numpy's own
-    formula for ``np.linalg.norm(x)`` and so equal to it bit for bit, without
-    its argument handling; any other dtype goes through ``np.linalg.norm``."""
+    """||x||_2 of a float64 or complex128 array, flattened; any other dtype
+    goes through ``np.linalg.norm``.
+
+    The square root of the sum of squares, numpy's own formula for
+    ``np.linalg.norm(x)`` and equal to it bit for bit, unless that sum is not
+    a finite normal number: where squares under- or overflowed (a norm below
+    about 1e-154 or above about 1e154) or an entry is not finite, it is the
+    largest entry modulus times the norm of x divided by it, whose sum is in
+    range.  ``np.vdot`` makes the same BLAS sum as ``x.dot(x)`` without a
+    floating-point warning, so an overflow on the way to a finite norm is
+    silent.
+    """
     x = np.asarray(x)
     if x.dtype == np.float64:
         x = x.ravel(order="K")
-        return math.sqrt(x.dot(x))
-    if x.dtype == np.complex128:
+        squares = np.vdot(x, x)
+    elif x.dtype == np.complex128:
         x = x.ravel(order="K")
         re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return float(np.linalg.norm(x))
+        squares = float(np.vdot(re, re)) + float(np.vdot(im, im))
+    else:
+        return float(np.linalg.norm(x))
+    if _TINY <= squares < math.inf:
+        return math.sqrt(squares)
+    scale = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < scale < math.inf:
+        return scale
+    return scale * vector_norm(x / scale)
 
 
 def spectral_norm(a) -> float:

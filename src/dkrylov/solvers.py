@@ -247,7 +247,9 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     :class:`IndefiniteOperatorError`; a vanishing curvature is reported as a
     breakdown at the last iterate if its true residual misses the tolerance
     (this cannot happen on a consistent semidefinite system), and as
-    converged if it meets it.
+    converged if it meets it.  So is a curvature that overflows: on an
+    operator of unit scale, p^H op p under- or overflows once the residual
+    falls below about 1e-154 or rises above about 1e154.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     if op.hermitian is not True:
@@ -266,7 +268,7 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     for iteration in range(1, cfg.max_iterations + 1):
         ap = op.apply(p)
         curvature = np.vdot(p, ap).real
-        if curvature <= 0.0:
+        if not 0.0 < curvature < math.inf:
             if curvature < -1e-12 * (linalg.vector_norm(p) * linalg.vector_norm(ap)):
                 raise IndefiniteOperatorError(
                     f"negative curvature {curvature:.3e} at iteration {iteration}"

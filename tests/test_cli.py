@@ -12,10 +12,11 @@ import pytest
 
 import dkrylov
 from dkrylov import cli, deflated
+from dkrylov.deflated import run_methods
 from dkrylov import io as dkio
 from dkrylov import linalg
 from dkrylov.operators import LinearOperator
-from dkrylov.problems import symmetric_indefinite_problem
+from dkrylov.problems import eigenvector_basis, perturb_basis, symmetric_indefinite_problem
 from dkrylov.projection import Deflator
 
 SIX_VARIANTS = ["minres", "rminres-explicit", "rminres-deflation-only",
@@ -205,19 +206,62 @@ class TestRun:
         assert without.read_bytes() == with_history.read_bytes()
 
     def test_paper_run_does_not_load_arpack(self, tmp_path):
-        # no set-up step of the paper's run estimates ||A||_2, so the run
-        # never imports scipy.sparse.linalg
+        # No set-up step of the paper's run estimates ||A||_2, so the run
+        # never imports scipy.sparse.linalg; it reads and writes no Matrix
+        # Market file and is given no sparse matrix, so it imports neither
+        # scipy.io nor scipy.sparse.  Neither does importing the package.
         spec = write_spec(tmp_path, paper_spec(200))
         out = str(tmp_path / "out.json")
-        script = ("import sys; from dkrylov import cli; "
-                  f"code = cli.main(['run', {spec!r}, '--output', {out!r}]); "
-                  "print(code, 'scipy.sparse.linalg' in sys.modules)")
+        watched = ("scipy.sparse", "scipy.sparse.linalg", "scipy.io")
+        script = (f"import sys, dkrylov; watched = {watched!r}\n"
+                  "after_import = [m for m in watched if m in sys.modules]\n"
+                  "from dkrylov import cli\n"
+                  f"code = cli.main(['run', {spec!r}, '--output', {out!r}])\n"
+                  "print(code, after_import, [m for m in watched if m in sys.modules])\n")
         src = str(Path(dkrylov.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=300)
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert proc.stdout.strip() == "0 [] []", proc.stderr
+
+    def test_matrix_market_inputs(self, tmp_path, monkeypatch):
+        # A, b, x0 and the deflation basis come from Matrix Market files; A
+        # in the coordinate format that scipy writes for a sparse matrix,
+        # which is densified.  [run] x0 = zero, the default, starts from the
+        # problem's x0, here the file's.  The basis is perturbed, and --tol
+        # and --maxit override the spec's [solver] section.
+        import scipy.io
+        import scipy.sparse
+
+        p = symmetric_indefinite_problem(10, seed=2)
+        u = eigenvector_basis(p, [1, 2, 11, 12])
+        x0 = np.random.default_rng(5).standard_normal(20)
+        scipy.io.mmwrite(str(tmp_path / "a.mtx"), scipy.sparse.coo_array(p.a))
+        assert "coordinate" in (tmp_path / "a.mtx").read_text(encoding="ascii").splitlines()[0]
+        for name, value in (("b", p.b), ("x0", x0), ("u", u)):
+            dkio.write_matrix_market(tmp_path / f"{name}.mtx", value)
+        spec = {"problem": {"generator": "file", "a": str(tmp_path / "a.mtx"),
+                            "b": str(tmp_path / "b.mtx"), "x0": str(tmp_path / "x0.mtx")},
+                "deflation": {"file": str(tmp_path / "u.mtx"), "perturb_eps": 1e-6,
+                              "perturb_seed": 3},
+                "run": {"variants": ["minres", "deflated-minres"]},
+                "solver": {"tolerance": 1e-6, "max_iterations": 5},
+                "output": {"format": "json"}}
+        received = []
+        monkeypatch.setattr(cli, "run_methods",
+                            lambda *args: received.append(args) or run_methods(*args))
+        out = tmp_path / "out.json"
+        assert cli.main(["run", write_spec(tmp_path, spec), "--output", str(out),
+                         "--tol", "1e-11", "--maxit", "300"]) == 0
+        (variants, a, b, basis, given, cfg), = received
+        assert [v.value for v in variants] == ["minres", "deflated-minres"]
+        assert np.array_equal(a, p.a) and a.dtype == np.float64
+        assert np.array_equal(b, p.b) and np.array_equal(given, x0)
+        assert np.array_equal(basis, perturb_basis(u, 1e-6, 3))
+        assert (cfg.residual_tolerance, cfg.max_iterations) == (1e-11, 300)
+        payload = json.loads(out.read_text(encoding="ascii"))
+        assert [r["status"] for r in payload["results"]] == ["converged", "converged"]
 
     def test_deflated_variant_without_basis_exits_3(self, tmp_path):
         spec = paper_spec()

@@ -64,6 +64,29 @@ class TestVectorNorm:
         x = make(np.random.default_rng(3))
         assert linalg.vector_norm(x) == float(np.linalg.norm(x))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("field", [np.float64, np.complex128])
+    def test_scaled_where_the_squares_leave_the_range(self, scale, field):
+        # The squares of these entries underflow to 0 or a subnormal, or
+        # overflow to inf; the norm is that of the unit-scale vector, scaled
+        # by a power of ten, so exact but for a few roundings.
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.5, 1.0, 50).astype(field)
+        if field is np.complex128:
+            x = x + 1j * rng.uniform(0.5, 1.0, 50)
+        expected = float(np.linalg.norm(x)) * scale
+        assert linalg.vector_norm(x * scale) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("x, expected", [
+        (np.zeros(4), 0.0), (np.zeros(0), 0.0), (np.zeros(3, complex), 0.0),
+        (np.array([1.0, np.inf]), math.inf), (np.array([1e300, -np.inf]), math.inf),
+        (np.array([1.0, np.nan]), math.nan), (np.array([1e300, np.nan + 0j]), math.nan),
+        (np.array([1e308, 1e308]), math.sqrt(2.0) * 1e308),
+    ], ids=["zero", "empty", "complex-zero", "inf", "huge-and-inf", "nan", "complex-nan",
+            "near-overflow"])
+    def test_zero_and_non_finite_vectors(self, x, expected):
+        assert linalg.vector_norm(x) == pytest.approx(expected, nan_ok=True)
+
 
 def reference_givens_qr_step(column, c, s):
     """The array kernel that minimal-residual runs called before they ran

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -261,6 +262,27 @@ class TestCg:
         assert abs(rep.residual_norms[-1] - explicit) <= 4 * (n + 1) * unit * (
             a_norm * np.linalg.norm(x) + explicit)
         assert rep.residual_norms[-1] == linalg.vector_norm(b - dense_operator(a).apply(x))
+
+
+    def test_vanishing_curvature_at_a_converged_iterate(self):
+        # A = diag(1, 0) and b = (2^40 + 1, 2^-10) from x0 = (2^40, 0): every
+        # operation below is exact.  Step 1 takes alpha = 1 + 2^-20, and
+        # x_1 = fl(x0 + alpha r0) rounds its first entry to 2^40 + 1, so the
+        # true residual is (0, 2^-10) while the carried one keeps -2^-20
+        # there and is 2^-10 sqrt(1 + 2^-20).  The tolerance lies between
+        # the two, so the carried residual does not meet it.  Step 2's
+        # direction (0, 2^-10 (1 + 2^-20)) lies in the null space: the
+        # curvature vanishes at an iterate whose true residual meets the
+        # tolerance, and the breakdown is reported as converged.
+        a, x0 = np.diag([1.0, 0.0]), np.array([2.0**40, 0.0])
+        b = np.array([2.0**40 + 1.0, 2.0**-10])
+        tol = 2.0**-10 * (1.0 + 2.0**-30) / np.linalg.norm(b)
+        rep = cg_solve(dense_operator(a), b, x0, SolveConfig(residual_tolerance=tol))
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.iterations_used == 1 and rep.breakdown_iteration is None
+        assert rep.residual_norms.tolist() == [math.hypot(1.0, 2.0**-10), 2.0**-10]
+        assert rep.recurrence_residual_norms[1] == 2.0**-10 * math.sqrt(1.0 + 2.0**-20)
+        assert rep.final_iterate.tolist() == [2.0**40 + 1.0, 2.0**-10 * (1.0 + 2.0**-20)]
 
 
 class TestMinres:
@@ -693,3 +715,31 @@ class TestStagnation:
                        cfg=SolveConfig(max_iterations=3, residual_tolerance=1e-14))
         assert rep.status is SolveStatus.MAX_ITERATIONS
         assert rep.iterations_used == 3
+
+
+class TestScaleOfB:
+    """A = diag(1, 2, 3), b = s (1, 1, 1): the residual norms of a run at
+    s = 1e-200 or 1e160 have squares outside the float64 range."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_minimal_residual_steps_do_not_depend_on_the_scale(self, solver, scale):
+        a = np.diag([1.0, 2.0, 3.0])
+        unit = solver(dense_operator(a), np.ones(3))
+        rep = solver(dense_operator(a), scale * np.ones(3))
+        assert (rep.status, rep.iterations_used) == (unit.status, unit.iterations_used)
+        assert rep.status is SolveStatus.CONVERGED
+        np.testing.assert_allclose(rep.residual_norms[:-1] / scale, unit.residual_norms[:-1],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(rep.final_iterate / scale, [1.0, 0.5, 1.0 / 3.0], rtol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_cg_breaks_down_where_its_curvature_leaves_the_range(self, scale):
+        # p^H A p under- or overflows at the first step, so CG ends in a
+        # breakdown at x0 = 0 and records ||b||, never converged at x = 0.
+        b = scale * np.ones(3)
+        rep = cg_solve(dense_operator(np.diag([1.0, 2.0, 3.0])), b)
+        assert rep.status is SolveStatus.BREAKDOWN and rep.breakdown_iteration == 1
+        assert rep.residual_norms.tolist() == [linalg.vector_norm(b)]
+        assert rep.residual_norms[0] == pytest.approx(math.sqrt(3.0) * scale, rel=1e-15)
+        assert not rep.final_iterate.any()
