@@ -26,7 +26,12 @@ Both run all eight variants under ``SolveConfig()`` on these systems:
   and 6 at tolerance 1e-8 (s = 0..5, n = 200, seed 200 + s, 7 + s % 2
   decades, random signs for s % 3 == 1).  There MINRES's finite-precision
   behaviour decides the status.  They deflate the eigenvectors of the five
-  largest |lam|, whose coupling stays far from singular.
+  largest |lam|, whose coupling stays far from singular.  Four more systems
+  of order 35 ask for tolerances at and below eps, 1e-15 and 1e-30, on a
+  spectrum of two values whose Krylov spaces are exhausted at step 2:
+  ``Q = linalg.random_orthogonal(35, 0)``, random signs and then b drawn from
+  ``default_rng(0)``, lam = signs (``exhausted-pm1``) or 1.5 + 0.5 signs
+  (``exhausted-spd``), deflating the last five columns of Q.
 
 One line per run gives the status and iteration count of each checkout (or
 the exception a run raised), the final original residual ||b - A x|| of the
@@ -102,6 +107,14 @@ def _threads() -> str:
     return counts.pop() if len(counts) == 1 else "mixed"
 
 
+def _symmetric(name, q, lam, b, tolerance):
+    """The system Q diag(lam) Q^T x = b, deflating the last five columns of Q."""
+    a = (q * lam) @ q.T
+    a = 0.5 * (a + a.T)
+    settings = {"residual_tolerance": tolerance, "max_iterations": 3000}
+    return name, a, b, q[:, -5:], None, settings
+
+
 def _ill_conditioned(name, n, seed, decades, signs, tolerance):
     from dkrylov import linalg
 
@@ -110,10 +123,17 @@ def _ill_conditioned(name, n, seed, decades, signs, tolerance):
     lam = np.logspace(0, decades, n)
     if signs:
         lam = lam * rng.choice([-1, 1], n)
-    a = (q * lam) @ q.T
-    a = 0.5 * (a + a.T)
-    settings = {"residual_tolerance": tolerance, "max_iterations": 3000}
-    return name, a, rng.standard_normal(n), q[:, -5:], None, settings
+    return _symmetric(name, q, lam, rng.standard_normal(n), tolerance)
+
+
+def _exhausted(name, spd, tolerance):
+    from dkrylov import linalg
+
+    q = linalg.random_orthogonal(35, 0)
+    rng = np.random.default_rng(0)
+    signs = rng.choice([-1, 1], 35)
+    lam = 1.5 + 0.5 * signs if spd else signs
+    return _symmetric(name, q, lam, rng.standard_normal(35), tolerance)
 
 
 def _systems(equivalence, ill_conditioned):
@@ -135,6 +155,9 @@ def _systems(equivalence, ill_conditioned):
                                    s % 2 == 1, 1e-10)
         for s in range(6):
             yield _ill_conditioned(f"ill-1e-8-{s}", 200, 200 + s, 7 + s % 2, s % 3 == 1, 1e-8)
+        for kind in ("pm1", "spd"):
+            for tolerance in (1e-15, 1e-30):
+                yield _exhausted(f"exhausted-{kind}-{tolerance:g}", kind == "spd", tolerance)
 
 
 def _flatten(obj, name, out):
@@ -406,7 +429,8 @@ def main(argv=None) -> int:
     parser.add_argument("--equivalence", type=_equivalence_spec, nargs="+", default=[(0, 6)],
                         metavar="SEED:COUNT")
     parser.add_argument("--ill-conditioned", action="store_true",
-                        help="also compare the 18 ill-conditioned real symmetric systems")
+                        help="also compare the 22 ill-conditioned and exhausted real "
+                             "symmetric systems")
     parser.add_argument("--cli", action="store_true",
                         help="compare dkrylov run output byte for byte instead")
     parser.add_argument("--time", action="store_true",

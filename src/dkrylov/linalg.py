@@ -28,8 +28,10 @@ factored without any estimate and every decision is the estimate's.
 
 Of scipy, only ``scipy.linalg`` is imported with this module.  ARPACK
 (``scipy.sparse.linalg``) is imported on first use, by
-:attr:`SquareMatrix.norm`, and ``scipy.sparse`` never: :func:`as_matrix`
-asks it about its argument only when some other code has loaded it.
+:attr:`SquareMatrix.norm`, which is asked for only where its free bound
+cannot decide: a Hermitian test of a matrix not Hermitian bit for bit, or a
+pivot test.  ``scipy.sparse`` is never imported: :func:`as_matrix` asks it
+about its argument only when some other code has loaded it.
 """
 
 from __future__ import annotations
@@ -266,14 +268,17 @@ class SquareMatrix:
         """True for an ``a`` equal to a^H bit for bit, with no estimate.  Any
         other ``a`` is Hermitian when ||s - s^H||_F <= HERMITIAN_TOLERANCE *
         ``norm`` of s, on the scaled values s of :attr:`norm` so that the
-        difference cannot underflow.  As ||.||_F >= ||.||_2 and the estimate
-        is a lower bound, this accepts nothing :func:`is_hermitian` rejects.
-        """
+        difference cannot underflow; one that fails against the bound
+        n >= ||s||_2 is rejected first, with no estimate.  As ||.||_F >=
+        ||.||_2 and the estimate is a lower bound, this accepts nothing
+        :func:`is_hermitian` rejects."""
         if self._exactly_hermitian:
             return True
         defect = self.a - self.a.conj().T
         defect /= self._scale
-        return bool(np.linalg.norm(defect) <= HERMITIAN_TOLERANCE * (self.norm / self._scale))
+        defect = np.linalg.norm(defect)
+        return bool(defect <= HERMITIAN_TOLERANCE * self.a.shape[0]
+                    and defect <= HERMITIAN_TOLERANCE * (self.norm / self._scale))
 
 
 def make_givens(f, g):

@@ -3,13 +3,13 @@
 All three solvers apply the operator once per step, record a residual norm
 per iteration with its recurrence estimate alongside, classify termination
 into converged / breakdown / stagnated / max-iterations, and never silently
-return a breakdown as success.  Every run but a minimal-residual breakdown
-ends with b - op x of the returned iterate formed once and recorded as its
-last residual (:meth:`_Run.finish`); a run that claims convergence and
-misses the tolerance by it is reported as stagnated.  A converged,
-stagnated or max-iterations CG run of k steps so makes k + 2 products: r0,
-one per step and the last; a MINRES or GMRES run makes k + 3, one more for
-the probe of its breakdown rule.
+return a breakdown as success.  Every run ends with b - op x of the
+returned iterate formed once and recorded as its last residual
+(:meth:`_Run.finish`); a run that claims convergence and misses the
+tolerance by it is reported as stagnated.  A CG run of k steps, a step that
+breaks down included, so makes k + 2 products: r0, one per step and the
+last; a MINRES or GMRES run makes k + 3, one more for the probe of its
+breakdown rule.
 
 CG records its carried residual ||r_n||, which drifts from ||b - op x_n||
 by the residual gap that limits its attainable accuracy (Greenbaum, SIAM J.
@@ -31,22 +31,20 @@ MINRES reorthogonalizes when Simon's estimate of the loss of orthogonality
 passes eps^(3/4), below sqrt(eps), where the explicit residual stalls above
 the tolerance on ill-conditioned systems (:class:`_LanczosBasis`).
 
-A *breakdown* means the Krylov basis cannot be continued while the residual
-is still above tolerance.  MINRES and GMRES judge it on the operator's
-scale, never on b's: the larger of ||op z|| for one seeded unit probe z,
-formed once per run, and the running size of the projected matrix.  The
-basis is exhausted when its continuation vector's norm is at most
-:data:`BREAKDOWN_THRESHOLD` times that scale, or once it holds n vectors in
-C^n, so it never grows past n.  The last step of an exhausted basis is
-committed only if its pivot in the least-squares factor exceeds the same
-cutoff and its recurrence residual meets the tolerance; the committed
-iterate is reported as converged if its explicit residual meets the
-tolerance too, and as stagnated if not, which happens on a nonsingular
-system whose tolerance lies below the accuracy attainable at its condition
-number (A = Q diag(1, -2, 1e-8) Q^H, b = Q (1, 1, 1) stagnates at step 3
-with ||b - A x|| about 1e-8 under the default tolerance).  Otherwise the run
-is frozen at the last valid iterate and reported as a breakdown; singular
-systems, such as the left-projected deflated systems, are the usual cause.
+A *breakdown* is a vanishing Galerkin pivot, a singular projected matrix, as
+on the left-projected deflated systems.  Each step's pivot is judged against
+:data:`BREAKDOWN_THRESHOLD` times the operator's scale, never b's: for
+MINRES and GMRES the new least-squares diagonal |r_jj| on the larger of
+||op z|| for a seeded unit probe z and the running size of the projected
+matrix; for CG p^H op p / rho on its largest earlier value, and one below
+minus the cutoff raises :class:`IndefiniteOperatorError`.  A breakdown ends
+the run at its last committed iterate; every other step is committed.  A
+MINRES or GMRES basis is exhausted when its continuation's norm, at most
+|r_jj|, is at most the cutoff, or at n vectors in C^n; a committed step that
+exhausts it and misses the tolerance ends the run stagnated, as below the
+attainable accuracy (A = Q diag(1, -2, 1e-8) Q^H, b = Q (1, 1, 1) at step 3
+with ||b - A x|| about 1e-8 under the default tolerance; A = Q diag(+-1) Q^H
+at step 2 with 1e-15 ||b|| under 1e-16).
 """
 
 from __future__ import annotations
@@ -69,8 +67,8 @@ STAGNATION_WINDOW = 50
 #: improvement than this while above tolerance flags stagnation.
 STAGNATION_FACTOR = 10.0 ** (-1.0 / STAGNATION_WINDOW)
 
-#: Cutoff, relative to the operator's scale, of a vanished MINRES or GMRES
-#: continuation and of a zero least-squares pivot (module docstring).
+#: Cutoff, relative to the operator's scale, of a vanished Galerkin pivot
+#: and of an exhausted MINRES or GMRES continuation (module docstring).
 BREAKDOWN_THRESHOLD = 1e-13
 
 
@@ -190,10 +188,11 @@ class _Run:
         return current > self.best[0] * STAGNATION_FACTOR
 
     def finish(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
-        """Report the run at ``x``, whose last recorded residual was not
-        formed as b - op x: form it so, once, and record it in its place.  A
-        run that claims convergence is reported as stagnated if it misses the
-        tolerance by it, and a breakdown as converged if it meets it."""
+        """Report the run at ``x``, its last recorded iterate, with b - op x
+        formed once and recorded as its last residual; every run whose last
+        residual was not so formed ends here.  A run that claims convergence
+        is reported as stagnated if it misses the tolerance by it, and a
+        breakdown as converged if it meets it."""
         self.residual_norms[-1] = linalg.vector_norm(self.b - self.op.apply(x))
         if self.tol_reached(self.residual_norms[-1]):
             if status is SolveStatus.BREAKDOWN:
@@ -243,13 +242,14 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     b - op x of the returned iterate as its last residual.
 
     On a consistent positive semidefinite system the iteration is well defined
-    until termination.  A direction of significantly negative curvature raises
-    :class:`IndefiniteOperatorError`; a vanishing curvature is reported as a
-    breakdown at the last iterate if its true residual misses the tolerance
-    (this cannot happen on a consistent semidefinite system), and as
-    converged if it meets it.  So is a curvature that overflows: on an
-    operator of unit scale, p^H op p under- or overflows once the residual
-    falls below about 1e-154 or rises above about 1e154.
+    until termination.  Each step's pivot p^H op p / rho is judged against
+    :data:`BREAKDOWN_THRESHOLD` times the largest earlier pivot (module
+    docstring): one below minus that cutoff raises
+    :class:`IndefiniteOperatorError`, and one within it, or one that is not
+    finite, is a breakdown at the last iterate, reported as converged if its
+    true residual meets the tolerance.  On an operator of unit scale, rho
+    and p^H op p under- or overflow once the residual falls below about
+    1e-154 or rises above about 1e154, and the pivot is then not finite.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     if op.hermitian is not True:
@@ -265,15 +265,19 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
 
     p = r.copy()
     rho = np.vdot(r, r).real
+    cutoff = 0.0                # BREAKDOWN_THRESHOLD times the largest pivot so far
     for iteration in range(1, cfg.max_iterations + 1):
         ap = op.apply(p)
         curvature = np.vdot(p, ap).real
-        if not 0.0 < curvature < math.inf:
-            if curvature < -1e-12 * (linalg.vector_norm(p) * linalg.vector_norm(ap)):
+        # The LDL^H pivot 1 / alpha, NaN where rho has left the float64 range.
+        pivot = curvature / rho if 0.0 < rho < math.inf else math.nan
+        if not cutoff < pivot < math.inf:
+            if pivot < -cutoff:
                 raise IndefiniteOperatorError(
                     f"negative curvature {curvature:.3e} at iteration {iteration}"
                 )
             return run.finish(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration)
+        cutoff = max(cutoff, BREAKDOWN_THRESHOLD * pivot)
         alpha = rho / curvature
         x = x + alpha * p
         r = r - alpha * ap
@@ -494,8 +498,7 @@ class _ArnoldiBasis(_StoredBasis):
 
 
 def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
-    """MINRES or GMRES, by the basis that ``basis_type`` grows; the rule for
-    an exhausted Krylov space is the one in the module docstring."""
+    """MINRES or GMRES, by the basis that ``basis_type`` grows."""
     run = _Run(op, b, x0, cfg)
     x = run.x
     r0 = b - op.apply(x)
@@ -510,33 +513,31 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
     basis = basis_type(x, r0, beta1, cfg)
     # Last entry of the rotated right-hand side, real on a real run.
     g = basis.scalar(beta1)
+    breakdown_iteration = None
     for iteration in range(1, cfg.max_iterations + 1):
         column, w, h_next = basis.expand(op)
         j = basis.size - 1              # rotations committed so far
         first = j + 2 - len(column)
         c, s = linalg.givens_cascade(column, basis.c[first:j], basis.s[first:j])
-        g_next = -s.conjugate() * g
         cutoff = BREAKDOWN_THRESHOLD * max(probe_scale, basis.scale)
-        exhausted = h_next <= cutoff or iteration == n
-        if exhausted and not (abs(column[-2]) > cutoff and run.tol_reached(abs(g_next))):
-            return run.report(SolveStatus.BREAKDOWN, basis.iterate(),
-                              breakdown_iteration=iteration, diagnostics=basis.diagnostics())
-
+        if not abs(column[-2]) > cutoff:
+            status, breakdown_iteration = SolveStatus.BREAKDOWN, iteration
+            break
         basis.c.append(c)
         basis.s.append(s)
         residual = basis.advance(column, c * g)
-        g = g_next
+        g = -s.conjugate() * g
         value = run.record(basis.iterate() if cfg.record_history else None, abs(g), residual)
         if run.tol_reached(value):
             status = SolveStatus.CONVERGED
             break
-        if exhausted or run.stagnated():
+        if h_next <= cutoff or iteration == n or run.stagnated():
             status = SolveStatus.STAGNATED
             break
         basis.append(w, h_next)
     else:
         status = SolveStatus.MAX_ITERATIONS
-    return run.finish(status, basis.iterate(), diagnostics=basis.diagnostics())
+    return run.finish(status, basis.iterate(), breakdown_iteration, basis.diagnostics())
 
 
 def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
@@ -550,12 +551,10 @@ def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     reorthogonalization at eps^(3/4), where the explicit residual reaches the
     tolerance that reorthogonalizing every vector reaches.  Works for
     Hermitian indefinite and singular operators; on a singular inconsistent
-    system the run ends in a breakdown once the Krylov space is exhausted.
-
-    The basis is exhausted when the continuation vector's norm is at most
-    :data:`BREAKDOWN_THRESHOLD` times the operator's scale (one probe
-    product) or once it holds n vectors (module docstring); a run of k steps
-    makes k + 3 products: r0, the probe, one per step and the last.
+    system the run ends in a breakdown where the least-squares pivot
+    vanishes on the operator's scale (one probe product; module docstring).
+    A run of k steps, a step that breaks down included, makes k + 3
+    products: r0, the probe, one per step and the last.
 
     ``diagnostics`` holds ``reorthogonalizations`` (how many Lanczos vectors
     were reorthogonalized) and, in a run that records history,
@@ -573,13 +572,9 @@ def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     Classical Gram-Schmidt run twice (CGS2) on every Arnoldi vector,
     Givens-rotation update of the Hessenberg least-squares problem, and the
     iterate and its residual formed from the stored basis and its products
-    (module docstring).  Applicable to any square operator.  The basis is
-    exhausted as in :func:`minres_solve`, at the same k + 3 products.  A
-    breakdown is reported when the last step's pivot is numerically zero or
-    its recurrence residual misses the tolerance, as on singular systems; a
-    committed last step whose explicit residual misses the tolerance
-    (nonsingular, but the tolerance lies below the attainable accuracy) is
-    reported as stagnated.
+    (module docstring).  Applicable to any square operator.  Breakdown and
+    an exhausted basis are judged as in :func:`minres_solve`, at the same
+    k + 3 products.
 
     ``diagnostics`` holds the same keys as :func:`minres_solve`'s, with one
     reorthogonalization counted per step and the drift only in a run that

@@ -82,6 +82,36 @@ class TestRun:
             assert results[name]["relative_residuals"]["original"][-1] <= 1e-12
         assert "rminres-explicit: breakdown at step 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, variants, statuses", [
+        ({"generator": "clustered-spd", "n": 40, "outliers": 3, "seed": 1},
+         ["cg", "deflated-cg"], ["converged", "converged"]),
+        ({"generator": "toy-breakdown"}, ["minres", "rminres-deflation-only"],
+         ["converged", "breakdown"]),
+        ({"generator": "near-invariant", "alpha": 1e-3}, ["deflated-gmres"], ["breakdown"]),
+    ], ids=["clustered-spd", "toy-breakdown", "near-invariant"])
+    def test_generators(self, tmp_path, problem, variants, statuses):
+        # clustered-spd deflates its three outliers; the toy and
+        # near-invariant problems carry their own basis
+        spec = {"problem": problem, "run": {"variants": variants}, "output": {"format": "json"}}
+        if problem["generator"] == "clustered-spd":
+            spec["deflation"] = {"eigen_indices": "1-3"}
+        code, payload = run_json(tmp_path, spec)
+        assert code == 0
+        assert [r["status"] for r in payload["results"]] == statuses
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"problem": {"generator": ', "invalid JSON"),
+        ('{"problem": {"generator": "toy-breakdown"}, "run": {}}', "[run] variants is required"),
+    ], ids=["invalid-json", "missing-variants"])
+    def test_rejected_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, capsys, text,
+                                                    message):
+        calls = []
+        monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="ascii")
+        assert cli.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err and calls == []
+
     def test_csv_output(self, tmp_path):
         spec = paper_spec()
         spec["output"]["format"] = "csv"

@@ -58,6 +58,23 @@ class TestDeflatedCg:
         with pytest.raises(ValueError):
             run_method(MethodVariant.DEFLATED_CG, p.a, p.b, u)
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-20, 1e-30])
+    @pytest.mark.parametrize("columns", ["first", "last"])
+    def test_roundoff_curvature_is_a_breakdown(self, columns, tol):
+        # HPD with eigenvalues 1 and 2 (n = 35), five of its eigenvectors
+        # deflated.  The projected system is solved within a few steps, and
+        # the next curvature, about -1e-47, is roundoff beside pivots of 1
+        # to 2: a breakdown, not an IndefiniteOperatorError.
+        q = linalg.random_orthogonal(35, 0)
+        rng = np.random.default_rng(0)
+        a = linalg.assemble_hermitian(q, 1.5 + 0.5 * rng.choice([-1.0, 1.0], 35))
+        b = rng.standard_normal(35)
+        u = q[:, :5] if columns == "first" else q[:, -5:]
+        rep = run_method(MethodVariant.DEFLATED_CG, a, b, u,
+                         cfg=SolveConfig(residual_tolerance=tol, max_iterations=3000))
+        assert rep.deflated_report.iterations_used < 35
+        assert np.linalg.norm(b - a @ rep.corrected_iterate) <= 1e-14 * np.linalg.norm(b)
+
     def test_initial_residual_orthogonal_to_basis(self):
         p = clustered_spd_problem(30, 3, seed=7)
         u = eigenvector_basis(p, range(1, 4))

@@ -54,9 +54,13 @@ class TestDenseOperator:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
         g = np.random.default_rng(2).standard_normal((200, 200))
         assert dense_operator(g + g.T).hermitian is True
-        assert not calls
-        # a matrix that is not exactly Hermitian still gets the estimate
+        # a plainly nonsymmetric matrix fails against the bound n >= ||s||_2
         assert dense_operator(g).hermitian is False
+        assert not calls
+        # a nearly Hermitian matrix that is not exactly so still gets the estimate
+        nearly = g + g.T
+        nearly[0, 1] += 1e-14 * np.abs(nearly).max()
+        assert dense_operator(nearly).hermitian is True
         assert len(calls) == 1
 
     def test_verify_catches_wrong_flag(self):

@@ -57,6 +57,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Deflator(a, np.zeros((4, 0)), OR)
 
+    def test_basis_with_wrong_row_count_rejected(self):
+        with pytest.raises(ValueError, match="basis has 3 rows, expected 4"):
+            Deflator(np.eye(4), np.ones((3, 1)), MR)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, entry):
+        u = np.ones((4, 1))
+        u[2, 0] = entry
+        with pytest.raises(ValueError, match="basis entries must be finite"):
+            Deflator(np.eye(4), u, MR)
+
+    def test_orthogonal_mode_rejects_a_non_hermitian_matrix(self):
+        a = np.diag([1.0, 2.0, 3.0])
+        a[0, 2] = 0.5
+        with pytest.raises(ValueError, match="Hermitian positive definite"):
+            Deflator(a, np.eye(3)[:, :1], OR)
+        assert not Deflator(a, np.eye(3)[:, :1], OR, allow_indefinite=True).a_hermitian
+
     def test_rank_deficient_basis_rejected(self):
         rng = np.random.default_rng(1)
         a = random_hpd(rng, 8)

@@ -37,6 +37,15 @@ def logspaced_system(n, seed, decades, signs=False):
     return linalg.assemble_hermitian(q, lam), rng.standard_normal(n)
 
 
+def plus_minus_one_system():
+    """n = 35, A = Q diag(signs) Q^T with Q = random_orthogonal(35, 0) and
+    the signs, then b, drawn from default_rng(0).  K_2 is invariant."""
+    q = linalg.random_orthogonal(35, 0)
+    rng = np.random.default_rng(0)
+    signs = rng.choice([-1.0, 1.0], 35)
+    return linalg.assemble_hermitian(q, signs), rng.standard_normal(35)
+
+
 def counted_operator(a):
     """dense_operator(a), and the list that gets one entry per product."""
     matrix, calls = linalg.SquareMatrix(a), []
@@ -715,6 +724,64 @@ class TestStagnation:
                        cfg=SolveConfig(max_iterations=3, residual_tolerance=1e-14))
         assert rep.status is SolveStatus.MAX_ITERATIONS
         assert rep.iterations_used == 3
+
+
+class TestExhaustedSpace:
+    """Only a vanishing least-squares pivot is a breakdown: a step that
+    exhausts a nonsingular system's Krylov space is committed at any
+    tolerance, and b - op x of the returned iterate is recorded last."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-14, 1e-15, 1e-16, 1e-30])
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_plus_minus_one_system_is_solved_at_step_two(self, solver, tol):
+        # Step 2 solves the system to about 1.3e-15 ||b||.  It used to be
+        # dropped below tolerance 1e-15, where its recurrence residual
+        # misses the tolerance, leaving x_1 at 0.97 ||b|| as a breakdown.
+        a, b = plus_minus_one_system()
+        rep = solver(dense_operator(a), b, cfg=SolveConfig(residual_tolerance=tol))
+        assert rep.iterations_used == 2 and rep.status is not SolveStatus.BREAKDOWN
+        assert np.linalg.norm(b - a @ rep.final_iterate) <= 1e-14 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_no_breakdown_on_nonsingular_systems_below_eps(self, solver):
+        # 80 nonsingular real symmetric systems whose |lam| span s % 13
+        # decades with random signs, at tolerance 1e-30: the +-1 spectra
+        # (s % 13 == 0) used to break down at 0.95-1.0 ||b||.
+        broken = []
+        for s in range(80):
+            rng = np.random.default_rng(s)
+            n = int(rng.integers(20, 81))
+            lam = np.logspace(0, -(s % 13), n) * rng.choice([-1, 1], n)
+            a = linalg.assemble_hermitian(linalg.random_orthogonal(n, s), lam)
+            b = rng.standard_normal(n)
+            rep = solver(dense_operator(a), b, cfg=SolveConfig(residual_tolerance=1e-30))
+            if rep.status is SolveStatus.BREAKDOWN:
+                broken.append(s)
+            if s % 13 == 0:
+                assert np.linalg.norm(b - a @ rep.final_iterate) <= 1e-14 * np.linalg.norm(b)
+        assert broken == []
+
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    @pytest.mark.parametrize("ending", ["converged", "max-iterations", "stagnated", "breakdown"])
+    def test_last_residual_is_formed_at_every_ending(self, solver, ending):
+        # r0, the probe, one product per step, the step that breaks down
+        # included, and b - op x of the returned iterate, recorded last
+        tol, max_iterations = 1e-10, 1000
+        if ending == "breakdown":       # singular: the step-4 pivot vanishes
+            a, b = np.diag([1.0, 2.0, 3.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.5])
+        elif ending == "stagnated":     # exhausted at step 2, tolerance below eps
+            (a, b), tol = plus_minus_one_system(), 1e-30
+        else:
+            rng = np.random.default_rng(3)
+            a, b = random_hermitian_indefinite(rng, 30), rng.standard_normal(30)
+            max_iterations = 1000 if ending == "converged" else 5
+        op, calls = counted_operator(a)
+        rep = solver(op, b, cfg=SolveConfig(residual_tolerance=tol,
+                                            max_iterations=max_iterations))
+        assert rep.status.value == ending
+        assert len(calls) == (rep.breakdown_iteration or rep.iterations_used) + 3
+        x = rep.final_iterate
+        assert rep.residual_norms[-1] == linalg.vector_norm(b - dense_operator(a).apply(x))
 
 
 class TestScaleOfB:
