@@ -31,7 +31,8 @@ Both run all eight variants under ``SolveConfig()`` on these systems:
   spectrum of two values whose Krylov spaces are exhausted at step 2:
   ``Q = linalg.random_orthogonal(35, 0)``, random signs and then b drawn from
   ``default_rng(0)``, lam = signs (``exhausted-pm1``) or 1.5 + 0.5 signs
-  (``exhausted-spd``), deflating the last five columns of Q.
+  (``exhausted-spd``), deflating the last five columns of Q.  Each matrix
+  is ``linalg.assemble_hermitian(Q, lam)`` of the checkout that runs it.
 
 One line per run gives the status and iteration count of each checkout (or
 the exception a run raised), the final original residual ||b - A x|| of the
@@ -46,9 +47,11 @@ status, an iteration count or a raised exception differs, 0 otherwise.
 
 With ``--cli`` it compares ``dkrylov run`` instead: each checkout runs the
 paper's spec (all six MINRES and GMRES variants, deflating ``1-5,m+1..m+5``)
-at m=50 and m=200, each with ``x0 = zero`` and ``x0 = random``, and the
-breakdown spec (m=50, ``breakdown_indices 1-5``, ``x0 = breakdown-guess``),
-each under ``--format json`` and ``--format csv``.  One line per run says
+at m=50 and m=200, each with ``x0 = zero`` and ``x0 = random``, the
+breakdown spec (m=50, ``breakdown_indices 1-5``, ``x0 = breakdown-guess``)
+and the ``clustered-spd`` generator's default problem (n=80) with ``cg`` and
+``deflated-cg``, deflating ``1-5``, each under ``--format json`` and
+``--format csv``.  One line per run says
 whether the exit code, standard output and standard error are equal byte for
 byte; it exits 1 unless all of them are.
 
@@ -109,8 +112,9 @@ def _threads() -> str:
 
 def _symmetric(name, q, lam, b, tolerance):
     """The system Q diag(lam) Q^T x = b, deflating the last five columns of Q."""
-    a = (q * lam) @ q.T
-    a = 0.5 * (a + a.T)
+    from dkrylov import linalg
+
+    a = linalg.assemble_hermitian(q, lam)
     settings = {"residual_tolerance": tolerance, "max_iterations": 3000}
     return name, a, b, q[:, -5:], None, settings
 
@@ -300,6 +304,10 @@ def _cli_specs():
         "problem": {"generator": "symmetric-indefinite", "m": 50},
         "deflation": {"breakdown_indices": "1-5"},
         "run": {"variants": SIX_VARIANTS, "x0": "breakdown-guess"}}
+    yield "clustered-spd", {
+        "problem": {"generator": "clustered-spd"},
+        "deflation": {"eigen_indices": "1-5"},
+        "run": {"variants": ["cg", "deflated-cg"]}}
 
 
 def compare_cli(other: Path) -> int:

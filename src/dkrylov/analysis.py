@@ -139,11 +139,12 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode) -> SpectrumCheck:
     """Verify that deflating an invariant subspace moves exactly its
     eigenvalues to zero and leaves the rest of the spectrum intact.
 
-    Requires a Hermitian matrix and a basis spanning an exact invariant
-    subspace; forms the dense left-projected matrix and compares its spectrum
-    (as a multiset) against {0 with the basis dimension's multiplicity} plus
-    the non-deflated eigenvalues.  Raises VerificationFailedError on mismatch
-    beyond SPECTRUM_TOLERANCE times the matrix norm.
+    Requires a Hermitian matrix, positive definite in residual-orthogonal
+    mode as :class:`Deflator` requires, and a basis spanning an exact
+    invariant subspace; compares the spectrum of the deflator's dense
+    left-projected matrix (as a multiset) against {0 with the basis
+    dimension's multiplicity} plus the non-deflated eigenvalues.  Raises
+    VerificationFailedError on mismatch beyond SPECTRUM_TOLERANCE * ||a||_2.
     """
     a = linalg.as_matrix(a)
     u = linalg.as_matrix(u)
@@ -151,7 +152,7 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode) -> SpectrumCheck:
     if not linalg.is_hermitian(a):
         raise ValueError("spectral verification requires a Hermitian matrix")
     theta = _invariant_eigenvalues(a, u)
-    d = Deflator(a, u, mode, allow_indefinite=True)
+    d = Deflator(a, u, mode)
     deflated = d.dense_deflated_matrix()
     anorm = linalg.spectral_norm(a)
     tolerance = SPECTRUM_TOLERANCE * max(anorm, np.finfo(float).tiny)
@@ -209,20 +210,3 @@ def _remove_matched(values: np.ndarray, removed: np.ndarray, tol: float) -> np.n
         values.pop(idx)
     return np.asarray(values)
 
-
-def krylov_basis(op, v, n: int) -> np.ndarray:
-    """Orthonormal basis of the order-n Krylov space of (op, v) via Arnoldi."""
-    v = linalg.as_vector(v)
-    nv = linalg.vector_norm(v)
-    if nv == 0:
-        raise ValueError("Krylov start vector must be nonzero")
-    basis = [v / nv]
-    for _ in range(1, n):
-        w = op.apply(basis[-1]) if hasattr(op, "apply") else np.asarray(op) @ basis[-1]
-        for q in basis:
-            w = w - np.vdot(q, w) * q
-        nw = linalg.vector_norm(w)
-        if nw <= 1e-12 * nv:
-            break
-        basis.append(w / nw)
-    return np.column_stack(basis)

@@ -224,12 +224,16 @@ def build_variants(spec: dict) -> list[MethodVariant]:
 
 
 def build_initial_guess(spec: dict, problem: TestProblem, basis) -> np.ndarray:
+    """The run's x0: without a ``[run] x0`` key the problem's own (the file's
+    or the container's, zeros for every generator), and zeros for ``zero``."""
     section = spec["run"]
-    choice = section.get("x0", "zero")
     n = problem.dim
     seed = section.get("x0_seed", 0)
-    if choice == "zero":
+    choice = section.get("x0")
+    if choice is None:
         x0 = problem.x0.copy()
+    elif choice == "zero":
+        x0 = np.zeros(n)
     elif choice == "random":
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(n)

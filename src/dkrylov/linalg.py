@@ -21,10 +21,10 @@ and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
 analysis, the check suites and the tests.  The solve path sizes a matrix with
 :attr:`SquareMatrix.bound`, the upper bound ||a||_2 <= n max|a_ij| that the
 entry scale gives for free, and with :attr:`SquareMatrix.norm`, an estimate
-from below that never forms an n-by-n SVD.  The checked factorizations judge
-a pivot against the bound first and ask for the estimate only for a pivot
-that fails there (:func:`lu_factor_checked`), so a well-conditioned matrix is
-factored without any estimate and every decision is the estimate's.
+from below that never forms an n-by-n SVD.  The checked Cholesky factor
+judges a pivot against the bound first and asks for the estimate only for a
+pivot that fails there (:func:`_check_pivot`), so a well-conditioned matrix
+is factored without any estimate and every decision is the estimate's.
 
 Of scipy, only ``scipy.linalg`` is imported with this module.  ARPACK
 (``scipy.sparse.linalg``) is imported on first use, by
@@ -356,10 +356,11 @@ def assemble_hermitian(q, lam) -> np.ndarray:
 
 def _check_pivot(smallest: float, scale, what: str) -> None:
     """Raise SingularMatrixError when ``smallest`` < SINGULARITY_THRESHOLD *
-    ``scale``, a number or a pair (bound, exact) as in
-    :func:`lu_factor_checked`.  A pivot that passes against an upper bound
-    passes against the scale itself, so the decision and its message are
-    always the scale's."""
+    ``scale``, a number or a pair (bound, exact): an upper bound on it and a
+    function that returns it, called only for ``smallest`` below that times
+    the bound.  A pivot that passes against an upper bound passes against
+    the scale itself, so the decision and its message are always the
+    scale's."""
     tiny = np.finfo(float).tiny
     if isinstance(scale, tuple):
         bound, exact = scale
@@ -373,18 +374,9 @@ def _check_pivot(smallest: float, scale, what: str) -> None:
         )
 
 
-def lu_factor_checked(a, scale=None):
+def lu_factor_checked(a):
     """Pivoted LU factorization that raises SingularMatrixError on a pivot
-    below SINGULARITY_THRESHOLD times ``scale``.
-
-    ``scale`` sets the magnitude the pivots are measured against; it defaults
-    to the matrix's own spectral norm but callers that know the natural size
-    of the entries (e.g. a coupling matrix that may be numerically zero)
-    should pass it explicitly.  A scale that is costly to compute may be
-    passed as a pair (bound, exact): an upper bound on it and a function that
-    returns it, called only when the smallest pivot falls below
-    SINGULARITY_THRESHOLD * bound.  The matrix is factored once either way.
-    """
+    below SINGULARITY_THRESHOLD times the matrix's spectral norm."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -393,8 +385,7 @@ def lu_factor_checked(a, scale=None):
         lu, piv = scipy.linalg.lu_factor(a)
     pivots = np.abs(np.diag(lu))
     if pivots.size:
-        _check_pivot(float(pivots.min()), spectral_norm(a) if scale is None else scale,
-                     "pivot")
+        _check_pivot(float(pivots.min()), spectral_norm(a), "pivot")
     return lu, piv
 
 
@@ -403,8 +394,10 @@ def cholesky_factor_checked(e, scale=None):
 
     Raises SingularMatrixError when the matrix is not positive definite or a
     pivot (squared diagonal of L) falls below SINGULARITY_THRESHOLD times the
-    scale; see :func:`lu_factor_checked` for the ``scale`` convention.  The
-    factor is that of the Hermitian part 0.5 (e + e^H).
+    ``scale``, a number or a pair as in :func:`_check_pivot`: by default the
+    matrix's spectral norm, passed by a caller that knows the natural size
+    of the entries (a coupling matrix may be numerically zero).  The factor
+    is that of the Hermitian part 0.5 (e + e^H).
 
     ``e`` may be a :class:`SquareMatrix`, whose scale defaults to the pair
     (``bound``, ``norm``), so that its estimate is made only for a pivot

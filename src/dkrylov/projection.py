@@ -1,12 +1,13 @@
 """Deflation apparatus built from an augmentation basis.
 
 Given a square matrix ``a`` and a basis ``u`` of the augmentation space, the
-:class:`Deflator` factorizes the small coupling matrix once and then provides
-the projector actions and every iterate-correction formula the deflated
-solvers need.  Two Galerkin modes are supported: residual-orthogonal (test
-space equals the search space; requires a Hermitian positive definite matrix)
-and residual-minimizing (test space is the matrix image of the search space;
-works for any nonsingular matrix).
+:class:`Deflator` Cholesky-factors the small coupling matrix once and then
+provides the projector actions and every iterate-correction formula the
+deflated solvers need.  Two Galerkin modes are supported: residual-orthogonal
+(test space equals the search space; requires a Hermitian positive definite
+matrix, so the coupling u^H a u is one too) and residual-minimizing (test
+space is the matrix image of the search space; works for any nonsingular
+matrix, whose coupling w^H w with w = a u is Hermitian positive definite).
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ class GalerkinMode(enum.Enum):
 class SingularCouplingError(SingularMatrixError):
     """The coupling matrix of the augmentation basis is numerically singular.
 
-    This is the hard precondition of the whole construction; it fails e.g.
-    when the basis is rank deficient, or in residual-orthogonal mode when the
-    basis is chosen so that u^H a u vanishes.
+    This is the hard precondition of the whole construction.  Both couplings
+    are Hermitian positive semidefinite, so one is singular only where a u
+    is: where the basis is rank deficient or ``a`` annihilates part of it.
     """
 
 
@@ -46,7 +47,7 @@ class ModeMismatchError(ValueError):
 class Deflator:
     """Projection and correction toolbox for one (matrix, basis, mode) triple.
 
-    The thin product w = a @ u and a factorization of the k-by-k coupling
+    The thin product w = a @ u and a Cholesky factor of the k-by-k coupling
     matrix are cached at construction, so every projector application costs a
     small solve plus thin matrix-vector products; the projected matrix is
     never formed.  The matrix ``a`` is kept by reference and must not be
@@ -72,7 +73,7 @@ class Deflator:
     projected as its real and imaginary parts.
     """
 
-    def __init__(self, a, u, mode: GalerkinMode, *, allow_indefinite: bool = False):
+    def __init__(self, a, u, mode: GalerkinMode):
         u = linalg.as_matrix(u)
         matrix = linalg.SquareMatrix(a, u.dtype)
         a = matrix.a
@@ -99,50 +100,37 @@ class Deflator:
         # problem scale rather than against the coupling matrix itself.
         u_norm = linalg.spectral_norm(self.u)
         if mode is GalerkinMode.RESIDUAL_ORTHOGONAL:
-            if not allow_indefinite:
-                self._require_hpd(matrix)
+            self._require_hpd(matrix)
             self._bu = self.u
             self.coupling = self.u.conj().T @ self.w
             coupling_scale = lambda a_norm: a_norm * u_norm**2  # noqa: E731
-            factor_fn = (linalg.lu_factor_checked if allow_indefinite
-                         else linalg.cholesky_factor_checked)
         elif mode is GalerkinMode.RESIDUAL_MINIMIZING:
             self._bu = self.w
             self.coupling = self.w.conj().T @ self.w
             coupling_scale = lambda a_norm: (a_norm * u_norm) ** 2  # noqa: E731
-            factor_fn = linalg.cholesky_factor_checked
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._bu_h = self._bu.conj().T
 
         try:
-            factorization = factor_fn(self.coupling, scale=(
+            c, lower = linalg.cholesky_factor_checked(self.coupling, scale=(
                 coupling_scale(matrix.bound), lambda: coupling_scale(matrix.norm)))
         except SingularMatrixError as exc:
             raise SingularCouplingError(
                 f"coupling matrix is numerically singular ({exc})"
             ) from exc
-        # The factor is solved against by LAPACK directly: the same routine
-        # scipy's cho_solve/lu_solve call, without their per-call checks.  A
-        # coupling matrix with no imaginary part is factored real; its factor
-        # is kept in the deflator's field all the same.
-        if factor_fn is linalg.cholesky_factor_checked:
-            c, lower = factorization
-            c = c.astype(a.dtype, copy=False)
-            potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
-            self._coupling_lapack = functools.partial(potrs, c, lower=lower)
-        else:
-            lu, piv = factorization
-            lu = lu.astype(a.dtype, copy=False)
-            getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-            self._coupling_lapack = functools.partial(getrs, lu, piv)
+        # The factor is solved against by LAPACK directly: the routine scipy's
+        # cho_solve calls, without its per-call checks.  A coupling matrix
+        # with no imaginary part is factored real; its factor is kept in the
+        # deflator's field all the same.
+        c = c.astype(a.dtype, copy=False)
+        potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
+        self._coupling_lapack = functools.partial(potrs, c, lower=lower)
 
-        self.apply_counts = {"project_residual": 0, "project_solution": 0,
-                             "coarse_solve": 0, "corrections": 0}
+        self.apply_counts = {"project_residual": 0, "project_solution": 0, "corrections": 0}
 
     def _require_hpd(self, matrix):
-        message = ("residual-orthogonal mode requires a Hermitian positive definite "
-                   "matrix (pass allow_indefinite=True to override)")
+        message = "residual-orthogonal mode requires a Hermitian positive definite matrix"
         if not self.a_hermitian:
             raise ValueError(message)
         try:
@@ -159,13 +147,6 @@ class Deflator:
         return x
 
     # -- projector actions -------------------------------------------------
-
-    def coarse_solve(self, v) -> np.ndarray:
-        """Augmentation-space correction u (b^H a u)^-1 u^H v, with b = u in
-        residual-orthogonal mode and b = w = a u in residual-minimizing mode."""
-        v = linalg.as_vector(v, self.dim)
-        self.apply_counts["coarse_solve"] += 1
-        return self.u @ self._solve_coupling(self.u.conj().T @ v)
 
     def project_residual(self, v) -> np.ndarray:
         """Residual projector: annihilates the image of the basis under ``a``.

@@ -141,13 +141,17 @@ class _Run:
     or with ``smooth`` (CG, whose residual may first rise for many steps)
     their decreasing minimal-residual companion rho_k^-2 = sum_{i<=k}
     ||r_i||^-2 (Cullum and Greenbaum, SIAM J. Matrix Anal. Appl. 17, 1996).
+
+    ``b`` and ``x0`` come multiplied by ``unit``, a power of two, and
+    :meth:`report` divides the iterates and recorded norms back, exactly.
     """
 
-    def __init__(self, op, b, x0, cfg, smooth=False):
+    def __init__(self, op, b, x0, cfg, smooth=False, unit=1.0):
         self.op = op
         self.b = b
         self.cfg = cfg
         self.smooth = smooth
+        self.unit = unit
         self.x = x0.copy()
         self.residual_norms = []
         self.recurrence_norms = []
@@ -202,14 +206,21 @@ class _Run:
         return self.report(status, x, breakdown_iteration, diagnostics)
 
     def report(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
+        norms = np.asarray(self.residual_norms, dtype=float)
+        recurrence_norms = np.asarray(self.recurrence_norms, dtype=float)
+        iterates = self.iterates
+        if self.unit != 1.0:
+            x, norms, recurrence_norms = (v / self.unit for v in (x, norms, recurrence_norms))
+            if iterates is not None:
+                iterates = [v / self.unit for v in iterates]
         return SolveReport(
             final_iterate=x,
-            residual_norms=np.asarray(self.residual_norms, dtype=float),
+            residual_norms=norms,
             status=status,
-            iterations_used=len(self.residual_norms) - 1,
+            iterations_used=len(norms) - 1,
             breakdown_iteration=breakdown_iteration,
-            recurrence_residual_norms=np.asarray(self.recurrence_norms, dtype=float),
-            iterates=self.iterates,
+            recurrence_residual_norms=recurrence_norms,
+            iterates=iterates,
             diagnostics=diagnostics or {},
         )
 
@@ -247,19 +258,23 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     docstring): one below minus that cutoff raises
     :class:`IndefiniteOperatorError`, and one within it, or one that is not
     finite, is a breakdown at the last iterate, reported as converged if its
-    true residual meets the tolerance.  On an operator of unit scale, rho
-    and p^H op p under- or overflow once the residual falls below about
-    1e-154 or rises above about 1e154, and the pivot is then not finite.
+    true residual meets the tolerance.  The run is carried, exactly, in units
+    of the power of two that brings max(||r0||, ||b||) into [0.5, 1), so on
+    an operator of unit scale rho and p^H op p stay in the float64 range at
+    every ||b||; the report is in the units of ``b``.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     if op.hermitian is not True:
         raise ValueError("cg_solve requires an operator flagged hermitian")
 
-    run = _Run(op, b, x0, cfg, smooth=True)
-    x = run.x
-    r = b - op.apply(x)
-    r0_norm = linalg.vector_norm(r)
-    value = run.start(r0_norm)
+    r = b - op.apply(x0)
+    reference = max(linalg.vector_norm(r), linalg.vector_norm(b))
+    # At most 2^1023, the largest power of two in float64.
+    unit = math.ldexp(1.0, -max(math.frexp(reference)[1], -1023))
+    run = _Run(op, b * unit, x0 * unit, cfg, smooth=True, unit=unit)
+    x, b = run.x, run.b
+    r *= unit
+    value = run.start(linalg.vector_norm(r))
     if run.tol_reached(value):
         return run.report(SolveStatus.CONVERGED, x)
 
@@ -274,7 +289,7 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
         if not cutoff < pivot < math.inf:
             if pivot < -cutoff:
                 raise IndefiniteOperatorError(
-                    f"negative curvature {curvature:.3e} at iteration {iteration}"
+                    f"negative curvature {curvature / unit / unit:.3e} at iteration {iteration}"
                 )
             return run.finish(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration)
         cutoff = max(cutoff, BREAKDOWN_THRESHOLD * pivot)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import enum
 import inspect
 import json
 import os
@@ -258,7 +259,7 @@ class TestRun:
     def test_matrix_market_inputs(self, tmp_path, monkeypatch):
         # A, b, x0 and the deflation basis come from Matrix Market files; A
         # in the coordinate format that scipy writes for a sparse matrix,
-        # which is densified.  [run] x0 = zero, the default, starts from the
+        # which is densified.  With no [run] x0 key the run starts from the
         # problem's x0, here the file's.  The basis is perturbed, and --tol
         # and --maxit override the spec's [solver] section.
         import scipy.io
@@ -292,6 +293,21 @@ class TestRun:
         assert (cfg.residual_tolerance, cfg.max_iterations) == (1e-11, 300)
         payload = json.loads(out.read_text(encoding="ascii"))
         assert [r["status"] for r in payload["results"]] == ["converged", "converged"]
+
+    def test_x0_zero_starts_from_zero_over_the_files_x0(self, tmp_path, monkeypatch):
+        p = symmetric_indefinite_problem(10, seed=2)
+        for name, value in (("a", p.a), ("b", p.b), ("x0", np.ones(20))):
+            dkio.write_matrix_market(tmp_path / f"{name}.mtx", value)
+        spec = {"problem": {"generator": "file", **{name: str(tmp_path / f"{name}.mtx")
+                                                    for name in ("a", "b", "x0")}},
+                "run": {"variants": ["minres"], "x0": "zero"}}
+        received = []
+        monkeypatch.setattr(cli, "run_methods",
+                            lambda *args: received.append(args) or run_methods(*args))
+        assert cli.main(["run", write_spec(tmp_path, spec),
+                         "--output", str(tmp_path / "out.csv")]) == 0
+        (_, _, _, _, given, _), = received
+        assert given.shape == (20,) and not given.any()
 
     def test_deflated_variant_without_basis_exits_3(self, tmp_path):
         spec = paper_spec()
@@ -349,7 +365,7 @@ class TestDiagnose:
 PUBLIC_PARAMETERS = {
     "BreakdownDiagnosis": ["intersection_nontrivial", "smallest_indicator",
                            "largest_principal_angle_rad"],
-    "Deflator": ["a", "u", "mode", "allow_indefinite"],
+    "Deflator": ["a", "u", "mode"],
     "DualReport": ["variant", "deflated_report", "original_residual_norms",
                    "corrected_iterate", "correction_count", "deflator", "diagnostics"],
     "GalerkinMode": None,
@@ -390,6 +406,23 @@ PUBLIC_PARAMETERS = {
 }
 
 
+#: Parameter names of every public method of the public classes that have
+#: any.  A new or a deleted method shows up here as a failing test.
+PUBLIC_METHODS = {
+    "Deflator": {
+        "adapted_initial_guess": ["x0", "b"],
+        "correct_iterate": ["x_hat", "b"],
+        "correct_two_sided_iterate": ["x_bar", "b"],
+        "dense_deflated_matrix": [],
+        "initial_correction": ["x_prev", "b"],
+        "project_residual": ["v"],
+        "project_solution": ["v"],
+        "two_sided_rhs": ["b"],
+    },
+    "LinearOperator": {"apply": ["v"], "verify": []},
+}
+
+
 def parameter_names(obj):
     target = obj.__init__ if isinstance(obj, type) else obj
     if not getattr(target, "__module__", "").startswith("dkrylov."):
@@ -409,6 +442,18 @@ class TestPackage:
         assert found == PUBLIC_PARAMETERS
         fields = [f.name for f in dataclasses.fields(dkrylov.SolveConfig)]
         assert fields == PUBLIC_PARAMETERS["SolveConfig"]
+
+    def test_public_methods_are_pinned(self):
+        found = {}
+        for name in dkrylov.__all__:
+            obj = getattr(dkrylov, name)
+            if not isinstance(obj, type) or issubclass(obj, (enum.Enum, BaseException)):
+                continue
+            methods = {attr: parameter_names(value) for attr, value in vars(obj).items()
+                       if not attr.startswith("_") and inspect.isfunction(value)}
+            if methods:
+                found[name] = methods
+        assert found == PUBLIC_METHODS
 
 
 class TestIo:

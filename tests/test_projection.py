@@ -39,16 +39,18 @@ class TestConstruction:
     def test_breakdown_basis_in_orthogonal_mode_is_singular(self):
         p = symmetric_indefinite_problem(20, seed=5)
         u = breakdown_prone_basis(p, range(1, 4))
-        # the coupling matrix vanishes identically for this construction
-        with pytest.raises(SingularCouplingError):
-            Deflator(p.a, u, OR, allow_indefinite=True)
+        # the coupling matrix vanishes identically for this construction,
+        # which only an indefinite matrix allows
+        coupling = u.conj().T @ p.a @ u
+        assert np.abs(coupling).max() <= 1e-14 * linalg.spectral_norm(p.a)
+        with pytest.raises(ValueError, match="Hermitian positive definite"):
+            Deflator(p.a, u, OR)
 
     def test_orthogonal_mode_requires_hpd(self):
         p = symmetric_indefinite_problem(10, seed=5)
         u = eigenvector_basis(p, [1])
         with pytest.raises(ValueError):
             Deflator(p.a, u, OR)
-        Deflator(p.a, u, OR, allow_indefinite=True)  # override accepted
 
     def test_dimension_bounds(self):
         a = np.eye(4)
@@ -73,7 +75,7 @@ class TestConstruction:
         a[0, 2] = 0.5
         with pytest.raises(ValueError, match="Hermitian positive definite"):
             Deflator(a, np.eye(3)[:, :1], OR)
-        assert not Deflator(a, np.eye(3)[:, :1], OR, allow_indefinite=True).a_hermitian
+        assert not Deflator(a, np.eye(3)[:, :1], MR).a_hermitian
 
     def test_rank_deficient_basis_rejected(self):
         rng = np.random.default_rng(1)
@@ -128,26 +130,19 @@ class TestPivotScale:
         Deflator(paper.a, eigenvector_basis(paper, [1, 2, 3, 201, 202, 203]), MR)
         assert not estimates
 
-    @pytest.mark.parametrize("mode, allow_indefinite", [(OR, False), (OR, True), (MR, False)],
-                             ids=["cholesky", "lu", "minimizing"])
-    def test_pivot_between_estimate_and_bound_is_accepted(self, estimates, mode,
-                                                          allow_indefinite):
+    @pytest.mark.parametrize("mode", [OR, MR], ids=["cholesky", "minimizing"])
+    def test_pivot_between_estimate_and_bound_is_accepted(self, estimates, mode):
         # 1e-14 ||a|| ||u||^2 = 2e-14 < pivot 1e-13 < 1e-14 n max|a_ij| ||u||^2 = 1.28e-12
-        d = Deflator(np.eye(64), near_dependent_basis(1e-13), mode,
-                     allow_indefinite=allow_indefinite)
+        d = Deflator(np.eye(64), near_dependent_basis(1e-13), mode)
         assert len(estimates) == 1
         assert d.k == 2
 
-    @pytest.mark.parametrize("mode, allow_indefinite, pivot", [
-        (OR, False, "Cholesky pivot"), (OR, True, "pivot"), (MR, False, "Cholesky pivot")],
-        ids=["cholesky", "lu", "minimizing"])
-    def test_pivot_below_the_estimate_is_rejected(self, estimates, mode, allow_indefinite,
-                                                  pivot):
+    @pytest.mark.parametrize("mode", [OR, MR], ids=["cholesky", "minimizing"])
+    def test_pivot_below_the_estimate_is_rejected(self, estimates, mode):
         with pytest.raises(SingularCouplingError,
-                           match=rf"numerically singular \(smallest {pivot} 1\.\d+e-15 "
-                                 rf"below 1e-14 \* 2\.000e\+00\)"):
-            Deflator(np.eye(64), near_dependent_basis(1e-15), mode,
-                     allow_indefinite=allow_indefinite)
+                           match=r"numerically singular \(smallest Cholesky pivot 1\.\d+e-15 "
+                                 r"below 1e-14 \* 2\.000e\+00\)"):
+            Deflator(np.eye(64), near_dependent_basis(1e-15), mode)
         assert len(estimates) == 1
 
     def test_indefinite_symmetric_matrix_fails_the_hpd_check(self, estimates):
@@ -181,7 +176,9 @@ class TestCoarseSolve:
     def test_vector_orthogonal_to_basis_maps_to_zero(self):
         a = np.array([[2.0, 0.0], [0.0, 3.0]])
         d = Deflator(a, np.array([[1.0], [0.0]]), OR)
-        np.testing.assert_allclose(d.coarse_solve([0.0, 1.0]), [0.0, 0.0], atol=1e-15)
+        # from x_hat = 0 the correction is the coarse solve u (u^H a u)^-1 u^H b
+        np.testing.assert_allclose(d.correct_iterate([0.0, 0.0], [0.0, 1.0]), [0.0, 0.0],
+                                   atol=1e-15)
 
     def test_toy_correction_term_vanishes(self):
         p = toy_breakdown_problem()
@@ -404,9 +401,10 @@ class TestCorrections:
         b_orth = np.array([0.0, 1.0], dtype=complex)
         np.testing.assert_allclose(
             d.adapted_initial_guess(np.zeros(2), b_orth), np.zeros(2), atol=1e-15)
-        # with u^H b != 0 the shift equals a @ coarse_solve(b)
+        # with u^H b != 0 the shift equals a u (w^H w)^-1 u^H b
         shift = d.adapted_initial_guess(np.zeros(2), p.b)
-        np.testing.assert_allclose(shift, p.a @ d.coarse_solve(p.b), atol=1e-15)
+        coarse = d.u @ np.linalg.solve(d.coupling, d.u.conj().T @ p.b)
+        np.testing.assert_allclose(shift, p.a @ coarse, atol=1e-15)
 
     def test_mode_guards(self):
         rng = np.random.default_rng(19)

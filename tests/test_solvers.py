@@ -210,15 +210,17 @@ class TestCg:
         rep = cg_solve(op, b, cfg=SolveConfig(residual_tolerance=1e-10, max_iterations=6000))
         assert rep.status is SolveStatus.CONVERGED
         tol = 1e-10 * linalg.vector_norm(b)         # the run's own, with x0 = 0
+        # op receives vectors in the run's units, in which ||b|| is in [0.5, 1)
+        unit = 2.0 ** -math.frexp(linalg.vector_norm(b))[1]
         at = 1                                      # received[0] is x0
-        rho = rep.recurrence_residual_norms[0] ** 2
+        rho = (unit * rep.recurrence_residual_norms[0]) ** 2
         misses = 0
         for k in range(1, rep.iterations_used):
             p, at = received[at], at + 1
             if rep.recurrence_residual_norms[k] > tol:
-                rho = rep.recurrence_residual_norms[k] ** 2
+                rho = (unit * rep.recurrence_residual_norms[k]) ** 2
                 continue
-            r = b - matrix.product(received[at])
+            r = unit * b - matrix.product(received[at])
             at += 1
             rho_true = np.vdot(r, r).real
             expected = r + (rho_true / rho) * p
@@ -800,13 +802,33 @@ class TestScaleOfB:
                                    rtol=1e-14)
         np.testing.assert_allclose(rep.final_iterate / scale, [1.0, 0.5, 1.0 / 3.0], rtol=1e-14)
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e160])
-    def test_cg_breaks_down_where_its_curvature_leaves_the_range(self, scale):
-        # p^H A p under- or overflows at the first step, so CG ends in a
-        # breakdown at x0 = 0 and records ||b||, never converged at x = 0.
-        b = scale * np.ones(3)
-        rep = cg_solve(dense_operator(np.diag([1.0, 2.0, 3.0])), b)
-        assert rep.status is SolveStatus.BREAKDOWN and rep.breakdown_iteration == 1
-        assert rep.residual_norms.tolist() == [linalg.vector_norm(b)]
-        assert rep.residual_norms[0] == pytest.approx(math.sqrt(3.0) * scale, rel=1e-15)
-        assert not rep.final_iterate.any()
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
+    def test_cg_steps_do_not_depend_on_the_scale(self, scale):
+        # rho and p^H A p leave the float64 range at every one of these
+        # scales unless the run is carried in units of ||b||.
+        a = np.diag([1.0, 2.0, 3.0])
+        unit = cg_solve(dense_operator(a), np.ones(3))
+        rep = cg_solve(dense_operator(a), scale * np.ones(3))
+        assert (rep.status, rep.iterations_used) == (unit.status, unit.iterations_used)
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations_used == 3
+        np.testing.assert_allclose(rep.residual_norms[:-1] / scale, unit.residual_norms[:-1],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(rep.recurrence_residual_norms / scale,
+                                   unit.recurrence_residual_norms, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(rep.final_iterate / scale, [1.0, 0.5, 1.0 / 3.0], rtol=1e-14)
+        assert len(rep.iterates) == 4
+        np.testing.assert_allclose(rep.iterates[1] / scale, unit.iterates[1], rtol=1e-14)
+
+    def test_cg_steps_at_a_power_of_two_scale_are_exact(self):
+        # A power of two scales every operation of the run exactly.
+        a = np.diag([1.0, 2.0, 3.0])
+        b = np.array([1.0, -0.25, 3.0])
+        unit = cg_solve(dense_operator(a), b)
+        rep = cg_solve(dense_operator(a), 2.0 ** -900 * b)
+        assert np.array_equal(rep.residual_norms, 2.0 ** -900 * unit.residual_norms)
+        assert np.array_equal(rep.final_iterate, 2.0 ** -900 * unit.final_iterate)
+
+    def test_indefinite_curvature_is_reported_unscaled(self):
+        b = np.array([1e-100, 0.0, 0.0])
+        with pytest.raises(IndefiniteOperatorError, match="negative curvature -1.000e-200 "):
+            cg_solve(dense_operator(np.diag([-1.0, 1.0, 1.0])), b)
