@@ -16,6 +16,12 @@ Both run all eight variants under ``SolveConfig()`` on these systems:
 * the paper's +-sqrt(j) problem at m=50 and m=200, deflating eigenvectors
   ``1-5,m+1..m+5``;
 * ``clustered_spd_problem(600)``, deflating its five outlier eigenvectors;
+* ``inexact-hermitian-200``: the A of ``clustered_spd_problem(200)`` plus
+  ``1e-16 * (g - g^T)``, ``g`` a standard-normal draw of ``default_rng(7)``,
+  with that problem's b and eigenvectors 1-5 as the basis.  It is Hermitian
+  within tolerance but not bit for bit, so set-up takes the Frobenius
+  Hermitian test, the symmetrized HPD factor and the full product ``a @ x``
+  that no other default system reaches;
 * ``checks.equivalence_instances(SEED, COUNT)`` for each ``--equivalence``
   (default ``0:6``), complex Hermitian systems;
 * with ``--ill-conditioned``, 18 real symmetric systems Q diag(lam) Q^T,
@@ -150,6 +156,10 @@ def _systems(equivalence, ill_conditioned):
         yield f"paper-m{m}", p.a, p.b, u, None, {}
     p = problems.clustered_spd_problem(600)
     yield "clustered-spd-600", p.a, p.b, problems.eigenvector_basis(p, range(1, 6)), None, {}
+    p = problems.clustered_spd_problem(200)
+    g = np.random.default_rng(7).standard_normal((200, 200))
+    yield ("inexact-hermitian-200", p.a + 1e-16 * (g - g.T), p.b,
+           problems.eigenvector_basis(p, range(1, 6)), None, {})
     for seed, count in equivalence:
         for i, (a, b, u, x0) in enumerate(checks.equivalence_instances(seed, count)):
             yield f"equivalence-{seed}-{i}", a, b, u, x0, {}

@@ -8,9 +8,11 @@ one shared reference, ||b|| of the problem (1 when b = 0), so the variants
 can be compared with each other; the JSON output records it as
 ``reference_norm``.
 
-Every spec value is typed by one schema when the spec is read, so a bad
-value exits with code 2 before any problem is built; requirements that tie
-keys together are checked while the experiment is built, before any solve.
+Every spec value is typed by one schema when the spec is read, and a key
+that the chosen generator or the other keys leave unread is rejected there,
+so either exits with code 2 before any problem is built; requirements that
+tie keys together are checked while the experiment is built, before any
+solve.
 
 Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error or an
 output path in a missing directory, 3 construction/setup error or a failed
@@ -114,10 +116,28 @@ _SCHEMA = {
 #: [solver] keys whose SolveConfig field has another name.
 _SOLVER_FIELDS = {"tolerance": "residual_tolerance"}
 
+#: The [problem] keys each generator reads.
+_GENERATOR_KEYS = {"symmetric-indefinite": ("m", "seed"),
+                   "clustered-spd": ("n", "outliers", "seed"), "toy-breakdown": (),
+                   "near-invariant": ("alpha",), "container": ("path",),
+                   "file": ("a", "b", "x0", "seed")}
+
+#: Keys read only under other keys or choices: (section, key, whether its
+#: section reads it, the condition in words).
+_CONDITIONAL_KEYS = (
+    ("deflation", "perturb_seed", lambda s: "perturb_eps" in s, "with perturb_eps"),
+    ("run", "x0_seed", lambda s: s.get("x0") == "random" or "x0_perturbation" in s,
+     'with x0 = "random" or x0_perturbation'),
+    ("run", "breakdown_coefficient_seed", lambda s: s.get("x0") == "breakdown-guess",
+     'with x0 = "breakdown-guess"'),
+)
+
 
 def parse_spec(path) -> dict[str, dict]:
     """Parse an INI or JSON spec file into one dict of typed values per
-    :data:`_SCHEMA` section, rejecting unknown sections and keys."""
+    :data:`_SCHEMA` section, rejecting unknown sections and keys and those
+    that the spec's choices never read (:data:`_GENERATOR_KEYS`,
+    :data:`_CONDITIONAL_KEYS`)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -154,7 +174,16 @@ def parse_spec(path) -> dict[str, dict]:
                                 f"got {value!r}") from exc
     if "generator" not in sections.get("problem", {}):
         raise SpecError(f"{path}: [problem] generator is required")
-    return {name: sections.get(name, {}) for name in _SCHEMA}
+    sections = {name: sections.get(name, {}) for name in _SCHEMA}
+    generator = sections["problem"]["generator"]
+    unread = set(sections["problem"]) - {"generator", *_GENERATOR_KEYS[generator]}
+    if unread:
+        raise SpecError(f"{path}: generator {generator} does not read "
+                        f"[problem] {', '.join(sorted(unread))}")
+    for name, key, read, condition in _CONDITIONAL_KEYS:
+        if key in sections[name] and not read(sections[name]):
+            raise SpecError(f"{path}: [{name}] {key} is read only {condition}")
+    return sections
 
 
 def build_problem(spec: dict, seed_override=None) -> TestProblem:

@@ -46,8 +46,37 @@ def save_problem(path, problem: TestProblem) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _integer(text: str, where: str, what: str, least=None) -> int:
+    """``text`` as an integer, or a ValueError that names ``where``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or (least is not None and value < least):
+        kind = "an integer" if least is None else f"an integer of at least {least}"
+        raise ValueError(f"{where}: {what} must be {kind}, got {text.strip()!r}")
+    return value
+
+
+def _entry(path, text: list[str], j: int) -> complex:
+    """The entry of the "re im" line ``text[j]``, or a ValueError that names
+    the line."""
+    try:
+        re_s, im_s = text[j].split()
+        return float(re_s) + 1j * float(im_s)
+    except ValueError:
+        raise ValueError(f"{path}:{j + 1}: expected two numbers, "
+                         f"got {text[j].strip()!r}") from None
+
+
 def load_problem(path) -> TestProblem:
-    """Read a problem from the text container format."""
+    """Read a problem from the text container format.
+
+    A malformed seed, array header or entry line is rejected with a
+    ValueError that names the path and the 1-based line, and an array's
+    header is checked against the lines that remain before its entries are
+    read.
+    """
     text = Path(path).read_text(encoding="ascii").splitlines()
     if not text or text[0].strip() != _MAGIC:
         raise ValueError(f"{path}: not a problem container (bad magic line)")
@@ -56,29 +85,35 @@ def load_problem(path) -> TestProblem:
     while i < len(text):
         line = text[i].strip()
         i += 1
+        where = f"{path}:{i}"
         if not line:
             continue
         if line.startswith("label:"):
             fields["label"] = line.split(":", 1)[1].strip()
         elif line.startswith("seed:"):
-            fields["seed"] = int(line.split(":", 1)[1].strip())
+            fields["seed"] = _integer(line.split(":", 1)[1], where, "seed")
         elif line.startswith("array "):
-            _, name, rows, cols = line.split()
+            words = line.split()
+            if len(words) != 4:
+                raise ValueError(f"{where}: expected 'array NAME ROWS COLS', got {line!r}")
+            _, name, rows, cols = words
             if name not in _ARRAY_FIELDS:
-                raise ValueError(f"{path}: unknown array field {name!r}")
-            rows, cols = int(rows), int(cols)
+                raise ValueError(f"{where}: unknown array field {name!r}")
+            rows = _integer(rows, where, f"array {name} rows", least=1)
+            cols = _integer(cols, where, f"array {name} columns", least=1)
             count = rows * cols
-            data = np.empty(count, dtype=np.complex128)
-            for j in range(count):
-                re_s, im_s = text[i + j].split()
-                data[j] = float(re_s) + 1j * float(im_s)
+            if count > len(text) - i:
+                raise ValueError(f"{where}: array {name} needs {count} entry lines, "
+                                 f"{len(text) - i} remain")
+            data = np.array([_entry(path, text, j) for j in range(i, i + count)],
+                            dtype=np.complex128)
             i += count
             arr = data.reshape(rows, cols)
             if cols == 1 and name in ("b", "x0", "known_solution", "known_spectrum"):
                 arr = arr.ravel()
             fields[name] = linalg.in_field(arr)
         else:
-            raise ValueError(f"{path}: unexpected line {line!r}")
+            raise ValueError(f"{where}: unexpected line {line!r}")
     if "a" not in fields or "b" not in fields:
         raise ValueError(f"{path}: container must define at least 'a' and 'b'")
     fields.setdefault("x0", np.zeros(fields["a"].shape[0]))

@@ -11,20 +11,20 @@ enforces the pivot and symmetry tolerances the rest of the library relies on.
 The solve path looks at a dense square matrix once, through
 :class:`SquareMatrix`: one conversion, one reduction that gives the entry
 scale and rejects a non-finite entry, one exact test of ``a == a^H`` that
-chooses the product kernel, and an estimate of ||a||_2 from products alone
-when a caller asks for it.  Each :class:`SquareMatrix` makes these passes
-once, but a caller may build several: ``deflated.run_methods`` builds one for
-its plain variants and one in the :class:`Deflator` of each Galerkin mode.
+chooses the product kernel and, on request, an estimate of ||a||_2 from
+products alone and the HPD verdict (:meth:`SquareMatrix.check_hpd`).  Each
+:class:`SquareMatrix` makes these passes once; ``deflated.run_methods`` builds
+one for its plain variants and one in each mode's :class:`Deflator`.
 
 Three kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
 and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
 analysis, the check suites and the tests.  The solve path sizes a matrix with
 :attr:`SquareMatrix.bound`, the upper bound ||a||_2 <= n max|a_ij| that the
 entry scale gives for free, and with :attr:`SquareMatrix.norm`, an estimate
-from below that never forms an n-by-n SVD.  The checked Cholesky factor
-judges a pivot against the bound first and asks for the estimate only for a
-pivot that fails there (:func:`_check_pivot`), so a well-conditioned matrix
-is factored without any estimate and every decision is the estimate's.
+from below that never forms an n-by-n SVD.  Both checked factorizations
+judge a pivot against n max|a_ij| first and ask for their scale (that
+estimate, or an SVD) only for a pivot that fails there (:func:`_check_pivot`),
+so a well-conditioned matrix is factored without any norm.
 
 Of scipy, only ``scipy.linalg`` is imported with this module.  ARPACK
 (``scipy.sparse.linalg``) is imported on first use, by
@@ -63,7 +63,7 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 
 class SingularMatrixError(ValueError):
-    """A dense factorization produced a pivot below the singularity threshold."""
+    """A dense matrix failed a factorization's pivot test or the HPD check."""
 
 
 def in_field(x) -> np.ndarray:
@@ -280,6 +280,13 @@ class SquareMatrix:
         return bool(defect <= HERMITIAN_TOLERANCE * self.a.shape[0]
                     and defect <= HERMITIAN_TOLERANCE * (self.norm / self._scale))
 
+    def check_hpd(self) -> None:
+        """Raise SingularMatrixError unless ``a`` is :attr:`hermitian` and its
+        :func:`cholesky_factor_checked` succeeds: the exact HPD verdict."""
+        if not self.hermitian:
+            raise SingularMatrixError("matrix is not Hermitian")
+        cholesky_factor_checked(self)
+
 
 def make_givens(f, g):
     """``(c, s, r)``: the rotation [[c, s], [-conj(s), c]], real c and
@@ -354,20 +361,16 @@ def assemble_hermitian(q, lam) -> np.ndarray:
     return a
 
 
-def _check_pivot(smallest: float, scale, what: str) -> None:
-    """Raise SingularMatrixError when ``smallest`` < SINGULARITY_THRESHOLD *
-    ``scale``, a number or a pair (bound, exact): an upper bound on it and a
-    function that returns it, called only for ``smallest`` below that times
-    the bound.  A pivot that passes against an upper bound passes against
-    the scale itself, so the decision and its message are always the
-    scale's."""
+def _check_pivot(smallest: float, bound: float, exact, what: str) -> None:
+    """Raise SingularMatrixError when ``smallest`` < SINGULARITY_THRESHOLD
+    times the scale ``exact()``, of which ``bound`` is an upper bound;
+    ``exact`` is called only for ``smallest`` below that times the bound.  A
+    pivot that passes against an upper bound passes against the scale
+    itself, so the decision and its message are always the scale's."""
     tiny = np.finfo(float).tiny
-    if isinstance(scale, tuple):
-        bound, exact = scale
-        if smallest >= SINGULARITY_THRESHOLD * max(bound, tiny):
-            return
-        scale = exact()
-    scale = max(scale, tiny)
+    if smallest >= SINGULARITY_THRESHOLD * max(bound, tiny):
+        return
+    scale = max(exact(), tiny)
     if smallest < SINGULARITY_THRESHOLD * scale:
         raise SingularMatrixError(
             f"smallest {what} {smallest:.3e} below {SINGULARITY_THRESHOLD:g} * {scale:.3e}"
@@ -376,7 +379,7 @@ def _check_pivot(smallest: float, scale, what: str) -> None:
 
 def lu_factor_checked(a):
     """Pivoted LU factorization that raises SingularMatrixError on a pivot
-    below SINGULARITY_THRESHOLD times the matrix's spectral norm."""
+    below SINGULARITY_THRESHOLD times ||a||_2, bounded by n max|a_ij| first."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -385,7 +388,8 @@ def lu_factor_checked(a):
         lu, piv = scipy.linalg.lu_factor(a)
     pivots = np.abs(np.diag(lu))
     if pivots.size:
-        _check_pivot(float(pivots.min()), spectral_norm(a), "pivot")
+        _check_pivot(float(pivots.min()), a.shape[0] * float(np.abs(a).max()),
+                     lambda: spectral_norm(a), "pivot")
     return lu, piv
 
 
@@ -394,8 +398,8 @@ def cholesky_factor_checked(e, scale=None):
 
     Raises SingularMatrixError when the matrix is not positive definite or a
     pivot (squared diagonal of L) falls below SINGULARITY_THRESHOLD times the
-    ``scale``, a number or a pair as in :func:`_check_pivot`: by default the
-    matrix's spectral norm, passed by a caller that knows the natural size
+    ``scale``, a pair (bound, exact) as in :func:`_check_pivot`: by default
+    (n max|e_ij|, ||e||_2), passed by a caller that knows the natural size
     of the entries (a coupling matrix may be numerically zero).  The factor
     is that of the Hermitian part 0.5 (e + e^H).
 
@@ -423,8 +427,8 @@ def cholesky_factor_checked(e, scale=None):
         raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
     pivots = np.diag(factor[0]).real ** 2
     if pivots.size:
-        _check_pivot(float(pivots.min()), spectral_norm(e) if scale is None else scale,
-                     "Cholesky pivot")
+        bound, exact = scale or (e.shape[0] * float(np.abs(e).max()), lambda: spectral_norm(e))
+        _check_pivot(float(pivots.min()), bound, exact, "Cholesky pivot")
     return factor
 
 

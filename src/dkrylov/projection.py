@@ -55,11 +55,12 @@ class Deflator:
     apply counters.
 
     Set-up looks at ``a`` once, through one :class:`linalg.SquareMatrix`,
-    which gives ``a_product``, ``a_hermitian`` and the size of ``a`` that
-    scales the pivot tests of the HPD pre-check and of the coupling
-    factorization.  Each test judges its smallest pivot first against the
-    free bound n max|a_ij| >= ||a||_2; only a pivot that fails there asks for
-    the estimate of ||a||_2, a lower bound to about 1e-3 relative made from
+    which gives ``a_product``, ``a_hermitian``, the HPD verdict of
+    residual-orthogonal mode (``check_hpd``) and the size of ``a`` that
+    scales the pivot tests of that verdict and of the coupling factorization.
+    Each test judges its smallest pivot first against the free bound
+    n max|a_ij| >= ||a||_2; only a pivot that fails there asks for the
+    estimate of ||a||_2, a lower bound to about 1e-3 relative made from
     products with ``a``, which then decides.  So a well-conditioned set-up
     costs its factorizations and no estimate, and every test accepts and
     rejects exactly as it would against the estimate: up to 1e-3 looser than
@@ -100,7 +101,11 @@ class Deflator:
         # problem scale rather than against the coupling matrix itself.
         u_norm = linalg.spectral_norm(self.u)
         if mode is GalerkinMode.RESIDUAL_ORTHOGONAL:
-            self._require_hpd(matrix)
+            try:
+                matrix.check_hpd()
+            except SingularMatrixError as exc:
+                raise ValueError("residual-orthogonal mode requires a Hermitian positive "
+                                 "definite matrix") from exc
             self._bu = self.u
             self.coupling = self.u.conj().T @ self.w
             coupling_scale = lambda a_norm: a_norm * u_norm**2  # noqa: E731
@@ -128,15 +133,6 @@ class Deflator:
         self._coupling_lapack = functools.partial(potrs, c, lower=lower)
 
         self.apply_counts = {"project_residual": 0, "project_solution": 0, "corrections": 0}
-
-    def _require_hpd(self, matrix):
-        message = "residual-orthogonal mode requires a Hermitian positive definite matrix"
-        if not self.a_hermitian:
-            raise ValueError(message)
-        try:
-            linalg.cholesky_factor_checked(matrix)
-        except SingularMatrixError as exc:
-            raise ValueError(message) from exc
 
     def _solve_coupling(self, rhs) -> np.ndarray:
         if rhs.dtype.kind == "c" and self.a.dtype.kind != "c":

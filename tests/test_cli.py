@@ -45,6 +45,24 @@ def breakdown_spec(m=20):
     return spec
 
 
+#: Specs with a key that the generator or the other keys leave unread, and
+#: the message that names it.
+UNREAD_KEYS = [
+    ({**paper_spec(), "problem": {"generator": "toy-breakdown", "m": 5}},
+     "generator toy-breakdown does not read [problem] m"),
+    ({**paper_spec(), "problem": {"generator": "symmetric-indefinite", "m": 5, "n": 10}},
+     "generator symmetric-indefinite does not read [problem] n"),
+    (paper_spec(eigen_indices="1-5", perturb_seed=3),
+     "[deflation] perturb_seed is read only with perturb_eps"),
+    ({**paper_spec(), "run": {"variants": "minres", "x0": "zero", "x0_seed": 4}},
+     '[run] x0_seed is read only with x0 = "random" or x0_perturbation'),
+    ({**paper_spec(), "run": {"variants": "minres", "breakdown_coefficient_seed": 4}},
+     '[run] breakdown_coefficient_seed is read only with x0 = "breakdown-guess"'),
+]
+UNREAD_KEY_IDS = ["unread-toy-m", "unread-paper-n", "perturb-seed-without-eps",
+                  "x0-seed-without-random", "coefficient-seed-without-guess"]
+
+
 def run_json(tmp_path, spec):
     out = tmp_path / "out.json"
     code = cli.main(["run", write_spec(tmp_path, spec), "--output", str(out)])
@@ -151,10 +169,12 @@ class TestRun:
         {**paper_spec(), "problem": {"generator": "near-invariant", "alpha": True}},
         {**paper_spec(), "solver": {"reorthogonalize": True}},
         {**paper_spec(), "solver": {"explicit_residuals": True}},
+        *(spec for spec, _ in UNREAD_KEYS),
     ], ids=["bad-index-list", "bad-format", "bad-unused-key", "section-not-object",
             "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
             "infinite-breakdown-threshold", "nan-alpha", "boolean-float",
-            "removed-reorthogonalize-key", "removed-explicit-residuals-key"])
+            "removed-reorthogonalize-key", "removed-explicit-residuals-key",
+            *UNREAD_KEY_IDS])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
         monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
@@ -163,6 +183,11 @@ class TestRun:
         path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         assert cli.main(["run", str(path)]) == 2
         assert calls == []
+
+    @pytest.mark.parametrize("spec, message", UNREAD_KEYS, ids=UNREAD_KEY_IDS)
+    def test_unread_key_is_named_with_its_choice(self, tmp_path, capsys, spec, message):
+        assert cli.main(["run", write_spec(tmp_path, spec)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_integral_values_are_integers(self, tmp_path):
         spec = paper_spec(m=20)
@@ -468,11 +493,26 @@ class TestIo:
             assert loaded.shape == original.shape, name
             assert np.array_equal(loaded, original), name
 
-    def test_bad_magic_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("not-a-problem 1\n", "{path}: not a problem container (bad magic line)"),
+        ("{magic}\nseed: x\n", "{path}:2: seed must be an integer, got 'x'"),
+        ("{magic}\narray a 2 -2\n", "{path}:2: array a columns must be an integer of at least 1"),
+        ("{magic}\narray a two 2\n", "{path}:2: array a rows must be an integer of at least 1"),
+        ("{magic}\n\narray a 2\n", "{path}:3: expected 'array NAME ROWS COLS'"),
+        ("{magic}\narray a 2 2\n1 0\n2 0\n3 0\n",
+         "{path}:2: array a needs 4 entry lines, 3 remain"),
+        ("{magic}\narray b 3 1\n1 0\n2\n3 0\n", "{path}:4: expected two numbers, got '2'"),
+        ("{magic}\narray b 2 1\n1 0\n2 x\n", "{path}:4: expected two numbers, got '2 x'"),
+    ], ids=["magic", "seed", "negative-dimension", "word-dimension", "short-header",
+            "truncated", "one-number", "not-a-number"])
+    def test_bad_magic_line_rejected(self, tmp_path, monkeypatch, text, message):
+        # every header is checked before its array is allocated
+        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: pytest.fail("allocated"))
         path = tmp_path / "bad.txt"
-        path.write_text("not-a-problem 1\n", encoding="ascii")
-        with pytest.raises(ValueError, match="magic"):
+        path.write_text(text.format(magic=dkio._MAGIC), encoding="ascii")
+        with pytest.raises(ValueError) as excinfo:
             dkio.load_problem(path)
+        assert str(excinfo.value).startswith(message.format(path=path))
 
     @pytest.mark.parametrize("shape", [(5,), (4, 3)])
     def test_matrix_market_round_trip(self, tmp_path, shape):

@@ -302,7 +302,9 @@ class TestSolveDense:
 
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(linalg.SingularMatrixError):
+        # the pivot fails the bound 2 max|a_ij| = 8 and is judged on ||a||_2 = 5
+        with pytest.raises(linalg.SingularMatrixError,
+                           match=r"^smallest pivot 0\.000e\+00 below 1e-14 \* 5\.000e\+00$"):
             solve_dense(a, [1.0, 0.0])
 
 
@@ -408,6 +410,9 @@ class TestNormEstimate:
         Deflator(spd.a, spd.eigenvectors[:, :5], GalerkinMode.RESIDUAL_ORTHOGONAL)
         dense_operator(paper.a)
         dense_operator(spd.a)
+        # neither checked factorization of a well-conditioned ndarray needs its norm
+        linalg.lu_factor_checked(paper.a)
+        linalg.cholesky_factor_checked(spd.a)
         assert shapes, "the wrappers saw no SVD at all, not even the n-by-k basis norm"
         assert (200, 200) not in shapes
 
@@ -456,6 +461,52 @@ class TestNormEstimate:
         matrices += [h + eps * linalg.spectral_norm(h) * skew for eps in (1e-15, 1e-13, 1e-11)]
         for a in matrices:
             assert dense_operator(a).hermitian is linalg.SquareMatrix(a).hermitian
+
+
+def _inexact_hermitian():
+    """The A of ``clustered_spd_problem(200)`` plus 1e-16 (g - g^T): Hermitian
+    within tolerance but not bit for bit (``inexact-hermitian-200`` of
+    ``scripts/compare_runs.py``)."""
+    g = np.random.default_rng(7).standard_normal((200, 200))
+    a = clustered_spd_problem(200).a + 1e-16 * (g - g.T)
+    assert not np.array_equal(a, a.T)
+    return a
+
+
+class TestCheckHpd:
+    @pytest.mark.parametrize("make, hpd, factorizations", [
+        # its Hermitian part is positive definite: only the Hermitian test rejects it
+        (lambda: np.triu(np.ones((40, 40))) + 40 * np.eye(40), False, 0),
+        (lambda: symmetric_indefinite_problem(20).a, False, 1),
+        (lambda: clustered_spd_problem(200).a, True, 1),
+        (_inexact_hermitian, True, 1),
+    ], ids=["non-hermitian", "indefinite", "spd", "inexact-hermitian"])
+    def test_verdict(self, monkeypatch, make, hpd, factorizations):
+        calls = []
+        cho_factor = scipy.linalg.cho_factor
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            lambda *args, **kwargs: calls.append(1) or cho_factor(*args, **kwargs))
+        matrix = linalg.SquareMatrix(make())
+        if hpd:
+            matrix.check_hpd()
+        else:
+            with pytest.raises(linalg.SingularMatrixError):
+                matrix.check_hpd()
+        assert len(calls) == factorizations
+
+    def test_deflator_factors_a_through_the_module_function(self, monkeypatch):
+        # perfbench's tracer times the n-by-n factor by wrapping this function
+        orders = []
+        factor = linalg.cholesky_factor_checked
+
+        def recording(e, scale=None):
+            orders.append(e.a.shape[0] if isinstance(e, linalg.SquareMatrix) else None)
+            return factor(e, scale)
+
+        monkeypatch.setattr(linalg, "cholesky_factor_checked", recording)
+        spd = clustered_spd_problem(200)
+        Deflator(spd.a, spd.eigenvectors[:, :5], GalerkinMode.RESIDUAL_ORTHOGONAL)
+        assert orders == [200, None]    # the HPD verdict, then the coupling
 
 
 def _symmetric(n, seed):

@@ -73,8 +73,9 @@ class TestConstruction:
     def test_orthogonal_mode_rejects_a_non_hermitian_matrix(self):
         a = np.diag([1.0, 2.0, 3.0])
         a[0, 2] = 0.5
-        with pytest.raises(ValueError, match="Hermitian positive definite"):
+        with pytest.raises(ValueError, match="Hermitian positive definite") as excinfo:
             Deflator(a, np.eye(3)[:, :1], OR)
+        assert isinstance(excinfo.value.__cause__, linalg.SingularMatrixError)
         assert not Deflator(a, np.eye(3)[:, :1], MR).a_hermitian
 
     def test_rank_deficient_basis_rejected(self):
