@@ -65,11 +65,16 @@ With ``--time`` it times the two checkouts against each other instead, in one
 process whose BLAS thread variables are pinned to 1, with each checkout's
 ``dkrylov`` imported under its own package name.  For :data:`TIME_ROUNDS`
 rounds, after :data:`WARM_UP_ROUNDS` untimed ones, it runs one op of each
-checkout per workload, which checkout goes first alternating by round:
+checkout per workload, which checkout goes first alternating by round.  The
+three workloads are those of the benchmark, so one paired run covers all of
+them:
 
 * ``paper-sweep-n400``: ``dkrylov run`` of the paper's spec at m=200 (n=400,
   the six MINRES and GMRES variants, tolerance 1e-10), problem seeds 1 to 8
   in turn;
+* ``oneshot-spd-n600``: ``run_method`` of deflated CG, which builds a new
+  ``Deflator``, on ``clustered_spd_problem(600, 5, seed)`` for seeds 1 to 4
+  in turn, deflating the five outlier eigenvectors;
 * ``recycle-spd-n1000``: deflated CG with a ``Deflator`` built once on
   ``clustered_spd_problem(1000)``, one of 16 seeded right-hand sides in turn.
 
@@ -394,20 +399,31 @@ def _timed_ops(name: str, checkout: Path, workdir: Path) -> dict:
         with contextlib.redirect_stderr(io.StringIO()):
             cli.main(["run", str(spec_path), "--seed", str(1 + r % 8), "--output", str(out)])
 
+    oneshot_pool = []
+    for seed in range(1, 5):
+        problem = package.clustered_spd_problem(600, 5, seed)
+        oneshot_pool.append((problem.a, problem.b,
+                             package.eigenvector_basis(problem, range(1, 6))))
+    cfg = package.SolveConfig(residual_tolerance=1e-10)
+
+    def oneshot(r):
+        a, b, u = oneshot_pool[r % len(oneshot_pool)]
+        package.run_method(package.MethodVariant.DEFLATED_CG, a, b, u, None, cfg)
+
     problem = package.clustered_spd_problem(1000, 5, 1)
     d = package.Deflator(problem.a, package.eigenvector_basis(problem, range(1, 6)),
                          package.GalerkinMode.RESIDUAL_ORTHOGONAL)
     op = package.deflated_operator(d, "left")
     rng = np.random.default_rng(1)
     pool = [b / np.linalg.norm(b) for b in rng.standard_normal((16, 1000)).astype(complex)]
-    cfg = package.SolveConfig(residual_tolerance=1e-10)
 
     def recycle(r):
         b = pool[r % len(pool)]
         x0 = d.initial_correction(np.zeros(1000, dtype=complex), b)
         d.correct_iterate(package.cg_solve(op, d.project_residual(b), x0, cfg).final_iterate, b)
 
-    return {"paper-sweep-n400": sweep, "recycle-spd-n1000": recycle}
+    return {"paper-sweep-n400": sweep, "oneshot-spd-n600": oneshot,
+            "recycle-spd-n1000": recycle}
 
 
 def compare_time(other: Path) -> int:

@@ -11,10 +11,11 @@ Every deflated method is the same recipe with five ingredients:
 * a correction that maps deflated iterates back to the original system.
 
 Explicit and implicit augmentation are the same iteration and differ only in
-when the correction is applied: ``RMINRES_EXPLICIT`` corrects every iterate
-(explicit augmentation) and recomputes the original residual norms from them,
-which makes their equality with the deflated norms checkable rather than
-definitional; ``RMINRES_DEFLATION_ONLY`` corrects once at the end (implicit
+what the final-step correction is applied to: ``RMINRES_EXPLICIT`` applies it
+to the whole block of iterates at once (explicit augmentation) and
+recomputes the original residual norms from them, which makes their
+equality with the deflated norms checkable rather than definitional;
+``RMINRES_DEFLATION_ONLY`` corrects the final iterate only (implicit
 augmentation) and reports the deflated history, which the correction
 preserves.  The table layout follows KryPy, the source paper's reference
 implementation (github.com/andrenarchy/krypy).
@@ -23,8 +24,8 @@ implementation (github.com/andrenarchy/krypy).
 shared ingredient once: one :class:`Deflator` per Galerkin mode, one verified
 projected operator per kind, and one iteration per distinct recipe.  So
 ``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` share one iteration, the
-explicit/implicit equivalence made literal, and each is corrected from it at
-its own time.  A shared deflator's ``apply_counts`` total the whole run.
+explicit/implicit equivalence made literal, and each corrects what it needs
+of it.  A shared deflator's ``apply_counts`` total the whole run.
 :func:`run_method` is :func:`run_methods` of one variant.
 
 A breakdown of the underlying solver freezes the report at the last valid
@@ -78,7 +79,9 @@ class _Recipe:
 
     ``guess`` is ``"given"``, ``"shifted"`` (:meth:`Deflator.initial_correction`)
     or ``"adapted"`` (:meth:`Deflator.adapted_initial_guess`).  ``mode`` is
-    None for the undeflated solvers.
+    None for the undeflated solvers.  ``per_iterate`` corrects every iterate,
+    as one block through ``correct_iterate``, so it needs a recipe of that
+    correction.
     """
 
     solver: str
@@ -130,13 +133,15 @@ def run_methods(variants, a, b, u=None, x0=None,
     projected operator share one verified ``deflated_operator``, and variants
     of one recipe (solver, mode, system and initial-guess map) share one
     iteration: ``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` are the same
-    iteration corrected at different times, which is the paper's equivalence
-    of explicit and implicit augmentation made literal.  A shared iteration
-    records its history when any of its variants needs it (recording does
-    not change an iteration); a variant whose ``cfg`` does not record history
-    gets ``iterates=None`` and no basis drift.  Each report holds its own copy
-    of the :class:`SolveReport`, so every report is the one the variant would
-    get if it were run alone, bit for bit, except that a shared deflator's
+    iteration, the one corrected as a whole block of iterates and the other
+    at its final iterate, which is the paper's equivalence of explicit and
+    implicit augmentation made literal.  A shared iteration records its
+    history when any of its variants needs it (recording does not change an
+    iteration, and MINRES and GMRES form the recorded iterates at the end);
+    a variant whose ``cfg`` does not record history gets ``iterates=None``
+    and no basis drift.  Each report holds its own copy of the
+    :class:`SolveReport`, so every report is the one the variant would get if
+    it were run alone, bit for bit, except that a shared deflator's
     ``apply_counts`` total the whole run.  Without a basis ``u``, one
     ValueError names every variant that needs one, before any solve;
     otherwise the first variant that fails raises, with the error it raises
@@ -238,21 +243,31 @@ def _deflated_solve(recipe, d, b, x0, cfg, once, solve):
 
 def _correct(variant, recipe, d, rep, b, x_given, diagnostics, cfg) -> DualReport:
     """Correct a deflated run back to the original system and judge its status
-    there."""
-    correct = (d.correct_two_sided_iterate if recipe.system == "two-sided"
-               else d.correct_iterate)
+    there.
+
+    Implicit augmentation corrects the final iterate.  Explicit augmentation
+    (``per_iterate``, a left-projected recipe) applies the same final-step
+    correction to the whole block of iterates at once and forms their
+    original residuals b - A x from one more product of A with the corrected
+    block, so the curve it reports is of true residuals, each norm taken on
+    its own."""
     if recipe.per_iterate:
-        corrected = [correct(x, b) for x in rep.iterates]
-        original = np.array([linalg.vector_norm(b - d.a_product(x)) for x in corrected])
-        final = float(original[-1])
+        # The iterates as the columns of an n-by-k block, stacked once.
+        corrected = d.correct_iterate(np.stack(rep.iterates).T, b)
+        residuals = d.a_product(corrected)
+        np.subtract(b[:, None], residuals, out=residuals)
+        original = np.array([linalg.vector_norm(r) for r in residuals.T])
+        x, count, final = corrected[:, -1].copy(), corrected.shape[1], float(original[-1])
     else:
-        corrected = [correct(rep.final_iterate, b)]
+        correct = (d.correct_two_sided_iterate if recipe.system == "two-sided"
+                   else d.correct_iterate)
+        x, count = correct(rep.final_iterate, b), 1
         original = rep.residual_norms.copy()
-        final = linalg.vector_norm(b - d.a_product(corrected[-1]))
+        final = linalg.vector_norm(b - d.a_product(x))
     diagnostics["original_residual_norm"] = final
     limit = 10 * cfg.residual_tolerance
     # b - A x0 is formed only for a residual that misses 10 tol ||b||.
     if (rep.converged and final > limit * linalg.vector_norm(b)
             and final > limit * linalg.vector_norm(b - d.a_product(x_given))):
         rep = replace(rep, status=SolveStatus.STAGNATED)
-    return DualReport(variant, rep, original, corrected[-1], len(corrected), d, diagnostics)
+    return DualReport(variant, rep, original, x, count, d, diagnostics)

@@ -191,10 +191,11 @@ class SquareMatrix:
     ``a`` of order at least 32 that passed the exact test (read through the
     F-contiguous view ``a.T``; a non-contiguous ``a`` is copied once), and
     ``a @ x`` for any other, so a nearly symmetric ``a`` is never replaced by
-    a triangle.  A complex ``x`` against a real ``a`` is multiplied by its
-    real and imaginary parts.  ``bound`` is n times the largest entry
-    modulus, an upper bound on ||a||_F >= ||a||_2 that costs nothing;
-    ``norm`` and ``hermitian`` are computed on first use.
+    a triangle.  An n-by-k block ``x`` is multiplied by one matrix product.
+    A complex ``x`` against a real ``a`` is multiplied by its real and
+    imaginary parts.  ``bound`` is n times the largest entry modulus, an
+    upper bound on ||a||_F >= ||a||_2 that costs nothing; ``norm`` and
+    ``hermitian`` are computed on first use.
     """
 
     def __init__(self, a, field=np.float64):
@@ -214,14 +215,19 @@ class SquareMatrix:
         self._exactly_hermitian = np.array_equal(a, a.conj().T)
         if a.dtype == np.float64 and self._exactly_hermitian and a.shape[0] >= _SYMV_FROM:
             triangle = a.T if a.flags.c_contiguous else np.asfortranarray(a)
-            real = functools.partial(scipy.linalg.blas.dsymv, 1.0, triangle)
+            vector = functools.partial(scipy.linalg.blas.dsymv, 1.0, triangle)
         else:
-            real = a.__matmul__
+            vector = a.__matmul__
         if a.dtype.kind == "c":
-            self.product = real
+            self.product = a.__matmul__
             return
 
+        def block(x):
+            # (x^T a^T)^T: the product's columns come out contiguous.
+            return (x.T @ a.T).T
+
         def apply(x):
+            real = vector if x.ndim == 1 else block
             if x.dtype.kind == "c":
                 return real(x.real) + 1j * real(x.imag)
             return real(x)
@@ -398,10 +404,10 @@ def cholesky_factor_checked(e, scale=None):
 
     Raises SingularMatrixError when the matrix is not positive definite or a
     pivot (squared diagonal of L) falls below SINGULARITY_THRESHOLD times the
-    ``scale``, a pair (bound, exact) as in :func:`_check_pivot`: by default
-    (n max|e_ij|, ||e||_2), passed by a caller that knows the natural size
-    of the entries (a coupling matrix may be numerically zero).  The factor
-    is that of the Hermitian part 0.5 (e + e^H).
+    ``scale``, a pair (bound, exact) as in :func:`_check_pivot`, which an
+    array ``e`` requires: its caller knows the natural size of the entries
+    (a coupling matrix may be numerically zero).  The factor is that of the
+    Hermitian part 0.5 (e + e^H).
 
     ``e`` may be a :class:`SquareMatrix`, whose scale defaults to the pair
     (``bound``, ``norm``), so that its estimate is made only for a pivot
@@ -418,6 +424,8 @@ def cholesky_factor_checked(e, scale=None):
         # Fortran-ordered matrix LAPACK reads, so the copy is a plain one.
         if exact and e.dtype.kind == "f" and e.flags.c_contiguous:
             e = e.T
+    elif scale is None:
+        raise TypeError("an array needs its pivot scale, a (bound, exact) pair")
     if not exact:
         e = as_matrix(e)
         e = 0.5 * (e + e.conj().T)
@@ -427,8 +435,7 @@ def cholesky_factor_checked(e, scale=None):
         raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
     pivots = np.diag(factor[0]).real ** 2
     if pivots.size:
-        bound, exact = scale or (e.shape[0] * float(np.abs(e).max()), lambda: spectral_norm(e))
-        _check_pivot(float(pivots.min()), bound, exact, "Cholesky pivot")
+        _check_pivot(float(pivots.min()), *scale, "Cholesky pivot")
     return factor
 
 

@@ -178,15 +178,31 @@ class Deflator:
 
         The corrected iterate x satisfies b - a x = projected residual of
         x_hat, so an exact deflated solution is mapped to the exact solution.
+
+        ``x_hat`` may also be an n-by-k block of iterates, one per column,
+        which is corrected as a whole: one product of ``a`` with the block,
+        one coupling solve with k right-hand sides and one product with the
+        basis.  The result is the block of corrected iterates, each equal to
+        its own correction to roundoff, and counts k corrections.
         """
-        x_hat = linalg.as_vector(x_hat, self.dim)
+        x_hat = linalg.in_field(x_hat)
         b = linalg.as_vector(b, self.dim)
-        self.apply_counts["corrections"] += 1
-        # An all-zero x_hat, such as the default initial guess, needs no
-        # product: b - a 0 is b, in the product's field.
-        residual = (b - self.a_product(x_hat) if x_hat.any()
-                    else b.astype(np.result_type(b, x_hat, self.a), copy=False))
-        return x_hat + self.u @ self._solve_coupling(self._bu_h @ residual)
+        if x_hat.ndim == 2 and x_hat.shape[0] == self.dim:
+            count, b = x_hat.shape[1], b[:, None]
+        else:
+            count, x_hat = 1, linalg.as_vector(x_hat, self.dim)
+        self.apply_counts["corrections"] += count
+        if not x_hat.any():
+            # An all-zero x_hat, such as the default initial guess, needs no
+            # product: b - a 0 is b, in the product's field, and one
+            # correction of it serves every column of a block.
+            b = b.astype(np.result_type(b, x_hat, self.a), copy=False)
+            return x_hat + self.u @ self._solve_coupling(self._bu_h @ b)
+        # The correction is in the field of x_hat or a wider one, so x_hat is
+        # added in place: a block then makes one temporary of its size.
+        corrected = self.u @ self._solve_coupling(self._bu_h @ (b - self.a_product(x_hat)))
+        corrected += x_hat
+        return corrected
 
     def correct_two_sided_iterate(self, x_bar, b) -> np.ndarray:
         """Map a two-sided-projected-system iterate to an original-system iterate.

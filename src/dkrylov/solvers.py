@@ -90,7 +90,9 @@ class SolveConfig:
 
     ``residual_tolerance`` is relative to max(||r0||, ||b||).
     ``record_history`` keeps a run's history: its iterates and, for MINRES
-    and GMRES, the drift of the stored basis.  Neither orthogonalization,
+    and GMRES, the drift of the stored basis.  CG copies each iterate as it
+    goes; MINRES and GMRES keep each step's coefficients y and form every
+    iterate x0 + V y at the end, in one product.  Neither orthogonalization,
     the recorded residual nor the breakdown test is configurable: each
     solver has one rule for each (module docstring, :func:`minres_solve`
     and :data:`BREAKDOWN_THRESHOLD`).
@@ -113,11 +115,14 @@ class SolveReport:
 
     ``residual_norms[i]`` is the residual norm at iteration i (index 0 holds
     the initial residual); ``iterates``, when history recording is on, is the
-    matching list of approximations.  After a breakdown the report is frozen
-    at the last valid iterate and ``breakdown_iteration`` names the step that
-    failed.  Iterates come back in the run's field, the common field of the
-    operator's ``dtype``, the right-hand side and the initial guess: float64
-    for a real system, complex128 otherwise.
+    matching list of approximations, whose last equals ``final_iterate`` bit
+    for bit.  A MINRES or GMRES run forms it at its end (:class:`SolveConfig`),
+    so its earlier iterates agree to roundoff with x0 + V y formed at each
+    step.  After a breakdown the report is frozen at the last valid iterate
+    and ``breakdown_iteration`` names the step that failed.  Iterates come
+    back in the run's field, the common field of the operator's ``dtype``,
+    the right-hand side and the initial guess: float64 for a real system,
+    complex128 otherwise.
     """
 
     final_iterate: np.ndarray
@@ -159,11 +164,12 @@ class _Run:
         self.best = collections.deque(maxlen=STAGNATION_WINDOW + 1)
 
     def record(self, x, recurrence_norm, norm) -> float:
-        """Record ``x`` (None when the run keeps no history) with its
-        residual ``norm`` and its recurrence estimate."""
+        """Record ``x`` with its residual ``norm`` and its recurrence
+        estimate; ``x`` is None where the run keeps no history or forms it
+        at its end (:meth:`_StoredBasis.history`)."""
         self.residual_norms.append(norm)
         self.recurrence_norms.append(recurrence_norm)
-        if self.iterates is not None:
+        if self.iterates is not None and x is not None:
             self.iterates.append(x.copy())
         prev_best = self.best[-1] if self.best else math.inf
         progress = norm
@@ -348,10 +354,11 @@ class _StoredBasis:
     by columns so that its leading j-by-j factor is a prefix that BLAS
     ``tpsv`` reads in place, and the rotated right-hand side entry in g; it
     solves y = R^-1 g and returns ||r0 - (op V) y||.  ``iterate`` forms
-    x0 + V y, which a run without history needs only at its end.  MINRES's
-    short direction recurrence would need only the last two directions but
-    loses attainable accuracy (Sleijpen, van der Vorst and Modersitzki, SIAM
-    J. Matrix Anal. Appl. 22, 2000).
+    x0 + V y, which a run needs only at its end.  A run that records history
+    keeps each step's y, and ``history`` forms all its iterates there too,
+    in one product.  MINRES's short direction recurrence would need only the
+    last two directions but loses attainable accuracy (Sleijpen, van der
+    Vorst and Modersitzki, SIAM J. Matrix Anal. Appl. 22, 2000).
     """
 
     def __init__(self, x0, r0, beta1, cfg):
@@ -365,7 +372,7 @@ class _StoredBasis:
         self.x0, self.r0 = x0, r0
         self.residual = np.empty_like(r0)
         self.scalar = complex if r0.dtype.kind == "c" else float
-        self.record_history = cfg.record_history
+        self.steps = [] if cfg.record_history else None     # y of each committed step
         self.g = np.zeros(capacity, dtype=r0.dtype)
         self.y = np.zeros(0, dtype=r0.dtype)
         self.betas = np.zeros(capacity)     # betas[k] couples v_{k-1} and v_k
@@ -380,12 +387,31 @@ class _StoredBasis:
         self.factor[end + 1 - len(updated):end] = updated[:-1]
         self.g[j - 1] = coefficient
         self.y = self.tpsv(j, self.factor, self.g[:j])
+        if self.steps is not None:
+            self.steps.append(self.y)
         residual = np.matmul(self.products[:, :j], self.y, out=self.residual)
         return linalg.vector_norm(np.subtract(self.r0, residual, out=residual))
 
     def iterate(self):
         """x0 + V y of the last committed step."""
         return self.x0 + self.vectors[:, :self.y.shape[0]] @ self.y
+
+    def history(self, last):
+        """The iterates x0 + V y_j of the committed steps: a copy of
+        ``last``, this run's :meth:`iterate`, for the last step, and for the
+        others the rows of x0 + Y V^T, one matrix product, whose Y holds
+        their y_j as rows."""
+        if not self.steps:
+            return []
+        earlier = self.steps[:-1]
+        coefficients = np.zeros((len(earlier), self.y.shape[0]), dtype=self.y.dtype)
+        for row, y in zip(coefficients, earlier):
+            row[:y.shape[0]] = y
+        rows = coefficients @ self.vectors[:, :self.y.shape[0]].T
+        rows += self.x0
+        # One array per iterate, as CG keeps them: a kept history that held
+        # the whole block raised the paper sweep's peak RSS by about 1 MB.
+        return [*map(np.copy, rows), last.copy()]
 
     def append(self, w, norm):
         """Store the continuation vector ``w`` normalized by ``norm``."""
@@ -397,7 +423,7 @@ class _StoredBasis:
         """The reorthogonalization count and, in a run that records history,
         the drift ||V^H V - I||_2 of the stored basis V, as the largest
         |eigenvalue| of the Hermitian defect V^H V - I."""
-        if not self.record_history:
+        if self.steps is None:
             return {"reorthogonalizations": self.reorthogonalizations}
         basis = self.vectors[:, :self.size]
         defect = basis.conj().T @ basis
@@ -542,7 +568,7 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
         basis.s.append(s)
         residual = basis.advance(column, c * g)
         g = -s.conjugate() * g
-        value = run.record(basis.iterate() if cfg.record_history else None, abs(g), residual)
+        value = run.record(None, abs(g), residual)
         if run.tol_reached(value):
             status = SolveStatus.CONVERGED
             break
@@ -552,7 +578,10 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
         basis.append(w, h_next)
     else:
         status = SolveStatus.MAX_ITERATIONS
-    return run.finish(status, basis.iterate(), breakdown_iteration, basis.diagnostics())
+    x = basis.iterate()
+    if cfg.record_history:
+        run.iterates += basis.history(x)
+    return run.finish(status, x, breakdown_iteration, basis.diagnostics())
 
 
 def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:

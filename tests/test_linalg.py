@@ -412,7 +412,8 @@ class TestNormEstimate:
         dense_operator(spd.a)
         # neither checked factorization of a well-conditioned ndarray needs its norm
         linalg.lu_factor_checked(paper.a)
-        linalg.cholesky_factor_checked(spd.a)
+        linalg.cholesky_factor_checked(
+            spd.a, (200 * np.abs(spd.a).max(), lambda: linalg.spectral_norm(spd.a)))
         assert shapes, "the wrappers saw no SVD at all, not even the n-by-k basis norm"
         assert (200, 200) not in shapes
 
@@ -493,6 +494,16 @@ class TestCheckHpd:
             with pytest.raises(linalg.SingularMatrixError):
                 matrix.check_hpd()
         assert len(calls) == factorizations
+
+    def test_an_array_needs_its_scale(self):
+        # only a SquareMatrix knows its own pivot scale
+        e = np.diag([2.0, 1.0])
+        with pytest.raises(TypeError, match="pivot scale"):
+            linalg.cholesky_factor_checked(e)
+        c, lower = linalg.cholesky_factor_checked(e, (4.0, lambda: 2.0))
+        np.testing.assert_allclose(np.tril(c) if lower else np.triu(c),
+                                   np.diag(np.sqrt([2.0, 1.0])), rtol=1e-15)
+        linalg.cholesky_factor_checked(linalg.SquareMatrix(e))
 
     def test_deflator_factors_a_through_the_module_function(self, monkeypatch):
         # perfbench's tracer times the n-by-n factor by wrapping this function
@@ -580,6 +591,26 @@ class TestProduct:
         for a in (np.asfortranarray(strided), strided):
             np.testing.assert_array_equal(linalg.SquareMatrix(a).product(x), expected)
         assert len(symv_calls) == 6
+
+    @pytest.mark.parametrize("kind", ["triangle", "full", "complex"])
+    def test_block_is_one_matrix_product(self, kind, symv_calls):
+        # An n-by-k block goes through one matrix product, whatever kernel
+        # the vectors take; each column agrees with a @ x to roundoff, and
+        # a real a takes a complex block by its parts.
+        a = _symmetric(200, 8)
+        if kind == "full":
+            a = a + 1e-14 * np.triu(a)
+        elif kind == "complex":
+            a = a + 1j * (np.triu(a, 1) - np.tril(a, -1))
+        mul = linalg.SquareMatrix(a).product
+        bound = 4 * 200 * np.finfo(float).eps * np.linalg.norm(a, 2)
+        x = _complex_matrix(200, 9)[:, :5]
+        for block in (x.real, x):
+            y = mul(block)
+            assert y.shape == block.shape and y.dtype == np.result_type(a, block)
+            for column, v in zip(y.T, block.T):
+                assert np.linalg.norm(column - a @ v) <= bound * np.linalg.norm(v)
+        assert not symv_calls
 
     def test_deflated_cg_uses_the_triangle(self, symv_calls, monkeypatch):
         # an exact norm makes the solve's products the only dsymv calls

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg
 
 from dkrylov import linalg
-from dkrylov.checks import projection_suite
+from dkrylov.checks import equivalence_instances, projection_suite
 from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem, eigenvector_basis,
                               symmetric_indefinite_problem,
                               toy_breakdown_problem)
@@ -352,6 +352,51 @@ class TestCorrections:
             expected = x_hat + d.u @ d._solve_coupling(d._bu_h @ (b - product(x_hat)))
             assert corrected.dtype == expected.dtype == field
             assert corrected.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("system", ["residual-orthogonal", "residual-minimizing",
+                                        "complex-hermitian"])
+    def test_block_correction_agrees_with_each_column(self, system):
+        # A block of iterates is corrected by one product with A, one
+        # coupling solve with k right-hand sides and one product with u;
+        # every column is its own correction to roundoff, the zero column
+        # included, and the block counts one correction per column.
+        if system == "residual-orthogonal":
+            p = clustered_spd_problem(60, 3, 0)
+            a, b, u, mode = p.a, p.b, eigenvector_basis(p, range(1, 4)), OR
+        elif system == "residual-minimizing":
+            p = symmetric_indefinite_problem(30, seed=0)
+            a, b, u, mode = p.a, p.b, eigenvector_basis(p, [1, 2, 3, 31, 32]), MR
+        else:
+            a, b, u, _ = next(equivalence_instances(0, 1))
+            mode = MR
+        assert (np.iscomplexobj(a) and np.iscomplexobj(u)) == (system == "complex-hermitian")
+        n = a.shape[0]
+        rng = np.random.default_rng(22)
+        block = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+        block[:, 0] = 0.0
+        d = Deflator(a, u, mode)
+        eps = np.finfo(float).eps
+        for x_hat in (block.real, block):
+            corrected = d.correct_iterate(x_hat, b)
+            assert corrected.shape == x_hat.shape
+            assert corrected.dtype == np.result_type(x_hat, d.a)
+            for column, x in zip(corrected.T, x_hat.T):
+                alone = d.correct_iterate(x, b)
+                size = np.linalg.norm(x) + np.linalg.norm(alone)
+                assert np.linalg.norm(column - alone) <= 4 * n * eps * size
+        assert d.apply_counts["corrections"] == 2 * (6 + 6)
+
+    def test_zero_block_is_corrected_without_a_product(self):
+        p = clustered_spd_problem(40, 3, 0)
+        d = Deflator(p.a, eigenvector_basis(p, range(1, 4)), OR)
+        product, calls = d.a_product, []
+        d.a_product = lambda x: calls.append(1) or product(x)
+        corrected = d.correct_iterate(np.zeros((40, 3)), p.b)
+        alone = d.correct_iterate(np.zeros(40), p.b)
+        assert calls == []
+        assert corrected.shape == (40, 3)
+        for column in corrected.T:
+            np.testing.assert_allclose(column, alone, rtol=1e-14)
 
     def test_initial_correction_orthogonalizes_residual(self):
         rng = np.random.default_rng(15)
