@@ -45,11 +45,15 @@ the exception a run raised), the final original residual ||b - A x|| of the
 corrected iterate in units of tolerance * ||b|| for each checkout (so a
 status that moved can be read against whether the run met its tolerance on
 the original system), the largest deviation of its original and deflated
-residual curves divided by ||b||, and whether every report field
-(every ``DualReport``/``SolveReport`` field, iterate, diagnostics entry and
-the deflator's ``a_hermitian``, ``apply_counts``, ``w`` and coupling matrix)
-is equal under ``np.array_equal`` with the same dtype.  Exits 1 when a
-status, an iteration count or a raised exception differs, 0 otherwise.
+residual curves divided by ||b||, each checkout's number of products with A
+and whether every report field (every ``DualReport``/``SolveReport`` field,
+iterate, diagnostics entry and the deflator's ``a_hermitian``,
+``apply_counts``, ``w`` and coupling matrix) is equal under
+``np.array_equal`` with the same dtype.  The products are those made
+through a ``linalg.SquareMatrix`` (:func:`product_counter`), a block
+counting one per column; the thin products that ``Deflator`` set-up forms
+from the matrix directly are not among them.  Exits 1 when a status, an
+iteration count or a raised exception differs, 0 otherwise.
 
 With ``--cli`` it compares ``dkrylov run`` instead: each checkout runs the
 paper's spec (all six MINRES and GMRES variants, deflating ``1-5,m+1..m+5``)
@@ -202,26 +206,52 @@ def _flatten(obj, name, out):
         out[name] = repr(obj)
 
 
+@contextlib.contextmanager
+def product_counter(square_matrix):
+    """Count the products with A of every ``square_matrix`` (a checkout's
+    ``linalg.SquareMatrix``) built inside the block: ``counter[0]`` is the
+    number of columns multiplied through its ``product``, a vector counting
+    one and an n-by-k block k.  The class is restored on exit."""
+    init, counter = square_matrix.__init__, [0]
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        product = self.product
+
+        def counted(x):
+            counter[0] += 1 if np.ndim(x) == 1 else np.shape(x)[1]
+            return product(x)
+        self.product = counted
+
+    square_matrix.__init__ = counted_init
+    try:
+        yield counter
+    finally:
+        square_matrix.__init__ = init
+
+
 def collect(equivalence, ill_conditioned) -> dict:
     """Outcome of every run in this process's ``dkrylov``, keyed by run."""
-    from dkrylov import MethodVariant, SolveConfig, run_method
+    from dkrylov import MethodVariant, SolveConfig, linalg, run_method
 
     outcomes = {}
-    for system, a, b, u, x0, settings in _systems(equivalence, ill_conditioned):
-        cfg = SolveConfig(**settings)
-        for variant in MethodVariant:
-            key = (system, variant.value)
-            try:
-                report = run_method(variant, a, b, u, x0, cfg)
-            except Exception as exc:  # the type is the outcome
-                outcomes[key] = {"raised": type(exc).__name__}
-                continue
-            fields = {}
-            _flatten(report, "report", fields)
-            b_norm = float(np.linalg.norm(b))
-            residual = float(np.linalg.norm(b - a @ report.corrected_iterate))
-            outcomes[key] = {"b_norm": b_norm, "fields": fields,
-                             "final": residual / (cfg.residual_tolerance * b_norm)}
+    with product_counter(linalg.SquareMatrix) as products:
+        for system, a, b, u, x0, settings in _systems(equivalence, ill_conditioned):
+            cfg = SolveConfig(**settings)
+            for variant in MethodVariant:
+                key = (system, variant.value)
+                products[0] = 0
+                try:
+                    report = run_method(variant, a, b, u, x0, cfg)
+                except Exception as exc:  # the type is the outcome
+                    outcomes[key] = {"raised": type(exc).__name__, "products": products[0]}
+                    continue
+                fields = {}
+                _flatten(report, "report", fields)
+                b_norm = float(np.linalg.norm(b))
+                residual = float(np.linalg.norm(b - a @ report.corrected_iterate))
+                outcomes[key] = {"b_norm": b_norm, "fields": fields, "products": products[0],
+                                 "final": residual / (cfg.residual_tolerance * b_norm)}
     return outcomes
 
 
@@ -261,7 +291,7 @@ def compare(this: dict, other: dict, threads: tuple) -> int:
     worst = 0.0
     print(f"BLAS threads: this {threads[0]}, other {threads[1]}")
     print(f"{'system':<20} {'variant':<30} {'this':<22} {'other':<22} "
-          f"{'res/tol':>8} {'other':>8} {'curve dev':>9}  fields")
+          f"{'res/tol':>8} {'other':>8} {'curve dev':>9} {'A products':>11}  fields")
     for key in this:
         a, b = this[key], other[key]
         a_sum, b_sum = _summary(a), _summary(b)
@@ -279,11 +309,14 @@ def compare(this: dict, other: dict, threads: tuple) -> int:
             equal_runs += not differ
             equal = "equal" if not differ else f"{len(differ)} differ, e.g. {differ[0]}"
         flag = "" if a_sum == b_sum else "  <-- MISMATCH"
+        counts = f"{a['products']}/{b['products']}"
         print(f"{key[0]:<20} {key[1]:<30} {a_sum:<22} {b_sum:<22} "
-              f"{_final(a):>8} {_final(b):>8} {dev:>9}  {equal}{flag}")
+              f"{_final(a):>8} {_final(b):>8} {dev:>9} {counts:>11}  {equal}{flag}")
     print(f"{len(this)} runs: {mismatches} with a different status, iteration count or "
           f"exception; {equal_runs} with every field equal; largest curve deviation "
-          f"{worst:.2e} * ||b||")
+          f"{worst:.2e} * ||b||; products with A: this "
+          f"{sum(r['products'] for r in this.values())}, "
+          f"other {sum(r['products'] for r in other.values())}")
     return 1 if mismatches else 0
 
 

@@ -12,9 +12,10 @@ Every deflated method is the same recipe with five ingredients:
 
 Explicit and implicit augmentation are the same iteration and differ only in
 what the final-step correction is applied to: ``RMINRES_EXPLICIT`` applies it
-to the whole block of iterates at once (explicit augmentation) and
-recomputes the original residual norms from them, which makes their
-equality with the deflated norms checkable rather than definitional;
+to the whole block of iterates at once (explicit augmentation), which needs
+no product with A, and recomputes the original residual norms from them by
+one product of A with the block, which makes their equality with the
+deflated norms checkable rather than definitional;
 ``RMINRES_DEFLATION_ONLY`` corrects the final iterate only (implicit
 augmentation) and reports the deflated history, which the correction
 preserves.  The table layout follows KryPy, the source paper's reference
@@ -247,10 +248,10 @@ def _correct(variant, recipe, d, rep, b, x_given, diagnostics, cfg) -> DualRepor
 
     Implicit augmentation corrects the final iterate.  Explicit augmentation
     (``per_iterate``, a left-projected recipe) applies the same final-step
-    correction to the whole block of iterates at once and forms their
-    original residuals b - A x from one more product of A with the corrected
-    block, so the curve it reports is of true residuals, each norm taken on
-    its own."""
+    correction to the whole block of iterates at once, which needs no
+    product with A.  Its one product of A is with the corrected block, for
+    their original residuals b - A x, so the curve it reports is of true
+    residuals, each norm taken on its own."""
     if recipe.per_iterate:
         # The iterates as the columns of an n-by-k block, stacked once.
         corrected = d.correct_iterate(np.stack(rep.iterates).T, b)

@@ -185,7 +185,8 @@ class SquareMatrix:
     (:func:`as_matrix`), kept by reference where no conversion is needed; it
     must not be mutated afterwards.  Construction makes one reduction for the
     largest entry modulus, which also rejects a non-finite entry, and one test
-    of ``a == a^H`` bit for bit; it copies a real ``a`` nowhere.
+    of ``a == a^H`` bit for bit, ``exactly_hermitian``; it copies a real ``a``
+    nowhere.
 
     ``product`` is x -> a @ x: BLAS ``dsymv`` on one triangle for a float64
     ``a`` of order at least 32 that passed the exact test (read through the
@@ -212,8 +213,8 @@ class SquareMatrix:
         self.a = a
         self._scale = float(scale)
         self.bound = a.shape[0] * self._scale
-        self._exactly_hermitian = np.array_equal(a, a.conj().T)
-        if a.dtype == np.float64 and self._exactly_hermitian and a.shape[0] >= _SYMV_FROM:
+        self.exactly_hermitian = np.array_equal(a, a.conj().T)
+        if a.dtype == np.float64 and self.exactly_hermitian and a.shape[0] >= _SYMV_FROM:
             triangle = a.T if a.flags.c_contiguous else np.asfortranarray(a)
             vector = functools.partial(scipy.linalg.blas.dsymv, 1.0, triangle)
         else:
@@ -254,7 +255,7 @@ class SquareMatrix:
         if n < _EXACT_NORM_BELOW:
             return spectral_norm(a)
         scaled = lambda v: self.product(v / scale)  # noqa: E731
-        if self._exactly_hermitian:
+        if self.exactly_hermitian:
             gram = lambda v: scaled(scaled(v))  # noqa: E731
         else:
             # s^H (s v) as conj(conj(s v) @ s) needs no conjugated copy of a.
@@ -278,7 +279,7 @@ class SquareMatrix:
         n >= ||s||_2 is rejected first, with no estimate.  As ||.||_F >=
         ||.||_2 and the estimate is a lower bound, this accepts nothing
         :func:`is_hermitian` rejects."""
-        if self._exactly_hermitian:
+        if self.exactly_hermitian:
             return True
         defect = self.a - self.a.conj().T
         defect /= self._scale
@@ -417,7 +418,7 @@ def cholesky_factor_checked(e, scale=None):
     """
     exact = False
     if isinstance(e, SquareMatrix):
-        matrix, e, exact = e, e.a, e._exactly_hermitian
+        matrix, e, exact = e, e.a, e.exactly_hermitian
         if scale is None:
             scale = (matrix.bound, lambda: matrix.norm)
         # a.T equals a bit for bit; for a real C-ordered a it is the

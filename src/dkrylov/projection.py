@@ -8,6 +8,8 @@ deflated solvers need.  Two Galerkin modes are supported: residual-orthogonal
 matrix, so the coupling u^H a u is one too) and residual-minimizing (test
 space is the matrix image of the search space; works for any nonsingular
 matrix, whose coupling w^H w with w = a u is Hermitian positive definite).
+A correction sees ``a`` only through the k-by-n matrix B^H a of the test
+basis B, formed at set-up, so it costs O(n k) and no product with ``a``.
 """
 
 from __future__ import annotations
@@ -47,12 +49,16 @@ class ModeMismatchError(ValueError):
 class Deflator:
     """Projection and correction toolbox for one (matrix, basis, mode) triple.
 
-    The thin product w = a @ u and a Cholesky factor of the k-by-k coupling
-    matrix are cached at construction, so every projector application costs a
-    small solve plus thin matrix-vector products; the projected matrix is
-    never formed.  The matrix ``a`` is kept by reference and must not be
-    mutated afterwards.  Instances are immutable apart from the diagnostic
-    apply counters.
+    The thin product w = a @ u, a Cholesky factor of the k-by-k coupling
+    matrix E = B^H a u and the k-by-n matrix B^H a, with B = u in
+    residual-orthogonal and B = w in residual-minimizing mode, are cached at
+    construction.  B^H a is the view w^H for a residual-orthogonal ``a``
+    Hermitian bit for bit, one more thin product otherwise.  So every
+    projector application and correction costs O(n k): a small solve plus
+    thin products.  After set-up only :meth:`two_sided_rhs` and the
+    projected operators (through ``a_product``) multiply by ``a``, which is
+    kept by reference and must not be mutated.  Instances are immutable
+    apart from the diagnostic apply counters.
 
     Set-up looks at ``a`` once, through one :class:`linalg.SquareMatrix`,
     which gives ``a_product``, ``a_hermitian``, the HPD verdict of
@@ -116,6 +122,9 @@ class Deflator:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._bu_h = self._bu.conj().T
+        # u^H a is w^H only for an a^H equal to a bit for bit.
+        self._bu_h_a = (self.w.conj().T if mode is GalerkinMode.RESIDUAL_ORTHOGONAL
+                        and matrix.exactly_hermitian else self._bu_h @ a)
 
         try:
             c, lower = linalg.cholesky_factor_checked(self.coupling, scale=(
@@ -155,10 +164,11 @@ class Deflator:
         return v - self.w @ self._solve_coupling(self._bu_h @ v)
 
     def project_solution(self, v) -> np.ndarray:
-        """Solution-space projector: annihilates the augmentation space itself."""
+        """Solution-space projector: annihilates the augmentation space itself,
+        as v - u E^-1 (B^H a) v from the stored B^H a, with no product."""
         v = linalg.as_vector(v, self.dim)
         self.apply_counts["project_solution"] += 1
-        return v - self.u @ self._solve_coupling(self._bu_h @ self.a_product(v))
+        return v - self.u @ self._solve_coupling(self._bu_h_a @ v)
 
     # -- right-hand sides for the deflated systems --------------------------
 
@@ -168,6 +178,8 @@ class Deflator:
         b = linalg.as_vector(b, self.dim)
         # A (w y) from the stored w = A u spares a product with A, and w y is
         # |lambda_min| times smaller than u y when u spans small eigenvalues.
+        # It stays a product: (w^H A)^H y has other roundoff, under which
+        # deflated MINRES breaks down on a system of condition 1e8.
         y = self._solve_coupling(self.u.conj().T @ b)
         return self.project_residual(b - self.a_product(self.w @ y))
 
@@ -176,31 +188,26 @@ class Deflator:
     def correct_iterate(self, x_hat, b) -> np.ndarray:
         """Map a left-projected-system iterate to an original-system iterate.
 
-        The corrected iterate x satisfies b - a x = projected residual of
-        x_hat, so an exact deflated solution is mapped to the exact solution.
+        The corrected iterate x = x_hat + u E^-1 (B^H b - (B^H a) x_hat)
+        satisfies b - a x = projected residual of x_hat, so an exact deflated
+        solution is mapped to the exact solution, with no product with ``a``.
 
-        ``x_hat`` may also be an n-by-k block of iterates, one per column,
-        which is corrected as a whole: one product of ``a`` with the block,
-        one coupling solve with k right-hand sides and one product with the
+        ``x_hat`` may also be an n-by-m block of iterates, one per column,
+        which is corrected as a whole: one product of B^H a with the block,
+        one coupling solve with m right-hand sides and one product with the
         basis.  The result is the block of corrected iterates, each equal to
-        its own correction to roundoff, and counts k corrections.
+        its own correction to roundoff, and counts m corrections.
         """
         x_hat = linalg.in_field(x_hat)
-        b = linalg.as_vector(b, self.dim)
+        bu_h_b = self._bu_h @ linalg.as_vector(b, self.dim)
         if x_hat.ndim == 2 and x_hat.shape[0] == self.dim:
-            count, b = x_hat.shape[1], b[:, None]
+            count, bu_h_b = x_hat.shape[1], bu_h_b[:, None]
         else:
             count, x_hat = 1, linalg.as_vector(x_hat, self.dim)
         self.apply_counts["corrections"] += count
-        if not x_hat.any():
-            # An all-zero x_hat, such as the default initial guess, needs no
-            # product: b - a 0 is b, in the product's field, and one
-            # correction of it serves every column of a block.
-            b = b.astype(np.result_type(b, x_hat, self.a), copy=False)
-            return x_hat + self.u @ self._solve_coupling(self._bu_h @ b)
         # The correction is in the field of x_hat or a wider one, so x_hat is
         # added in place: a block then makes one temporary of its size.
-        corrected = self.u @ self._solve_coupling(self._bu_h @ (b - self.a_product(x_hat)))
+        corrected = self.u @ self._solve_coupling(bu_h_b - self._bu_h_a @ x_hat)
         corrected += x_hat
         return corrected
 
@@ -235,7 +242,7 @@ class Deflator:
 
     def dense_deflated_matrix(self) -> np.ndarray:
         """Densely formed left-projected matrix, for analysis and tests only."""
-        return self.a - self.w @ self._solve_coupling(self._bu_h @ self.a)
+        return self.a - self.w @ self._solve_coupling(self._bu_h_a)
 
     def _require_minimizing(self, name: str):
         if self.mode is not GalerkinMode.RESIDUAL_MINIMIZING:

@@ -30,3 +30,31 @@ class TestPairedSummary:
         low, high = first["interval"]
         assert first["ratio"] == pytest.approx(np.median(ratios), rel=1e-15)
         assert 0.90 <= low < first["ratio"] < high <= 1.00
+
+
+class TestProductCounter:
+    def test_counts_the_columns_of_every_product_and_restores_the_class(self):
+        from dkrylov import linalg
+
+        a = np.diag(np.arange(1.0, 41.0))
+        with compare_runs.product_counter(linalg.SquareMatrix) as counter:
+            matrix = linalg.SquareMatrix(a)
+            np.testing.assert_array_equal(matrix.product(np.ones(40)), np.diag(a))
+            matrix.product(np.ones((40, 3)))
+            matrix.product(np.ones(40, dtype=complex))
+            assert counter == [5]
+        linalg.SquareMatrix(a).product(np.ones(40))
+        assert counter == [5]
+
+    def test_compare_prints_both_counts(self, capsys):
+        run = {"b_norm": 1.0, "final": 0.5, "products": 17,
+               "fields": {"report.deflated_report.status": "converged",
+                          "report.deflated_report.iterations_used": 14,
+                          "report.original_residual_norms": np.ones(3),
+                          "report.deflated_report.residual_norms": np.ones(3)}}
+        this = {("system", "deflated-cg"): {**run, "products": 16}}
+        other = {("system", "deflated-cg"): run}
+        assert compare_runs.compare(this, other, ("1", "1")) == 0
+        out = capsys.readouterr().out
+        assert " 16/17 " in out
+        assert "products with A: this 16, other 17" in out

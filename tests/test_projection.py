@@ -19,6 +19,69 @@ def random_hpd(rng, n):
     return g @ g.conj().T + n * np.eye(n)
 
 
+def counted_products(d):
+    """Route ``d.a_product`` through a counter; returns the list of the
+    columns of each product, one entry per call."""
+    product, calls = d.a_product, []
+    d.a_product = lambda x: calls.append(1 if x.ndim == 1 else x.shape[1]) or product(x)
+    return calls
+
+
+def explicit_correction(a, u, mode, x_hat, b):
+    """x_hat + U E^-1 B^H (b - A x_hat) formed as written, E = B^H A U."""
+    bu = u if mode is OR else a @ u
+    residual = (b if x_hat.ndim == 1 else b[:, None]) - a @ x_hat
+    return x_hat + u @ np.linalg.solve(bu.conj().T @ (a @ u), bu.conj().T @ residual)
+
+
+def correction_roundoff(a, u, mode, x_hat, b):
+    """A priori bound on |correct_iterate - explicit_correction| per column.
+
+    Both use the same E = B^H (A U), bit for bit.  They form z = B^H r, as
+    B^H b - (B^H A) x_hat or as B^H (b - A x_hat), each within (n + k) eps
+    ||B||_F (||b|| + ||A||_F ||x_hat||) of the exact value (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 3.5), which U E^-1 maps
+    with gain ||U||_F ||E^-1||.  Their solves, Cholesky and LU, are backward
+    stable: each y = E^-1 z is within k eps cond(E) ||y|| of the exact one.
+    The Deflator factors the Hermitian part of E, within eps ||E|| of E,
+    which moves its y by at most eps cond(E) ||y||, inside that term.  The
+    final sum adds eps ||x_hat||.  The bound is 4 times the sum of these
+    terms: both sides' errors, each with a factor of 2 to spare.
+    """
+    n, k = u.shape
+    bu = u if mode is OR else a @ u
+    e = bu.conj().T @ (a @ u)
+    eps = np.finfo(float).eps
+    sigma = np.linalg.svd(e, compute_uv=False)
+    a_f, u_f, bu_f = (np.linalg.norm(m) for m in (a, u, bu))
+    x_hat = np.atleast_2d(x_hat.T).T
+    x_norm = np.linalg.norm(x_hat, axis=0)
+    y = np.linalg.solve(e, bu.conj().T @ (np.reshape(b, (-1, 1)) - a @ x_hat))
+    return 4 * eps * ((n + k) * u_f / sigma[-1] * bu_f * (np.linalg.norm(b) + a_f * x_norm)
+                      + k * sigma[0] / sigma[-1] * u_f * np.linalg.norm(y, axis=0) + x_norm)
+
+
+def correction_systems():
+    """(name, a, u, mode, b) of the systems the corrections are checked on."""
+    p = clustered_spd_problem(60, 3, 0)
+    yield "or-hermitian-real", p.a, eigenvector_basis(p, range(1, 4)), OR, p.b
+    rng = np.random.default_rng(31)
+    q = np.linalg.qr(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))[0]
+    u = q[:, :3] + 1e-3 * (rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3)))
+    yield ("or-hermitian-complex", linalg.assemble_hermitian(q, np.linspace(1, 10, 40)), u,
+           OR, rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    # Hermitian within tolerance only: scripts/compare_runs.py's inexact-hermitian-200
+    p = clustered_spd_problem(200)
+    g = np.random.default_rng(7).standard_normal((200, 200))
+    yield ("or-inexact-hermitian", p.a + 1e-16 * (g - g.T),
+           eigenvector_basis(p, range(1, 6)), OR, p.b)
+    p = symmetric_indefinite_problem(30, seed=0)
+    yield "mr-hermitian", p.a, eigenvector_basis(p, [1, 2, 3, 31, 32]), MR, p.b
+    rng = np.random.default_rng(32)
+    yield ("mr-non-hermitian", rng.standard_normal((50, 50)) + 10 * np.eye(50),
+           rng.standard_normal((50, 4)), MR, rng.standard_normal(50))
+
+
 def dense_coarse_matrix(a, u, bu):
     """Dense formation oracle for the coarse correction operator."""
     e = bu.conj().T @ a @ u
@@ -336,30 +399,35 @@ class TestCorrections:
 
     @pytest.mark.parametrize("field", [np.float64, np.complex128])
     def test_zero_iterate_is_corrected_without_a_product(self, field):
-        # b - A x_hat of an all-zero x_hat, such as the default initial
-        # guess that initial_correction shifts, is b: no product with A is
-        # formed, and the corrected iterate is the one the product gives,
-        # bit for bit and in its field.
+        # A correction multiplies B^H A, stored at set-up, with x_hat, and
+        # never A.  For an all-zero x_hat, such as the default initial guess
+        # that initial_correction shifts, B^H b - (B^H A) 0 is B^H b, so the
+        # corrected iterate is the explicit formula's bit for bit, in its
+        # field; for any other x_hat the two round differently, within the
+        # a priori bound of correction_roundoff.
         p = clustered_spd_problem(40, 3, 0)
         d = Deflator(p.a, eigenvector_basis(p, range(1, 4)), OR)
         b = p.b if field is np.float64 else p.b + 1j * p.b[::-1]
-        product, calls = d.a_product, []
-        d.a_product = lambda x: calls.append(1) or product(x)
-        for x_hat, products in ((np.zeros(40, dtype=field), 0), (p.b, 1)):
+        product, calls = d.a_product, counted_products(d)
+        for x_hat in (np.zeros(40, dtype=field), p.b):
+            bound, = correction_roundoff(p.a, d.u, OR, x_hat, b)
             corrected = d.initial_correction(x_hat, b)
-            assert len(calls) == products
-            x_hat = linalg.as_vector(x_hat)
+            assert calls == []
             expected = x_hat + d.u @ d._solve_coupling(d._bu_h @ (b - product(x_hat)))
             assert corrected.dtype == expected.dtype == field
-            assert corrected.tobytes() == expected.tobytes()
+            if x_hat.any():
+                assert np.linalg.norm(corrected - expected) <= bound
+            else:
+                assert corrected.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("system", ["residual-orthogonal", "residual-minimizing",
                                         "complex-hermitian"])
     def test_block_correction_agrees_with_each_column(self, system):
-        # A block of iterates is corrected by one product with A, one
-        # coupling solve with k right-hand sides and one product with u;
-        # every column is its own correction to roundoff, the zero column
-        # included, and the block counts one correction per column.
+        # A block of iterates is corrected by one product of the stored
+        # B^H A with the block, one coupling solve with k right-hand sides
+        # and one product with u; every column is its own correction to
+        # roundoff, the zero column included, and the block counts one
+        # correction per column.
         if system == "residual-orthogonal":
             p = clustered_spd_problem(60, 3, 0)
             a, b, u, mode = p.a, p.b, eigenvector_basis(p, range(1, 4)), OR
@@ -389,14 +457,65 @@ class TestCorrections:
     def test_zero_block_is_corrected_without_a_product(self):
         p = clustered_spd_problem(40, 3, 0)
         d = Deflator(p.a, eigenvector_basis(p, range(1, 4)), OR)
-        product, calls = d.a_product, []
-        d.a_product = lambda x: calls.append(1) or product(x)
+        calls = counted_products(d)
         corrected = d.correct_iterate(np.zeros((40, 3)), p.b)
         alone = d.correct_iterate(np.zeros(40), p.b)
         assert calls == []
         assert corrected.shape == (40, 3)
         for column in corrected.T:
             np.testing.assert_allclose(column, alone, rtol=1e-14)
+
+    @pytest.mark.parametrize("mode", [OR, MR])
+    def test_no_correction_multiplies_by_a(self, mode):
+        # Set-up is the last product with A that a correction or the
+        # solution projector needs: vectors, blocks, the initial and the
+        # two-sided corrections and project_solution make none.
+        p = symmetric_indefinite_problem(30, seed=0) if mode is MR else clustered_spd_problem(60)
+        d = Deflator(p.a, eigenvector_basis(p, [1, 2, 3]), mode)
+        calls = counted_products(d)
+        rng = np.random.default_rng(33)
+        x_hat = rng.standard_normal(d.dim)
+        d.correct_iterate(x_hat, p.b)
+        d.correct_iterate(rng.standard_normal((d.dim, 4)) + 1j, p.b)
+        d.correct_iterate(np.zeros((d.dim, 2)), p.b)
+        d.project_solution(x_hat + 1j * x_hat[::-1])
+        if mode is OR:
+            d.initial_correction(x_hat, p.b)
+        else:
+            d.correct_two_sided_iterate(x_hat, p.b)
+        assert calls == []
+        assert d.apply_counts["corrections"] == 1 + 4 + 2 + 1
+
+    @pytest.mark.parametrize("system", ["or-hermitian-real", "or-hermitian-complex",
+                                        "or-inexact-hermitian", "mr-hermitian",
+                                        "mr-non-hermitian"])
+    def test_correction_matches_the_explicit_formula(self, system):
+        # x_hat + U E^-1 (B^H b - (B^H A) x_hat) against x_hat + U E^-1 B^H
+        # (b - A x_hat) as written, with B = U (OR) or A U (MR), within the
+        # roundoff bound of correction_roundoff, fixed before the run: for
+        # the zero iterate, a random one, one near the solution, and the
+        # block of the three.
+        _, a, u, mode, b = next(s for s in correction_systems() if s[0] == system)
+        matrix = linalg.SquareMatrix(a)
+        assert matrix.exactly_hermitian == (system in ("or-hermitian-real",
+                                                       "or-hermitian-complex", "mr-hermitian"))
+        assert matrix.hermitian == (system != "mr-non-hermitian")
+        d = Deflator(a, u, mode)
+        # B^H A is the view w^H only where u^H A equals it: OR on an A that
+        # is Hermitian bit for bit.
+        shortcut = mode is OR and matrix.exactly_hermitian
+        np.testing.assert_array_equal(d._bu_h_a, d.w.conj().T if shortcut else d._bu_h @ d.a)
+        n = a.shape[0]
+        rng = np.random.default_rng(34)
+        block = np.stack([np.zeros(n), rng.standard_normal(n),
+                          np.linalg.solve(a, b) + rng.standard_normal(n)], axis=1)
+        block = block.astype(np.result_type(a, b))
+        bounds = correction_roundoff(a, u, mode, block, b)
+        explicit = explicit_correction(a, u, mode, block, b)
+        for x_hat, expected, bound in zip(block.T, explicit.T, bounds):
+            assert np.linalg.norm(d.correct_iterate(x_hat, b) - expected) <= bound
+        errors = np.linalg.norm(d.correct_iterate(block, b) - explicit, axis=0)
+        assert (errors <= bounds).all()
 
     def test_initial_correction_orthogonalizes_residual(self):
         rng = np.random.default_rng(15)
