@@ -49,7 +49,10 @@ residual curves divided by ||b||, each checkout's number of products with A
 and whether every report field (every ``DualReport``/``SolveReport`` field,
 iterate, diagnostics entry and the deflator's ``a_hermitian``,
 ``apply_counts``, ``w`` and coupling matrix) is equal under
-``np.array_equal`` with the same dtype.  The products are those made
+``np.array_equal`` with the same dtype.  The summary then lists, for each
+variant with a differing run, the names of every field that differs in any
+of its runs, list indices folded (``report.deflated_report.iterates[*]``).
+The products are those made
 through a ``linalg.SquareMatrix`` (:func:`product_counter`), a block
 counting one per column; the thin products that ``Deflator`` set-up forms
 from the matrix directly are not among them.  Exits 1 when a status, an
@@ -99,6 +102,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -285,10 +289,16 @@ def _summary(outcome) -> str:
     return f"{fields['report.deflated_report.status']} in {fields['report.deflated_report.iterations_used']}"
 
 
+def fold_indices(name: str) -> str:
+    """A field name with every list index replaced by ``*``."""
+    return re.sub(r"\[\d+\]", "[*]", name)
+
+
 def compare(this: dict, other: dict, threads: tuple) -> int:
     mismatches = 0
     equal_runs = 0
     worst = 0.0
+    changed = {}    # variant -> the folded names of its differing fields
     print(f"BLAS threads: this {threads[0]}, other {threads[1]}")
     print(f"{'system':<20} {'variant':<30} {'this':<22} {'other':<22} "
           f"{'res/tol':>8} {'other':>8} {'curve dev':>9} {'A products':>11}  fields")
@@ -307,6 +317,8 @@ def compare(this: dict, other: dict, threads: tuple) -> int:
             differ = sorted(n for n in names if n not in a["fields"] or n not in b["fields"]
                             or not _same(a["fields"][n], b["fields"][n]))
             equal_runs += not differ
+            if differ:
+                changed.setdefault(key[1], set()).update(map(fold_indices, differ))
             equal = "equal" if not differ else f"{len(differ)} differ, e.g. {differ[0]}"
         flag = "" if a_sum == b_sum else "  <-- MISMATCH"
         counts = f"{a['products']}/{b['products']}"
@@ -317,6 +329,8 @@ def compare(this: dict, other: dict, threads: tuple) -> int:
           f"{worst:.2e} * ||b||; products with A: this "
           f"{sum(r['products'] for r in this.values())}, "
           f"other {sum(r['products'] for r in other.values())}")
+    for variant, names in changed.items():
+        print(f"fields that differ in {variant}: {', '.join(sorted(names))}")
     return 1 if mismatches else 0
 
 

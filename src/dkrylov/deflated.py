@@ -6,8 +6,8 @@ Every deflated method is the same recipe with five ingredients:
   MINRES and GMRES), which fixes the :class:`Deflator`;
 * a projected operator, left-projected or two-sided projected;
 * a right-hand side for that operator;
-* an initial-guess map (keep the guess, shift it so its residual is
-  orthogonal to the basis, or adapt it to the two-sided system);
+* an initial-guess map (keep the guess, or shift it so its residual is
+  orthogonal to the basis);
 * a correction that maps deflated iterates back to the original system.
 
 Explicit and implicit augmentation are the same iteration and differ only in
@@ -21,12 +21,23 @@ augmentation) and reports the deflated history, which the correction
 preserves.  The table layout follows KryPy, the source paper's reference
 implementation (github.com/andrenarchy/krypy).
 
+The source paper also proves that MINRES on the left-projected system,
+started from the adapted initial guess x~0 = P x0 + W E^-1 U^H b
+(:meth:`Deflator.adapted_initial_guess`), is deflated MINRES on the two-sided
+system: its iterates are ``adapted_initial_guess`` of the two-sided ones,
+with the same residuals and the same corrected iterates.  So
+``DEFLATED_MINRES_ADAPTED_GUESS`` reads ``DEFLATED_MINRES``'s iteration
+through that map, and its corrected iterate is the same bit for bit.
+
 :func:`run_methods` runs a list of variants on one system and builds each
 shared ingredient once: one :class:`Deflator` per Galerkin mode, one verified
-projected operator per kind, and one iteration per distinct recipe.  So
-``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` share one iteration, the
-explicit/implicit equivalence made literal, and each corrects what it needs
-of it.  A shared deflator's ``apply_counts`` total the whole run.
+projected operator per kind, and one iteration per distinct recipe.  So two
+pairs share an iteration, each equivalence made literal:
+``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` (explicit and implicit
+augmentation), and ``DEFLATED_MINRES`` and ``DEFLATED_MINRES_ADAPTED_GUESS``
+(the two-sided system and the adapted guess).  Each variant reads and
+corrects what it needs of it.  A shared deflator's ``apply_counts`` total
+the whole run.
 :func:`run_method` is :func:`run_methods` of one variant.
 
 A breakdown of the underlying solver freezes the report at the last valid
@@ -71,18 +82,21 @@ class _Recipe:
       side, corrected by :meth:`Deflator.correct_iterate`;
     * ``"two-sided"``: the Hermitian two-sided operator with
       :meth:`Deflator.two_sided_rhs`, corrected by
-      :meth:`Deflator.correct_two_sided_iterate`;
+      :meth:`Deflator.correct_two_sided_iterate` (``correct_iterate`` of the
+      iterate an ``adapted`` variant reads);
     * ``"left-as-two-sided"``: the left-projected system iterated through the
       two-sided operator.  Its Krylov vectors live in the projector's image,
       where both operators act identically, so the effective right-hand side
       r0 + op(x0) makes MINRES compute the residuals of the left-projected
       system for any initial guess; corrected by ``correct_iterate``.
 
-    ``guess`` is ``"given"``, ``"shifted"`` (:meth:`Deflator.initial_correction`)
-    or ``"adapted"`` (:meth:`Deflator.adapted_initial_guess`).  ``mode`` is
-    None for the undeflated solvers.  ``per_iterate`` corrects every iterate,
-    as one block through ``correct_iterate``, so it needs a recipe of that
-    correction.
+    ``guess`` is ``"given"`` or ``"shifted"`` (:meth:`Deflator.initial_correction`).
+    ``mode`` is None for the undeflated solvers.  The last two fields say
+    how a variant reads its iteration, not which one it runs (:func:`_key`):
+    ``per_iterate`` corrects every iterate, as one block through
+    ``correct_iterate``, so it needs a recipe of that correction;
+    ``adapted`` reads a two-sided iteration through
+    :meth:`Deflator.adapted_initial_guess` (module docstring).
     """
 
     solver: str
@@ -90,6 +104,7 @@ class _Recipe:
     system: str = "left"
     guess: str = "given"
     per_iterate: bool = False
+    adapted: bool = False
 
 
 _OR = GalerkinMode.RESIDUAL_ORTHOGONAL
@@ -103,8 +118,8 @@ _RECIPES = {
                                             per_iterate=True),
     MethodVariant.RMINRES_DEFLATION_ONLY: _Recipe("minres", _MR, "left-as-two-sided"),
     MethodVariant.DEFLATED_MINRES: _Recipe("minres", _MR, "two-sided"),
-    MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS: _Recipe("minres", _MR, "left-as-two-sided",
-                                                         guess="adapted"),
+    MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS: _Recipe("minres", _MR, "two-sided",
+                                                         adapted=True),
     MethodVariant.DEFLATED_GMRES: _Recipe("gmres", _MR),
 }
 
@@ -133,10 +148,11 @@ def run_methods(variants, a, b, u=None, x0=None,
     Variants of one Galerkin mode share one :class:`Deflator`, variants of one
     projected operator share one verified ``deflated_operator``, and variants
     of one recipe (solver, mode, system and initial-guess map) share one
-    iteration: ``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` are the same
-    iteration, the one corrected as a whole block of iterates and the other
-    at its final iterate, which is the paper's equivalence of explicit and
-    implicit augmentation made literal.  A shared iteration records its
+    iteration.  Two pairs do, each one of the paper's equivalences made
+    literal (module docstring): ``RMINRES_EXPLICIT`` and
+    ``RMINRES_DEFLATION_ONLY``, and ``DEFLATED_MINRES`` and
+    ``DEFLATED_MINRES_ADAPTED_GUESS``, which alone records
+    ``diagnostics["adapted_initial_guess"]``.  A shared iteration records its
     history when any of its variants needs it (recording does not change an
     iteration, and MINRES and GMRES form the recorded iterates at the end);
     a variant whose ``cfg`` does not record history gets ``iterates=None``
@@ -191,10 +207,10 @@ def run_methods(variants, a, b, u=None, x0=None,
         d = once(recipe.mode, lambda: Deflator(a, u, recipe.mode))
         if recipe.solver == "minres" and not d.a_hermitian:
             raise ValueError(f"{variant.value} requires a Hermitian matrix")
-        rep, b_vec, x_given, diagnostics = once(
+        rep, b_vec, x_given = once(
             key, lambda: _deflated_solve(recipe, d, b, x0, solve_cfg, once, solve))
         results.append(_correct(variant, recipe, d, _own_copy(rep, keep_iterates),
-                                b_vec, x_given, dict(diagnostics), cfg))
+                                b_vec, x_given, cfg))
     return results
 
 
@@ -205,7 +221,8 @@ def run_method(variant: MethodVariant, a, b, u=None, x0=None,
 
 
 def _key(recipe: _Recipe) -> tuple:
-    """What decides a recipe's iteration: all of it but ``per_iterate``."""
+    """What decides a recipe's iteration: all of it but ``per_iterate`` and
+    ``adapted``."""
     return recipe.solver, recipe.mode, recipe.system, recipe.guess
 
 
@@ -221,15 +238,12 @@ def _own_copy(rep: SolveReport, keep_iterates: bool) -> SolveReport:
 
 def _deflated_solve(recipe, d, b, x0, cfg, once, solve):
     """The iteration of a deflated recipe with the system it ran on:
-    ``(report, b, x0 as given, diagnostics)``; the projected operator is
-    verified ``once`` per (mode, kind)."""
+    ``(report, b, x0 as given)``; the projected operator is verified
+    ``once`` per (mode, kind)."""
     b = linalg.as_vector(b, d.dim)
     x0 = x_given = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
-    diagnostics = {}
     if recipe.guess == "shifted":
         x0 = d.initial_correction(x0, b)
-    elif recipe.guess == "adapted":
-        x0 = diagnostics["adapted_initial_guess"] = d.adapted_initial_guess(x0, b)
 
     kind = "left" if recipe.system == "left" else "two_sided"
     op = once((d.mode, kind), lambda: deflated_operator(d, kind))
@@ -239,10 +253,10 @@ def _deflated_solve(recipe, d, b, x0, cfg, once, solve):
         rhs = d.two_sided_rhs(b)
     else:
         rhs = d.project_residual(b - d.a_product(x0)) + op.apply(x0)
-    return solve(op, rhs, x0, cfg), b, x_given, diagnostics
+    return solve(op, rhs, x0, cfg), b, x_given
 
 
-def _correct(variant, recipe, d, rep, b, x_given, diagnostics, cfg) -> DualReport:
+def _correct(variant, recipe, d, rep, b, x_given, cfg) -> DualReport:
     """Correct a deflated run back to the original system and judge its status
     there.
 
@@ -251,7 +265,19 @@ def _correct(variant, recipe, d, rep, b, x_given, diagnostics, cfg) -> DualRepor
     correction to the whole block of iterates at once, which needs no
     product with A.  Its one product of A is with the corrected block, for
     their original residuals b - A x, so the curve it reports is of true
-    residuals, each norm taken on its own."""
+    residuals, each norm taken on its own.
+
+    An ``adapted`` variant first maps its iterates and the given x0 through
+    :meth:`Deflator.adapted_initial_guess`, then corrects its final iterate
+    by ``correct_iterate``: the composition that
+    :meth:`Deflator.correct_two_sided_iterate` is, so the corrected iterate
+    is the two-sided variant's bit for bit."""
+    diagnostics = {}
+    if recipe.adapted:
+        adapt = lambda x: d.adapted_initial_guess(x, b)  # noqa: E731
+        rep = replace(rep, final_iterate=adapt(rep.final_iterate),
+                      iterates=None if rep.iterates is None else list(map(adapt, rep.iterates)))
+        diagnostics["adapted_initial_guess"] = adapt(x_given)
     if recipe.per_iterate:
         # The iterates as the columns of an n-by-k block, stacked once.
         corrected = d.correct_iterate(np.stack(rep.iterates).T, b)
@@ -260,8 +286,8 @@ def _correct(variant, recipe, d, rep, b, x_given, diagnostics, cfg) -> DualRepor
         original = np.array([linalg.vector_norm(r) for r in residuals.T])
         x, count, final = corrected[:, -1].copy(), corrected.shape[1], float(original[-1])
     else:
-        correct = (d.correct_two_sided_iterate if recipe.system == "two-sided"
-                   else d.correct_iterate)
+        correct = (d.correct_two_sided_iterate
+                   if recipe.system == "two-sided" and not recipe.adapted else d.correct_iterate)
         x, count = correct(rep.final_iterate, b), 1
         original = rep.residual_norms.copy()
         final = linalg.vector_norm(b - d.a_product(x))

@@ -53,9 +53,13 @@ class Deflator:
     matrix E = B^H a u and the k-by-n matrix B^H a, with B = u in
     residual-orthogonal and B = w in residual-minimizing mode, are cached at
     construction.  B^H a is the view w^H for a residual-orthogonal ``a``
-    Hermitian bit for bit, one more thin product otherwise.  So every
-    projector application and correction costs O(n k): a small solve plus
-    thin products.  After set-up only :meth:`two_sided_rhs` and the
+    Hermitian bit for bit, one more thin product otherwise (always in
+    residual-minimizing mode).  Both set-up products are taken with ``@`` on
+    the array, not through ``a_product``: its block product returns w
+    column-major and, at some orders, in other bits, which would move every
+    later projection.  So a count of ``a_product``'s products leaves them
+    out.  Every projector application and correction costs O(n k): a small
+    solve plus thin products.  After set-up only :meth:`two_sided_rhs` and the
     projected operators (through ``a_product``) multiply by ``a``, which is
     kept by reference and must not be mutated.  Instances are immutable
     apart from the diagnostic apply counters.

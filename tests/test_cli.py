@@ -228,7 +228,7 @@ class TestRun:
         assert code == 0
         assert [r["variant"] for r in payload["results"]] == SIX_VARIANTS
         assert counts == {"Deflator": 1, "verify two-sided-projected": 1,
-                          "verify left-projected": 1, "minres_solve": 4, "gmres_solve": 1}
+                          "verify left-projected": 1, "minres_solve": 3, "gmres_solve": 1}
 
     def test_failed_write_exits_3(self, tmp_path, capsys):
         # the destination's directory exists, but the destination is a directory

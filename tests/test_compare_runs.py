@@ -58,3 +58,37 @@ class TestProductCounter:
         out = capsys.readouterr().out
         assert " 16/17 " in out
         assert "products with A: this 16, other 17" in out
+
+
+class TestChangedFields:
+    @staticmethod
+    def run(iterates, corrected):
+        return {"b_norm": 1.0, "final": 0.5, "products": 3,
+                "fields": {"report.deflated_report.status": "converged",
+                           "report.deflated_report.iterations_used": 2,
+                           "report.original_residual_norms": np.ones(3),
+                           "report.deflated_report.residual_norms": np.ones(3),
+                           "report.deflated_report.iterates[0]": iterates[0],
+                           "report.deflated_report.iterates[11]": iterates[1],
+                           "report.diagnostics[original_residual_norm]": 0.5,
+                           "report.corrected_iterate": corrected}}
+
+    def test_summary_names_every_differing_field_once_per_variant(self, capsys):
+        base = self.run((np.zeros(2), np.zeros(2)), np.ones(2))
+        this = {("s1", "deflated-minres-adapted-guess"):
+                self.run((np.ones(2), np.ones(2)), np.ones(2)),
+                ("s2", "deflated-minres-adapted-guess"):
+                self.run((np.zeros(2), np.zeros(2)), np.zeros(2)),
+                ("s1", "deflated-minres"): base}
+        other = dict.fromkeys(this, base)
+        assert compare_runs.compare(this, other, ("1", "1")) == 0
+        out = capsys.readouterr().out
+        assert ("fields that differ in deflated-minres-adapted-guess: "
+                "report.corrected_iterate, report.deflated_report.iterates[*]\n") in out
+        assert "fields that differ in deflated-minres:" not in out
+
+    def test_only_list_indices_are_folded(self):
+        assert (compare_runs.fold_indices("report.deflated_report.iterates[12]")
+                == "report.deflated_report.iterates[*]")
+        assert (compare_runs.fold_indices("report.diagnostics[original_residual_norm]")
+                == "report.diagnostics[original_residual_norm]")

@@ -6,7 +6,8 @@ import scipy.sparse
 
 from dkrylov import deflated, linalg
 from dkrylov.analysis import breakdown_initial_guess
-from dkrylov.checks import curve_deviation, equivalence_instances, equivalence_suite
+from dkrylov.checks import (adapted_guess_run, curve_deviation, equivalence_instances,
+                            equivalence_suite)
 from dkrylov.deflated import MethodVariant, run_method, run_methods
 from dkrylov.operators import dense_operator
 from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
@@ -94,12 +95,14 @@ class TestEquivalences:
             assert curve_deviation(r1, r2) <= 1e-8
 
     def test_adapted_guess_matches_two_sided(self):
+        # the variant reads the two-sided iteration; the left-projected run
+        # from the adapted guess is made on its own
         for seed in (3, 4):
             a, b, u = hermitian_instance(seed)
             rng = np.random.default_rng(seed + 100)
             x0 = rng.standard_normal(a.shape[0])
             r1 = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, a, b, u, x0)
-            r2 = run_method(MethodVariant.DEFLATED_MINRES, a, b, u, x0)
+            r2 = adapted_guess_run(Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING), b, x0)
             assert curve_deviation(r1, r2) <= 1e-8
 
     def test_gmres_matches_minres_for_hermitian(self):
@@ -114,11 +117,11 @@ class TestEquivalences:
         # not pass through it
         p = clustered_spd_problem(80)
         u = eigenvector_basis(p, range(1, 6))
-        free = run_method(MethodVariant.DEFLATED_MINRES, p.a, p.b, u)
-        adapted = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, p.a, p.b, u)
+        shared = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, p.a, p.b, u)
+        adapted = adapted_guess_run(Deflator(p.a, u, GalerkinMode.RESIDUAL_MINIMIZING), p.b)
         deviation = 0.0
-        for x, y in ((free.original_residual_norms, adapted.original_residual_norms),
-                     (free.deflated_report.residual_norms,
+        for x, y in ((shared.original_residual_norms, adapted.original_residual_norms),
+                     (shared.deflated_report.residual_norms,
                       adapted.deflated_report.residual_norms)):
             k = min(len(x), len(y))
             deviation = max(deviation, np.max(np.abs(x[:k] - y[:k])))
@@ -447,6 +450,31 @@ class TestRunMethods:
             assert same(report, alone[report.variant]), report.variant
         shared = {id(r.deflated_report) for r in reports}
         assert len(shared) == len(reports)
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("system", [SYSTEMS[0], SYSTEMS[2]], ids=["real", "complex"])
+    def test_adapted_variant_reads_the_two_sided_iteration(self, system, start):
+        a, b, u, _ = system
+        x0 = None if start == "zero" else np.random.default_rng(5).standard_normal(len(b))
+        reports = run_methods(MINIMAL_RESIDUAL_VARIANTS, a, b, u, x0)
+        free, adapted = reports[3], reports[4]
+        assert (free.variant, adapted.variant) == (MethodVariant.DEFLATED_MINRES,
+                                                   MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS)
+        assert same(adapted, run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS,
+                                        a, b, u, x0))
+        assert same(adapted.corrected_iterate, free.corrected_iterate)
+        # the left-projected iterates of the paper, with the shared residuals
+        d, two_sided, left = adapted.deflator, free.deflated_report, adapted.deflated_report
+        assert same(left.final_iterate, d.adapted_initial_guess(two_sided.final_iterate, b))
+        assert len(left.iterates) == len(two_sided.iterates) == len(left.residual_norms)
+        for x_left, x_bar in zip(left.iterates, two_sided.iterates):
+            assert same(x_left, d.adapted_initial_guess(x_bar, b))
+        assert same(left.residual_norms, two_sided.residual_norms)
+        assert same(adapted.original_residual_norms, free.original_residual_norms)
+        x_given = np.zeros(len(b)) if x0 is None else x0
+        assert same(adapted.diagnostics["adapted_initial_guess"],
+                    d.adapted_initial_guess(x_given, b))
+        assert "adapted_initial_guess" not in free.diagnostics
 
     def test_explicit_variant_keeps_its_history_alone(self):
         a, b, u, x0 = SYSTEMS[0]
