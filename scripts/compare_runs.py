@@ -53,10 +53,10 @@ iterate, diagnostics entry and the deflator's ``a_hermitian``,
 variant with a differing run, the names of every field that differs in any
 of its runs, list indices folded (``report.deflated_report.iterates[*]``).
 The products are those made
-through a ``linalg.SquareMatrix`` (:func:`product_counter`), a block
-counting one per column; the thin products that ``Deflator`` set-up forms
-from the matrix directly are not among them.  Exits 1 when a status, an
-iteration count or a raised exception differs, 0 otherwise.
+through a ``linalg.SquareMatrix``, a block counting one per column, and
+next to them those that ``Deflator`` set-up forms from the matrix directly
+(:func:`product_counter`).  Exits 1 when a status, an iteration count or a
+raised exception differs, 0 otherwise.
 
 With ``--cli`` it compares ``dkrylov run`` instead: each checkout runs the
 paper's spec (all six MINRES and GMRES variants, deflating ``1-5,m+1..m+5``)
@@ -68,26 +68,23 @@ and the ``clustered-spd`` generator's default problem (n=80) with ``cg`` and
 whether the exit code, standard output and standard error are equal byte for
 byte; it exits 1 unless all of them are.
 
-With ``--time`` it times the two checkouts against each other instead, in one
-process whose BLAS thread variables are pinned to 1, with each checkout's
-``dkrylov`` imported under its own package name.  For :data:`TIME_ROUNDS`
-rounds, after :data:`WARM_UP_ROUNDS` untimed ones, it runs one op of each
-checkout per workload, which checkout goes first alternating by round.  The
-three workloads are those of the benchmark, so one paired run covers all of
-them:
-
-* ``paper-sweep-n400``: ``dkrylov run`` of the paper's spec at m=200 (n=400,
-  the six MINRES and GMRES variants, tolerance 1e-10), problem seeds 1 to 8
-  in turn;
-* ``oneshot-spd-n600``: ``run_method`` of deflated CG, which builds a new
-  ``Deflator``, on ``clustered_spd_problem(600, 5, seed)`` for seeds 1 to 4
-  in turn, deflating the five outlier eigenvectors;
-* ``recycle-spd-n1000``: deflated CG with a ``Deflator`` built once on
-  ``clustered_spd_problem(1000)``, one of 16 seeded right-hand sides in turn.
-
-Per workload it prints each checkout's median op time with its quartiles,
-the median of the paired ratios (this checkout's time over the other's) and
-a bootstrap 95% interval of that median from seeded resamples of the rounds.
+With ``--time`` it times the two checkouts with the benchmark itself.  Each
+run is one fresh process of the checkout's own ``BENCHMARK.json`` command,
+``--workload W --seed 1 --seconds 5 --trace 0``, started in that checkout;
+the workload processes pin their own BLAS threads.  It runs
+:data:`TIME_PAIRS` pairs of runs per workload of ``BENCHMARK.json``, which
+checkout goes first alternating by pair, about 6 minutes for the three
+workloads.  Every end-to-end metric is judged by its ``better`` and
+``bound`` (:func:`judge`): a gain when this checkout wins at least 9 of 10
+pairs, its median is better by more than the other checkout's quartile
+distance and it fails no more ops; worse when its median is worse than the
+other's by more than the bound, relative to the other's median; unresolved
+when the other's quartile distance exceeds the bound; held otherwise.  Per
+workload it prints each checkout's attempted and failed ops, and per metric
+both medians, the other's quartiles, the pairs won and the verdict.  It
+exits 2, before any run, when the checkouts' ``perfbench/workload.py``
+differ, so that the pairs never time two definitions of a workload, and 1
+when a run fails.
 """
 
 from __future__ import annotations
@@ -96,9 +93,6 @@ import argparse
 import contextlib
 import dataclasses
 import enum
-import importlib
-import importlib.util
-import io
 import json
 import os
 import pickle
@@ -106,7 +100,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -211,50 +204,61 @@ def _flatten(obj, name, out):
 
 
 @contextlib.contextmanager
-def product_counter(square_matrix):
-    """Count the products with A of every ``square_matrix`` (a checkout's
-    ``linalg.SquareMatrix``) built inside the block: ``counter[0]`` is the
-    number of columns multiplied through its ``product``, a vector counting
-    one and an n-by-k block k.  The class is restored on exit."""
-    init, counter = square_matrix.__init__, [0]
+def product_counter(square_matrix, deflator):
+    """Count the products with A made inside the block, a vector counting one
+    and an n-by-k block k.  ``counter["products"]`` counts those made through
+    the ``product`` of every ``square_matrix`` (a checkout's
+    ``linalg.SquareMatrix``); ``counter["setup"]`` counts those that every
+    ``deflator`` (its ``projection.Deflator``) set-up forms with ``@`` on the
+    array: k for w = A u, and k more for B^H A, which is the view w^H, no
+    product, only in residual-orthogonal mode on an A equal to A^H bit for
+    bit.  Both classes are restored on exit."""
+    matrix_init, deflator_init = square_matrix.__init__, deflator.__init__
+    counter = {"products": 0, "setup": 0}
 
-    def counted_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def counted_matrix_init(self, *args, **kwargs):
+        matrix_init(self, *args, **kwargs)
         product = self.product
 
         def counted(x):
-            counter[0] += 1 if np.ndim(x) == 1 else np.shape(x)[1]
+            counter["products"] += 1 if np.ndim(x) == 1 else np.shape(x)[1]
             return product(x)
         self.product = counted
 
-    square_matrix.__init__ = counted_init
+    def counted_deflator_init(self, a, u, mode):
+        deflator_init(self, a, u, mode)
+        view = (mode.name == "RESIDUAL_ORTHOGONAL"
+                and np.array_equal(self.a, self.a.conj().T))
+        counter["setup"] += self.k if view else 2 * self.k
+
+    square_matrix.__init__, deflator.__init__ = counted_matrix_init, counted_deflator_init
     try:
         yield counter
     finally:
-        square_matrix.__init__ = init
+        square_matrix.__init__, deflator.__init__ = matrix_init, deflator_init
 
 
 def collect(equivalence, ill_conditioned) -> dict:
     """Outcome of every run in this process's ``dkrylov``, keyed by run."""
-    from dkrylov import MethodVariant, SolveConfig, linalg, run_method
+    from dkrylov import MethodVariant, SolveConfig, linalg, projection, run_method
 
     outcomes = {}
-    with product_counter(linalg.SquareMatrix) as products:
+    with product_counter(linalg.SquareMatrix, projection.Deflator) as counter:
         for system, a, b, u, x0, settings in _systems(equivalence, ill_conditioned):
             cfg = SolveConfig(**settings)
             for variant in MethodVariant:
                 key = (system, variant.value)
-                products[0] = 0
+                counter.update(products=0, setup=0)
                 try:
                     report = run_method(variant, a, b, u, x0, cfg)
                 except Exception as exc:  # the type is the outcome
-                    outcomes[key] = {"raised": type(exc).__name__, "products": products[0]}
+                    outcomes[key] = {"raised": type(exc).__name__, **counter}
                     continue
                 fields = {}
                 _flatten(report, "report", fields)
                 b_norm = float(np.linalg.norm(b))
                 residual = float(np.linalg.norm(b - a @ report.corrected_iterate))
-                outcomes[key] = {"b_norm": b_norm, "fields": fields, "products": products[0],
+                outcomes[key] = {"b_norm": b_norm, "fields": fields, **counter,
                                  "final": residual / (cfg.residual_tolerance * b_norm)}
     return outcomes
 
@@ -300,8 +304,8 @@ def compare(this: dict, other: dict, threads: tuple) -> int:
     worst = 0.0
     changed = {}    # variant -> the folded names of its differing fields
     print(f"BLAS threads: this {threads[0]}, other {threads[1]}")
-    print(f"{'system':<20} {'variant':<30} {'this':<22} {'other':<22} "
-          f"{'res/tol':>8} {'other':>8} {'curve dev':>9} {'A products':>11}  fields")
+    print(f"{'system':<20} {'variant':<30} {'this':<22} {'other':<22} {'res/tol':>8} "
+          f"{'other':>8} {'curve dev':>9} {'A products':>11} {'set-up':>7}  fields")
     for key in this:
         a, b = this[key], other[key]
         a_sum, b_sum = _summary(a), _summary(b)
@@ -321,14 +325,16 @@ def compare(this: dict, other: dict, threads: tuple) -> int:
                 changed.setdefault(key[1], set()).update(map(fold_indices, differ))
             equal = "equal" if not differ else f"{len(differ)} differ, e.g. {differ[0]}"
         flag = "" if a_sum == b_sum else "  <-- MISMATCH"
-        counts = f"{a['products']}/{b['products']}"
+        counts, setup = (f"{a[name]}/{b[name]}" for name in ("products", "setup"))
         print(f"{key[0]:<20} {key[1]:<30} {a_sum:<22} {b_sum:<22} "
-              f"{_final(a):>8} {_final(b):>8} {dev:>9} {counts:>11}  {equal}{flag}")
+              f"{_final(a):>8} {_final(b):>8} {dev:>9} {counts:>11} {setup:>7}  {equal}{flag}")
+    this_total, other_total = ({name: sum(r[name] for r in runs.values())
+                                for name in ("products", "setup")} for runs in (this, other))
     print(f"{len(this)} runs: {mismatches} with a different status, iteration count or "
           f"exception; {equal_runs} with every field equal; largest curve deviation "
-          f"{worst:.2e} * ||b||; products with A: this "
-          f"{sum(r['products'] for r in this.values())}, "
-          f"other {sum(r['products'] for r in other.values())}")
+          f"{worst:.2e} * ||b||; products with A: this {this_total['products']}, "
+          f"other {other_total['products']}; in Deflator set-up: this {this_total['setup']}, "
+          f"other {other_total['setup']}")
     for variant, names in changed.items():
         print(f"fields that differ in {variant}: {', '.join(sorted(names))}")
     return 1 if mismatches else 0
@@ -398,104 +404,83 @@ def compare_cli(other: Path) -> int:
     return 1 if differ else 0
 
 
-#: Timed rounds of ``--time``, and the untimed rounds before them.
-TIME_ROUNDS = 64
-WARM_UP_ROUNDS = 2
-#: Bootstrap resamples of the paired ratios, and the seed that draws them.
-RESAMPLES = 2000
-RESAMPLE_SEED = 0
+#: Pairs of runs per workload of ``--time``, and each run's seed and seconds.
+TIME_PAIRS = 10
+TIME_SEED = 1
+TIME_SECONDS = 5
 
 
-def paired_summary(this, other) -> dict:
-    """Quartiles (25%, median, 75%) of each side's times, the median of the
-    paired ratios this / other and the 2.5% and 97.5% percentiles of that
-    median over :data:`RESAMPLES` seeded bootstrap resamples of the pairs."""
+def judge(this, other, better: str, bound: float, more_failures: bool = False) -> dict:
+    """The verdict on one end-to-end metric from paired runs, ``this[i]``
+    against ``other[i]``, with the metric's ``better`` ("lower" or "higher")
+    and relative ``bound``: "gain" when this side wins at least nine tenths
+    of the pairs, ties counting for neither, its median is better by more
+    than the other side's quartile distance and it has no
+    ``more_failures``; else "worse" when its median is worse by more than
+    ``bound`` times the other's; else "unresolved" when the other's quartile
+    distance is more than that; else "held".  Returns this median, the
+    other's quartiles (25%, median, 75%), the pairs won and the verdict."""
     this, other = np.asarray(this, dtype=float), np.asarray(other, dtype=float)
-    ratios = this / other
-    picks = np.random.default_rng(RESAMPLE_SEED).integers(
-        0, len(ratios), (RESAMPLES, len(ratios)))
-    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
-    return {"this": np.percentile(this, [25, 50, 75]),
-            "other": np.percentile(other, [25, 50, 75]),
-            "ratio": float(np.median(ratios)), "interval": (float(low), float(high))}
+    sign = 1.0 if better == "higher" else -1.0
+    wins = int(np.sum(sign * (this - other) > 0))
+    low, median, high = np.percentile(other, [25, 50, 75])
+    gap = sign * (np.median(this) - median)       # > 0: this side is better
+    if wins >= 0.9 * len(this) and gap > high - low and not more_failures:
+        verdict = "gain"
+    elif -gap > bound * abs(median):
+        verdict = "worse"
+    elif high - low > bound * abs(median):
+        verdict = "unresolved"
+    else:
+        verdict = "held"
+    return {"this": float(np.median(this)), "other": (low, median, high), "wins": wins,
+            "verdict": verdict}
 
 
-def _import_as(name: str, checkout: Path):
-    """``checkout``'s ``dkrylov`` package, imported as the package ``name``."""
-    init = checkout / "src" / "dkrylov" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return package
+def _benchmark_run(checkout: Path, workload: str) -> dict:
+    """The result object that one run of ``checkout``'s benchmark command
+    prints last; raises ``CalledProcessError`` when the run fails."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    proc = subprocess.run([*spec["command"], "--workload", workload, "--seed", str(TIME_SEED),
+                           "--seconds", str(TIME_SECONDS), "--trace", "0"],
+                          cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _timed_ops(name: str, checkout: Path, workdir: Path) -> dict:
-    """``{workload: op}`` of one checkout; ``op(round)`` runs one op."""
-    package = _import_as(name, checkout)
-    cli = importlib.import_module(f"{name}.cli")
-    spec = {"problem": {"generator": "symmetric-indefinite", "m": 200},
-            "deflation": {"eigen_indices": "1-5,201-205"},
-            "run": {"variants": SIX_VARIANTS, "x0": "zero"},
-            "solver": {"tolerance": 1e-10}, "output": {"format": "json"}}
-    spec_path, out = workdir / f"{name}.json", workdir / f"{name}-out.json"
-    spec_path.write_text(json.dumps(spec), encoding="ascii")
-
-    def sweep(r):
-        with contextlib.redirect_stderr(io.StringIO()):
-            cli.main(["run", str(spec_path), "--seed", str(1 + r % 8), "--output", str(out)])
-
-    oneshot_pool = []
-    for seed in range(1, 5):
-        problem = package.clustered_spd_problem(600, 5, seed)
-        oneshot_pool.append((problem.a, problem.b,
-                             package.eigenvector_basis(problem, range(1, 6))))
-    cfg = package.SolveConfig(residual_tolerance=1e-10)
-
-    def oneshot(r):
-        a, b, u = oneshot_pool[r % len(oneshot_pool)]
-        package.run_method(package.MethodVariant.DEFLATED_CG, a, b, u, None, cfg)
-
-    problem = package.clustered_spd_problem(1000, 5, 1)
-    d = package.Deflator(problem.a, package.eigenvector_basis(problem, range(1, 6)),
-                         package.GalerkinMode.RESIDUAL_ORTHOGONAL)
-    op = package.deflated_operator(d, "left")
-    rng = np.random.default_rng(1)
-    pool = [b / np.linalg.norm(b) for b in rng.standard_normal((16, 1000)).astype(complex)]
-
-    def recycle(r):
-        b = pool[r % len(pool)]
-        x0 = d.initial_correction(np.zeros(1000, dtype=complex), b)
-        d.correct_iterate(package.cg_solve(op, d.project_residual(b), x0, cfg).final_iterate, b)
-
-    return {"paper-sweep-n400": sweep, "oneshot-spd-n600": oneshot,
-            "recycle-spd-n1000": recycle}
-
-
-def compare_time(other: Path) -> int:
-    """Time both checkouts' ops in alternation and print the paired ratios."""
-    with tempfile.TemporaryDirectory() as tmp:
-        sides = [_timed_ops(name, checkout, Path(tmp)) for name, checkout in
-                 (("dkrylov_this", HERE_CHECKOUT), ("dkrylov_other", other.resolve()))]
-        times = {workload: ([], []) for workload in sides[0]}
-        for r in range(WARM_UP_ROUNDS + TIME_ROUNDS):
-            for workload, pair in times.items():
-                for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-                    start = time.perf_counter()
-                    sides[side][workload](r)
-                    if r >= WARM_UP_ROUNDS:
-                        pair[side].append(time.perf_counter() - start)
-    print(f"BLAS threads: {_threads()}; {TIME_ROUNDS} rounds after {WARM_UP_ROUNDS} "
-          "untimed; ms as 25% / median / 75%")
-    print(f"{'workload':<20} {'this':>24} {'other':>24} {'ratio':>6}  95% interval")
-    for workload, (this, that) in times.items():
-        summary = paired_summary(this, that)
-        low, high = summary["interval"]
-        this_ms, that_ms = ("/".join(f"{1e3 * t:.2f}" for t in summary[side])
-                            for side in ("this", "other"))
-        print(f"{workload:<20} {this_ms:>24} {that_ms:>24} {summary['ratio']:>6.3f}  "
-              f"{low:.3f} to {high:.3f}")
+def compare_time(this: Path, other: Path) -> int:
+    """Run both checkouts' benchmark in alternation and judge every end-to-end
+    metric (:func:`judge`); 2 when their workloads differ, 1 when a run fails."""
+    checkouts = {"this": this.resolve(), "other": other.resolve()}
+    if len({(c / "perfbench" / "workload.py").read_bytes() for c in checkouts.values()}) > 1:
+        print("perfbench/workload.py differs between the checkouts: their runs would "
+              "not time the same ops", file=sys.stderr)
+        return 2
+    spec = json.loads((checkouts["this"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {(workload, side): [] for workload in workloads for side in checkouts}
+    for pair in range(TIME_PAIRS):
+        for workload in workloads:
+            for side in (("this", "other") if pair % 2 == 0 else ("other", "this")):
+                try:
+                    runs[workload, side].append(_benchmark_run(checkouts[side], workload))
+                except subprocess.CalledProcessError as exc:
+                    print(f"{workload} in {checkouts[side]}: {exc}", file=sys.stderr)
+                    return 1
+    print(f"{TIME_PAIRS} pairs per workload, seed {TIME_SEED}, {TIME_SECONDS} s a run; "
+          "'other' gives its 25% / median / 75%")
+    for workload in workloads:
+        attempted, failed = ({side: sum(r[key] for r in runs[workload, side])
+                              for side in checkouts} for key in ("attempted", "failed"))
+        print(f"{workload}: ops attempted this {attempted['this']}, other "
+              f"{attempted['other']}; failed this {failed['this']}, other {failed['other']}")
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            judged = judge(*([r["metrics"][name]["value"] for r in runs[workload, side]]
+                             for side in checkouts), metric["better"], metric["bound"],
+                           failed["this"] > failed["other"])
+            quartiles = " / ".join(f"{q:.4g}" for q in judged["other"])
+            print(f"  {name:<12} this {judged['this']:<10.4g} other {quartiles:<28} "
+                  f"won {judged['wins']:>2}/{TIME_PAIRS}  {judged['verdict']}")
     return 0
 
 
@@ -515,7 +500,7 @@ def main(argv=None) -> int:
     parser.add_argument("--cli", action="store_true",
                         help="compare dkrylov run output byte for byte instead")
     parser.add_argument("--time", action="store_true",
-                        help="time both checkouts' ops in one process instead")
+                        help="run both checkouts' benchmark in alternating pairs instead")
     parser.add_argument("--collect", nargs=2, metavar=("CHECKOUT", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -533,11 +518,7 @@ def main(argv=None) -> int:
     if args.cli:
         return compare_cli(args.other)
     if args.time:
-        if _threads() != "1":   # numpy is loaded: pin the threads in a new process
-            argv = sys.argv[1:] if argv is None else argv
-            return subprocess.run([sys.executable, __file__, *argv],
-                                  env=_one_thread_env()).returncode
-        return compare_time(args.other)
+        return compare_time(HERE_CHECKOUT, args.other)
     with tempfile.TemporaryDirectory() as tmp:
         this, this_threads = _run_checkout(HERE_CHECKOUT, args.equivalence,
                                            args.ill_conditioned, Path(tmp) / "this.pkl")

@@ -48,7 +48,9 @@ class SpecError(ValueError):
 
 
 def parse_index_list(text) -> list[int]:
-    """Parse "1-5,51-55" or "1,2,3" into a list of 1-based indices."""
+    """Parse "1-5,51-55" or "1,2,3" into a list of 1-based indices, strictly
+    ascending from at least 1.  The upper bound depends on the problem and
+    is checked where the basis is built."""
     indices: list[int] = []
     for part in str(text).split(","):
         part = part.strip()
@@ -64,6 +66,10 @@ def parse_index_list(text) -> list[int]:
             indices.append(int(part))
     if not indices:
         raise ValueError("empty index list")
+    if indices[0] < 1:
+        raise ValueError(f"index {indices[0]} below 1")
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError("indices not strictly ascending")
     return indices
 
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 import collections
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,8 @@ class SolveConfig:
     """Tolerances and the history switch shared by all solvers.
 
     ``residual_tolerance`` is relative to max(||r0||, ||b||).
+    ``max_iterations`` is an integer, a numpy one included; a bool is
+    rejected for either, as is a fractional step count.
     ``record_history`` keeps a run's history: its iterates and, for MINRES
     and GMRES, the drift of the stored basis.  CG copies each iterate as it
     goes; MINRES and GMRES keep each step's coefficients y and form every
@@ -103,10 +106,16 @@ class SolveConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        if not 0 < self.residual_tolerance < math.inf:     # also rejects NaN
+        # True would read as a tolerance of 1 and as one step.
+        if isinstance(self.residual_tolerance, bool) or not (
+                0 < self.residual_tolerance < math.inf):     # also rejects NaN
             raise ValueError("residual_tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        try:
+            steps = operator.index(self.max_iterations)     # numpy integers pass
+        except TypeError:
+            steps = 0
+        if isinstance(self.max_iterations, bool) or steps < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 @dataclass

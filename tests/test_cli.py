@@ -157,6 +157,11 @@ class TestRun:
 
     @pytest.mark.parametrize("spec", [
         {**paper_spec(), "deflation": {"eigen_indices": "1-x"}},
+        {**paper_spec(), "deflation": {"eigen_indices": "3,1"}},
+        {**paper_spec(), "deflation": {"eigen_indices": "1-5,3"}},
+        {**paper_spec(), "deflation": {"eigen_indices": "2-2,2"}},
+        {**paper_spec(), "deflation": {"eigen_indices": "0-2"}},
+        {**paper_spec(), "deflation": {"breakdown_indices": "-1,2"}},
         {**paper_spec(), "output": {"format": "xml"}},
         {"problem": {"generator": "toy-breakdown", "m": "abc"}, "run": {"variants": "minres"}},
         {**paper_spec(), "problem": 5},
@@ -170,8 +175,9 @@ class TestRun:
         {**paper_spec(), "solver": {"reorthogonalize": True}},
         {**paper_spec(), "solver": {"explicit_residuals": True}},
         *(spec for spec, _ in UNREAD_KEYS),
-    ], ids=["bad-index-list", "bad-format", "bad-unused-key", "section-not-object",
-            "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
+    ], ids=["bad-index-list", "descending-indices", "overlapping-ranges", "repeated-index",
+            "index-zero", "negative-breakdown-index", "bad-format", "bad-unused-key",
+            "section-not-object", "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
             "infinite-breakdown-threshold", "nan-alpha", "boolean-float",
             "removed-reorthogonalize-key", "removed-explicit-residuals-key",
             *UNREAD_KEY_IDS])

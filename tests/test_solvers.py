@@ -88,10 +88,18 @@ class TestSolveConfig:
         {"max_iterations": 0},
         {"residual_tolerance": float("nan")},
         {"residual_tolerance": float("inf")},
+        {"residual_tolerance": True},
+        {"max_iterations": 2.5},
+        {"max_iterations": 3.0},
+        {"max_iterations": True},
+        {"max_iterations": "10"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolveConfig(**kwargs)
+
+    def test_numpy_integer_steps_are_accepted(self):
+        assert SolveConfig(max_iterations=np.int64(7)).max_iterations == 7
 
 
 class TestCg:
