@@ -187,8 +187,9 @@ def adapted_guess_run(d: Deflator, b, x0=None, cfg: SolveConfig | None = None) -
     """MINRES on the left-projected system from x~0 =
     ``d.adapted_initial_guess(x0, b)``, run on its own: the side of the
     paper's equivalence that ``DEFLATED_MINRES_ADAPTED_GUESS`` reads off the
-    two-sided iteration.  It iterates as the ``"left-as-two-sided"`` recipes
-    of :mod:`dkrylov.deflated` do, and its original curve is its deflated one.
+    two-sided iteration.  It is the two-sided recipe of the given guess
+    (the ``RMINRES_*`` pair of :mod:`dkrylov.deflated`) started at x~0, and
+    its original curve is its deflated one.
     """
     b = linalg.as_vector(b, d.dim)
     x0 = d.adapted_initial_guess(np.zeros(d.dim) if x0 is None else x0, b)

@@ -85,6 +85,22 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    # numpy rejects a negative seed only when the generator is built, in
+    # words that name no key.
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(f"negative seed: {value!r}")
+    return seed
+
+
+def _seed_option(text) -> int:
+    try:
+        return _seed(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {_SEED[1]}, got {text!r}") from None
+
+
 def _finite(value) -> float:
     # float() would accept True, "nan" and "inf".
     number = float(value)
@@ -99,6 +115,7 @@ def _choice(*names):
 
 
 _INT = (_integer, "an integer")
+_SEED = (_seed, "a non-negative integer")
 _FLOAT = (_finite, "a finite number")
 _TEXT = (str, "a string")
 _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
@@ -107,14 +124,14 @@ _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
 _SCHEMA = {
     "problem": {"generator": _choice("symmetric-indefinite", "clustered-spd", "toy-breakdown",
                                      "near-invariant", "file", "container"),
-                "m": _INT, "n": _INT, "outliers": _INT, "alpha": _FLOAT, "seed": _INT,
+                "m": _INT, "n": _INT, "outliers": _INT, "alpha": _FLOAT, "seed": _SEED,
                 "a": _TEXT, "b": _TEXT, "x0": _TEXT, "path": _TEXT},
     "deflation": {"eigen_indices": _INDICES, "breakdown_indices": _INDICES, "file": _TEXT,
-                  "perturb_eps": _FLOAT, "perturb_seed": _INT},
+                  "perturb_eps": _FLOAT, "perturb_seed": _SEED},
     "run": {"variants": (_variants, "variant names from "
                          + ", ".join(v.value for v in MethodVariant)),
-            "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _INT,
-            "x0_perturbation": _FLOAT, "breakdown_coefficient_seed": _INT},
+            "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _SEED,
+            "x0_perturbation": _FLOAT, "breakdown_coefficient_seed": _SEED},
     "solver": {"tolerance": _FLOAT, "max_iterations": _INT},
     "output": {"path": _TEXT, "format": _choice("csv", "json")},
 }
@@ -431,20 +448,20 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("spec_file")
     p_run.add_argument("--output", help="output file (defaults to the spec's [output] path or stdout)")
     p_run.add_argument("--format", choices=("csv", "json"))
-    p_run.add_argument("--seed", type=int, help="override the problem seed")
+    p_run.add_argument("--seed", type=_seed_option, help="override the problem seed")
     p_run.add_argument("--tol", type=float, help="override the residual tolerance")
     p_run.add_argument("--maxit", type=int, help="override the iteration limit")
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run a property suite on seeded random instances")
     p_check.add_argument("suite", choices=SUITES)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed_option, default=0)
     p_check.add_argument("--output")
     p_check.set_defaults(func=cmd_check)
 
     p_diag = sub.add_parser("diagnose", help="report the breakdown geometry of a problem/basis pair")
     p_diag.add_argument("spec_file")
-    p_diag.add_argument("--seed", type=int, help="override the problem seed")
+    p_diag.add_argument("--seed", type=_seed_option, help="override the problem seed")
     p_diag.add_argument("--output")
     p_diag.set_defaults(func=cmd_diagnose)
     return parser

@@ -3,12 +3,18 @@
 Every deflated method is the same recipe with five ingredients:
 
 * a Galerkin mode (residual-orthogonal for CG, residual-minimizing for
-  MINRES and GMRES), which fixes the :class:`Deflator`;
-* a projected operator, left-projected or two-sided projected;
-* a right-hand side for that operator;
-* an initial-guess map (keep the guess, or shift it so its residual is
-  orthogonal to the basis);
-* a correction that maps deflated iterates back to the original system.
+  MINRES and GMRES), which fixes the :class:`Deflator` and its projector P;
+* a projected operator, as :func:`deflated_operator` names it: ``"left"``
+  (P A) or ``"two_sided"`` (P A P, Hermitian for a Hermitian A);
+* an initial-guess map from the given x0 to a guess xi: ``"given"`` (xi =
+  x0), ``"shifted"`` (:meth:`Deflator.initial_correction`) or ``"adapted"``
+  (:meth:`Deflator.adapted_initial_guess`);
+* one right-hand-side rule: the run starts at the projected residual
+  P (b - A xi) of its guess.  The left operator runs from xi on P b, the
+  two-sided one from x0 on P (b - A xi) + (P A P) x0: its Krylov vectors
+  lie in the image of P, where it acts as P A does;
+* one correction, :meth:`Deflator.correct_iterate`, of the final iterate
+  read through the guess map.
 
 Explicit and implicit augmentation are the same iteration and differ only in
 what the final-step correction is applied to: ``RMINRES_EXPLICIT`` applies it
@@ -21,23 +27,19 @@ augmentation) and reports the deflated history, which the correction
 preserves.  The table layout follows KryPy, the source paper's reference
 implementation (github.com/andrenarchy/krypy).
 
-The source paper also proves that MINRES on the left-projected system,
-started from the adapted initial guess x~0 = P x0 + W E^-1 U^H b
-(:meth:`Deflator.adapted_initial_guess`), is deflated MINRES on the two-sided
-system: its iterates are ``adapted_initial_guess`` of the two-sided ones,
-with the same residuals and the same corrected iterates.  So
-``DEFLATED_MINRES_ADAPTED_GUESS`` reads ``DEFLATED_MINRES``'s iteration
-through that map, and its corrected iterate is the same bit for bit.
+The source paper proves that MINRES on the left-projected system from the
+adapted guess x~0 = P x0 + W E^-1 U^H b is deflated MINRES on the two-sided
+system from x0, with iterates ``adapted_initial_guess`` of the two-sided
+ones and the same residuals.  So ``DEFLATED_MINRES`` is the two-sided recipe
+of the adapted guess and ``DEFLATED_MINRES_ADAPTED_GUESS`` reads its iterates
+through that map; the ``RMINRES_*`` pair is the two-sided recipe of the
+given guess.
 
 :func:`run_methods` runs a list of variants on one system and builds each
-shared ingredient once: one :class:`Deflator` per Galerkin mode, one verified
-projected operator per kind, and one iteration per distinct recipe.  So two
-pairs share an iteration, each equivalence made literal:
-``RMINRES_EXPLICIT`` and ``RMINRES_DEFLATION_ONLY`` (explicit and implicit
-augmentation), and ``DEFLATED_MINRES`` and ``DEFLATED_MINRES_ADAPTED_GUESS``
-(the two-sided system and the adapted guess).  Each variant reads and
-corrects what it needs of it.  A shared deflator's ``apply_counts`` total
-the whole run.
+shared ingredient once: one :class:`Deflator` per Galerkin mode, one
+verified projected operator per mode and system, and one iteration per
+distinct recipe.  So each pair above shares one iteration, each equivalence
+made literal, and a shared deflator's ``apply_counts`` total the whole run.
 :func:`run_method` is :func:`run_methods` of one variant.
 
 A breakdown of the underlying solver freezes the report at the last valid
@@ -76,26 +78,15 @@ class MethodVariant(enum.Enum):
 class _Recipe:
     """How one variant composes a solver with a deflator.
 
-    ``system`` picks the operator, right-hand side and correction:
-
-    * ``"left"``: the left-projected operator with the projected right-hand
-      side, corrected by :meth:`Deflator.correct_iterate`;
-    * ``"two-sided"``: the Hermitian two-sided operator with
-      :meth:`Deflator.two_sided_rhs`, corrected by
-      :meth:`Deflator.correct_two_sided_iterate` (``correct_iterate`` of the
-      iterate an ``adapted`` variant reads);
-    * ``"left-as-two-sided"``: the left-projected system iterated through the
-      two-sided operator.  Its Krylov vectors live in the projector's image,
-      where both operators act identically, so the effective right-hand side
-      r0 + op(x0) makes MINRES compute the residuals of the left-projected
-      system for any initial guess; corrected by ``correct_iterate``.
-
-    ``guess`` is ``"given"`` or ``"shifted"`` (:meth:`Deflator.initial_correction`).
+    ``system`` is the projected operator, ``"left"`` or ``"two_sided"``
+    (:func:`deflated_operator`), and ``guess`` the initial-guess map,
+    ``"given"``, ``"shifted"`` or ``"adapted"``; together they fix the
+    right-hand side and the correction by the module's one rule of each.
     ``mode`` is None for the undeflated solvers.  The last two fields say
     how a variant reads its iteration, not which one it runs (:func:`_key`):
     ``per_iterate`` corrects every iterate, as one block through
     ``correct_iterate``, so it needs a recipe of that correction;
-    ``adapted`` reads a two-sided iteration through
+    ``adapted`` reports the iterates of an ``"adapted"`` recipe read through
     :meth:`Deflator.adapted_initial_guess` (module docstring).
     """
 
@@ -114,12 +105,11 @@ _RECIPES = {
     MethodVariant.CG: _Recipe("cg"),
     MethodVariant.DEFLATED_CG: _Recipe("cg", _OR, guess="shifted"),
     MethodVariant.MINRES: _Recipe("minres"),
-    MethodVariant.RMINRES_EXPLICIT: _Recipe("minres", _MR, "left-as-two-sided",
-                                            per_iterate=True),
-    MethodVariant.RMINRES_DEFLATION_ONLY: _Recipe("minres", _MR, "left-as-two-sided"),
-    MethodVariant.DEFLATED_MINRES: _Recipe("minres", _MR, "two-sided"),
-    MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS: _Recipe("minres", _MR, "two-sided",
-                                                         adapted=True),
+    MethodVariant.RMINRES_EXPLICIT: _Recipe("minres", _MR, "two_sided", per_iterate=True),
+    MethodVariant.RMINRES_DEFLATION_ONLY: _Recipe("minres", _MR, "two_sided"),
+    MethodVariant.DEFLATED_MINRES: _Recipe("minres", _MR, "two_sided", guess="adapted"),
+    MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS: _Recipe("minres", _MR, "two_sided",
+                                                         guess="adapted", adapted=True),
     MethodVariant.DEFLATED_GMRES: _Recipe("gmres", _MR),
 }
 
@@ -239,20 +229,17 @@ def _own_copy(rep: SolveReport, keep_iterates: bool) -> SolveReport:
 def _deflated_solve(recipe, d, b, x0, cfg, once, solve):
     """The iteration of a deflated recipe with the system it ran on:
     ``(report, b, x0 as given)``; the projected operator is verified
-    ``once`` per (mode, kind)."""
+    ``once`` per (mode, system)."""
     b = linalg.as_vector(b, d.dim)
     x0 = x_given = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
     if recipe.guess == "shifted":
         x0 = d.initial_correction(x0, b)
-
-    kind = "left" if recipe.system == "left" else "two_sided"
-    op = once((d.mode, kind), lambda: deflated_operator(d, kind))
+    op = once((d.mode, recipe.system), lambda: deflated_operator(d, recipe.system))
     if recipe.system == "left":
         rhs = d.project_residual(b)
-    elif recipe.system == "two-sided":
-        rhs = d.two_sided_rhs(b)
     else:
-        rhs = d.project_residual(b - d.a_product(x0)) + op.apply(x0)
+        xi = d.adapted_initial_guess(x0, b) if recipe.guess == "adapted" else x0
+        rhs = d.project_residual(b - d.a_product(xi)) + op.apply(x0)
     return solve(op, rhs, x0, cfg), b, x_given
 
 
@@ -261,23 +248,24 @@ def _correct(variant, recipe, d, rep, b, x_given, cfg) -> DualReport:
     there.
 
     Implicit augmentation corrects the final iterate.  Explicit augmentation
-    (``per_iterate``, a left-projected recipe) applies the same final-step
+    (``per_iterate``, a recipe of the given guess) applies the same final-step
     correction to the whole block of iterates at once, which needs no
     product with A.  Its one product of A is with the corrected block, for
     their original residuals b - A x, so the curve it reports is of true
     residuals, each norm taken on its own.
 
-    An ``adapted`` variant first maps its iterates and the given x0 through
-    :meth:`Deflator.adapted_initial_guess`, then corrects its final iterate
-    by ``correct_iterate``: the composition that
-    :meth:`Deflator.correct_two_sided_iterate` is, so the corrected iterate
-    is the two-sided variant's bit for bit."""
+    An ``"adapted"`` recipe reads its final iterate through
+    :meth:`Deflator.adapted_initial_guess` before the correction; an
+    ``adapted`` variant also reports its iterates and the given x0 so read."""
     diagnostics = {}
-    if recipe.adapted:
+    x_final = rep.final_iterate
+    if recipe.guess == "adapted":
         adapt = lambda x: d.adapted_initial_guess(x, b)  # noqa: E731
-        rep = replace(rep, final_iterate=adapt(rep.final_iterate),
-                      iterates=None if rep.iterates is None else list(map(adapt, rep.iterates)))
-        diagnostics["adapted_initial_guess"] = adapt(x_given)
+        x_final = adapt(x_final)
+        if recipe.adapted:
+            rep = replace(rep, final_iterate=x_final, iterates=None if rep.iterates is None
+                          else list(map(adapt, rep.iterates)))
+            diagnostics["adapted_initial_guess"] = adapt(x_given)
     if recipe.per_iterate:
         # The iterates as the columns of an n-by-k block, stacked once.
         corrected = d.correct_iterate(np.stack(rep.iterates).T, b)
@@ -286,9 +274,7 @@ def _correct(variant, recipe, d, rep, b, x_given, cfg) -> DualReport:
         original = np.array([linalg.vector_norm(r) for r in residuals.T])
         x, count, final = corrected[:, -1].copy(), corrected.shape[1], float(original[-1])
     else:
-        correct = (d.correct_two_sided_iterate
-                   if recipe.system == "two-sided" and not recipe.adapted else d.correct_iterate)
-        x, count = correct(rep.final_iterate, b), 1
+        x, count = d.correct_iterate(x_final, b), 1
         original = rep.residual_norms.copy()
         final = linalg.vector_norm(b - d.a_product(x))
     diagnostics["original_residual_norm"] = final

@@ -8,6 +8,8 @@ matrix-vector product as a composition; the projected matrix is never formed.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import linalg
@@ -29,14 +31,19 @@ class LinearOperator:
     operator, the right-hand side and the initial guess, so a real operator
     still maps complex vectors and must do so linearly.  The map must be
     deterministic and linear; ``verify`` spot-checks both properties with a
-    few seeded probe vectors.
+    few seeded probe vectors.  ``dim`` is an integer of at least 1, a numpy
+    one included; a bool or a fractional one is rejected.
     """
 
     def __init__(self, dim: int, matvec, hermitian: bool | None = None, label: str = "",
                  dtype=np.complex128):
-        if dim < 1:
-            raise ValueError("operator dimension must be at least 1")
-        self.dim = int(dim)
+        try:
+            n = operator.index(dim)                  # numpy integers pass
+        except TypeError:
+            n = 0
+        if isinstance(dim, bool) or n < 1:
+            raise ValueError("operator dimension must be an integer of at least 1")
+        self.dim = n
         self._matvec = matvec
         self.hermitian = hermitian
         self.label = label

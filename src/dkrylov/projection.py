@@ -59,10 +59,10 @@ class Deflator:
     column-major and, at some orders, in other bits, which would move every
     later projection.  So a count of ``a_product``'s products leaves them
     out.  Every projector application and correction costs O(n k): a small
-    solve plus thin products.  After set-up only :meth:`two_sided_rhs` and the
-    projected operators (through ``a_product``) multiply by ``a``, which is
-    kept by reference and must not be mutated.  Instances are immutable
-    apart from the diagnostic apply counters.
+    solve plus thin products.  After set-up no method multiplies by ``a``;
+    the projected operators and the deflated right-hand sides do, through
+    ``a_product``.  ``a`` is kept by reference and must not be mutated.
+    Instances are immutable apart from the diagnostic apply counters.
 
     Set-up looks at ``a`` once, through one :class:`linalg.SquareMatrix`,
     which gives ``a_product``, ``a_hermitian``, the HPD verdict of
@@ -174,19 +174,6 @@ class Deflator:
         self.apply_counts["project_solution"] += 1
         return v - self.u @ self._solve_coupling(self._bu_h_a @ v)
 
-    # -- right-hand sides for the deflated systems --------------------------
-
-    def two_sided_rhs(self, b) -> np.ndarray:
-        """Right-hand side of the two-sided projected (Hermitian) system."""
-        self._require_minimizing("two_sided_rhs")
-        b = linalg.as_vector(b, self.dim)
-        # A (w y) from the stored w = A u spares a product with A, and w y is
-        # |lambda_min| times smaller than u y when u spans small eigenvalues.
-        # It stays a product: (w^H A)^H y has other roundoff, under which
-        # deflated MINRES breaks down on a system of condition 1e8.
-        y = self._solve_coupling(self.u.conj().T @ b)
-        return self.project_residual(b - self.a_product(self.w @ y))
-
     # -- iterate corrections -------------------------------------------------
 
     def correct_iterate(self, x_hat, b) -> np.ndarray:
@@ -215,20 +202,15 @@ class Deflator:
         corrected += x_hat
         return corrected
 
-    def correct_two_sided_iterate(self, x_bar, b) -> np.ndarray:
-        """Map a two-sided-projected-system iterate to an original-system iterate.
+    def adapted_initial_guess(self, x0, b) -> np.ndarray:
+        """The adapted guess P x0 + w E^-1 u^H b, which makes the left-projected
+        run from it match the two-sided run from ``x0``.
 
         Assumes a Hermitian ``a``, the only case the two-sided system is
-        built for: then w^H = u^H a, and the two-sided correction is
-        :meth:`correct_iterate` of the left-projected iterate
-        :meth:`adapted_initial_guess` makes of ``x_bar``.  For any other
-        ``a`` the result is not the two-sided correction.
+        built for: then w^H = u^H a, and :meth:`correct_iterate` of this map
+        of a two-sided iterate is its two-sided correction.  For any other
+        ``a`` it is not.
         """
-        self._require_minimizing("correct_two_sided_iterate")
-        return self.correct_iterate(self.adapted_initial_guess(x_bar, b), b)
-
-    def adapted_initial_guess(self, x0, b) -> np.ndarray:
-        """Initial guess that makes the left-projected run match the two-sided one."""
         self._require_minimizing("adapted_initial_guess")
         x0 = linalg.as_vector(x0, self.dim)
         b = linalg.as_vector(b, self.dim)

@@ -52,6 +52,7 @@ from __future__ import annotations
 import collections
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -92,13 +93,14 @@ class SolveConfig:
     ``residual_tolerance`` is relative to max(||r0||, ||b||).
     ``max_iterations`` is an integer, a numpy one included; a bool is
     rejected for either, as is a fractional step count.
-    ``record_history`` keeps a run's history: its iterates and, for MINRES
-    and GMRES, the drift of the stored basis.  CG copies each iterate as it
-    goes; MINRES and GMRES keep each step's coefficients y and form every
-    iterate x0 + V y at the end, in one product.  Neither orthogonalization,
-    the recorded residual nor the breakdown test is configurable: each
-    solver has one rule for each (module docstring, :func:`minres_solve`
-    and :data:`BREAKDOWN_THRESHOLD`).
+    ``record_history`` is a bool, a numpy one included, and keeps a run's
+    history: its iterates and, for MINRES and GMRES, the drift of the stored
+    basis.  Every rejected value, a non-numeric one included, raises
+    ValueError.  CG copies each iterate as it goes; MINRES and GMRES keep
+    each step's coefficients y and form every iterate x0 + V y at the end,
+    in one product.  Neither orthogonalization, the recorded residual nor
+    the breakdown test is configurable: each solver has one rule for each
+    (module docstring, :func:`minres_solve` and :data:`BREAKDOWN_THRESHOLD`).
     """
 
     residual_tolerance: float = 1e-10
@@ -107,8 +109,9 @@ class SolveConfig:
 
     def __post_init__(self):
         # True would read as a tolerance of 1 and as one step.
-        if isinstance(self.residual_tolerance, bool) or not (
-                0 < self.residual_tolerance < math.inf):     # also rejects NaN
+        tol = self.residual_tolerance
+        if (not isinstance(tol, numbers.Real) or isinstance(tol, bool)
+                or not 0 < tol < math.inf):                 # also rejects NaN
             raise ValueError("residual_tolerance must be positive and finite")
         try:
             steps = operator.index(self.max_iterations)     # numpy integers pass
@@ -116,6 +119,8 @@ class SolveConfig:
             steps = 0
         if isinstance(self.max_iterations, bool) or steps < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
+        if not isinstance(self.record_history, (bool, np.bool_)):
+            raise ValueError("record_history must be a bool")
 
 
 @dataclass

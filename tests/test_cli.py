@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import enum
 import inspect
@@ -194,6 +195,33 @@ class TestRun:
     def test_unread_key_is_named_with_its_choice(self, tmp_path, capsys, spec, message):
         assert cli.main(["run", write_spec(tmp_path, spec)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, spec", [
+        ("problem", "seed", {**paper_spec(),
+                             "problem": {"generator": "symmetric-indefinite", "m": 20}}),
+        ("deflation", "perturb_seed", paper_spec(eigen_indices="1-5", perturb_eps=1e-3)),
+        ("run", "x0_seed", {**paper_spec(), "run": {"variants": ["minres"], "x0": "random"}}),
+        ("run", "breakdown_coefficient_seed", breakdown_spec()),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_negative_seed_is_named(self, tmp_path, monkeypatch, capsys, section, key, spec):
+        # numpy would reject it only once the generator is built, naming no key.
+        calls = []
+        monkeypatch.setattr(cli, "build_problem", lambda *args: calls.append(args))
+        spec = copy.deepcopy(spec)
+        spec[section][key] = -1
+        assert cli.main(["run", write_spec(tmp_path, spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} must be a non-negative integer, got -1" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["run", "diagnose", "check"])
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys, command):
+        target = "projections" if command == "check" else write_spec(tmp_path, paper_spec())
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, target, "--seed", "-1"])
+        assert info.value.code == 2
+        assert ("argument --seed: must be a non-negative integer, got '-1'"
+                in capsys.readouterr().err)
 
     def test_integral_values_are_integers(self, tmp_path):
         spec = paper_spec(m=20)
@@ -443,12 +471,10 @@ PUBLIC_METHODS = {
     "Deflator": {
         "adapted_initial_guess": ["x0", "b"],
         "correct_iterate": ["x_hat", "b"],
-        "correct_two_sided_iterate": ["x_bar", "b"],
         "dense_deflated_matrix": [],
         "initial_correction": ["x_prev", "b"],
         "project_residual": ["v"],
         "project_solution": ["v"],
-        "two_sided_rhs": ["b"],
     },
     "LinearOperator": {"apply": ["v"], "verify": []},
 }

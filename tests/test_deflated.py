@@ -9,12 +9,12 @@ from dkrylov.analysis import breakdown_initial_guess
 from dkrylov.checks import (adapted_guess_run, curve_deviation, equivalence_instances,
                             equivalence_suite)
 from dkrylov.deflated import MethodVariant, run_method, run_methods
-from dkrylov.operators import dense_operator
+from dkrylov.operators import deflated_operator, dense_operator
 from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
-                              eigenvector_basis, symmetric_indefinite_problem,
+                              eigenvector_basis, perturb_basis, symmetric_indefinite_problem,
                               toy_breakdown_problem)
 from dkrylov.projection import Deflator, GalerkinMode
-from dkrylov.solvers import SolveConfig, SolveStatus, gmres_solve
+from dkrylov.solvers import SolveConfig, SolveStatus, gmres_solve, minres_solve
 
 
 def hermitian_instance(seed, n=40, k=4):
@@ -158,7 +158,8 @@ class TestResidualIdentity:
             rep = result.deflated_report
             d = result.deflator
             if variant is MethodVariant.DEFLATED_MINRES:
-                corrected = [d.correct_two_sided_iterate(x, b) for x in rep.iterates]
+                corrected = [d.correct_iterate(d.adapted_initial_guess(x, b), b)
+                             for x in rep.iterates]
             else:
                 corrected = [d.correct_iterate(x, b) for x in rep.iterates]
             explicit = np.array([np.linalg.norm(b - a @ x) for x in corrected])
@@ -496,6 +497,56 @@ class TestRunMethods:
                                             for r in alone) == 2
         assert counts["project_residual"] == sum(r.deflator.apply_counts["project_residual"]
                                                  for r in alone)
+
+
+def perturbed_paper_system():
+    p = symmetric_indefinite_problem(20, seed=0)
+    u = perturb_basis(eigenvector_basis(p, [1, 2, 3, 21, 22, 23]), 1e-3, seed=4)
+    return p.a, p.b, u
+
+
+class TestTwoSidedRule:
+    """Every two-sided recipe runs from x0 on P (b - A xi) + (P A P) x0, so
+    its residual starts at the projected residual of its guess xi."""
+
+    @pytest.mark.parametrize("variant", MINIMAL_RESIDUAL_VARIANTS[1:5],
+                             ids=lambda v: v.value)
+    def test_initial_residual_is_the_projected_residual_of_the_guess(self, variant,
+                                                                      monkeypatch):
+        a, b, u = perturbed_paper_system()
+        x0 = np.random.default_rng(7).standard_normal(len(b))
+        runs = []
+
+        def recorded(op, rhs, x_start, cfg):
+            runs.append((op, rhs, x_start))
+            return minres_solve(op, rhs, x_start, cfg)
+
+        monkeypatch.setattr(deflated, "minres_solve", recorded)
+        report = run_method(variant, a, b, u, x0)
+        (op, rhs, x_start), = runs
+        d = report.deflator
+        assert op.label == "two-sided-projected"
+        assert same(x_start, x0)
+        adapted = variant.value.startswith("deflated-minres")
+        xi = d.adapted_initial_guess(x0, b) if adapted else x0
+        expected = d.project_residual(b - a @ xi)
+        scale = np.linalg.norm(b) + np.linalg.norm(a, 2) * np.linalg.norm(xi)
+        assert np.linalg.norm(rhs - op.apply(x0) - expected) <= 1e-14 * scale
+        assert (abs(report.deflated_report.residual_norms[0] - np.linalg.norm(expected))
+                <= 1e-14 * scale)
+
+    def test_deflated_minres_from_zero_is_minres_on_the_rule(self):
+        a, b, u = perturbed_paper_system()
+        report = run_method(MethodVariant.DEFLATED_MINRES, a, b, u)
+        d = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING)
+        op = deflated_operator(d, "two_sided")
+        zero = np.zeros(len(b))
+        xi = d.adapted_initial_guess(zero, b)
+        rhs = d.project_residual(b - d.a_product(xi)) + op.apply(zero)
+        alone = minres_solve(op, rhs, zero, SolveConfig())
+        assert same(report.deflated_report, alone)
+        assert same(report.corrected_iterate,
+                    d.correct_iterate(d.adapted_initial_guess(alone.final_iterate, b), b))
 
 
 class TestMissingBasis:

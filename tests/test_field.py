@@ -188,10 +188,15 @@ class TestMixedInput:
         d = Deflator(p.a, u, MR)
         assert d.a.dtype == np.float64
         v, b = self.vectors(p.dim)
-        for method in (d.project_residual, d.project_solution, d.two_sided_rhs):
+        # The two-sided right-hand side at x0 = 0, P (b - A x~0).
+        two_sided_rhs = lambda b: d.project_residual(  # noqa: E731
+            b - d.a_product(d.adapted_initial_guess(np.zeros(p.dim), b)))
+        for method in (d.project_residual, d.project_solution, two_sided_rhs):
             self.assert_split(method, v)
-        for method in (d.correct_iterate, d.correct_two_sided_iterate, d.adapted_initial_guess):
+        for method in (d.correct_iterate, d.adapted_initial_guess):
             self.assert_split(method, v, b)
+        # The two-sided correction, correct_iterate of the adapted iterate.
+        self.assert_split(lambda x, b: d.correct_iterate(d.adapted_initial_guess(x, b), b), v, b)
         p, u = spd_system(40)
         d = Deflator(p.a, u, OR)
         v, b = self.vectors(p.dim)

@@ -63,6 +63,15 @@ class TestDenseOperator:
         assert dense_operator(nearly).hermitian is True
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("dim", [0, -1, True, False, 2.5, 2.0, "2", None])
+    def test_rejects_a_dimension_that_is_not_a_count(self, dim):
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            LinearOperator(dim, lambda v: v)
+
+    def test_numpy_integer_dimension_is_accepted(self):
+        op = LinearOperator(np.int64(3), lambda v: v)
+        assert op.dim == 3 and type(op.dim) is int
+
     def test_verify_catches_wrong_flag(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         op = LinearOperator(2, lambda v: a @ v, hermitian=True)

@@ -388,14 +388,16 @@ class TestCorrections:
         b = rng.standard_normal(12)
         d = Deflator(a, u, MR)
         x = np.linalg.solve(a, b)
-        corrected = d.correct_two_sided_iterate(x, b)
+        # The two-sided correction: correct_iterate of the adapted iterate.
+        corrected = d.correct_iterate(d.adapted_initial_guess(x, b), b)
         assert np.linalg.norm(a @ corrected - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_two_sided_correction_zero_inputs(self):
         p = toy_breakdown_problem()
         d = Deflator(p.a, p.u, MR)
+        zero = np.zeros(2)
         np.testing.assert_allclose(
-            d.correct_two_sided_iterate(np.zeros(2), np.zeros(2)), np.zeros(2), atol=1e-15)
+            d.correct_iterate(d.adapted_initial_guess(zero, zero), zero), zero, atol=1e-15)
 
     @pytest.mark.parametrize("field", [np.float64, np.complex128])
     def test_zero_iterate_is_corrected_without_a_product(self, field):
@@ -469,7 +471,8 @@ class TestCorrections:
     def test_no_correction_multiplies_by_a(self, mode):
         # Set-up is the last product with A that a correction or the
         # solution projector needs: vectors, blocks, the initial and the
-        # two-sided corrections and project_solution make none.
+        # two-sided corrections (the latter through the adapted guess) and
+        # project_solution make none.
         p = symmetric_indefinite_problem(30, seed=0) if mode is MR else clustered_spd_problem(60)
         d = Deflator(p.a, eigenvector_basis(p, [1, 2, 3]), mode)
         calls = counted_products(d)
@@ -482,7 +485,7 @@ class TestCorrections:
         if mode is OR:
             d.initial_correction(x_hat, p.b)
         else:
-            d.correct_two_sided_iterate(x_hat, p.b)
+            d.correct_iterate(d.adapted_initial_guess(x_hat, p.b), p.b)
         assert calls == []
         assert d.apply_counts["corrections"] == 1 + 4 + 2 + 1
 
@@ -546,7 +549,8 @@ class TestCorrections:
 
     def test_adapted_guess_residual_identity(self):
         # The adapted guess makes the left-projected initial residual equal
-        # the two-sided one for every starting vector.
+        # the two-sided one, P (b - A w E^-1 u^H b) - P A P x0, for every
+        # starting vector.
         rng = np.random.default_rng(18)
         g = rng.standard_normal((14, 14))
         a = 0.5 * (g + g.T) + np.diag(rng.uniform(1, 2, 14))
@@ -556,7 +560,8 @@ class TestCorrections:
         d = Deflator(a, u, MR)
         adapted = d.adapted_initial_guess(x0, b)
         lhs = d.project_residual(b - a @ adapted)
-        rhs = d.two_sided_rhs(b) - d.project_residual(a @ d.project_residual(x0))
+        coarse = d.w @ np.linalg.solve(d.coupling, u.T @ b)
+        rhs = d.project_residual(b - a @ coarse) - d.project_residual(a @ d.project_residual(x0))
         np.testing.assert_allclose(lhs, rhs, atol=1e-11 * np.linalg.norm(b))
 
     def test_adapted_guess_trivial_cases(self):
@@ -578,11 +583,7 @@ class TestCorrections:
         d_or = Deflator(a, u, OR)
         d_mr = Deflator(a, u, MR)
         with pytest.raises(ModeMismatchError):
-            d_or.two_sided_rhs(np.zeros(8))
-        with pytest.raises(ModeMismatchError):
             d_or.adapted_initial_guess(np.zeros(8), np.zeros(8))
-        with pytest.raises(ModeMismatchError):
-            d_or.correct_two_sided_iterate(np.zeros(8), np.zeros(8))
         with pytest.raises(ModeMismatchError):
             d_mr.initial_correction(np.zeros(8), np.zeros(8))
 
@@ -597,7 +598,9 @@ class TestDeflatedRhs:
         p = symmetric_indefinite_problem(15, seed=2)
         u = eigenvector_basis(p, [1, 16])
         d = Deflator(p.a, u, MR)
-        np.testing.assert_allclose(d.two_sided_rhs(p.b), d.project_residual(p.b), atol=1e-12)
+        # The two-sided right-hand side at x0 = 0 is P (b - A x~0).
+        two_sided = d.project_residual(p.b - p.a @ d.adapted_initial_guess(np.zeros(p.dim), p.b))
+        np.testing.assert_allclose(two_sided, d.project_residual(p.b), atol=1e-12)
 
     def test_rhs_in_image_of_basis_projects_to_zero(self):
         rng = np.random.default_rng(20)

@@ -93,6 +93,12 @@ class TestSolveConfig:
         {"max_iterations": 3.0},
         {"max_iterations": True},
         {"max_iterations": "10"},
+        {"residual_tolerance": "1e-8"},
+        {"residual_tolerance": None},
+        {"residual_tolerance": 1e-8 + 0j},
+        {"record_history": "no"},
+        {"record_history": 0},
+        {"record_history": None},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -100,6 +106,9 @@ class TestSolveConfig:
 
     def test_numpy_integer_steps_are_accepted(self):
         assert SolveConfig(max_iterations=np.int64(7)).max_iterations == 7
+
+    def test_numpy_bool_history_is_accepted(self):
+        assert not SolveConfig(record_history=np.bool_(False)).record_history
 
 
 class TestCg:
@@ -423,8 +432,10 @@ class TestMinres:
         a, b, u, x0 = list(equivalence_instances(seed=20, instances=4))[3]
         d = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING)
         rank = a.shape[0] - u.shape[1]
-        rep = minres_solve(deflated_operator(d, "two_sided"), d.two_sided_rhs(b), x0,
-                           SolveConfig(residual_tolerance=1e-10, max_iterations=400))
+        op = deflated_operator(d, "two_sided")
+        # The two-sided right-hand side of deflated MINRES from x0.
+        rhs = d.project_residual(b - a @ d.adapted_initial_guess(x0, b)) + op.apply(x0)
+        rep = minres_solve(op, rhs, x0, SolveConfig(residual_tolerance=1e-10, max_iterations=400))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations_used <= rank
         drift = rep.diagnostics["basis_orthogonality_drift"]
