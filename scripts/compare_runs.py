@@ -22,6 +22,10 @@ Both run all eight variants under ``SolveConfig()`` on these systems:
   within tolerance but not bit for bit, so set-up takes the Frobenius
   Hermitian test, the symmetrized HPD factor and the full product ``a @ x``
   that no other default system reaches;
+* ``dominant-1e5``: Q diag(lam) Q^T, ``Q = linalg.random_orthogonal(200,
+  300)``, b drawn from ``default_rng(300)``, lam = linspace(1, 2, 195)
+  followed by 1e5 (1..5), deflating the last five columns of Q, so the
+  projected operators are far smaller than A;
 * ``checks.equivalence_instances(SEED, COUNT)`` for each ``--equivalence``
   (default ``0:6``), complex Hermitian systems;
 * with ``--ill-conditioned``, 18 real symmetric systems Q diag(lam) Q^T,
@@ -154,7 +158,7 @@ def _exhausted(name, spd, tolerance):
 
 def _systems(equivalence, ill_conditioned):
     """(name, a, b, u, x0, SolveConfig settings) of every compared system."""
-    from dkrylov import checks, problems
+    from dkrylov import checks, linalg, problems
 
     for m in (50, 200):
         p = problems.symmetric_indefinite_problem(m, seed=0)
@@ -166,6 +170,9 @@ def _systems(equivalence, ill_conditioned):
     g = np.random.default_rng(7).standard_normal((200, 200))
     yield ("inexact-hermitian-200", p.a + 1e-16 * (g - g.T), p.b,
            problems.eigenvector_basis(p, range(1, 6)), None, {})
+    lam = np.concatenate([np.linspace(1, 2, 195), 1e5 * np.arange(1, 6)])
+    yield _symmetric("dominant-1e5", linalg.random_orthogonal(200, 300), lam,
+                     np.random.default_rng(300).standard_normal(200), 1e-10)
     for seed, count in equivalence:
         for i, (a, b, u, x0) in enumerate(checks.equivalence_instances(seed, count)):
             yield f"equivalence-{seed}-{i}", a, b, u, x0, {}

@@ -85,22 +85,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _seed(value) -> int:
-    # numpy rejects a negative seed only when the generator is built, in
-    # words that name no key.
-    seed = _integer(value)
-    if seed < 0:
-        raise ValueError(f"negative seed: {value!r}")
-    return seed
-
-
-def _seed_option(text) -> int:
-    try:
-        return _seed(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be {_SEED[1]}, got {text!r}") from None
-
-
 def _finite(value) -> float:
     # float() would accept True, "nan" and "inf".
     number = float(value)
@@ -109,13 +93,38 @@ def _finite(value) -> float:
     return number
 
 
+def _where(parse, holds):
+    """``parse``, rejecting a value of which ``holds`` is false."""
+    def check(value):
+        number = parse(value)
+        if not holds(number):
+            raise ValueError(f"out of range: {value!r}")
+        return number
+    return check
+
+
+def _option(kind):
+    """The argparse type of a ``(function, what it expects)`` pair: a value it
+    rejects exits 2 with a message that names the option."""
+    def parse(text):
+        try:
+            return kind[0](text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {kind[1]}, got {text!r}") from None
+    return parse
+
+
 def _choice(*names):
     return (lambda value: names[names.index(str(value).strip().lower())],
             f"one of {', '.join(names)}")
 
 
 _INT = (_integer, "an integer")
-_SEED = (_seed, "a non-negative integer")
+# numpy rejects a negative seed only when the generator is built, in words
+# that name no key.
+_SEED = (_where(_integer, lambda n: n >= 0), "a non-negative integer")
+_COUNT = (_where(_integer, lambda n: n >= 1), "an integer of at least 1")
+_POSITIVE = (_where(_finite, lambda x: x > 0), "a positive finite number")
 _FLOAT = (_finite, "a finite number")
 _TEXT = (str, "a string")
 _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
@@ -448,20 +457,20 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("spec_file")
     p_run.add_argument("--output", help="output file (defaults to the spec's [output] path or stdout)")
     p_run.add_argument("--format", choices=("csv", "json"))
-    p_run.add_argument("--seed", type=_seed_option, help="override the problem seed")
-    p_run.add_argument("--tol", type=float, help="override the residual tolerance")
-    p_run.add_argument("--maxit", type=int, help="override the iteration limit")
+    p_run.add_argument("--seed", type=_option(_SEED), help="override the problem seed")
+    p_run.add_argument("--tol", type=_option(_POSITIVE), help="override the residual tolerance")
+    p_run.add_argument("--maxit", type=_option(_COUNT), help="override the iteration limit")
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run a property suite on seeded random instances")
     p_check.add_argument("suite", choices=SUITES)
-    p_check.add_argument("--seed", type=_seed_option, default=0)
+    p_check.add_argument("--seed", type=_option(_SEED), default=0)
     p_check.add_argument("--output")
     p_check.set_defaults(func=cmd_check)
 
     p_diag = sub.add_parser("diagnose", help="report the breakdown geometry of a problem/basis pair")
     p_diag.add_argument("spec_file")
-    p_diag.add_argument("--seed", type=_seed_option, help="override the problem seed")
+    p_diag.add_argument("--seed", type=_option(_SEED), help="override the problem seed")
     p_diag.add_argument("--output")
     p_diag.set_defaults(func=cmd_diagnose)
     return parser

@@ -36,11 +36,13 @@ through that map; the ``RMINRES_*`` pair is the two-sided recipe of the
 given guess.
 
 :func:`run_methods` runs a list of variants on one system and builds each
-shared ingredient once: one :class:`Deflator` per Galerkin mode, one
-verified projected operator per mode and system, and one iteration per
-distinct recipe.  So each pair above shares one iteration, each equivalence
-made literal, and a shared deflator's ``apply_counts`` total the whole run.
-:func:`run_method` is :func:`run_methods` of one variant.
+shared ingredient once: one :class:`Deflator` per Galerkin mode and one
+iteration per distinct recipe.  So each pair above shares one iteration,
+each equivalence made literal, and a shared deflator's ``apply_counts``
+total the whole run.  A projected operator is built per iteration, at no
+cost: it is linear by construction and takes its Hermitian flag from the
+deflator's one verdict on A.  :func:`run_method` is :func:`run_methods` of
+one variant.
 
 A breakdown of the underlying solver freezes the report at the last valid
 iterate; the correction formula is still applied so the (generally wrong)
@@ -135,11 +137,12 @@ def run_methods(variants, a, b, u=None, x0=None,
                 cfg: SolveConfig | None = None) -> list[DualReport]:
     """Run method variants on one system, in order, sharing what they share.
 
-    Variants of one Galerkin mode share one :class:`Deflator`, variants of one
-    projected operator share one verified ``deflated_operator``, and variants
+    Variants of one Galerkin mode share one :class:`Deflator`, and variants
     of one recipe (solver, mode, system and initial-guess map) share one
-    iteration.  Two pairs do, each one of the paper's equivalences made
-    literal (module docstring): ``RMINRES_EXPLICIT`` and
+    iteration, on a ``deflated_operator`` built for it, which keeps the
+    operator contract of :mod:`dkrylov.operators` by construction and so is
+    not probed.  Two pairs share one, each one of the paper's equivalences
+    made literal (module docstring): ``RMINRES_EXPLICIT`` and
     ``RMINRES_DEFLATION_ONLY``, and ``DEFLATED_MINRES`` and
     ``DEFLATED_MINRES_ADAPTED_GUESS``, which alone records
     ``diagnostics["adapted_initial_guess"]``.  A shared iteration records its
@@ -198,7 +201,7 @@ def run_methods(variants, a, b, u=None, x0=None,
         if recipe.solver == "minres" and not d.a_hermitian:
             raise ValueError(f"{variant.value} requires a Hermitian matrix")
         rep, b_vec, x_given = once(
-            key, lambda: _deflated_solve(recipe, d, b, x0, solve_cfg, once, solve))
+            key, lambda: _deflated_solve(recipe, d, b, x0, solve_cfg, solve))
         results.append(_correct(variant, recipe, d, _own_copy(rep, keep_iterates),
                                 b_vec, x_given, cfg))
     return results
@@ -226,15 +229,14 @@ def _own_copy(rep: SolveReport, keep_iterates: bool) -> SolveReport:
                    iterates=list(rep.iterates) if keep else None, diagnostics=diagnostics)
 
 
-def _deflated_solve(recipe, d, b, x0, cfg, once, solve):
+def _deflated_solve(recipe, d, b, x0, cfg, solve):
     """The iteration of a deflated recipe with the system it ran on:
-    ``(report, b, x0 as given)``; the projected operator is verified
-    ``once`` per (mode, system)."""
+    ``(report, b, x0 as given)``."""
     b = linalg.as_vector(b, d.dim)
     x0 = x_given = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
     if recipe.guess == "shifted":
         x0 = d.initial_correction(x0, b)
-    op = once((d.mode, recipe.system), lambda: deflated_operator(d, recipe.system))
+    op = deflated_operator(d, recipe.system)
     if recipe.system == "left":
         rhs = d.project_residual(b)
     else:

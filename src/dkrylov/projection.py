@@ -206,12 +206,14 @@ class Deflator:
         """The adapted guess P x0 + w E^-1 u^H b, which makes the left-projected
         run from it match the two-sided run from ``x0``.
 
-        Assumes a Hermitian ``a``, the only case the two-sided system is
-        built for: then w^H = u^H a, and :meth:`correct_iterate` of this map
-        of a two-sided iterate is its two-sided correction.  For any other
-        ``a`` it is not.
+        Needs a Hermitian ``a``, the only case the two-sided system is built
+        for: then w^H = u^H a, and :meth:`correct_iterate` of this map of a
+        two-sided iterate is its two-sided correction.  For any other ``a``
+        it is not, so it raises ValueError.
         """
         self._require_minimizing("adapted_initial_guess")
+        if not self.a_hermitian:
+            raise ValueError("adapted_initial_guess requires a Hermitian matrix")
         x0 = linalg.as_vector(x0, self.dim)
         b = linalg.as_vector(b, self.dim)
         return self.project_residual(x0) + self.w @ self._solve_coupling(self.u.conj().T @ b)

@@ -17,7 +17,6 @@ from dkrylov import cli, deflated
 from dkrylov.deflated import run_methods
 from dkrylov import io as dkio
 from dkrylov import linalg
-from dkrylov.operators import LinearOperator
 from dkrylov.problems import eigenvector_basis, perturb_basis, symmetric_indefinite_problem
 from dkrylov.projection import Deflator
 
@@ -223,6 +222,31 @@ class TestRun:
         assert ("argument --seed: must be a non-negative integer, got '-1'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("option, value, expected", [
+        ("--tol", "0", "a positive finite number"),
+        ("--tol", "-0.001", "a positive finite number"),
+        ("--tol", "nan", "a positive finite number"),
+        ("--tol", "inf", "a positive finite number"),
+        ("--tol", "small", "a positive finite number"),
+        ("--maxit", "0", "an integer of at least 1"),
+        ("--maxit", "-3", "an integer of at least 1"),
+        ("--maxit", "2.5", "an integer of at least 1"),
+        ("--maxit", "many", "an integer of at least 1"),
+    ])
+    def test_bad_solver_option_is_named(self, tmp_path, monkeypatch, capsys, option, value,
+                                        expected):
+        # SolveConfig would reject it too, but under a [solver] section the
+        # command line never wrote.
+        calls = []
+        monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", write_spec(tmp_path, paper_spec()), option, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be {expected}, got {value!r}" in err
+        assert "[solver]" not in err
+        assert calls == []
+
     def test_integral_values_are_integers(self, tmp_path):
         spec = paper_spec(m=20)
         spec["problem"]["m"] = 20.0
@@ -249,20 +273,13 @@ class TestRun:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def verify(op, *args):
-            counts["verify " + op.label] += 1
-            return original_verify(op, *args)
-
-        original_verify = LinearOperator.verify
-        monkeypatch.setattr(LinearOperator, "verify", verify)
         monkeypatch.setattr(Deflator, "__init__", counting("Deflator", Deflator.__init__))
         for name in ("cg_solve", "minres_solve", "gmres_solve"):
             monkeypatch.setattr(deflated, name, counting(name, getattr(deflated, name)))
         code, payload = run_json(tmp_path, paper_spec())
         assert code == 0
         assert [r["variant"] for r in payload["results"]] == SIX_VARIANTS
-        assert counts == {"Deflator": 1, "verify two-sided-projected": 1,
-                          "verify left-projected": 1, "minres_solve": 3, "gmres_solve": 1}
+        assert counts == {"Deflator": 1, "minres_solve": 3, "gmres_solve": 1}
 
     def test_failed_write_exits_3(self, tmp_path, capsys):
         # the destination's directory exists, but the destination is a directory
@@ -476,7 +493,7 @@ PUBLIC_METHODS = {
         "project_residual": ["v"],
         "project_solution": ["v"],
     },
-    "LinearOperator": {"apply": ["v"], "verify": []},
+    "LinearOperator": {"apply": ["v"]},
 }
 
 

@@ -211,10 +211,12 @@ class TestMixedInput:
         self.assert_split(op.apply, v)
         a_product = linalg.SquareMatrix(p.a).product
         np.testing.assert_array_equal(op.apply(v), a_product(v.real) + 1j * a_product(v.imag))
-        for kind in ("left", "two_sided"):
-            op = deflated_operator(Deflator(p.a, u, MR), kind)
+        q, w = spd_system(40)
+        for d, kind in ((Deflator(p.a, u, MR), "left"), (Deflator(p.a, u, MR), "two_sided"),
+                        (Deflator(q.a, w, OR), "left")):
+            op = deflated_operator(d, kind)
             assert op.dtype == np.float64
-            self.assert_split(op.apply, v)
+            self.assert_split(op.apply, self.vectors(d.dim, 1)[0])
 
     def test_mixed_run_is_complex_and_solves(self):
         p, u = paper_system(20)

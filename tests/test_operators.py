@@ -72,12 +72,6 @@ class TestDenseOperator:
         op = LinearOperator(np.int64(3), lambda v: v)
         assert op.dim == 3 and type(op.dim) is int
 
-    def test_verify_catches_wrong_flag(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        op = LinearOperator(2, lambda v: a @ v, hermitian=True)
-        with pytest.raises(ValueError):
-            op.verify()
-
 
 class TestDeflatedOperator:
     def setup_method(self):
@@ -144,7 +138,9 @@ class TestDeflatedOperator:
         d = Deflator(a, rng.standard_normal((10, 2)), GalerkinMode.RESIDUAL_ORTHOGONAL)
         op = deflated_operator(d, "left")
         assert op.hermitian is True
-        op.verify()
+        x, y = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
+        sym = abs(linalg.inner(op.apply(x), y) - linalg.inner(x, op.apply(y)))
+        assert sym <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 def krylov_basis(op, v, n):

@@ -587,6 +587,15 @@ class TestCorrections:
         with pytest.raises(ModeMismatchError):
             d_mr.initial_correction(np.zeros(8), np.zeros(8))
 
+    def test_adapted_guess_rejects_a_non_hermitian_matrix(self):
+        # w^H = u^H a holds only for a Hermitian a, so the map is refused.
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((8, 8)) + 8 * np.eye(8)
+        d = Deflator(a, rng.standard_normal((8, 2)), MR)
+        assert not d.a_hermitian
+        with pytest.raises(ValueError, match="requires a Hermitian matrix"):
+            d.adapted_initial_guess(np.zeros(8), rng.standard_normal(8))
+
 
 class TestDeflatedRhs:
     def test_toy_projected_rhs(self):
