@@ -62,15 +62,18 @@ next to them those that ``Deflator`` set-up forms from the matrix directly
 (:func:`product_counter`).  Exits 1 when a status, an iteration count or a
 raised exception differs, 0 otherwise.
 
-With ``--cli`` it compares ``dkrylov run`` instead: each checkout runs the
-paper's spec (all six MINRES and GMRES variants, deflating ``1-5,m+1..m+5``)
-at m=50 and m=200, each with ``x0 = zero`` and ``x0 = random``, the
-breakdown spec (m=50, ``breakdown_indices 1-5``, ``x0 = breakdown-guess``)
-and the ``clustered-spd`` generator's default problem (n=80) with ``cg`` and
-``deflated-cg``, deflating ``1-5``, each under ``--format json`` and
-``--format csv``.  One line per run says
-whether the exit code, standard output and standard error are equal byte for
-byte; it exits 1 unless all of them are.
+With ``--cli`` it compares the command line instead.  Each checkout runs
+``dkrylov run`` on the paper's spec (all six MINRES and GMRES variants,
+deflating ``1-5,m+1..m+5``) at m=50 and m=200, each with ``x0 = zero`` and
+``x0 = random``, the breakdown spec (m=50, ``breakdown_indices 1-5``,
+``x0 = breakdown-guess``) and the ``clustered-spd`` generator's default
+problem (n=80) with ``cg`` and ``deflated-cg``, deflating ``1-5``, each
+under ``--format json`` and ``--format csv``; ``dkrylov diagnose`` on the
+m=50 paper problem with ``eigen_indices 1-5,51-55`` and with
+``breakdown_indices 1-5``; and ``dkrylov check SUITE --seed 0`` for each of
+the five suites (:data:`CHECK_SUITES`).  One line per command says whether
+the exit code, standard output and standard error are equal byte for byte;
+it exits 1 unless all of them are.
 
 With ``--time`` it times the two checkouts with the benchmark itself.  Each
 run is one fresh process of the checkout's own ``BENCHMARK.json`` command,
@@ -367,6 +370,10 @@ SIX_VARIANTS = ["minres", "rminres-explicit", "rminres-deflation-only", "deflate
                 "deflated-minres-adapted-guess", "deflated-gmres"]
 
 
+#: The ``dkrylov check`` suites that ``--cli`` compares, every one of them.
+CHECK_SUITES = ("projections", "equivalence", "spectrum", "breakdown", "status")
+
+
 def _cli_specs():
     """(name, spec) of every ``dkrylov run`` that ``--cli`` compares."""
     for m in (50, 200):
@@ -385,29 +392,47 @@ def _cli_specs():
         "run": {"variants": ["cg", "deflated-cg"]}}
 
 
+def _cli_commands(tmp: Path):
+    """(name, arguments) of every ``dkrylov`` command that ``--cli`` compares,
+    writing the specs they read to ``tmp``: each ``run`` spec in both
+    formats, ``diagnose`` on the m=50 paper problem with its eigenvector and
+    its breakdown-prone basis, and every check suite at seed 0."""
+    def spec_file(name, spec):
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(spec), encoding="ascii")
+        return str(path)
+
+    for name, spec in _cli_specs():
+        path = spec_file(name, spec)
+        for fmt in ("json", "csv"):
+            yield f"run {name} {fmt}", ["run", path, "--format", fmt]
+    for name, deflation in (("eigen-m50", {"eigen_indices": "1-5,51-55"}),
+                            ("breakdown-m50", {"breakdown_indices": "1-5"})):
+        yield f"diagnose {name}", ["diagnose", spec_file(f"diagnose-{name}", {
+            "problem": {"generator": "symmetric-indefinite", "m": 50}, "deflation": deflation})]
+    for suite in CHECK_SUITES:
+        yield f"check {suite}", ["check", suite, "--seed", "0"]
+
+
 def compare_cli(other: Path) -> int:
-    """Run every ``--cli`` spec in both checkouts; 1 unless all outputs agree."""
+    """Run every ``--cli`` command in both checkouts; 1 unless all outputs agree."""
     differ = 0
     print("BLAS threads: 1")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec in _cli_specs():
-            path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(spec), encoding="ascii")
-            for fmt in ("json", "csv"):
-                runs = [subprocess.run([sys.executable, "-c", _CLI, str(checkout / "src"),
-                                        "run", str(path), "--format", fmt],
-                                       capture_output=True, env=_one_thread_env())
-                        for checkout in (HERE_CHECKOUT, other.resolve())]
-                this, that = runs
-                same = {"exit code": this.returncode == that.returncode,
-                        "stdout": this.stdout == that.stdout,
-                        "stderr": this.stderr == that.stderr}
-                differ += not all(same.values())
-                verdict = ("equal" if all(same.values()) else
-                           "DIFFER in " + ", ".join(k for k, v in same.items() if not v))
-                print(f"{name:<20} {fmt:<5} exit {this.returncode}/{that.returncode} "
-                      f"stdout {len(this.stdout)} bytes  {verdict}")
-    print(f"{differ} of the dkrylov runs differ")
+        for name, arguments in _cli_commands(Path(tmp)):
+            this, that = [subprocess.run([sys.executable, "-c", _CLI, str(checkout / "src"),
+                                          *arguments],
+                                         capture_output=True, env=_one_thread_env())
+                          for checkout in (HERE_CHECKOUT, other.resolve())]
+            same = {"exit code": this.returncode == that.returncode,
+                    "stdout": this.stdout == that.stdout,
+                    "stderr": this.stderr == that.stderr}
+            differ += not all(same.values())
+            verdict = ("equal" if all(same.values()) else
+                       "DIFFER in " + ", ".join(k for k, v in same.items() if not v))
+            print(f"{name:<32} exit {this.returncode}/{that.returncode} "
+                  f"stdout {len(this.stdout)} bytes  {verdict}")
+    print(f"{differ} of the dkrylov commands differ")
     return 1 if differ else 0
 
 
@@ -505,7 +530,8 @@ def main(argv=None) -> int:
                         help="also compare the 22 ill-conditioned and exhausted real "
                              "symmetric systems")
     parser.add_argument("--cli", action="store_true",
-                        help="compare dkrylov run output byte for byte instead")
+                        help="compare dkrylov run, diagnose and check output byte for "
+                             "byte instead")
     parser.add_argument("--time", action="store_true",
                         help="run both checkouts' benchmark in alternating pairs instead")
     parser.add_argument("--collect", nargs=2, metavar=("CHECKOUT", "OUT"),

@@ -1,9 +1,8 @@
 """Deflated and augmented Krylov subspace solvers with breakdown diagnostics."""
 
 from .analysis import (BreakdownDiagnosis, GuessInvalidError, NotInvariantError,
-                       SpectrumCheck, VerificationFailedError,
-                       breakdown_initial_guess, check_deflated_spectrum,
-                       diagnose_breakdown)
+                       SpectrumCheck, breakdown_initial_guess,
+                       check_deflated_spectrum, diagnose_breakdown)
 from .deflated import DualReport, MethodVariant, run_method
 from .linalg import SingularMatrixError, principal_angles
 from .operators import LinearOperator, deflated_operator, dense_operator
@@ -18,11 +17,10 @@ from .solvers import (IndefiniteOperatorError, SolveConfig, SolveReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakdownDiagnosis", "Deflator", "DualReport", "GalerkinMode",
-    "GuessInvalidError", "IndefiniteOperatorError", "LinearOperator",
-    "MethodVariant", "ModeMismatchError", "NotInvariantError",
-    "SingularCouplingError", "SingularMatrixError", "SolveConfig", "SolveReport",
-    "SolveStatus", "SpectrumCheck", "TestProblem", "VerificationFailedError",
+    "BreakdownDiagnosis", "Deflator", "DualReport", "GalerkinMode", "GuessInvalidError",
+    "IndefiniteOperatorError", "LinearOperator", "MethodVariant", "ModeMismatchError",
+    "NotInvariantError", "SingularCouplingError", "SingularMatrixError", "SolveConfig",
+    "SolveReport", "SolveStatus", "SpectrumCheck", "TestProblem",
     "breakdown_initial_guess", "breakdown_prone_basis", "cg_solve",
     "check_deflated_spectrum", "clustered_spd_problem", "deflated_operator",
     "dense_operator", "diagnose_breakdown", "eigenvector_basis", "gmres_solve",

@@ -37,24 +37,16 @@ class NotInvariantError(ValueError):
     """The basis does not span an invariant subspace to the required accuracy."""
 
 
-class VerificationFailedError(AssertionError):
-    """A spectral verification found eigenvalues outside the tolerance."""
-
-    def __init__(self, message, max_mismatch):
-        super().__init__(message)
-        self.max_mismatch = max_mismatch
-
-
 @dataclass(frozen=True)
 class BreakdownDiagnosis:
     """Geometry report for a (matrix, deflation basis) pair.
 
-    ``smallest_indicator`` is the smallest singular value of the coupling
-    between orthonormal bases of the deflation space and of its image; it
-    vanishes exactly when some deflation vector is orthogonal to the whole
-    image, the condition under which left-projected minimal-residual runs
-    can break down.  The largest principal angle between the two subspaces is
-    arccos of that value.
+    ``largest_principal_angle_rad`` is the largest principal angle between
+    the deflation space and its image, and ``smallest_indicator`` its cosine,
+    the smallest singular value of the coupling between orthonormal bases of
+    the two.  The indicator vanishes exactly when some deflation vector is
+    orthogonal to the whole image, the condition under which left-projected
+    minimal-residual runs can break down.
     """
 
     intersection_nontrivial: bool
@@ -69,22 +61,22 @@ class BreakdownDiagnosis:
 def diagnose_breakdown(a, u) -> BreakdownDiagnosis:
     """Decide whether the deflation space intersects the orthogonal complement
     of its image under ``a``: whether the smallest indicator is below
-    INTERSECTION_THRESHOLD."""
+    INTERSECTION_THRESHOLD.
+
+    The angles come from :func:`linalg.principal_angles`, which keeps full
+    precision near zero, where an arccos of the indicator loses half of it.
+    An image of lower dimension than the basis meets that complement, so its
+    largest angle is pi/2.
+    """
     a = linalg.as_matrix(a)
     u = linalg.as_matrix(u)
     k = u.shape[1]
-    qu = scipy.linalg.orth(u)
-    if qu.shape[1] != k:
+    if scipy.linalg.orth(u).shape[1] != k:
         raise ValueError("deflation basis is rank deficient")
-    qau = scipy.linalg.orth(a @ u)
-    s = scipy.linalg.svd(qau.conj().T @ qu, compute_uv=False)
-    smallest = float(s.min()) if s.size else 0.0
-    angle = float(np.arccos(np.clip(smallest, 0.0, 1.0)))
-    return BreakdownDiagnosis(
-        intersection_nontrivial=smallest < INTERSECTION_THRESHOLD,
-        smallest_indicator=smallest,
-        largest_principal_angle_rad=angle,
-    )
+    angles = linalg.principal_angles(u, a @ u)
+    angle = float(angles[-1]) if len(angles) == k else np.pi / 2
+    indicator = float(np.cos(angle))
+    return BreakdownDiagnosis(indicator < INTERSECTION_THRESHOLD, indicator, angle)
 
 
 def breakdown_initial_guess(a, b, u, coefficients) -> np.ndarray:
@@ -143,8 +135,9 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode) -> SpectrumCheck:
     mode as :class:`Deflator` requires, and a basis spanning an exact
     invariant subspace; compares the spectrum of the deflator's dense
     left-projected matrix (as a multiset) against {0 with the basis
-    dimension's multiplicity} plus the non-deflated eigenvalues.  Raises
-    VerificationFailedError on mismatch beyond SPECTRUM_TOLERANCE * ||a||_2.
+    dimension's multiplicity} plus the non-deflated eigenvalues.  The check
+    passes when the largest mismatch is at most SPECTRUM_TOLERANCE * ||a||_2;
+    a failing one is reported, not raised.
     """
     a = linalg.as_matrix(a)
     u = linalg.as_matrix(u)
@@ -166,12 +159,7 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode) -> SpectrumCheck:
     remaining = _remove_matched(full, theta, tolerance)
     expected = np.sort(np.concatenate([np.zeros(k), remaining]))
     max_mismatch = float(np.max(np.abs(computed - expected)))
-    if max_mismatch > tolerance:
-        raise VerificationFailedError(
-            f"deflated spectrum mismatch {max_mismatch:.3e} exceeds {tolerance:.3e}",
-            max_mismatch,
-        )
-    return SpectrumCheck(computed, expected, max_mismatch, tolerance, True)
+    return SpectrumCheck(computed, expected, max_mismatch, tolerance, max_mismatch <= tolerance)
 
 
 def _hermitian_eigenvalues(a) -> np.ndarray:

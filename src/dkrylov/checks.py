@@ -13,12 +13,11 @@ import numpy as np
 from . import linalg
 from .analysis import (breakdown_initial_guess, check_deflated_spectrum,
                        diagnose_breakdown)
-from .deflated import DualReport, MethodVariant, run_method, run_methods
-from .operators import deflated_operator
+from .deflated import MethodVariant, run_method, run_methods
 from .problems import (breakdown_prone_basis, eigenvector_basis,
                        symmetric_indefinite_problem)
 from .projection import Deflator, GalerkinMode
-from .solvers import SolveConfig, SolveStatus, minres_solve
+from .solvers import SolveConfig, SolveStatus
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
@@ -94,6 +93,7 @@ def projection_suite(seed: int = 0) -> dict:
             d = Deflator(a, u, mode)
             v = _random_basis(rng, n, 1).ravel()
             y = _random_basis(rng, k, 1).ravel()
+            zero = np.zeros(n)
             anorm = linalg.spectral_norm(a)
             vnorm = linalg.vector_norm(v)
             scale = max(anorm * vnorm, 1.0)
@@ -109,11 +109,12 @@ def projection_suite(seed: int = 0) -> dict:
                   linalg.vector_norm(bu.conj().T @ pv)
                   / max(linalg.spectral_norm(bu) * vnorm, 1e-300))
 
-            qv = d.project_solution(v)
+            # The solution projector Q is the correction of b = 0.
+            qv = d.correct_iterate(v, zero)
             track("solution_projector_idempotent",
-                  linalg.vector_norm(d.project_solution(qv) - qv) / scale)
+                  linalg.vector_norm(d.correct_iterate(qv, zero) - qv) / scale)
             track("solution_projector_kills_basis",
-                  linalg.vector_norm(d.project_solution(u @ y))
+                  linalg.vector_norm(d.correct_iterate(u @ y, zero))
                   / max(linalg.spectral_norm(u) * linalg.vector_norm(y), 1e-300))
             track("solution_projector_range",
                   linalg.vector_norm(bu.conj().T @ (a @ qv))
@@ -154,7 +155,11 @@ def equivalence_suite(seed: int = 0, instances: int = 10) -> dict:
     """Curve equalities between the mathematically equivalent variants.
 
     ``adapted_guess_vs_two_sided`` compares the shared two-sided iteration,
-    as ``DEFLATED_MINRES_ADAPTED_GUESS`` reads it, with :func:`adapted_guess_run`.
+    as ``DEFLATED_MINRES_ADAPTED_GUESS`` reads it, with the other side of the
+    paper's equivalence run on its own: MINRES on the left-projected system
+    from the adapted guess x~0 that the variant reports.  That run is
+    ``RMINRES_DEFLATION_ONLY`` from x~0, the two-sided recipe of the given
+    guess, whose original curve is its deflated one.
 
     Each ``max_violation`` is the worst over the first ``instances`` systems
     of :func:`equivalence_instances`, so it can only grow with their count:
@@ -172,8 +177,8 @@ def equivalence_suite(seed: int = 0, instances: int = 10) -> dict:
 
         dev_explicit = max(dev_explicit, curve_deviation(r_exp, r_only))
         dev_gmres = max(dev_gmres, curve_deviation(r_gm, r_only))
-        reference = adapted_guess_run(Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING),
-                                      b, x0, cfg)
+        reference = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u,
+                               r_adap.diagnostics["adapted_initial_guess"], cfg)
         dev_adapted = max(dev_adapted, curve_deviation(r_adap, reference))
     checks = [
         _check("explicit_vs_deflation_only", dev_explicit, tol),
@@ -181,23 +186,6 @@ def equivalence_suite(seed: int = 0, instances: int = 10) -> dict:
         _check("adapted_guess_vs_two_sided", dev_adapted, tol),
     ]
     return _finish("equivalence", seed, checks)
-
-
-def adapted_guess_run(d: Deflator, b, x0=None, cfg: SolveConfig | None = None) -> DualReport:
-    """MINRES on the left-projected system from x~0 =
-    ``d.adapted_initial_guess(x0, b)``, run on its own: the side of the
-    paper's equivalence that ``DEFLATED_MINRES_ADAPTED_GUESS`` reads off the
-    two-sided iteration.  It is the two-sided recipe of the given guess
-    (the ``RMINRES_*`` pair of :mod:`dkrylov.deflated`) started at x~0, and
-    its original curve is its deflated one.
-    """
-    b = linalg.as_vector(b, d.dim)
-    x0 = d.adapted_initial_guess(np.zeros(d.dim) if x0 is None else x0, b)
-    op = deflated_operator(d, "two_sided")
-    rep = minres_solve(op, d.project_residual(b - d.a_product(x0)) + op.apply(x0), x0,
-                       cfg or SolveConfig())
-    return DualReport(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, rep,
-                      rep.residual_norms.copy(), d.correct_iterate(rep.final_iterate, b), 1, d)
 
 
 def curve_deviation(ra, rb) -> float:

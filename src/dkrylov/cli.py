@@ -15,8 +15,8 @@ tie keys together are checked while the experiment is built, before any
 solve.
 
 Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error or an
-output path in a missing directory, 3 construction/setup error or a failed
-write of the output.
+output path in a missing directory, 3 construction/setup error, a check
+suite that raised or a failed write of the output.
 """
 
 from __future__ import annotations
@@ -417,8 +417,10 @@ def cmd_check(args) -> int:
     try:
         _check_destination(args.output)
         report = run_suite(args.suite, args.seed)
-    except ValueError as exc:
+    except SpecError as exc:
         return _error(exc, 2)
+    except Exception as exc:  # a suite that raised
+        return _error(exc, 3)
     return (_emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
             or (0 if report["passed"] else 1))
 

@@ -2,12 +2,13 @@
 
 Given a square matrix ``a`` and a basis ``u`` of the augmentation space, the
 :class:`Deflator` Cholesky-factors the small coupling matrix once and then
-provides the projector actions and every iterate-correction formula the
-deflated solvers need.  Two Galerkin modes are supported: residual-orthogonal
-(test space equals the search space; requires a Hermitian positive definite
-matrix, so the coupling u^H a u is one too) and residual-minimizing (test
-space is the matrix image of the search space; works for any nonsingular
-matrix, whose coupling w^H w with w = a u is Hermitian positive definite).
+provides the residual projector and every iterate-correction formula the
+deflated solvers need; the solution projector is the correction of b = 0.
+Two Galerkin modes are supported: residual-orthogonal (test space equals the
+search space; requires a Hermitian positive definite matrix, so the coupling
+u^H a u is one too) and residual-minimizing (test space is the matrix image
+of the search space; works for any nonsingular matrix, whose coupling w^H w
+with w = a u is Hermitian positive definite).
 A correction sees ``a`` only through the k-by-n matrix B^H a of the test
 basis B, formed at set-up, so it costs O(n k) and no product with ``a``.
 """
@@ -145,7 +146,7 @@ class Deflator:
         potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
         self._coupling_lapack = functools.partial(potrs, c, lower=lower)
 
-        self.apply_counts = {"project_residual": 0, "project_solution": 0, "corrections": 0}
+        self.apply_counts = {"project_residual": 0, "corrections": 0}
 
     def _solve_coupling(self, rhs) -> np.ndarray:
         if rhs.dtype.kind == "c" and self.a.dtype.kind != "c":
@@ -155,7 +156,7 @@ class Deflator:
             raise ValueError(f"illegal value in argument {-info} of the coupling solve")
         return x
 
-    # -- projector actions -------------------------------------------------
+    # -- projector and corrections ------------------------------------------
 
     def project_residual(self, v) -> np.ndarray:
         """Residual projector: annihilates the image of the basis under ``a``.
@@ -167,21 +168,15 @@ class Deflator:
         self.apply_counts["project_residual"] += 1
         return v - self.w @ self._solve_coupling(self._bu_h @ v)
 
-    def project_solution(self, v) -> np.ndarray:
-        """Solution-space projector: annihilates the augmentation space itself,
-        as v - u E^-1 (B^H a) v from the stored B^H a, with no product."""
-        v = linalg.as_vector(v, self.dim)
-        self.apply_counts["project_solution"] += 1
-        return v - self.u @ self._solve_coupling(self._bu_h_a @ v)
-
-    # -- iterate corrections -------------------------------------------------
-
     def correct_iterate(self, x_hat, b) -> np.ndarray:
         """Map a left-projected-system iterate to an original-system iterate.
 
         The corrected iterate x = x_hat + u E^-1 (B^H b - (B^H a) x_hat)
         satisfies b - a x = projected residual of x_hat, so an exact deflated
         solution is mapped to the exact solution, with no product with ``a``.
+        At b = 0 it is the solution projector Q, which annihilates the
+        augmentation space and satisfies P a = a Q for the residual
+        projector P.
 
         ``x_hat`` may also be an n-by-m block of iterates, one per column,
         which is corrected as a whole: one product of B^H a with the block,

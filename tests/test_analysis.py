@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dkrylov import linalg
-from dkrylov.analysis import (GuessInvalidError, NotInvariantError, VerificationFailedError,
+from dkrylov.analysis import (INTERSECTION_THRESHOLD, GuessInvalidError, NotInvariantError,
                               _remove_matched, breakdown_initial_guess,
-                              check_deflated_spectrum)
-from dkrylov.problems import eigenvector_basis, symmetric_indefinite_problem
+                              check_deflated_spectrum, diagnose_breakdown)
+from dkrylov.problems import (breakdown_prone_basis, eigenvector_basis,
+                              symmetric_indefinite_problem)
 from dkrylov.projection import GalerkinMode
 
 OR = GalerkinMode.RESIDUAL_ORTHOGONAL
@@ -41,6 +42,36 @@ class TestBreakdownInitialGuess:
             breakdown_initial_guess(a, np.ones(4), u, [-1.0 / d, 1.0 / d])
 
 
+class TestDiagnoseBreakdown:
+    def test_invariant_basis_angle_is_at_roundoff(self):
+        # span(u) is invariant, so it equals span(a u): an arccos of the
+        # indicator would read about 1.5e-8 rad.
+        p = symmetric_indefinite_problem(50, seed=0)
+        diag = diagnose_breakdown(p.a, eigenvector_basis(p, [1, 2, 3, 4, 5, 51, 52, 53, 54, 55]))
+        assert diag.largest_principal_angle_rad <= 1e-12
+        assert not diag.intersection_nontrivial
+        assert diag.smallest_indicator == np.cos(diag.largest_principal_angle_rad)
+
+    def test_breakdown_prone_basis_stays_flagged(self):
+        p = symmetric_indefinite_problem(50, seed=0)
+        diag = diagnose_breakdown(p.a, breakdown_prone_basis(p, range(1, 6)))
+        assert diag.intersection_nontrivial
+        assert diag.smallest_indicator < INTERSECTION_THRESHOLD
+        assert diag.largest_principal_angle_deg == pytest.approx(90.0)
+
+    def test_image_of_lower_dimension_is_flagged(self):
+        # a annihilates e1, so span(e1, e2) meets the complement of its
+        # one-dimensional image span(e2).
+        a = np.diag([0.0, 1.0, 2.0, 3.0])
+        diag = diagnose_breakdown(a, np.eye(4)[:, :2])
+        assert diag.intersection_nontrivial
+        assert diag.largest_principal_angle_rad == np.pi / 2
+
+    def test_rank_deficient_basis_rejected(self):
+        with pytest.raises(ValueError, match="rank deficient"):
+            diagnose_breakdown(np.eye(4), np.ones((4, 2)))
+
+
 def deflation_pair(lam_small, mode, eps=5e-11):
     """Eigenvalues lam_small, 1, ..., 5 and the eigenvector of lam_small
     moved by eps toward that of 5: at eps = 5e-11 its residual, about 5 eps,
@@ -68,9 +99,9 @@ class TestCheckDeflatedSpectrum:
         # a - a u (u^H a u)^-1 u^H a moves the eigenvalue 5 by about
         # (5 eps)^2 / lam_small = 6e-7, above 1e-8 ||a||_2
         a, u, mode = deflation_pair(1e-13, OR)
-        with pytest.raises(VerificationFailedError) as info:
-            check_deflated_spectrum(a, u, mode)
-        assert info.value.max_mismatch > 1e-8 * 5.0
+        result = check_deflated_spectrum(a, u, mode)
+        assert not result.passed
+        assert result.max_mismatch > 1e-8 * 5.0
 
     def test_restriction_eigenvalue_missing_from_the_spectrum_rejected(self):
         # Through check_deflated_spectrum each restriction eigenvalue lies

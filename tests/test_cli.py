@@ -413,6 +413,27 @@ class TestCheck:
                             lambda name, seed: {"suite": name, "passed": False, "checks": []})
         assert cli.main(["check", "spectrum", "--output", str(tmp_path / "c.json")]) == 1
 
+    def test_suite_that_raises_exits_3(self, monkeypatch, tmp_path, capsys):
+        # Exit 2 is for a bad output path only; a suite's own ValueError is
+        # a failure of the run, as in ``run`` and ``diagnose``.
+        def raising(name, seed):
+            raise ValueError("deflated matrix is not Hermitian")
+        monkeypatch.setattr(cli, "run_suite", raising)
+        assert cli.main(["check", "spectrum", "--output", str(tmp_path / "c.json")]) == 3
+        assert "error: deflated matrix is not Hermitian" in capsys.readouterr().err
+
+    def test_spectrum_mismatch_is_reported(self, monkeypatch, tmp_path):
+        # A deflated matrix shifted by 1e-6 I moves every eigenvalue past the
+        # tolerance: the suite reports the failure instead of raising.
+        dense = Deflator.dense_deflated_matrix
+        monkeypatch.setattr(Deflator, "dense_deflated_matrix",
+                            lambda d: dense(d) + 1e-6 * np.eye(d.dim))
+        out = tmp_path / "c.json"
+        assert cli.main(["check", "spectrum", "--seed", "0", "--output", str(out)]) == 1
+        report = json.loads(out.read_text(encoding="ascii"))
+        assert report["passed"] is False
+        assert report["checks"][0]["max_violation"] > report["checks"][0]["tolerance"]
+
 
 class TestDiagnose:
     @pytest.mark.parametrize("deflation, flagged", [
@@ -424,6 +445,15 @@ class TestDiagnose:
         spec = write_spec(tmp_path, paper_spec(**deflation))
         assert cli.main(["diagnose", spec, "--output", str(out)]) == 0
         assert json.loads(out.read_text(encoding="ascii"))["intersection_nontrivial"] is flagged
+
+    def test_invariant_basis_angle_is_at_roundoff(self, tmp_path):
+        # An arccos of the indicator would read about 1.5e-8 rad here.
+        out = tmp_path / "diag.json"
+        spec = write_spec(tmp_path, paper_spec(50))
+        assert cli.main(["diagnose", spec, "--output", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="ascii"))
+        assert payload["largest_principal_angle_radians"] <= 1e-12
+        assert payload["intersection_nontrivial"] is False
 
     def test_output_errors(self, tmp_path, monkeypatch):
         calls = []
@@ -461,7 +491,6 @@ PUBLIC_PARAMETERS = {
     "SpectrumCheck": ["computed", "expected", "max_mismatch", "tolerance", "passed"],
     "TestProblem": ["a", "b", "x0", "u", "known_solution", "known_spectrum",
                     "eigenvectors", "seed", "label"],
-    "VerificationFailedError": ["message", "max_mismatch"],
     "breakdown_initial_guess": ["a", "b", "u", "coefficients"],
     "breakdown_prone_basis": ["problem", "indices"],
     "cg_solve": ["op", "b", "x0", "cfg"],
@@ -491,7 +520,6 @@ PUBLIC_METHODS = {
         "dense_deflated_matrix": [],
         "initial_correction": ["x_prev", "b"],
         "project_residual": ["v"],
-        "project_solution": ["v"],
     },
     "LinearOperator": {"apply": ["v"]},
 }

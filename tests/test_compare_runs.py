@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkrylov import GalerkinMode, linalg, projection
+from dkrylov import GalerkinMode, checks, linalg, projection
 
 _SPEC = importlib.util.spec_from_file_location(
     "compare_runs", Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py")
@@ -190,3 +190,16 @@ class TestChangedFields:
                 == "report.deflated_report.iterates[*]")
         assert (compare_runs.fold_indices("report.diagnostics[original_residual_norm]")
                 == "report.diagnostics[original_residual_norm]")
+
+
+class TestCliCommands:
+    def test_every_command_and_check_suite_is_compared(self, tmp_path):
+        commands = dict(compare_runs._cli_commands(tmp_path))
+        assert compare_runs.CHECK_SUITES == tuple(checks.SUITES)
+        for suite in checks.SUITES:
+            assert commands[f"check {suite}"] == ["check", suite, "--seed", "0"]
+        assert sorted({arguments[0] for arguments in commands.values()}) == [
+            "check", "diagnose", "run"]
+        diagnosed = [json.loads(Path(arguments[1]).read_text(encoding="ascii"))["deflation"]
+                     for arguments in commands.values() if arguments[0] == "diagnose"]
+        assert diagnosed == [{"eigen_indices": "1-5,51-55"}, {"breakdown_indices": "1-5"}]

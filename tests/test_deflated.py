@@ -6,8 +6,7 @@ import scipy.sparse
 
 from dkrylov import deflated, linalg
 from dkrylov.analysis import breakdown_initial_guess
-from dkrylov.checks import (adapted_guess_run, curve_deviation, equivalence_instances,
-                            equivalence_suite)
+from dkrylov.checks import curve_deviation, equivalence_instances, equivalence_suite
 from dkrylov.deflated import MethodVariant, run_method, run_methods
 from dkrylov.operators import deflated_operator, dense_operator
 from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
@@ -102,8 +101,23 @@ class TestEquivalences:
             rng = np.random.default_rng(seed + 100)
             x0 = rng.standard_normal(a.shape[0])
             r1 = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, a, b, u, x0)
-            r2 = adapted_guess_run(Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING), b, x0)
+            xi = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING).adapted_initial_guess(x0, b)
+            r2 = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u, xi)
             assert curve_deviation(r1, r2) <= 1e-8
+
+    @staticmethod
+    def report(norms):
+        return deflated.DualReport(MethodVariant.MINRES, None, np.asarray(norms), None)
+
+    def test_curve_deviation_tail_that_keeps_falling_adds_nothing(self):
+        short, longer = self.report([4.0, 2.0, 1.0]), self.report([4.0, 2.5, 1.0, 0.5, 0.1])
+        assert curve_deviation(short, longer) == curve_deviation(longer, short) == 0.5 / 4.0
+
+    def test_curve_deviation_tail_counts_its_rise_over_the_last_common_value(self):
+        # The common prefix deviates by 0.5; the tail rises to 3 from the last
+        # common value 1, a deviation of 2, both divided by r0 = 4.
+        short, longer = self.report([4.0, 2.0, 1.0]), self.report([4.0, 2.5, 1.0, 3.0, 0.1])
+        assert curve_deviation(short, longer) == curve_deviation(longer, short) == 2.0 / 4.0
 
     def test_gmres_matches_minres_for_hermitian(self):
         a, b, u = hermitian_instance(5)
@@ -118,7 +132,9 @@ class TestEquivalences:
         p = clustered_spd_problem(80)
         u = eigenvector_basis(p, range(1, 6))
         shared = run_method(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS, p.a, p.b, u)
-        adapted = adapted_guess_run(Deflator(p.a, u, GalerkinMode.RESIDUAL_MINIMIZING), p.b)
+        xi = Deflator(p.a, u, GalerkinMode.RESIDUAL_MINIMIZING).adapted_initial_guess(
+            np.zeros(p.dim), p.b)
+        adapted = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, p.a, p.b, u, xi)
         deviation = 0.0
         for x, y in ((shared.original_residual_norms, adapted.original_residual_norms),
                      (shared.deflated_report.residual_norms,

@@ -191,7 +191,9 @@ class TestMixedInput:
         # The two-sided right-hand side at x0 = 0, P (b - A x~0).
         two_sided_rhs = lambda b: d.project_residual(  # noqa: E731
             b - d.a_product(d.adapted_initial_guess(np.zeros(p.dim), b)))
-        for method in (d.project_residual, d.project_solution, two_sided_rhs):
+        # The solution projector, the correction of b = 0.
+        project_solution = lambda v: d.correct_iterate(v, np.zeros(p.dim))  # noqa: E731
+        for method in (d.project_residual, project_solution, two_sided_rhs):
             self.assert_split(method, v)
         for method in (d.correct_iterate, d.adapted_initial_guess):
             self.assert_split(method, v, b)

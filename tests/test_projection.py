@@ -299,7 +299,7 @@ class TestProjectors:
         u = rng.standard_normal((9, 2))
         for mode in (OR, MR):
             d = Deflator(a, u, mode)
-            out = d.project_solution(u @ np.array([1.0, -2.0]))
+            out = d.correct_iterate(u @ np.array([1.0, -2.0]), np.zeros(9))
             assert np.linalg.norm(out) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(u)
 
     def test_invariant_basis_projectors_coincide(self):
@@ -310,14 +310,16 @@ class TestProjectors:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(40)
         np.testing.assert_allclose(d.project_residual(v), expected @ v, atol=1e-11)
-        np.testing.assert_allclose(d.project_solution(v), expected @ v, atol=1e-11)
+        np.testing.assert_allclose(d.correct_iterate(v, np.zeros(40)), expected @ v,
+                                   atol=1e-11)
 
     def test_intertwining(self):
         rng = np.random.default_rng(7)
         a = random_hpd(rng, 13)
         d = Deflator(a, rng.standard_normal((13, 4)), MR)
         v = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-        np.testing.assert_allclose(d.project_residual(a @ v), a @ d.project_solution(v),
+        np.testing.assert_allclose(d.project_residual(a @ v),
+                                   a @ d.correct_iterate(v, np.zeros(13)),
                                    atol=1e-12 * np.linalg.norm(a) * np.linalg.norm(v))
 
     def test_identity_suite(self):
@@ -335,7 +337,8 @@ class TestProjectors:
             d2 = Deflator(a, u @ g, mode)
             np.testing.assert_allclose(d1.project_residual(v), d2.project_residual(v),
                                        atol=1e-10 * np.linalg.norm(v))
-            np.testing.assert_allclose(d1.project_solution(v), d2.project_solution(v),
+            zero = np.zeros(14)
+            np.testing.assert_allclose(d1.correct_iterate(v, zero), d2.correct_iterate(v, zero),
                                        atol=1e-10 * np.linalg.norm(v))
 
     def test_deflated_matrix_positive_semidefinite_in_orthogonal_mode(self):
@@ -472,7 +475,7 @@ class TestCorrections:
         # Set-up is the last product with A that a correction or the
         # solution projector needs: vectors, blocks, the initial and the
         # two-sided corrections (the latter through the adapted guess) and
-        # project_solution make none.
+        # the solution projector, the correction of b = 0, make none.
         p = symmetric_indefinite_problem(30, seed=0) if mode is MR else clustered_spd_problem(60)
         d = Deflator(p.a, eigenvector_basis(p, [1, 2, 3]), mode)
         calls = counted_products(d)
@@ -481,13 +484,13 @@ class TestCorrections:
         d.correct_iterate(x_hat, p.b)
         d.correct_iterate(rng.standard_normal((d.dim, 4)) + 1j, p.b)
         d.correct_iterate(np.zeros((d.dim, 2)), p.b)
-        d.project_solution(x_hat + 1j * x_hat[::-1])
+        d.correct_iterate(x_hat + 1j * x_hat[::-1], np.zeros(d.dim))
         if mode is OR:
             d.initial_correction(x_hat, p.b)
         else:
             d.correct_iterate(d.adapted_initial_guess(x_hat, p.b), p.b)
         assert calls == []
-        assert d.apply_counts["corrections"] == 1 + 4 + 2 + 1
+        assert d.apply_counts["corrections"] == 1 + 4 + 2 + 1 + 1
 
     @pytest.mark.parametrize("system", ["or-hermitian-real", "or-hermitian-complex",
                                         "or-inexact-hermitian", "mr-hermitian",
