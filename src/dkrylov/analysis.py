@@ -110,9 +110,8 @@ def breakdown_initial_guess(a, b, u, coefficients) -> np.ndarray:
     image_defect = linalg.vector_norm(d.project_residual(a @ v))
     scale = linalg.spectral_norm(a) * vnorm
     if image_defect > GUESS_TOLERANCE * max(scale, np.finfo(float).tiny):
-        raise GuessInvalidError(
-            f"projected image of the combination does not vanish ({image_defect:.3e})"
-        )
+        raise GuessInvalidError(f"projected image of the combination does not vanish "
+                                f"({image_defect:.3e})")
     return scipy.linalg.lu_solve(linalg.lu_factor_checked(a), b - v)
 
 
@@ -150,10 +149,8 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode) -> SpectrumCheck:
     anorm = linalg.spectral_norm(a)
     tolerance = SPECTRUM_TOLERANCE * max(anorm, np.finfo(float).tiny)
     if linalg.hermitian_defect(deflated) > tolerance:
-        raise NotInvariantError(
-            "deflated matrix is not Hermitian; the basis cannot span an "
-            "invariant subspace of a Hermitian matrix"
-        )
+        raise NotInvariantError("deflated matrix is not Hermitian; the basis cannot span an "
+                                "invariant subspace of a Hermitian matrix")
     computed = _hermitian_eigenvalues(deflated)
     full = _hermitian_eigenvalues(a)
     remaining = _remove_matched(full, theta, tolerance)
@@ -180,9 +177,8 @@ def _invariant_eigenvalues(a, u) -> np.ndarray:
     defect = linalg.spectral_norm(aq - q @ restriction)
     scale = max(linalg.spectral_norm(a), np.finfo(float).tiny)
     if defect > tol * scale:
-        raise NotInvariantError(
-            f"basis is not invariant: residual {defect:.3e} vs {tol:g} * {scale:.3e}"
-        )
+        raise NotInvariantError(f"basis is not invariant: residual {defect:.3e} vs {tol:g} * "
+                                f"{scale:.3e}")
     return _hermitian_eigenvalues(restriction)
 
 
@@ -192,9 +188,7 @@ def _remove_matched(values: np.ndarray, removed: np.ndarray, tol: float) -> np.n
     for r in removed:
         idx = int(np.argmin([abs(v - r) for v in values]))
         if abs(values[idx] - r) > max(tol, 1e-6 * max(abs(r), 1.0)):
-            raise NotInvariantError(
-                f"eigenvalue {r:.6g} of the restriction is not in the spectrum"
-            )
+            raise NotInvariantError(f"eigenvalue {r:.6g} of the restriction is not in the spectrum")
         values.pop(idx)
     return np.asarray(values)
 

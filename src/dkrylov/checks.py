@@ -157,9 +157,9 @@ def equivalence_suite(seed: int = 0, instances: int = 10) -> dict:
     ``adapted_guess_vs_two_sided`` compares the shared two-sided iteration,
     as ``DEFLATED_MINRES_ADAPTED_GUESS`` reads it, with the other side of the
     paper's equivalence run on its own: MINRES on the left-projected system
-    from the adapted guess x~0 that the variant reports.  That run is
-    ``RMINRES_DEFLATION_ONLY`` from x~0, the two-sided recipe of the given
-    guess, whose original curve is its deflated one.
+    from the adapted guess x~0 of the suite's own ``x0``, not the one the
+    variant reports.  That run is ``RMINRES_DEFLATION_ONLY`` from x~0, the
+    two-sided recipe of the given guess, whose original curve is its deflated one.
 
     Each ``max_violation`` is the worst over the first ``instances`` systems
     of :func:`equivalence_instances`, so it can only grow with their count:
@@ -177,8 +177,9 @@ def equivalence_suite(seed: int = 0, instances: int = 10) -> dict:
 
         dev_explicit = max(dev_explicit, curve_deviation(r_exp, r_only))
         dev_gmres = max(dev_gmres, curve_deviation(r_gm, r_only))
-        reference = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u,
-                               r_adap.diagnostics["adapted_initial_guess"], cfg)
+        xi = Deflator(a, u, GalerkinMode.RESIDUAL_MINIMIZING).adapted_initial_guess(
+            np.zeros(len(b)) if x0 is None else x0, b)
+        reference = run_method(MethodVariant.RMINRES_DEFLATION_ONLY, a, b, u, xi, cfg)
         dev_adapted = max(dev_adapted, curve_deviation(r_adap, reference))
     checks = [
         _check("explicit_vs_deflation_only", dev_explicit, tol),

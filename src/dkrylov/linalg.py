@@ -443,9 +443,13 @@ def cholesky_factor_checked(e, scale=None):
 def principal_angles(x, y) -> np.ndarray:
     """Principal angles in radians between the column spans of x and y, ascending.
 
-    Uses the combined sine/cosine formulation, which stays accurate for
-    angles near zero where a plain arccos of singular values loses half the
-    working precision.
+    An angle whose cosine squared is at least 1/2 is the arcsine of its sine,
+    the others the arccosine of their cosine (Knyazev and Argentati, 2002), the
+    i-th largest cosine paired with the i-th smallest sine; y's surplus sines
+    are 1.  ``scipy.linalg.subspace_angles`` pairs them the other way round.
     """
-    angles = scipy.linalg.subspace_angles(as_matrix(x), as_matrix(y))
-    return np.sort(np.clip(angles, 0.0, np.pi / 2))
+    qx, qy = scipy.linalg.orth(as_matrix(x)), scipy.linalg.orth(as_matrix(y))
+    coupling = qx.conj().T @ qy
+    cosines = np.clip(scipy.linalg.svdvals(coupling), 0.0, 1.0)
+    sines = np.clip(scipy.linalg.svdvals(qy - qx @ coupling)[::-1][:len(cosines)], 0.0, 1.0)
+    return np.sort(np.where(cosines ** 2 >= 0.5, np.arcsin(sines), np.arccos(cosines)))

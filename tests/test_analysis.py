@@ -59,6 +59,27 @@ class TestDiagnoseBreakdown:
         assert diag.smallest_indicator < INTERSECTION_THRESHOLD
         assert diag.largest_principal_angle_deg == pytest.approx(90.0)
 
+    @staticmethod
+    def mixed_pair(third):
+        # span(u) holds e1, fixed by a, and e2 + e3, whose image e2 + third e3
+        # makes the cosine (1 + third) / (sqrt(2) sqrt(1 + third^2)) with it:
+        # one angle of 0 and one near pi/2.
+        u = np.zeros((4, 2))
+        u[0, 0] = u[1, 1] = u[2, 1] = 1.0
+        return np.diag([1.0, 1.0, third, 2.0]), u
+
+    def test_mixed_basis_reads_a_small_indicator(self):
+        a, u = self.mixed_pair(-1.0 + 2e-9)
+        diag = diagnose_breakdown(a, u)
+        assert diag.smallest_indicator == pytest.approx(1e-9, rel=1e-6)
+        assert not diag.intersection_nontrivial
+
+    def test_mixed_basis_with_exact_intersection_is_flagged(self):
+        a, u = self.mixed_pair(-1.0)
+        diag = diagnose_breakdown(a, u)
+        assert diag.smallest_indicator < 1e-15
+        assert diag.intersection_nontrivial
+
     def test_image_of_lower_dimension_is_flagged(self):
         # a annihilates e1, so span(e1, e2) meets the complement of its
         # one-dimensional image span(e2).

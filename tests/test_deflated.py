@@ -147,6 +147,22 @@ class TestEquivalences:
         report = equivalence_suite(seed=20, instances=6)
         assert report["passed"], report
 
+    def test_suite_takes_the_adapted_guess_from_its_own_x0(self, monkeypatch):
+        # An adapted variant that drops the given guess reports the adapted
+        # guess of x0 = 0; a reference started there would follow it.
+        from dkrylov import checks
+
+        def runs_ignoring_x0(variants, a, b, u, x0, cfg):
+            runs = run_methods(variants, a, b, u, x0, cfg)
+            adapted = variants.index(MethodVariant.DEFLATED_MINRES_ADAPTED_GUESS)
+            runs[adapted] = run_method(variants[adapted], a, b, u, None, cfg)
+            return runs
+
+        monkeypatch.setattr(checks, "run_methods", runs_ignoring_x0)
+        report = equivalence_suite(seed=20, instances=2)
+        check = {c["name"]: c for c in report["checks"]}["adapted_guess_vs_two_sided"]
+        assert not check["passed"], report
+
     def test_exact_invariant_collapse(self):
         # with an exactly invariant basis all deflated variants produce the
         # same iterates, not just the same residual norms

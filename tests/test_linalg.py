@@ -318,6 +318,16 @@ class TestPrincipalAngles:
         v = np.array([[0.0], [1.0], [0.0]])
         assert linalg.principal_angles(u, v)[-1] == pytest.approx(np.pi / 2)
 
+    @pytest.mark.parametrize("gap", [1e-9, 1e-5, 0.3])
+    def test_small_and_near_orthogonal_angles_together(self, gap):
+        # span(e1, e2) against span(e1, sin(gap) e2 + cos(gap) e3): angles 0
+        # and pi/2 - gap, each to within a few ulps of its own size.
+        u = np.eye(3)[:, :2]
+        v = np.array([[1.0, 0.0], [0.0, np.sin(gap)], [0.0, np.cos(gap)]])
+        angles = linalg.principal_angles(u, v)
+        assert angles[0] <= 1e-15
+        assert np.pi / 2 - angles[1] == pytest.approx(gap, rel=1e-6)
+
 
 def _complex_matrix(n, seed):
     rng = np.random.default_rng(seed)
