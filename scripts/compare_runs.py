@@ -41,8 +41,11 @@ Both run all eight variants under ``SolveConfig()`` on these systems:
   spectrum of two values whose Krylov spaces are exhausted at step 2:
   ``Q = linalg.random_orthogonal(35, 0)``, random signs and then b drawn from
   ``default_rng(0)``, lam = signs (``exhausted-pm1``) or 1.5 + 0.5 signs
-  (``exhausted-spd``), deflating the last five columns of Q.  Each matrix
-  is ``linalg.assemble_hermitian(Q, lam)`` of the checkout that runs it.
+  (``exhausted-spd``), deflating the last five columns of Q.  Last comes
+  ``dominant-1e6``, ``dominant-1e5`` with 1e6 (1..5) in place of 1e5
+  (1..5), where CG's residual runs away after its smoothed companion meets
+  the tolerance.  Each matrix is ``linalg.assemble_hermitian(Q, lam)`` of
+  the checkout that runs it.
 
 One line per run gives the status and iteration count of each checkout (or
 the exception a run raised), the final original residual ||b - A x|| of the
@@ -67,8 +70,11 @@ With ``--cli`` it compares the command line instead.  Each checkout runs
 deflating ``1-5,m+1..m+5``) at m=50 and m=200, each with ``x0 = zero`` and
 ``x0 = random``, the breakdown spec (m=50, ``breakdown_indices 1-5``,
 ``x0 = breakdown-guess``) and the ``clustered-spd`` generator's default
-problem (n=80) with ``cg`` and ``deflated-cg``, deflating ``1-5``, each
-under ``--format json`` and ``--format csv``; ``dkrylov diagnose`` on the
+problem (n=80) with ``cg`` and ``deflated-cg``, deflating ``1-5``, and
+the ``file`` generator on Matrix Market files of the m=50 paper problem's A
+and b and of its eigenvector basis ``1-5,51-55``, which this checkout
+writes, with all six variants from its zero x0, each under ``--format
+json`` and ``--format csv``; ``dkrylov diagnose`` on the
 m=50 paper problem with ``eigen_indices 1-5,51-55`` and with
 ``breakdown_indices 1-5``; and ``dkrylov check SUITE --seed 0`` for each of
 the five suites (:data:`CHECK_SUITES`).  One line per command says whether
@@ -159,9 +165,18 @@ def _exhausted(name, spd, tolerance):
     return _symmetric(name, q, lam, rng.standard_normal(35), tolerance)
 
 
+def _dominant(name, scale):
+    """Eigenvalues linspace(1, 2, 195) and then ``scale`` (1..5)."""
+    from dkrylov import linalg
+
+    lam = np.concatenate([np.linspace(1, 2, 195), scale * np.arange(1, 6)])
+    return _symmetric(name, linalg.random_orthogonal(200, 300), lam,
+                      np.random.default_rng(300).standard_normal(200), 1e-10)
+
+
 def _systems(equivalence, ill_conditioned):
     """(name, a, b, u, x0, SolveConfig settings) of every compared system."""
-    from dkrylov import checks, linalg, problems
+    from dkrylov import checks, problems
 
     for m in (50, 200):
         p = problems.symmetric_indefinite_problem(m, seed=0)
@@ -173,9 +188,7 @@ def _systems(equivalence, ill_conditioned):
     g = np.random.default_rng(7).standard_normal((200, 200))
     yield ("inexact-hermitian-200", p.a + 1e-16 * (g - g.T), p.b,
            problems.eigenvector_basis(p, range(1, 6)), None, {})
-    lam = np.concatenate([np.linspace(1, 2, 195), 1e5 * np.arange(1, 6)])
-    yield _symmetric("dominant-1e5", linalg.random_orthogonal(200, 300), lam,
-                     np.random.default_rng(300).standard_normal(200), 1e-10)
+    yield _dominant("dominant-1e5", 1e5)
     for seed, count in equivalence:
         for i, (a, b, u, x0) in enumerate(checks.equivalence_instances(seed, count)):
             yield f"equivalence-{seed}-{i}", a, b, u, x0, {}
@@ -188,6 +201,7 @@ def _systems(equivalence, ill_conditioned):
         for kind in ("pm1", "spd"):
             for tolerance in (1e-15, 1e-30):
                 yield _exhausted(f"exhausted-{kind}-{tolerance:g}", kind == "spd", tolerance)
+        yield _dominant("dominant-1e6", 1e6)
 
 
 def _flatten(obj, name, out):
@@ -374,8 +388,9 @@ SIX_VARIANTS = ["minres", "rminres-explicit", "rminres-deflation-only", "deflate
 CHECK_SUITES = ("projections", "equivalence", "spectrum", "breakdown", "status")
 
 
-def _cli_specs():
-    """(name, spec) of every ``dkrylov run`` that ``--cli`` compares."""
+def _cli_specs(tmp: Path):
+    """(name, spec) of every ``dkrylov run`` that ``--cli`` compares, writing
+    the Matrix Market files of the ``file`` spec to ``tmp``."""
     for m in (50, 200):
         for x0 in ("zero", "random"):
             yield f"paper-m{m}-{x0}", {
@@ -390,11 +405,23 @@ def _cli_specs():
         "problem": {"generator": "clustered-spd"},
         "deflation": {"eigen_indices": "1-5"},
         "run": {"variants": ["cg", "deflated-cg"]}}
+    src = str(HERE_CHECKOUT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from dkrylov import io, problems
+    p = problems.symmetric_indefinite_problem(50, seed=0)
+    for name, value in (("a", p.a), ("b", p.b),
+                        ("u", problems.eigenvector_basis(p, [*range(1, 6), *range(51, 56)]))):
+        io.write_matrix_market(tmp / f"{name}.mtx", value)
+    yield "file-m50", {
+        "problem": {"generator": "file", "a": str(tmp / "a.mtx"), "b": str(tmp / "b.mtx")},
+        "deflation": {"file": str(tmp / "u.mtx")},
+        "run": {"variants": SIX_VARIANTS}}
 
 
 def _cli_commands(tmp: Path):
     """(name, arguments) of every ``dkrylov`` command that ``--cli`` compares,
-    writing the specs they read to ``tmp``: each ``run`` spec in both
+    writing the specs and files they read to ``tmp``: each ``run`` spec in both
     formats, ``diagnose`` on the m=50 paper problem with its eigenvector and
     its breakdown-prone basis, and every check suite at seed 0."""
     def spec_file(name, spec):
@@ -402,7 +429,7 @@ def _cli_commands(tmp: Path):
         path.write_text(json.dumps(spec), encoding="ascii")
         return str(path)
 
-    for name, spec in _cli_specs():
+    for name, spec in _cli_specs(tmp):
         path = spec_file(name, spec)
         for fmt in ("json", "csv"):
             yield f"run {name} {fmt}", ["run", path, "--format", fmt]
@@ -527,8 +554,8 @@ def main(argv=None) -> int:
     parser.add_argument("--equivalence", type=_equivalence_spec, nargs="+", default=[(0, 6)],
                         metavar="SEED:COUNT")
     parser.add_argument("--ill-conditioned", action="store_true",
-                        help="also compare the 22 ill-conditioned and exhausted real "
-                             "symmetric systems")
+                        help="also compare the 23 ill-conditioned, exhausted and "
+                             "dominant-1e6 real symmetric systems")
     parser.add_argument("--cli", action="store_true",
                         help="compare dkrylov run, diagnose and check output byte for "
                              "byte instead")

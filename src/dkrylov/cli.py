@@ -1,12 +1,15 @@
 """Command-line front end: run experiments, property suites and diagnoses.
 
 Experiment specs are declarative files, INI-style sections or the same
-structure as JSON.  Convergence histories are written as CSV (one row per
-variant and iteration) or JSON for external plotting; a breakdown is a
-reported result, not a tool failure.  Every history of a run is divided by
-one shared reference, ||b|| of the problem (1 when b = 0), so the variants
-can be compared with each other; the JSON output records it as
-``reference_norm``.
+structure as JSON.  A spec's problem comes from a seeded generator
+(``symmetric-indefinite``, ``clustered-spd``, ``toy-breakdown`` or
+``near-invariant``) or, with ``file``, from Matrix Market files of A, b and
+x0 (:mod:`dkrylov.io`), as may its deflation basis.  Convergence histories
+are written as CSV (one row per variant and iteration) or JSON for external
+plotting; a breakdown is a reported result, not a tool failure.  Every
+history of a run is divided by one shared reference, ||b|| of the problem
+(1 when b = 0), so the variants can be compared with each other; the JSON
+output records it as ``reference_norm``.
 
 Every spec value is typed by one schema when the spec is read, and a key
 that the chosen generator or the other keys leave unread is rejected there,
@@ -132,9 +135,9 @@ _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
 #: Section -> key -> (function that types the value, what it expects).
 _SCHEMA = {
     "problem": {"generator": _choice("symmetric-indefinite", "clustered-spd", "toy-breakdown",
-                                     "near-invariant", "file", "container"),
+                                     "near-invariant", "file"),
                 "m": _INT, "n": _INT, "outliers": _INT, "alpha": _FLOAT, "seed": _SEED,
-                "a": _TEXT, "b": _TEXT, "x0": _TEXT, "path": _TEXT},
+                "a": _TEXT, "b": _TEXT, "x0": _TEXT},
     "deflation": {"eigen_indices": _INDICES, "breakdown_indices": _INDICES, "file": _TEXT,
                   "perturb_eps": _FLOAT, "perturb_seed": _SEED},
     "run": {"variants": (_variants, "variant names from "
@@ -151,8 +154,7 @@ _SOLVER_FIELDS = {"tolerance": "residual_tolerance"}
 #: The [problem] keys each generator reads.
 _GENERATOR_KEYS = {"symmetric-indefinite": ("m", "seed"),
                    "clustered-spd": ("n", "outliers", "seed"), "toy-breakdown": (),
-                   "near-invariant": ("alpha",), "container": ("path",),
-                   "file": ("a", "b", "x0", "seed")}
+                   "near-invariant": ("alpha",), "file": ("a", "b", "x0", "seed")}
 
 #: Keys read only under other keys or choices: (section, key, whether its
 #: section reads it, the condition in words).
@@ -230,10 +232,6 @@ def build_problem(spec: dict, seed_override=None) -> TestProblem:
         return toy_breakdown_problem()
     if generator == "near-invariant":
         return near_invariant_problem(section.get("alpha", 1e-3))
-    if generator == "container":
-        if "path" not in section:
-            raise SpecError("[problem] container generator requires path")
-        return dkio.load_problem(section["path"])
     # generator == "file": Matrix Market inputs
     if "a" not in section or "b" not in section:
         raise SpecError("[problem] file generator requires a and b")
@@ -285,8 +283,9 @@ def build_variants(spec: dict) -> list[MethodVariant]:
 
 
 def build_initial_guess(spec: dict, problem: TestProblem, basis) -> np.ndarray:
-    """The run's x0: without a ``[run] x0`` key the problem's own (the file's
-    or the container's, zeros for every generator), and zeros for ``zero``."""
+    """The run's x0: without a ``[run] x0`` key the problem's own (the
+    ``x0`` file's, zeros without one and for every seeded generator), and
+    zeros for ``zero``."""
     section = spec["run"]
     n = problem.dim
     seed = section.get("x0_seed", 0)

@@ -69,6 +69,12 @@ STAGNATION_WINDOW = 50
 #: improvement than this while above tolerance flags stagnation.
 STAGNATION_FACTOR = 10.0 ** (-1.0 / STAGNATION_WINDOW)
 
+#: Rise of CG's last recorded residual over its lowest that ends a run whose
+#: smoothed companion has met the tolerance (:meth:`_Run.stagnated`): slow
+#: convergers rise at most 30-fold after that (logspaced spectra, n = 200, 6
+#: decades), a run that has passed its best and diverges 1e11-fold and more.
+RUNAWAY_FACTOR = 1e3
+
 #: Cutoff, relative to the operator's scale, of a vanished Galerkin pivot
 #: and of an exhausted MINRES or GMRES continuation (module docstring).
 BREAKDOWN_THRESHOLD = 1e-13
@@ -160,6 +166,8 @@ class _Run:
     or with ``smooth`` (CG, whose residual may first rise for many steps)
     their decreasing minimal-residual companion rho_k^-2 = sum_{i<=k}
     ||r_i||^-2 (Cullum and Greenbaum, SIAM J. Matrix Anal. Appl. 17, 1996).
+    Once that companion meets the tolerance, only a last recorded norm over
+    :data:`RUNAWAY_FACTOR` times the lowest ends the run as stagnated.
 
     ``b`` and ``x0`` come multiplied by ``unit``, a power of two, and
     :meth:`report` divides the iterates and recorded norms back, exactly.
@@ -176,6 +184,7 @@ class _Run:
         self.recurrence_norms = []
         self.iterates = [] if cfg.record_history else None
         self.best = collections.deque(maxlen=STAGNATION_WINDOW + 1)
+        self.lowest, self.lowest_x = math.inf, None   # lowest recorded norm, its x
 
     def record(self, x, recurrence_norm, norm) -> float:
         """Record ``x`` with its residual ``norm`` and its recurrence
@@ -185,6 +194,8 @@ class _Run:
         self.recurrence_norms.append(recurrence_norm)
         if self.iterates is not None and x is not None:
             self.iterates.append(x.copy())
+        if norm < self.lowest:      # x by reference: each CG step makes a new one
+            self.lowest, self.lowest_x = norm, x
         prev_best = self.best[-1] if self.best else math.inf
         progress = norm
         if self.smooth and self.best and norm > 0.0:
@@ -208,7 +219,7 @@ class _Run:
             return False
         current = self.best[-1]
         if self.tol_reached(current):
-            return False
+            return self.residual_norms[-1] > RUNAWAY_FACTOR * self.lowest
         return current > self.best[0] * STAGNATION_FACTOR
 
     def finish(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
@@ -269,8 +280,10 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     the tolerance; there b - op x_k is formed and recorded instead, and the
     run converges if it meets the tolerance too.  If it misses, it replaces
     the carried residual, rho is taken from it, p's recurrence is kept and
-    the iteration goes on (module docstring).  Every other ending records
-    b - op x of the returned iterate as its last residual.
+    the iteration goes on (module docstring).  A run that stagnates or runs
+    out of steps returns the iterate of its lowest recorded residual, which
+    with history also replaces the last one recorded.  Every ending but
+    convergence records b - op x of the returned iterate as its last residual.
 
     On a consistent positive semidefinite system the iteration is well defined
     until termination.  Each step's pivot p^H op p / rho is judged against
@@ -333,7 +346,9 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
         rho = rho_next
     else:
         status = SolveStatus.MAX_ITERATIONS
-    return run.finish(status, x)
+    if run.iterates is not None:
+        run.iterates[-1] = run.lowest_x.copy()
+    return run.finish(status, run.lowest_x)
 
 
 #: Estimated loss of orthogonality at which MINRES reorthogonalizes; why it is

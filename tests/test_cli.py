@@ -174,13 +174,14 @@ class TestRun:
         {**paper_spec(), "problem": {"generator": "near-invariant", "alpha": True}},
         {**paper_spec(), "solver": {"reorthogonalize": True}},
         {**paper_spec(), "solver": {"explicit_residuals": True}},
+        {**paper_spec(), "problem": {"generator": "container"}},
         *(spec for spec, _ in UNREAD_KEYS),
     ], ids=["bad-index-list", "descending-indices", "overlapping-ranges", "repeated-index",
             "index-zero", "negative-breakdown-index", "bad-format", "bad-unused-key",
             "section-not-object", "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
             "infinite-breakdown-threshold", "nan-alpha", "boolean-float",
             "removed-reorthogonalize-key", "removed-explicit-residuals-key",
-            *UNREAD_KEY_IDS])
+            "removed-container-generator", *UNREAD_KEY_IDS])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
         monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
@@ -434,6 +435,19 @@ class TestCheck:
         assert report["passed"] is False
         assert report["checks"][0]["max_violation"] > report["checks"][0]["tolerance"]
 
+    def test_non_hermitian_deflated_matrix_is_reported(self, monkeypatch, tmp_path):
+        # Bases of the spectrum suite are exact eigenvector bases, so a
+        # deflated matrix that is not Hermitian is a defect of the deflator:
+        # the suite reports it instead of raising.
+        dense = Deflator.dense_deflated_matrix
+        monkeypatch.setattr(Deflator, "dense_deflated_matrix",
+                            lambda d: dense(d) + 1e-6 * np.triu(np.ones((d.dim, d.dim))))
+        out = tmp_path / "c.json"
+        assert cli.main(["check", "spectrum", "--seed", "0", "--output", str(out)]) == 1
+        report = json.loads(out.read_text(encoding="ascii"))
+        assert report["passed"] is False
+        assert report["checks"][0]["max_violation"] > report["checks"][0]["tolerance"]
+
 
 class TestDiagnose:
     @pytest.mark.parametrize("deflation, flagged", [
@@ -559,38 +573,6 @@ class TestPackage:
 
 
 class TestIo:
-    def test_problem_container_round_trip(self, tmp_path):
-        p = symmetric_indefinite_problem(6, seed=3)
-        path = tmp_path / "p.txt"
-        dkio.save_problem(path, p)
-        q = dkio.load_problem(path)
-        assert (q.label, q.seed) == (p.label, p.seed)
-        for name in ("a", "b", "x0", "known_spectrum", "eigenvectors"):
-            original, loaded = getattr(p, name), getattr(q, name)
-            assert loaded.shape == original.shape, name
-            assert np.array_equal(loaded, original), name
-
-    @pytest.mark.parametrize("text, message", [
-        ("not-a-problem 1\n", "{path}: not a problem container (bad magic line)"),
-        ("{magic}\nseed: x\n", "{path}:2: seed must be an integer, got 'x'"),
-        ("{magic}\narray a 2 -2\n", "{path}:2: array a columns must be an integer of at least 1"),
-        ("{magic}\narray a two 2\n", "{path}:2: array a rows must be an integer of at least 1"),
-        ("{magic}\n\narray a 2\n", "{path}:3: expected 'array NAME ROWS COLS'"),
-        ("{magic}\narray a 2 2\n1 0\n2 0\n3 0\n",
-         "{path}:2: array a needs 4 entry lines, 3 remain"),
-        ("{magic}\narray b 3 1\n1 0\n2\n3 0\n", "{path}:4: expected two numbers, got '2'"),
-        ("{magic}\narray b 2 1\n1 0\n2 x\n", "{path}:4: expected two numbers, got '2 x'"),
-    ], ids=["magic", "seed", "negative-dimension", "word-dimension", "short-header",
-            "truncated", "one-number", "not-a-number"])
-    def test_bad_magic_line_rejected(self, tmp_path, monkeypatch, text, message):
-        # every header is checked before its array is allocated
-        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: pytest.fail("allocated"))
-        path = tmp_path / "bad.txt"
-        path.write_text(text.format(magic=dkio._MAGIC), encoding="ascii")
-        with pytest.raises(ValueError) as excinfo:
-            dkio.load_problem(path)
-        assert str(excinfo.value).startswith(message.format(path=path))
-
     @pytest.mark.parametrize("shape", [(5,), (4, 3)])
     def test_matrix_market_round_trip(self, tmp_path, shape):
         rng = np.random.default_rng(7)
@@ -601,10 +583,29 @@ class TestIo:
         assert loaded.shape == arr.shape
         assert np.array_equal(loaded, arr)
 
-    def test_container_problem_runs_from_spec(self, tmp_path):
-        dkio.save_problem(tmp_path / "p.txt", symmetric_indefinite_problem(10, seed=1))
-        spec = {"problem": {"generator": "container", "path": str(tmp_path / "p.txt")},
-                "run": {"variants": "minres"}, "output": {"format": "json"}}
-        code, payload = run_json(tmp_path, spec)
-        assert code == 0
-        assert payload["results"][0]["status"] == "converged"
+    @pytest.mark.parametrize("deflation, x0", [
+        ({"eigen_indices": "1-5,11-15"}, "zero"), ({"eigen_indices": "1-5,11-15"}, "random"),
+        ({"breakdown_indices": "1-5"}, "breakdown-guess")], ids=["zero", "random", "breakdown"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_generator_problem_written_as_files_runs_the_same(self, tmp_path, seed, deflation,
+                                                              x0):
+        # A seeded problem's A and b and its deflation basis, written as
+        # Matrix Market files, carry every array a run reads: the six
+        # variants' JSON equals the generator spec's byte for byte.
+        spec = {**paper_spec(10, **deflation), "run": {"variants": SIX_VARIANTS, "x0": x0}}
+        spec["problem"]["seed"] = seed
+        parsed = cli.parse_spec(write_spec(tmp_path, spec, "generator-spec.json"))
+        p = cli.build_problem(parsed)
+        for name, value in (("a", p.a), ("b", p.b), ("u", cli.build_basis(parsed, p))):
+            dkio.write_matrix_market(tmp_path / f"{name}.mtx", value)
+        files = {**spec, "problem": {"generator": "file", "a": str(tmp_path / "a.mtx"),
+                                     "b": str(tmp_path / "b.mtx")},
+                 "deflation": {"file": str(tmp_path / "u.mtx")}}
+        outputs = []
+        for name, run_spec in (("generator", spec), ("files", files)):
+            out = tmp_path / f"{name}.json"
+            assert cli.main(["run", write_spec(tmp_path, run_spec, f"{name}-spec.json"),
+                             "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["results"]) == 6

@@ -203,3 +203,8 @@ class TestCliCommands:
         diagnosed = [json.loads(Path(arguments[1]).read_text(encoding="ascii"))["deflation"]
                      for arguments in commands.values() if arguments[0] == "diagnose"]
         assert diagnosed == [{"eigen_indices": "1-5,51-55"}, {"breakdown_indices": "1-5"}]
+        # the file generator reads files written beside the specs
+        spec = json.loads(Path(commands["run file-m50 json"][1]).read_text(encoding="ascii"))
+        assert spec["problem"]["generator"] == "file"
+        for path in (spec["problem"]["a"], spec["problem"]["b"], spec["deflation"]["file"]):
+            assert Path(path).parent == tmp_path and Path(path).is_file()

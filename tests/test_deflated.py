@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,10 @@ from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
                               toy_breakdown_problem)
 from dkrylov.projection import Deflator, GalerkinMode
 from dkrylov.solvers import SolveConfig, SolveStatus, gmres_solve, minres_solve
+
+#: The environment variables that set a BLAS library's thread count.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def hermitian_instance(seed, n=40, k=4):
@@ -602,6 +611,52 @@ class TestDominantDeflatedEigenvalues:
         tol = SolveConfig().residual_tolerance
         assert (np.linalg.norm(b - a @ result.corrected_iterate)
                 <= 10 * tol * np.linalg.norm(b))
+
+
+#: Runs ``cg`` and ``deflated-cg`` on Q diag(linspace(1, 2, 195), 1e6 (1..5))
+#: Q^T (``dominant-1e6``) at tolerance 1e-10 and 3000 steps, and prints each
+#: variant's status, steps and ||b - A x|| / ||b|| as JSON.
+DOMINANT_1E6 = """
+import json, numpy as np
+from dkrylov import linalg
+from dkrylov.deflated import MethodVariant, run_method
+from dkrylov.solvers import SolveConfig
+q = linalg.random_orthogonal(200, 300)
+b = np.random.default_rng(300).standard_normal(200)
+a = linalg.assemble_hermitian(q, np.r_[np.linspace(1, 2, 195), 1e6 * np.arange(1, 6)])
+cfg = SolveConfig(residual_tolerance=1e-10, max_iterations=3000)
+runs = {}
+for variant in (MethodVariant.CG, MethodVariant.DEFLATED_CG):
+    result = run_method(variant, a, b, q[:, -5:], cfg=cfg)
+    runs[variant.value] = [result.status.value, result.deflated_report.iterations_used,
+                           float(np.linalg.norm(b - a @ result.corrected_iterate)
+                                 / np.linalg.norm(b))]
+print(json.dumps(runs))
+"""
+
+
+class TestRunaway:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_dominant_1e6_ends_stagnated_at_its_best_iterate(self, threads):
+        # CG's smoothed companion meets the tolerance here while b - A x
+        # misses it by 5%, and then the carried residual runs away: to
+        # 4.7e7 ||b|| at 3000 steps with one BLAS thread and 2.1 ||b|| with
+        # two, and deflated-cg met negative curvature on this positive
+        # definite A.  Both now stop once the residual has risen
+        # RUNAWAY_FACTOR over its lowest, and return the iterate of the
+        # lowest.  The thread count is fixed when numpy loads, so each
+        # count runs in its own process.
+        src = str(Path(deflated.__file__).resolve().parents[1])
+        env = {**os.environ, **dict.fromkeys(THREAD_VARIABLES, threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", DOMINANT_1E6], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        for variant in ("cg", "deflated-cg"):
+            status, steps, residual = runs[variant]
+            assert status == "stagnated" and steps < 3000, (variant, runs)
+            assert residual <= 1e-9, (variant, runs)
 
 
 class TestMissingBasis:

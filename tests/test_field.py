@@ -273,18 +273,6 @@ class TestInputBoundaries:
             assert loaded.dtype == field
             assert np.array_equal(loaded, arr)
 
-    def test_container_keeps_the_field_and_the_re_im_format(self, tmp_path):
-        p = symmetric_indefinite_problem(4, seed=2)
-        dkio.save_problem(tmp_path / "p.txt", p)
-        lines = (tmp_path / "p.txt").read_text(encoding="ascii").splitlines()
-        assert lines[3] == "array a 8 8"
-        assert len(lines[4].split()) == 2          # "re im"
-        q = dkio.load_problem(tmp_path / "p.txt")
-        assert q.a.dtype == q.b.dtype == q.x0.dtype == np.float64
-        p.b = p.b + 1j
-        dkio.save_problem(tmp_path / "p.txt", p)
-        assert dkio.load_problem(tmp_path / "p.txt").b.dtype == np.complex128
-
     @pytest.mark.parametrize("run", [{"x0": "zero"}, {"x0": "random"},
                                      {"x0": "breakdown-guess"},
                                      {"x0": "random", "x0_perturbation": 1e-3}])

@@ -313,6 +313,22 @@ class TestCg:
         assert rep.residual_norms[-1] == linalg.vector_norm(b - op.apply(x))
 
 
+    def test_run_out_of_steps_returns_its_lowest_residual_iterate(self):
+        # Here the carried residual is lowest at step 59 and rises at step
+        # 60: a 60-step run returns x_59, the last iterate of a 59-step run,
+        # with it as its last history entry and b - A x_59 as its last
+        # recorded residual.
+        a, b = logspaced_system(40, 7, 3)
+        short = cg_solve(dense_operator(a), b, cfg=SolveConfig(max_iterations=59))
+        rep = cg_solve(dense_operator(a), b, cfg=SolveConfig(max_iterations=60))
+        assert rep.status is short.status is SolveStatus.MAX_ITERATIONS
+        carried = rep.recurrence_residual_norms
+        assert np.argmin(carried) == 59 and carried[60] > carried[59]
+        assert np.array_equal(rep.final_iterate, short.final_iterate)
+        assert np.array_equal(rep.iterates[-1], rep.final_iterate) and len(rep.iterates) == 61
+        assert rep.residual_norms[-1] == short.residual_norms[-1]
+        assert np.array_equal(rep.iterates[:59], short.iterates[:59])
+
     def test_vanishing_curvature_at_a_converged_iterate(self):
         # A = diag(1, 0) and b = (2^40 + 1, 2^-10) from x0 = (2^40, 0): every
         # operation below is exact.  Step 1 takes alpha = 1 + 2^-20, and
