@@ -73,8 +73,8 @@ deflating ``1-5,m+1..m+5``) at m=50 and m=200, each with ``x0 = zero`` and
 problem (n=80) with ``cg`` and ``deflated-cg``, deflating ``1-5``, and
 the ``file`` generator on Matrix Market files of the m=50 paper problem's A
 and b and of its eigenvector basis ``1-5,51-55``, which this checkout
-writes, with all six variants from its zero x0, each under ``--format
-json`` and ``--format csv``; ``dkrylov diagnose`` on the
+writes, with all six variants from its zero x0, each with ``[output]
+format`` json and csv in its spec; ``dkrylov diagnose`` on the
 m=50 paper problem with ``eigen_indices 1-5,51-55`` and with
 ``breakdown_indices 1-5``; and ``dkrylov check SUITE --seed 0`` for each of
 the five suites (:data:`CHECK_SUITES`).  One line per command says whether
@@ -422,7 +422,7 @@ def _cli_specs(tmp: Path):
 def _cli_commands(tmp: Path):
     """(name, arguments) of every ``dkrylov`` command that ``--cli`` compares,
     writing the specs and files they read to ``tmp``: each ``run`` spec in both
-    formats, ``diagnose`` on the m=50 paper problem with its eigenvector and
+    output formats, ``diagnose`` on the m=50 paper problem with its eigenvector and
     its breakdown-prone basis, and every check suite at seed 0."""
     def spec_file(name, spec):
         path = tmp / f"{name}.json"
@@ -430,9 +430,9 @@ def _cli_commands(tmp: Path):
         return str(path)
 
     for name, spec in _cli_specs(tmp):
-        path = spec_file(name, spec)
         for fmt in ("json", "csv"):
-            yield f"run {name} {fmt}", ["run", path, "--format", fmt]
+            yield f"run {name} {fmt}", ["run", spec_file(f"{name}-{fmt}", {
+                **spec, "output": {"format": fmt}})]
     for name, deflation in (("eigen-m50", {"eigen_indices": "1-5,51-55"}),
                             ("breakdown-m50", {"breakdown_indices": "1-5"})):
         yield f"diagnose {name}", ["diagnose", spec_file(f"diagnose-{name}", {

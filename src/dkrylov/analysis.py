@@ -139,20 +139,23 @@ def check_deflated_spectrum(a, u, mode: GalerkinMode) -> SpectrumCheck:
     a failing one is reported, not raised.  A deflated matrix M whose
     Hermitian defect ||M - M^H||_2 exceeds that bound fails too, with the
     defect as its mismatch if it is the larger: an invariant basis keeps M
-    Hermitian to roundoff.
+    Hermitian to roundoff.  The Hermitian verdict on ``a`` is
+    :attr:`linalg.SquareMatrix.hermitian`, and ||a||_2 is the largest
+    eigenvalue modulus, so that defect is the one spectral norm of an n-by-n
+    matrix the check computes.
     """
     a = linalg.as_matrix(a)
     u = linalg.as_matrix(u)
     k = u.shape[1]
-    if not linalg.is_hermitian(a):
+    if not linalg.SquareMatrix(a).hermitian:
         raise ValueError("spectral verification requires a Hermitian matrix")
-    theta = _invariant_eigenvalues(a, u)
+    full = _hermitian_eigenvalues(a)
+    anorm = float(np.max(np.abs(full)))
+    theta = _invariant_eigenvalues(a, u, anorm)
     d = Deflator(a, u, mode)
     deflated = d.dense_deflated_matrix()
-    anorm = linalg.spectral_norm(a)
     tolerance = SPECTRUM_TOLERANCE * max(anorm, np.finfo(float).tiny)
     computed = _hermitian_eigenvalues(deflated)
-    full = _hermitian_eigenvalues(a)
     remaining = _remove_matched(full, theta, tolerance)
     expected = np.sort(np.concatenate([np.zeros(k), remaining]))
     max_mismatch = float(np.max(np.abs(computed - expected)))
@@ -168,9 +171,9 @@ def _hermitian_eigenvalues(a) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
 
 
-def _invariant_eigenvalues(a, u) -> np.ndarray:
+def _invariant_eigenvalues(a, u, anorm) -> np.ndarray:
     """Eigenvalues of ``a`` restricted to span(u); fails unless the residual
-    ||a q - q (q^H a q)||_2 is at most 1e-10 ||a||_2."""
+    ||a q - q (q^H a q)||_2 is at most 1e-10 ``anorm``, ||a||_2."""
     tol = 1e-10
     q = scipy.linalg.orth(u)
     if q.shape[1] != u.shape[1]:
@@ -178,7 +181,7 @@ def _invariant_eigenvalues(a, u) -> np.ndarray:
     aq = a @ q
     restriction = q.conj().T @ aq
     defect = linalg.spectral_norm(aq - q @ restriction)
-    scale = max(linalg.spectral_norm(a), np.finfo(float).tiny)
+    scale = max(anorm, np.finfo(float).tiny)
     if defect > tol * scale:
         raise NotInvariantError(f"basis is not invariant: residual {defect:.3e} vs {tol:g} * "
                                 f"{scale:.3e}")

@@ -1,7 +1,8 @@
 """Command-line front end: run experiments, property suites and diagnoses.
 
-Experiment specs are declarative files, INI-style sections or the same
-structure as JSON.  A spec's problem comes from a seeded generator
+An experiment is described by one JSON spec, an object of section objects;
+the command line adds only the problem seed and the output destination.  A
+spec's problem comes from a seeded generator
 (``symmetric-indefinite``, ``clustered-spd``, ``toy-breakdown`` or
 ``near-invariant``) or, with ``file``, from Matrix Market files of A, b and
 x0 (:mod:`dkrylov.io`), as may its deflation basis.  Convergence histories
@@ -11,11 +12,11 @@ history of a run is divided by one shared reference, ||b|| of the problem
 (1 when b = 0), so the variants can be compared with each other; the JSON
 output records it as ``reference_norm``.
 
-Every spec value is typed by one schema when the spec is read, and a key
-that the chosen generator or the other keys leave unread is rejected there,
-so either exits with code 2 before any problem is built; requirements that
-tie keys together are checked while the experiment is built, before any
-solve.
+Every spec value is typed, and held to its key's own range, by one schema
+when the spec is read, and a key that the chosen generator or the other keys
+leave unread is rejected there, so either exits with code 2 before any
+problem is built; requirements that tie keys together are checked while the
+experiment is built, before any solve.
 
 Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error or an
 output path in a missing directory, 3 construction/setup error, a check
@@ -25,7 +26,6 @@ suite that raised or a failed write of the output.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import sys
@@ -82,7 +82,7 @@ def _variants(value) -> list[MethodVariant]:
 
 
 def _integer(value) -> int:
-    # int() would truncate 5.7 and accept True; integer strings from INI pass.
+    # int() would truncate 5.7 and accept True; an integer string passes.
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
@@ -122,13 +122,13 @@ def _choice(*names):
             f"one of {', '.join(names)}")
 
 
-_INT = (_integer, "an integer")
 # numpy rejects a negative seed only when the generator is built, in words
 # that name no key.
 _SEED = (_where(_integer, lambda n: n >= 0), "a non-negative integer")
 _COUNT = (_where(_integer, lambda n: n >= 1), "an integer of at least 1")
+_ORDER = (_where(_integer, lambda n: n >= 2), "an integer of at least 2")
 _POSITIVE = (_where(_finite, lambda x: x > 0), "a positive finite number")
-_FLOAT = (_finite, "a finite number")
+_NON_NEGATIVE = (_where(_finite, lambda x: x >= 0), "a non-negative finite number")
 _TEXT = (str, "a string")
 _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
 
@@ -136,16 +136,16 @@ _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
 _SCHEMA = {
     "problem": {"generator": _choice("symmetric-indefinite", "clustered-spd", "toy-breakdown",
                                      "near-invariant", "file"),
-                "m": _INT, "n": _INT, "outliers": _INT, "alpha": _FLOAT, "seed": _SEED,
+                "m": _COUNT, "n": _ORDER, "outliers": _COUNT, "alpha": _POSITIVE, "seed": _SEED,
                 "a": _TEXT, "b": _TEXT, "x0": _TEXT},
     "deflation": {"eigen_indices": _INDICES, "breakdown_indices": _INDICES, "file": _TEXT,
-                  "perturb_eps": _FLOAT, "perturb_seed": _SEED},
+                  "perturb_eps": _POSITIVE, "perturb_seed": _SEED},
     "run": {"variants": (_variants, "variant names from "
                          + ", ".join(v.value for v in MethodVariant)),
             "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _SEED,
-            "x0_perturbation": _FLOAT, "breakdown_coefficient_seed": _SEED},
-    "solver": {"tolerance": _FLOAT, "max_iterations": _INT},
-    "output": {"path": _TEXT, "format": _choice("csv", "json")},
+            "x0_perturbation": _NON_NEGATIVE, "breakdown_coefficient_seed": _SEED},
+    "solver": {"tolerance": _POSITIVE, "max_iterations": _COUNT},
+    "output": {"format": _choice("csv", "json")},
 }
 
 #: [solver] keys whose SolveConfig field has another name.
@@ -168,28 +168,18 @@ _CONDITIONAL_KEYS = (
 
 
 def parse_spec(path) -> dict[str, dict]:
-    """Parse an INI or JSON spec file into one dict of typed values per
-    :data:`_SCHEMA` section, rejecting unknown sections and keys and those
-    that the spec's choices never read (:data:`_GENERATOR_KEYS`,
-    :data:`_CONDITIONAL_KEYS`)."""
+    """Parse a JSON spec file, an object of section objects, into one dict
+    of typed values per :data:`_SCHEMA` section, rejecting unknown sections
+    and keys, values out of their key's range, and keys that the spec's
+    choices never read (:data:`_GENERATOR_KEYS`, :data:`_CONDITIONAL_KEYS`)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"{path}: cannot read spec ({exc})") from exc
-    if text.lstrip().startswith("{"):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
-            raise SpecError(f"{path}: JSON spec must be an object of section objects")
-    else:
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text, source=str(path))
-        except configparser.Error as exc:
-            raise SpecError(f"{path}: invalid spec file ({exc})") from exc
-        raw = {name: dict(parser.items(name)) for name in parser.sections()}
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
+        raise SpecError(f"{path}: JSON spec must be an object of section objects")
 
     sections = {}
     for name, values in raw.items():
@@ -260,20 +250,14 @@ def build_basis(spec: dict, problem: TestProblem):
     return basis
 
 
-def build_solve_config(spec: dict, tol_override=None, maxit_override=None) -> SolveConfig:
-    """The run's :class:`SolveConfig`.  The command reports residuals and final
-    iterates only, so it records no iterate history; a variant that corrects
-    every iterate still records its own (:func:`run_methods`)."""
+def build_solve_config(spec: dict) -> SolveConfig:
+    """The run's :class:`SolveConfig` from the spec's ``[solver]`` section,
+    whose values :func:`parse_spec` has typed and bounded.  The command
+    reports residuals and final iterates only, so it records no iterate
+    history; a variant that corrects every iterate still records its own
+    (:func:`run_methods`)."""
     kwargs = {_SOLVER_FIELDS.get(key, key): value for key, value in spec["solver"].items()}
-    kwargs["record_history"] = False
-    if tol_override is not None:
-        kwargs["residual_tolerance"] = tol_override
-    if maxit_override is not None:
-        kwargs["max_iterations"] = maxit_override
-    try:
-        return SolveConfig(**kwargs)
-    except ValueError as exc:
-        raise SpecError(f"[solver] {exc}") from exc
+    return SolveConfig(**kwargs, record_history=False)
 
 
 def build_variants(spec: dict) -> list[MethodVariant]:
@@ -383,10 +367,9 @@ def _emit(rendered: str, path) -> int:
 def cmd_run(args) -> int:
     try:
         spec = parse_spec(args.spec_file)
-        destination = args.output or spec["output"].get("path")
-        _check_destination(destination)
+        _check_destination(args.output)
         variants = build_variants(spec)
-        cfg = build_solve_config(spec, args.tol, args.maxit)
+        cfg = build_solve_config(spec)
         problem = build_problem(spec, args.seed)
         basis = build_basis(spec, problem)
         x0 = build_initial_guess(spec, problem, basis)
@@ -397,8 +380,8 @@ def cmd_run(args) -> int:
         return _error(exc, 3)
 
     reference = reference_norm(problem.b)
-    render = render_json if (args.format or spec["output"].get("format")) == "json" else render_csv
-    if _emit(render(results, reference), destination):
+    render = render_json if spec["output"].get("format") == "json" else render_csv
+    if _emit(render(results, reference), args.output):
         return 3
     for result in results:
         rep = result.deflated_report
@@ -456,11 +439,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment spec and write convergence histories")
     p_run.add_argument("spec_file")
-    p_run.add_argument("--output", help="output file (defaults to the spec's [output] path or stdout)")
-    p_run.add_argument("--format", choices=("csv", "json"))
+    p_run.add_argument("--output", help="output file (defaults to stdout)")
     p_run.add_argument("--seed", type=_option(_SEED), help="override the problem seed")
-    p_run.add_argument("--tol", type=_option(_POSITIVE), help="override the residual tolerance")
-    p_run.add_argument("--maxit", type=_option(_COUNT), help="override the iteration limit")
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run a property suite on seeded random instances")

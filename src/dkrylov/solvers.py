@@ -184,7 +184,8 @@ class _Run:
         self.recurrence_norms = []
         self.iterates = [] if cfg.record_history else None
         self.best = collections.deque(maxlen=STAGNATION_WINDOW + 1)
-        self.lowest, self.lowest_x = math.inf, None   # lowest recorded norm, its x
+        # The lowest recorded norm, its x and its index.
+        self.lowest, self.lowest_x, self.lowest_index = math.inf, None, None
 
     def record(self, x, recurrence_norm, norm) -> float:
         """Record ``x`` with its residual ``norm`` and its recurrence
@@ -196,6 +197,7 @@ class _Run:
             self.iterates.append(x.copy())
         if norm < self.lowest:      # x by reference: each CG step makes a new one
             self.lowest, self.lowest_x = norm, x
+            self.lowest_index = len(self.residual_norms) - 1
         prev_best = self.best[-1] if self.best else math.inf
         progress = norm
         if self.smooth and self.best and norm > 0.0:
@@ -284,6 +286,9 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     out of steps returns the iterate of its lowest recorded residual, which
     with history also replaces the last one recorded.  Every ending but
     convergence records b - op x of the returned iterate as its last residual.
+    ``diagnostics["returned_iteration"]`` is the returned iterate's index:
+    the lowest recorded residual's for ``stagnated`` and ``max-iterations``
+    (0 when that is r0, and x0 is returned), and the last index otherwise.
 
     On a consistent positive semidefinite system the iteration is well defined
     until termination.  Each step's pivot p^H op p / rho is judged against
@@ -309,7 +314,7 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     r *= unit
     value = run.start(linalg.vector_norm(r))
     if run.tol_reached(value):
-        return run.report(SolveStatus.CONVERGED, x)
+        return run.report(SolveStatus.CONVERGED, x, diagnostics={"returned_iteration": 0})
 
     p = r.copy()
     rho = np.vdot(r, r).real
@@ -324,7 +329,8 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
                 raise IndefiniteOperatorError(
                     f"negative curvature {curvature / unit / unit:.3e} at iteration {iteration}"
                 )
-            return run.finish(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration)
+            return run.finish(SolveStatus.BREAKDOWN, x, breakdown_iteration=iteration,
+                              diagnostics={"returned_iteration": iteration - 1})
         cutoff = max(cutoff, BREAKDOWN_THRESHOLD * pivot)
         alpha = rho / curvature
         x = x + alpha * p
@@ -338,7 +344,8 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
             value = linalg.vector_norm(r)
         run.record(x, carried, value)
         if run.tol_reached(value):
-            return run.report(SolveStatus.CONVERGED, x)
+            return run.report(SolveStatus.CONVERGED, x,
+                              diagnostics={"returned_iteration": iteration})
         if run.stagnated():
             status = SolveStatus.STAGNATED
             break
@@ -348,7 +355,8 @@ def cg_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
         status = SolveStatus.MAX_ITERATIONS
     if run.iterates is not None:
         run.iterates[-1] = run.lowest_x.copy()
-    return run.finish(status, run.lowest_x)
+    return run.finish(status, run.lowest_x,
+                      diagnostics={"returned_iteration": run.lowest_index})
 
 
 #: Estimated loss of orthogonality at which MINRES reorthogonalizes; why it is

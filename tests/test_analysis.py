@@ -125,6 +125,20 @@ class TestCheckDeflatedSpectrum:
         assert not result.passed
         assert result.max_mismatch > 1e-8 * 5.0
 
+    @pytest.mark.parametrize("n", [6, 40])
+    @pytest.mark.parametrize("mode", [OR, MR], ids=["or", "mr"])
+    def test_one_spectral_norm_of_an_n_by_n_matrix(self, monkeypatch, mode, n):
+        # A's Hermitian verdict comes from SquareMatrix and ||a||_2 from the
+        # eigenvalues the check computes anyway: only the deflated matrix's
+        # Hermitian defect takes an n-by-n SVD.
+        shapes, norm = [], linalg.spectral_norm
+        monkeypatch.setattr(linalg, "spectral_norm",
+                            lambda x: shapes.append(np.shape(x)) or norm(x))
+        q = linalg.random_orthogonal(n, 1)
+        a = linalg.assemble_hermitian(q, np.linspace(1.0, 10.0, n))
+        assert check_deflated_spectrum(a, q[:, :3], mode).passed
+        assert shapes.count((n, n)) == 1
+
     def test_restriction_eigenvalue_missing_from_the_spectrum_rejected(self):
         # Through check_deflated_spectrum each restriction eigenvalue lies
         # within the invariance residual, 1e-10 ||a||_2, of the spectrum,

@@ -63,6 +63,32 @@ UNREAD_KEY_IDS = ["unread-toy-m", "unread-paper-n", "perturb-seed-without-eps",
                   "x0-seed-without-random", "coefficient-seed-without-guess"]
 
 
+def with_value(spec, section, key, value):
+    """A copy of ``spec`` with ``[section] key`` set to ``value``."""
+    spec = copy.deepcopy(spec)
+    spec.setdefault(section, {})[key] = value
+    return spec
+
+
+#: Values outside their key's range: (section, key, value, what the key
+#: expects, a spec whose choices read the key).
+OUT_OF_RANGE = [
+    ("problem", "m", 0, "an integer of at least 1", paper_spec()),
+    ("problem", "n", 1, "an integer of at least 2",
+     {**paper_spec(), "problem": {"generator": "clustered-spd"}}),
+    ("problem", "outliers", 0, "an integer of at least 1",
+     {**paper_spec(), "problem": {"generator": "clustered-spd"}}),
+    ("problem", "alpha", 0, "a positive finite number",
+     {**paper_spec(), "problem": {"generator": "near-invariant"}}),
+    ("deflation", "perturb_eps", -1e-3, "a positive finite number",
+     paper_spec(eigen_indices="1-5")),
+    ("run", "x0_perturbation", -1, "a non-negative finite number", paper_spec()),
+    ("solver", "tolerance", 0, "a positive finite number", paper_spec()),
+    ("solver", "max_iterations", 0, "an integer of at least 1", paper_spec()),
+]
+OUT_OF_RANGE_IDS = [f"{key}-{value}" for _, key, value, _, _ in OUT_OF_RANGE]
+
+
 def run_json(tmp_path, spec):
     out = tmp_path / "out.json"
     code = cli.main(["run", write_spec(tmp_path, spec), "--output", str(out)])
@@ -119,9 +145,13 @@ class TestRun:
         assert [r["status"] for r in payload["results"]] == statuses
 
     @pytest.mark.parametrize("text, message", [
-        ('{"problem": {"generator": ', "invalid JSON"),
+        ('{"problem": {"generator": ', "spec.json: invalid JSON"),
+        ("[problem]\ngenerator = toy-breakdown\n[run]\nvariants = minres\n",
+         "spec.json: invalid JSON"),
+        ('[{"generator": "toy-breakdown"}]',
+         "spec.json: JSON spec must be an object of section objects"),
         ('{"problem": {"generator": "toy-breakdown"}, "run": {}}', "[run] variants is required"),
-    ], ids=["invalid-json", "missing-variants"])
+    ], ids=["invalid-json", "ini-sections", "not-an-object", "missing-variants"])
     def test_rejected_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, capsys, text,
                                                     message):
         calls = []
@@ -175,13 +205,17 @@ class TestRun:
         {**paper_spec(), "solver": {"reorthogonalize": True}},
         {**paper_spec(), "solver": {"explicit_residuals": True}},
         {**paper_spec(), "problem": {"generator": "container"}},
+        {**paper_spec(), "output": {"path": "out.json"}},
+        *(with_value(spec, section, key, value)
+          for section, key, value, _, spec in OUT_OF_RANGE),
         *(spec for spec, _ in UNREAD_KEYS),
     ], ids=["bad-index-list", "descending-indices", "overlapping-ranges", "repeated-index",
             "index-zero", "negative-breakdown-index", "bad-format", "bad-unused-key",
             "section-not-object", "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
             "infinite-breakdown-threshold", "nan-alpha", "boolean-float",
             "removed-reorthogonalize-key", "removed-explicit-residuals-key",
-            "removed-container-generator", *UNREAD_KEY_IDS])
+            "removed-container-generator", "removed-output-path-key", *OUT_OF_RANGE_IDS,
+            *UNREAD_KEY_IDS])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
         monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
@@ -207,12 +241,31 @@ class TestRun:
         # numpy would reject it only once the generator is built, naming no key.
         calls = []
         monkeypatch.setattr(cli, "build_problem", lambda *args: calls.append(args))
-        spec = copy.deepcopy(spec)
-        spec[section][key] = -1
-        assert cli.main(["run", write_spec(tmp_path, spec)]) == 2
+        assert cli.main(["run", write_spec(tmp_path, with_value(spec, section, key, -1))]) == 2
         err = capsys.readouterr().err
         assert f"[{section}] {key} must be a non-negative integer, got -1" in err
         assert calls == []
+
+    @pytest.mark.parametrize("section, key, value, expected, spec", OUT_OF_RANGE,
+                             ids=OUT_OF_RANGE_IDS)
+    def test_out_of_range_value_is_named(self, tmp_path, monkeypatch, capsys, section, key,
+                                         value, expected, spec):
+        # Each bound is the schema's, so the message names the key and no
+        # problem is built; the generators' own messages name no key.
+        calls = []
+        monkeypatch.setattr(cli, "build_problem", lambda *args: calls.append(args))
+        assert cli.main(["run", write_spec(tmp_path, with_value(spec, section, key, value))]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} must be {expected}, got {value!r}" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("option", ["--format", "--tol", "--maxit"])
+    def test_spec_key_is_no_option(self, tmp_path, capsys, option):
+        # The output format, tolerance and step limit are set in the spec only.
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", write_spec(tmp_path, paper_spec()), option, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "diagnose", "check"])
     def test_negative_seed_option_exits_2(self, tmp_path, capsys, command):
@@ -222,31 +275,6 @@ class TestRun:
         assert info.value.code == 2
         assert ("argument --seed: must be a non-negative integer, got '-1'"
                 in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("option, value, expected", [
-        ("--tol", "0", "a positive finite number"),
-        ("--tol", "-0.001", "a positive finite number"),
-        ("--tol", "nan", "a positive finite number"),
-        ("--tol", "inf", "a positive finite number"),
-        ("--tol", "small", "a positive finite number"),
-        ("--maxit", "0", "an integer of at least 1"),
-        ("--maxit", "-3", "an integer of at least 1"),
-        ("--maxit", "2.5", "an integer of at least 1"),
-        ("--maxit", "many", "an integer of at least 1"),
-    ])
-    def test_bad_solver_option_is_named(self, tmp_path, monkeypatch, capsys, option, value,
-                                        expected):
-        # SolveConfig would reject it too, but under a [solver] section the
-        # command line never wrote.
-        calls = []
-        monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
-        with pytest.raises(SystemExit) as info:
-            cli.main(["run", write_spec(tmp_path, paper_spec()), option, value])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument {option}: must be {expected}, got {value!r}" in err
-        assert "[solver]" not in err
-        assert calls == []
 
     def test_integral_values_are_integers(self, tmp_path):
         spec = paper_spec(m=20)
@@ -287,21 +315,6 @@ class TestRun:
         assert cli.main(["run", write_spec(tmp_path, paper_spec()), "--output", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("error: cannot write output")
 
-    def test_ini_spec_matches_json_spec(self, tmp_path):
-        spec = paper_spec()
-        spec["solver"] = {"max_iterations": 1000, "tolerance": 1e-10}
-        json_out, ini_out = tmp_path / "json.out", tmp_path / "ini.out"
-        assert cli.main(["run", write_spec(tmp_path, spec), "--output", str(json_out)]) == 0
-        ini = tmp_path / "spec.ini"
-        ini.write_text(
-            "[problem]\ngenerator = symmetric-indefinite\nm = 20\n"
-            "[deflation]\neigen_indices = 1-5,21-25\n"
-            f"[run]\nvariants = {', '.join(SIX_VARIANTS)}\nx0 = zero\n"
-            "[solver]\nmax_iterations = 1000\ntolerance = 1e-10\n"
-            "[output]\nformat = json\n", encoding="ascii")
-        assert cli.main(["run", str(ini), "--output", str(ini_out)]) == 0
-        assert ini_out.read_bytes() == json_out.read_bytes()
-
     def test_run_records_no_history_and_prints_the_same(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path, paper_spec())
         build = cli.build_solve_config
@@ -337,8 +350,7 @@ class TestRun:
         # A, b, x0 and the deflation basis come from Matrix Market files; A
         # in the coordinate format that scipy writes for a sparse matrix,
         # which is densified.  With no [run] x0 key the run starts from the
-        # problem's x0, here the file's.  The basis is perturbed, and --tol
-        # and --maxit override the spec's [solver] section.
+        # problem's x0, here the file's.  The basis is perturbed.
         import scipy.io
         import scipy.sparse
 
@@ -354,14 +366,13 @@ class TestRun:
                 "deflation": {"file": str(tmp_path / "u.mtx"), "perturb_eps": 1e-6,
                               "perturb_seed": 3},
                 "run": {"variants": ["minres", "deflated-minres"]},
-                "solver": {"tolerance": 1e-6, "max_iterations": 5},
+                "solver": {"tolerance": 1e-11, "max_iterations": 300},
                 "output": {"format": "json"}}
         received = []
         monkeypatch.setattr(cli, "run_methods",
                             lambda *args: received.append(args) or run_methods(*args))
         out = tmp_path / "out.json"
-        assert cli.main(["run", write_spec(tmp_path, spec), "--output", str(out),
-                         "--tol", "1e-11", "--maxit", "300"]) == 0
+        assert cli.main(["run", write_spec(tmp_path, spec), "--output", str(out)]) == 0
         (variants, a, b, basis, given, cfg), = received
         assert [v.value for v in variants] == ["minres", "deflated-minres"]
         assert np.array_equal(a, p.a) and a.dtype == np.float64

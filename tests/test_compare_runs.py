@@ -206,5 +206,11 @@ class TestCliCommands:
         # the file generator reads files written beside the specs
         spec = json.loads(Path(commands["run file-m50 json"][1]).read_text(encoding="ascii"))
         assert spec["problem"]["generator"] == "file"
+        # each output format is a spec key, which a parent with --format reads too
+        for name, arguments in commands.items():
+            if arguments[0] == "run":
+                assert len(arguments) == 2
+                written = json.loads(Path(arguments[1]).read_text(encoding="ascii"))
+                assert written["output"] == {"format": name.rsplit(" ", 1)[1]}
         for path in (spec["problem"]["a"], spec["problem"]["b"], spec["deflation"]["file"]):
             assert Path(path).parent == tmp_path and Path(path).is_file()

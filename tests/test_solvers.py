@@ -328,6 +328,29 @@ class TestCg:
         assert np.array_equal(rep.iterates[-1], rep.final_iterate) and len(rep.iterates) == 61
         assert rep.residual_norms[-1] == short.residual_norms[-1]
         assert np.array_equal(rep.iterates[:59], short.iterates[:59])
+        assert rep.diagnostics == short.diagnostics == {"returned_iteration": 59}
+
+    @pytest.mark.parametrize("seed, decades, steps", [(0, 4, 20), (1, 5, 30), (4, 4, 40),
+                                                      (5, 6, 30)])
+    def test_run_that_never_goes_below_r0_returns_x0(self, seed, decades, steps):
+        # The residual here first rises over ||r0|| (as in
+        # test_rising_residual_is_not_stagnation), so the lowest recorded
+        # residual of a short run is r0's and the run returns x0, saying so.
+        a, b = logspaced_system(200, seed, decades)
+        rep = cg_solve(dense_operator(a), b, cfg=SolveConfig(max_iterations=steps))
+        assert rep.status is SolveStatus.MAX_ITERATIONS
+        assert rep.diagnostics == {"returned_iteration": 0}
+        assert not rep.final_iterate.any() and np.array_equal(rep.iterates[-1], rep.iterates[0])
+        assert rep.residual_norms[-1] == rep.residual_norms[0]
+
+    def test_converged_run_returns_its_last_iterate(self):
+        a, b = logspaced_system(40, 7, 3)
+        rep = cg_solve(dense_operator(a), b)
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.diagnostics == {"returned_iteration": rep.iterations_used}
+        zero_rhs = cg_solve(dense_operator(a), np.zeros(40))
+        assert zero_rhs.iterations_used == 0
+        assert zero_rhs.diagnostics == {"returned_iteration": 0}
 
     def test_vanishing_curvature_at_a_converged_iterate(self):
         # A = diag(1, 0) and b = (2^40 + 1, 2^-10) from x0 = (2^40, 0): every
@@ -345,6 +368,7 @@ class TestCg:
         rep = cg_solve(dense_operator(a), b, x0, SolveConfig(residual_tolerance=tol))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations_used == 1 and rep.breakdown_iteration is None
+        assert rep.diagnostics == {"returned_iteration": 1}
         assert rep.residual_norms.tolist() == [math.hypot(1.0, 2.0**-10), 2.0**-10]
         assert rep.recurrence_residual_norms[1] == 2.0**-10 * math.sqrt(1.0 + 2.0**-20)
         assert rep.final_iterate.tolist() == [2.0**40 + 1.0, 2.0**-10 * (1.0 + 2.0**-20)]
