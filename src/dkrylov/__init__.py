@@ -9,8 +9,7 @@ from .operators import LinearOperator, deflated_operator, dense_operator
 from .problems import (TestProblem, breakdown_prone_basis, clustered_spd_problem,
                        eigenvector_basis, near_invariant_problem, perturb_basis,
                        symmetric_indefinite_problem, toy_breakdown_problem)
-from .projection import (Deflator, GalerkinMode, ModeMismatchError,
-                         SingularCouplingError)
+from .projection import Deflator, GalerkinMode, SingularCouplingError
 from .solvers import (IndefiniteOperatorError, SolveConfig, SolveReport,
                       SolveStatus, cg_solve, gmres_solve, minres_solve)
 
@@ -18,9 +17,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BreakdownDiagnosis", "Deflator", "DualReport", "GalerkinMode", "GuessInvalidError",
-    "IndefiniteOperatorError", "LinearOperator", "MethodVariant", "ModeMismatchError",
-    "NotInvariantError", "SingularCouplingError", "SingularMatrixError", "SolveConfig",
-    "SolveReport", "SolveStatus", "SpectrumCheck", "TestProblem",
+    "IndefiniteOperatorError", "LinearOperator", "MethodVariant", "NotInvariantError",
+    "SingularCouplingError", "SingularMatrixError", "SolveConfig", "SolveReport",
+    "SolveStatus", "SpectrumCheck", "TestProblem",
     "breakdown_initial_guess", "breakdown_prone_basis", "cg_solve",
     "check_deflated_spectrum", "clustered_spd_problem", "deflated_operator",
     "dense_operator", "diagnose_breakdown", "eigenvector_basis", "gmres_solve",

@@ -1,9 +1,9 @@
 """Command-line front end: run experiments, property suites and diagnoses.
 
 An experiment is described by one JSON spec, an object of section objects;
-the command line adds only the problem seed and the output destination.  A
-spec's problem comes from a seeded generator
-(``symmetric-indefinite``, ``clustered-spd``, ``toy-breakdown`` or
+the command line adds only the output destination and, for a seeded
+generator (``symmetric-indefinite`` or ``clustered-spd``), the problem seed.
+A spec's problem comes from a generator (those, ``toy-breakdown`` or
 ``near-invariant``) or, with ``file``, from Matrix Market files of A, b and
 x0 (:mod:`dkrylov.io`), as may its deflation basis.  Convergence histories
 are written as CSV (one row per variant and iteration) or JSON for external
@@ -15,8 +15,9 @@ output records it as ``reference_norm``.
 Every spec value is typed, and held to its key's own range, by one schema
 when the spec is read, and a key that the chosen generator or the other keys
 leave unread is rejected there, so either exits with code 2 before any
-problem is built; requirements that tie keys together are checked while the
-experiment is built, before any solve.
+problem is built, as is ``--seed`` for a generator that reads no seed; a
+missing deflation basis and the other requirements that tie keys together
+are checked while the experiment is built, before any solve.
 
 Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error or an
 output path in a missing directory, 3 construction/setup error, a check
@@ -37,7 +38,7 @@ from . import io as dkio
 from . import linalg
 from .analysis import breakdown_initial_guess, diagnose_breakdown
 from .checks import SUITES, run_suite
-from .deflated import DualReport, MethodVariant, run_methods
+from .deflated import _RECIPES, DualReport, MethodVariant, run_methods
 from .problems import (TestProblem, breakdown_prone_basis, clustered_spd_problem,
                        eigenvector_basis, near_invariant_problem, perturb_basis,
                        symmetric_indefinite_problem, toy_breakdown_problem)
@@ -143,7 +144,7 @@ _SCHEMA = {
     "run": {"variants": (_variants, "variant names from "
                          + ", ".join(v.value for v in MethodVariant)),
             "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _SEED,
-            "x0_perturbation": _NON_NEGATIVE, "breakdown_coefficient_seed": _SEED},
+            "x0_perturbation": _NON_NEGATIVE},
     "solver": {"tolerance": _POSITIVE, "max_iterations": _COUNT},
     "output": {"format": _choice("csv", "json")},
 }
@@ -154,16 +155,15 @@ _SOLVER_FIELDS = {"tolerance": "residual_tolerance"}
 #: The [problem] keys each generator reads.
 _GENERATOR_KEYS = {"symmetric-indefinite": ("m", "seed"),
                    "clustered-spd": ("n", "outliers", "seed"), "toy-breakdown": (),
-                   "near-invariant": ("alpha",), "file": ("a", "b", "x0", "seed")}
+                   "near-invariant": ("alpha",), "file": ("a", "b", "x0")}
 
 #: Keys read only under other keys or choices: (section, key, whether its
 #: section reads it, the condition in words).
 _CONDITIONAL_KEYS = (
     ("deflation", "perturb_seed", lambda s: "perturb_eps" in s, "with perturb_eps"),
-    ("run", "x0_seed", lambda s: s.get("x0") == "random" or "x0_perturbation" in s,
-     'with x0 = "random" or x0_perturbation'),
-    ("run", "breakdown_coefficient_seed", lambda s: s.get("x0") == "breakdown-guess",
-     'with x0 = "breakdown-guess"'),
+    ("run", "x0_seed",
+     lambda s: s.get("x0") in ("random", "breakdown-guess") or "x0_perturbation" in s,
+     'with x0 = "random" or "breakdown-guess", or with x0_perturbation'),
 )
 
 
@@ -211,8 +211,12 @@ def parse_spec(path) -> dict[str, dict]:
 
 
 def build_problem(spec: dict, seed_override=None) -> TestProblem:
+    """The spec's problem; ``seed_override`` (``--seed``) replaces ``[problem]
+    seed`` and is rejected, as that key is, for a generator that reads none."""
     section = spec["problem"]
     generator = section["generator"]
+    if seed_override is not None and "seed" not in _GENERATOR_KEYS[generator]:
+        raise SpecError(f"--seed: generator {generator} reads no seed")
     seed = section.get("seed", 0) if seed_override is None else seed_override
     if generator == "symmetric-indefinite":
         return symmetric_indefinite_problem(section.get("m", 50), seed)
@@ -229,7 +233,7 @@ def build_problem(spec: dict, seed_override=None) -> TestProblem:
     b = dkio.read_matrix_market(section["b"])
     x0 = (dkio.read_matrix_market(section["x0"]) if "x0" in section
           else np.zeros(a.shape[0]))
-    return TestProblem(a=a, b=b, x0=x0, label=f"file({section['a']})", seed=seed)
+    return TestProblem(a=a, b=b, x0=x0)
 
 
 def build_basis(spec: dict, problem: TestProblem):
@@ -268,8 +272,10 @@ def build_variants(spec: dict) -> list[MethodVariant]:
 
 def build_initial_guess(spec: dict, problem: TestProblem, basis) -> np.ndarray:
     """The run's x0: without a ``[run] x0`` key the problem's own (the
-    ``x0`` file's, zeros without one and for every seeded generator), and
-    zeros for ``zero``."""
+    ``x0`` file's, zeros without one and for every generator), and zeros for
+    ``zero``.  ``x0_seed`` seeds the one draw of ``random`` (x0) or of
+    ``breakdown-guess`` (its basis coefficients), and plus one that of
+    ``x0_perturbation``."""
     section = spec["run"]
     n = problem.dim
     seed = section.get("x0_seed", 0)
@@ -279,14 +285,11 @@ def build_initial_guess(spec: dict, problem: TestProblem, basis) -> np.ndarray:
     elif choice == "zero":
         x0 = np.zeros(n)
     elif choice == "random":
-        rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal(n)
+        x0 = np.random.default_rng(seed).standard_normal(n)
     else:  # "breakdown-guess"
         if basis is None:
             raise SpecError("[run] x0 = breakdown-guess requires a deflation basis")
-        coeff_seed = section.get("breakdown_coefficient_seed", 0)
-        rng = np.random.default_rng(coeff_seed)
-        coeff = rng.standard_normal(basis.shape[1])
+        coeff = np.random.default_rng(seed).standard_normal(basis.shape[1])
         x0 = breakdown_initial_guess(problem.a, problem.b, basis, coeff)
     if "x0_perturbation" in section:
         eps = section["x0_perturbation"]
@@ -372,6 +375,9 @@ def cmd_run(args) -> int:
         cfg = build_solve_config(spec)
         problem = build_problem(spec, args.seed)
         basis = build_basis(spec, problem)
+        needs_basis = ", ".join(v.value for v in variants if _RECIPES[v].mode is not None)
+        if basis is None and needs_basis:
+            raise SpecError(f"variants {needs_basis} require a deflation basis from [deflation]")
         x0 = build_initial_guess(spec, problem, basis)
         results = run_methods(variants, problem.a, problem.b, basis, x0, cfg)
     except SpecError as exc:
@@ -414,7 +420,7 @@ def cmd_diagnose(args) -> int:
         problem = build_problem(spec, args.seed)
         basis = build_basis(spec, problem)
         if basis is None:
-            raise ValueError("diagnose requires a deflation basis")
+            raise SpecError("diagnose requires a deflation basis from [deflation]")
         diagnosis = diagnose_breakdown(problem.a, basis)
     except SpecError as exc:
         return _error(exc, 2)

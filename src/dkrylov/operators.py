@@ -6,7 +6,7 @@ construction detail.  Projected operators apply the projector and the base
 matrix-vector product as a composition; the projected matrix is never formed.
 
 The operator contract: a map is deterministic and linear, and its
-``hermitian`` flag is true only of a Hermitian map.  Nothing probes it at run
+``hermitian`` flag, a bool, is True only of a Hermitian map.  Nothing probes it at run
 time.  The operators built here keep it by construction: P A and P A P are
 linear, and each takes its flag from the one verdict on A that
 :class:`linalg.SquareMatrix` makes, through ``Deflator.a_hermitian`` for the
@@ -26,19 +26,18 @@ from .projection import Deflator, GalerkinMode
 class LinearOperator:
     """Square linear map on C^n with an explicit symmetry declaration.
 
-    ``hermitian`` is True, False or None (unknown).  ``dtype`` is the field
-    of the map's data, as in :class:`scipy.sparse.linalg.LinearOperator`:
-    float64 for a map with real entries, complex128 otherwise (the default,
-    which is always correct).  A solver runs in the common field of the
-    operator, the right-hand side and the initial guess, so a real operator
-    still maps complex vectors and must do so linearly.  The map keeps the
-    module's operator contract, which is not checked.  ``dim`` is an integer
-    of at least 1, a numpy one included; a bool or a fractional one is
-    rejected.
+    ``hermitian`` is a bool, False by default; CG and MINRES run only a map
+    flagged True.  ``dtype`` is the field of the map's data, as in
+    :class:`scipy.sparse.linalg.LinearOperator`: float64 for a map with real
+    entries, complex128 otherwise (the default, which is always correct).  A
+    solver runs in the common field of the operator, the right-hand side and
+    the initial guess, so a real operator still maps complex vectors and must
+    do so linearly.  The map keeps the module's operator contract, which is
+    not checked.  ``dim`` is an integer of at least 1, a numpy one included;
+    a bool or a fractional one is rejected.
     """
 
-    def __init__(self, dim: int, matvec, hermitian: bool | None = None, label: str = "",
-                 dtype=np.complex128):
+    def __init__(self, dim: int, matvec, hermitian: bool = False, dtype=np.complex128):
         try:
             n = operator.index(dim)                  # numpy integers pass
         except TypeError:
@@ -48,7 +47,6 @@ class LinearOperator:
         self.dim = n
         self._matvec = matvec
         self.hermitian = hermitian
-        self.label = label
         self.dtype = np.dtype(dtype)
 
     def apply(self, v) -> np.ndarray:
@@ -62,9 +60,7 @@ class LinearOperator:
         return out if linalg.is_float_vector(out, self.dim) else linalg.as_vector(out, self.dim)
 
     def __repr__(self):
-        sym = {True: "hermitian", False: "non-hermitian", None: "unknown"}[self.hermitian]
-        name = f" {self.label!r}" if self.label else ""
-        return f"<LinearOperator{name} dim={self.dim} {sym}>"
+        return f"<LinearOperator dim={self.dim} hermitian={self.hermitian}>"
 
 
 def dense_operator(a) -> LinearOperator:
@@ -76,7 +72,7 @@ def dense_operator(a) -> LinearOperator:
     """
     matrix = linalg.SquareMatrix(a)
     return LinearOperator(matrix.a.shape[0], matrix.product, matrix.hermitian,
-                          label="dense", dtype=matrix.a.dtype)
+                          dtype=matrix.a.dtype)
 
 
 def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:
@@ -98,15 +94,12 @@ def deflated_operator(deflator: Deflator, kind: str = "left") -> LinearOperator:
             hermitian = deflator.a_hermitian
         else:
             hermitian = False
-        label = "left-projected"
     elif kind == "two_sided":
         if deflator.mode is not GalerkinMode.RESIDUAL_MINIMIZING:
             raise ValueError("two_sided operators require residual-minimizing mode")
         matvec = lambda v: deflator.project_residual(  # noqa: E731
             a_product(deflator.project_residual(v)))
         hermitian = deflator.a_hermitian
-        label = "two-sided-projected"
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return LinearOperator(deflator.dim, matvec, hermitian, label=label,
-                          dtype=deflator.a.dtype)
+    return LinearOperator(deflator.dim, matvec, hermitian, dtype=deflator.a.dtype)

@@ -18,7 +18,8 @@ from . import linalg
 
 @dataclass
 class TestProblem:
-    """A linear system together with optional ground-truth data.
+    """A linear system and its initial guess, with the problem's own basis
+    ``u`` and ground truth where the construction knows them: arrays only.
 
     ``eigenvectors`` holds the full eigenvector matrix when the construction
     knows it (column j pairs with ``known_spectrum`` entry of the same
@@ -32,8 +33,6 @@ class TestProblem:
     known_solution: np.ndarray | None = None
     known_spectrum: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
-    seed: int = 0
-    label: str = ""
 
     @property
     def dim(self) -> int:
@@ -66,8 +65,6 @@ def symmetric_indefinite_problem(m: int, seed: int = 0) -> TestProblem:
         x0=np.zeros(n),
         known_spectrum=lam.copy(),
         eigenvectors=w,
-        seed=seed,
-        label=f"symmetric-indefinite(m={m})",
     )
 
 
@@ -133,7 +130,6 @@ def toy_breakdown_problem() -> TestProblem:
         x0=np.zeros(2),
         u=u,
         known_solution=np.array([0.0, 1.0]),
-        label="toy-breakdown",
     )
 
 
@@ -158,7 +154,6 @@ def near_invariant_problem(alpha: float) -> TestProblem:
         x0=np.zeros(3),
         u=u,
         known_solution=x,
-        label=f"near-invariant(alpha={alpha:g})",
     )
 
 
@@ -185,6 +180,4 @@ def clustered_spd_problem(n: int = 80, n_outliers: int = 5, seed: int = 0) -> Te
         x0=np.zeros(n),
         known_spectrum=lam.copy(),
         eigenvectors=w,
-        seed=seed,
-        label=f"clustered-spd(n={n})",
     )

@@ -43,10 +43,6 @@ class SingularCouplingError(SingularMatrixError):
     """
 
 
-class ModeMismatchError(ValueError):
-    """An operation was requested in a Galerkin mode that does not support it."""
-
-
 class Deflator:
     """Projection and correction toolbox for one (matrix, basis, mode) triple.
 
@@ -204,9 +200,11 @@ class Deflator:
         Needs a Hermitian ``a``, the only case the two-sided system is built
         for: then w^H = u^H a, and :meth:`correct_iterate` of this map of a
         two-sided iterate is its two-sided correction.  For any other ``a``
-        it is not, so it raises ValueError.
+        it is not, so it raises ValueError, as it does in residual-orthogonal
+        mode, which builds no two-sided system.
         """
-        self._require_minimizing("adapted_initial_guess")
+        if self.mode is not GalerkinMode.RESIDUAL_MINIMIZING:
+            raise ValueError("adapted_initial_guess requires residual-minimizing mode")
         if not self.a_hermitian:
             raise ValueError("adapted_initial_guess requires a Hermitian matrix")
         x0 = linalg.as_vector(x0, self.dim)
@@ -216,20 +214,16 @@ class Deflator:
     def initial_correction(self, x_prev, b) -> np.ndarray:
         """Shift an initial guess so its residual is orthogonal to the basis.
 
-        Residual-orthogonal mode only; the returned guess leaves an exact
-        solution untouched.
+        Residual-orthogonal mode only: in residual-minimizing mode it raises
+        ValueError.  The returned guess leaves an exact solution untouched.
         """
         if self.mode is not GalerkinMode.RESIDUAL_ORTHOGONAL:
-            raise ModeMismatchError("initial_correction requires residual-orthogonal mode")
+            raise ValueError("initial_correction requires residual-orthogonal mode")
         return self.correct_iterate(x_prev, b)
 
     def dense_deflated_matrix(self) -> np.ndarray:
         """Densely formed left-projected matrix, for analysis and tests only."""
         return self.a - self.w @ self._solve_coupling(self._bu_h_a)
-
-    def _require_minimizing(self, name: str):
-        if self.mode is not GalerkinMode.RESIDUAL_MINIMIZING:
-            raise ModeMismatchError(f"{name} requires residual-minimizing mode")
 
     def __repr__(self):
         return f"<Deflator dim={self.dim} k={self.k} mode={self.mode.value}>"

@@ -55,12 +55,13 @@ UNREAD_KEYS = [
     (paper_spec(eigen_indices="1-5", perturb_seed=3),
      "[deflation] perturb_seed is read only with perturb_eps"),
     ({**paper_spec(), "run": {"variants": "minres", "x0": "zero", "x0_seed": 4}},
-     '[run] x0_seed is read only with x0 = "random" or x0_perturbation'),
-    ({**paper_spec(), "run": {"variants": "minres", "breakdown_coefficient_seed": 4}},
-     '[run] breakdown_coefficient_seed is read only with x0 = "breakdown-guess"'),
+     '[run] x0_seed is read only with x0 = "random" or "breakdown-guess", '
+     'or with x0_perturbation'),
+    ({**paper_spec(), "problem": {"generator": "file", "a": "a.mtx", "b": "b.mtx", "seed": 5}},
+     "generator file does not read [problem] seed"),
 ]
 UNREAD_KEY_IDS = ["unread-toy-m", "unread-paper-n", "perturb-seed-without-eps",
-                  "x0-seed-without-random", "coefficient-seed-without-guess"]
+                  "x0-seed-without-random", "unread-file-seed"]
 
 
 def with_value(spec, section, key, value):
@@ -151,7 +152,20 @@ class TestRun:
         ('[{"generator": "toy-breakdown"}]',
          "spec.json: JSON spec must be an object of section objects"),
         ('{"problem": {"generator": "toy-breakdown"}, "run": {}}', "[run] variants is required"),
-    ], ids=["invalid-json", "ini-sections", "not-an-object", "missing-variants"])
+        (json.dumps({"problem": {"generator": "file", "a": "a.mtx"},
+                     "run": {"variants": "minres"}}),
+         "[problem] file generator requires a and b"),
+        (json.dumps(paper_spec(eigen_indices="1-5", breakdown_indices="1-5")),
+         "[deflation] choose one basis source, got eigen_indices, breakdown_indices"),
+        (json.dumps({"problem": {"generator": "symmetric-indefinite", "m": 5},
+                     "run": {"variants": "minres", "x0": "breakdown-guess"}}),
+         "[run] x0 = breakdown-guess requires a deflation basis"),
+        (json.dumps({"problem": {"generator": "symmetric-indefinite", "m": 5},
+                     "run": {"variants": ["minres", "deflated-minres", "deflated-gmres"]}}),
+         "variants deflated-minres, deflated-gmres require a deflation basis from [deflation]"),
+    ], ids=["invalid-json", "ini-sections", "not-an-object", "missing-variants",
+            "file-without-b", "two-basis-sources", "breakdown-guess-without-basis",
+            "missing-basis"])
     def test_rejected_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, capsys, text,
                                                     message):
         calls = []
@@ -188,6 +202,8 @@ class TestRun:
     @pytest.mark.parametrize("spec", [
         {**paper_spec(), "deflation": {"eigen_indices": "1-x"}},
         {**paper_spec(), "deflation": {"eigen_indices": "3,1"}},
+        {**paper_spec(), "deflation": {"eigen_indices": "5-1"}},
+        {**paper_spec(), "deflation": {"eigen_indices": ","}},
         {**paper_spec(), "deflation": {"eigen_indices": "1-5,3"}},
         {**paper_spec(), "deflation": {"eigen_indices": "2-2,2"}},
         {**paper_spec(), "deflation": {"eigen_indices": "0-2"}},
@@ -206,15 +222,21 @@ class TestRun:
         {**paper_spec(), "solver": {"explicit_residuals": True}},
         {**paper_spec(), "problem": {"generator": "container"}},
         {**paper_spec(), "output": {"path": "out.json"}},
+        with_value(breakdown_spec(), "run", "breakdown_coefficient_seed", 4),
+        {**paper_spec(), "plot": {"format": "png"}},
+        {"problem": {"m": 20}, "run": {"variants": "minres"}},
         *(with_value(spec, section, key, value)
           for section, key, value, _, spec in OUT_OF_RANGE),
         *(spec for spec, _ in UNREAD_KEYS),
-    ], ids=["bad-index-list", "descending-indices", "overlapping-ranges", "repeated-index",
+    ], ids=["bad-index-list", "descending-indices", "descending-range", "empty-index-list",
+            "overlapping-ranges", "repeated-index",
             "index-zero", "negative-breakdown-index", "bad-format", "bad-unused-key",
             "section-not-object", "not-utf8", "fractional-int", "boolean-int", "infinite-tolerance",
             "infinite-breakdown-threshold", "nan-alpha", "boolean-float",
             "removed-reorthogonalize-key", "removed-explicit-residuals-key",
-            "removed-container-generator", "removed-output-path-key", *OUT_OF_RANGE_IDS,
+            "removed-container-generator", "removed-output-path-key",
+            "removed-breakdown-coefficient-seed-key", "unknown-section", "missing-generator",
+            *OUT_OF_RANGE_IDS,
             *UNREAD_KEY_IDS])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
         calls = []
@@ -235,7 +257,7 @@ class TestRun:
                              "problem": {"generator": "symmetric-indefinite", "m": 20}}),
         ("deflation", "perturb_seed", paper_spec(eigen_indices="1-5", perturb_eps=1e-3)),
         ("run", "x0_seed", {**paper_spec(), "run": {"variants": ["minres"], "x0": "random"}}),
-        ("run", "breakdown_coefficient_seed", breakdown_spec()),
+        ("run", "x0_seed", breakdown_spec()),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_negative_seed_is_named(self, tmp_path, monkeypatch, capsys, section, key, spec):
         # numpy would reject it only once the generator is built, naming no key.
@@ -275,6 +297,24 @@ class TestRun:
         assert info.value.code == 2
         assert ("argument --seed: must be a non-negative integer, got '-1'"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("problem", [
+        {"generator": "file", "a": "a.mtx", "b": "b.mtx"}, {"generator": "toy-breakdown"},
+        {"generator": "near-invariant", "alpha": 1e-3}], ids=lambda p: p["generator"])
+    def test_seed_option_of_an_unseeded_generator_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                         command, problem):
+        # As [problem] seed is rejected for a generator that reads no seed,
+        # so is --seed, before the generator runs.
+        calls = []
+        for name in ("toy_breakdown_problem", "near_invariant_problem"):
+            monkeypatch.setattr(cli, name, lambda *args: calls.append(args))
+        monkeypatch.setattr(dkio, "read_matrix_market", lambda *args: calls.append(args))
+        spec = write_spec(tmp_path, {"problem": problem, "run": {"variants": "minres"}})
+        assert cli.main([command, spec, "--seed", "1"]) == 2
+        assert (f"error: --seed: generator {problem['generator']} reads no seed"
+                in capsys.readouterr().err)
+        assert calls == []
 
     def test_integral_values_are_integers(self, tmp_path):
         spec = paper_spec(m=20)
@@ -397,10 +437,20 @@ class TestRun:
         (_, _, _, _, given, _), = received
         assert given.shape == (20,) and not given.any()
 
-    def test_deflated_variant_without_basis_exits_3(self, tmp_path):
-        spec = paper_spec()
-        del spec["deflation"]
-        assert cli.main(["run", write_spec(tmp_path, spec)]) == 3
+    def test_construction_error_exits_3(self, tmp_path, capsys):
+        # The index bound depends on the problem, so the basis's builder
+        # checks it: a failure of construction, not of the spec's schema.
+        spec = write_spec(tmp_path, paper_spec(eigen_indices="1-5,41"))
+        assert cli.main(["run", spec]) == 3
+        assert "error: indices must lie in 1..40" in capsys.readouterr().err
+
+    def test_run_without_output_prints_what_output_writes(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, paper_spec())
+        out = tmp_path / "out.json"
+        assert cli.main(["run", spec, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", spec]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="ascii")
 
 
 class TestCheck:
@@ -489,6 +539,16 @@ class TestDiagnose:
         monkeypatch.undo()
         assert cli.main(["diagnose", spec, "--output", str(tmp_path)]) == 3
 
+    def test_missing_basis_exits_2_before_any_diagnosis(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "diagnose_breakdown", lambda *args: calls.append(args))
+        spec = paper_spec()
+        del spec["deflation"]
+        assert cli.main(["diagnose", write_spec(tmp_path, spec)]) == 2
+        assert ("error: diagnose requires a deflation basis from [deflation]"
+                in capsys.readouterr().err)
+        assert calls == []
+
 
 #: Parameter names of every public callable, a class through its ``__init__``
 #: (None where that is inherited from outside the package).  A new option
@@ -502,9 +562,8 @@ PUBLIC_PARAMETERS = {
     "GalerkinMode": None,
     "GuessInvalidError": None,
     "IndefiniteOperatorError": None,
-    "LinearOperator": ["dim", "matvec", "hermitian", "label", "dtype"],
+    "LinearOperator": ["dim", "matvec", "hermitian", "dtype"],
     "MethodVariant": None,
-    "ModeMismatchError": None,
     "NotInvariantError": None,
     "SingularCouplingError": None,
     "SingularMatrixError": None,
@@ -515,7 +574,7 @@ PUBLIC_PARAMETERS = {
     "SolveStatus": None,
     "SpectrumCheck": ["computed", "expected", "max_mismatch", "tolerance", "passed"],
     "TestProblem": ["a", "b", "x0", "u", "known_solution", "known_spectrum",
-                    "eigenvectors", "seed", "label"],
+                    "eigenvectors"],
     "breakdown_initial_guess": ["a", "b", "u", "coefficients"],
     "breakdown_prone_basis": ["problem", "indices"],
     "cg_solve": ["op", "b", "x0", "cfg"],
