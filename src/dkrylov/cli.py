@@ -16,8 +16,9 @@ Every spec value is typed, and held to its key's own range, by one schema
 when the spec is read, and a key that the chosen generator or the other keys
 leave unread is rejected there, so either exits with code 2 before any
 problem is built, as is ``--seed`` for a generator that reads no seed; a
-missing deflation basis and the other requirements that tie keys together
-are checked while the experiment is built, before any solve.
+missing deflation basis, an index past the problem's order and the other
+requirements that tie keys together or to the problem are checked while the
+experiment is built, before any solve, and exit with code 2 too.
 
 Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error or an
 output path in a missing directory, 3 construction/setup error, a check
@@ -243,12 +244,16 @@ def build_basis(spec: dict, problem: TestProblem):
         raise SpecError(f"[deflation] choose one basis source, got {', '.join(sources)}")
     if not sources:
         basis = problem.u
-    elif sources[0] == "eigen_indices":
-        basis = eigenvector_basis(problem, section["eigen_indices"])
-    elif sources[0] == "breakdown_indices":
-        basis = breakdown_prone_basis(problem, section["breakdown_indices"])
-    else:
+    elif sources[0] == "file":
         basis = dkio.read_matrix_market(section["file"])
+    else:
+        # The bound on the indices is the problem's order, known only here.
+        key = sources[0]
+        builder = eigenvector_basis if key == "eigen_indices" else breakdown_prone_basis
+        try:
+            basis = builder(problem, section[key])
+        except IndexError as exc:
+            raise SpecError(f"[deflation] {key}: {exc}") from None
     if basis is not None and "perturb_eps" in section:
         basis = perturb_basis(basis, section["perturb_eps"], section.get("perturb_seed", 0))
     return basis

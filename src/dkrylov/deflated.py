@@ -148,14 +148,13 @@ def run_methods(variants, a, b, u=None, x0=None,
     ``diagnostics["adapted_initial_guess"]``.  A shared iteration records its
     history when any of its variants needs it (recording does not change an
     iteration, and MINRES and GMRES form the recorded iterates at the end);
-    a variant whose ``cfg`` does not record history gets ``iterates=None``
-    and no basis drift.  Each report holds its own copy of the
-    :class:`SolveReport`, so every report is the one the variant would get if
-    it were run alone, bit for bit, except that a shared deflator's
-    ``apply_counts`` total the whole run.  Without a basis ``u``, one
-    ValueError names every variant that needs one, before any solve;
-    otherwise the first variant that fails raises, with the error it raises
-    alone.
+    a variant whose ``cfg`` does not record history gets ``iterates=None``.
+    Each report holds its own copy of the :class:`SolveReport`, so every
+    report is the one the variant would get if it were run alone, bit for
+    bit, except that a shared deflator's ``apply_counts`` total the whole
+    run.  Without a basis ``u``, one ValueError names every variant that
+    needs one, before any solve; otherwise the first variant that fails
+    raises, with the error it raises alone.
 
     MINRES-based deflated variants require a Hermitian matrix; deflated CG
     requires a Hermitian positive definite one; deflated GMRES accepts any
@@ -220,13 +219,12 @@ def _key(recipe: _Recipe) -> tuple:
 
 
 def _own_copy(rep: SolveReport, keep_iterates: bool) -> SolveReport:
-    """A report of its own for one variant, whose history (the iterates and
-    the basis drift) is kept only if the variant asked for it."""
+    """A report of its own for one variant, whose iterates are kept only if
+    the variant asked for them."""
     keep = keep_iterates and rep.iterates is not None
-    diagnostics = {key: value for key, value in rep.diagnostics.items()
-                   if keep or key != "basis_orthogonality_drift"}
     return replace(rep, residual_norms=rep.residual_norms.copy(),
-                   iterates=list(rep.iterates) if keep else None, diagnostics=diagnostics)
+                   iterates=list(rep.iterates) if keep else None,
+                   diagnostics=dict(rep.diagnostics))
 
 
 def _deflated_solve(recipe, d, b, x0, cfg, solve):

@@ -26,8 +26,9 @@ from .projection import Deflator, GalerkinMode
 class LinearOperator:
     """Square linear map on C^n with an explicit symmetry declaration.
 
-    ``hermitian`` is a bool, False by default; CG and MINRES run only a map
-    flagged True.  ``dtype`` is the field of the map's data, as in
+    ``hermitian`` is a bool, a numpy one included, kept as a Python bool and
+    False by default; any other value is rejected.  CG and MINRES run only a
+    map flagged True.  ``dtype`` is the field of the map's data, as in
     :class:`scipy.sparse.linalg.LinearOperator`: float64 for a map with real
     entries, complex128 otherwise (the default, which is always correct).  A
     solver runs in the common field of the operator, the right-hand side and
@@ -44,9 +45,11 @@ class LinearOperator:
             n = 0
         if isinstance(dim, bool) or n < 1:
             raise ValueError("operator dimension must be an integer of at least 1")
+        if not isinstance(hermitian, (bool, np.bool_)):
+            raise ValueError("hermitian must be a bool")
         self.dim = n
         self._matvec = matvec
-        self.hermitian = hermitian
+        self.hermitian = bool(hermitian)
         self.dtype = np.dtype(dtype)
 
     def apply(self, v) -> np.ndarray:

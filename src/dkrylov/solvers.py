@@ -100,13 +100,13 @@ class SolveConfig:
     ``max_iterations`` is an integer, a numpy one included; a bool is
     rejected for either, as is a fractional step count.
     ``record_history`` is a bool, a numpy one included, and keeps a run's
-    history: its iterates and, for MINRES and GMRES, the drift of the stored
-    basis.  Every rejected value, a non-numeric one included, raises
-    ValueError.  CG copies each iterate as it goes; MINRES and GMRES keep
-    each step's coefficients y and form every iterate x0 + V y at the end,
-    in one product.  Neither orthogonalization, the recorded residual nor
-    the breakdown test is configurable: each solver has one rule for each
-    (module docstring, :func:`minres_solve` and :data:`BREAKDOWN_THRESHOLD`).
+    history: its iterates.  Every rejected value, a non-numeric one
+    included, raises ValueError.  CG copies each iterate as it goes; MINRES
+    and GMRES keep each step's coefficients y and form every iterate
+    x0 + V y at the end, in one product.  Neither orthogonalization, the
+    recorded residual nor the breakdown test is configurable: each solver
+    has one rule for each (module docstring, :func:`minres_solve` and
+    :data:`BREAKDOWN_THRESHOLD`).
     """
 
     residual_tolerance: float = 1e-10
@@ -456,19 +456,6 @@ class _StoredBasis:
         self.betas[self.size] = norm
         self.size += 1
 
-    def diagnostics(self) -> dict:
-        """The reorthogonalization count and, in a run that records history,
-        the drift ||V^H V - I||_2 of the stored basis V, as the largest
-        |eigenvalue| of the Hermitian defect V^H V - I."""
-        if self.steps is None:
-            return {"reorthogonalizations": self.reorthogonalizations}
-        basis = self.vectors[:, :self.size]
-        defect = basis.conj().T @ basis
-        defect.flat[::self.size + 1] -= 1.0
-        drift = float(np.max(np.abs(scipy.linalg.eigvalsh(defect))))
-        return {"basis_orthogonality_drift": drift,
-                "reorthogonalizations": self.reorthogonalizations}
-
 
 class _LanczosBasis(_StoredBasis):
     """Stored Lanczos basis, kept orthogonal by partial reorthogonalization.
@@ -618,7 +605,8 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
     x = basis.iterate()
     if cfg.record_history:
         run.iterates += basis.history(x)
-    return run.finish(status, x, breakdown_iteration, basis.diagnostics())
+    return run.finish(status, x, breakdown_iteration,
+                      {"reorthogonalizations": basis.reorthogonalizations})
 
 
 def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
@@ -637,9 +625,8 @@ def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     A run of k steps, a step that breaks down included, makes k + 3
     products: r0, the probe, one per step and the last.
 
-    ``diagnostics`` holds ``reorthogonalizations`` (how many Lanczos vectors
-    were reorthogonalized) and, in a run that records history,
-    ``basis_orthogonality_drift`` (||V^H V - I||_2 of the stored basis V).
+    ``diagnostics`` holds ``reorthogonalizations``, how many Lanczos vectors
+    were reorthogonalized, with history or without.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     if op.hermitian is not True:
@@ -657,9 +644,8 @@ def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     an exhausted basis are judged as in :func:`minres_solve`, at the same
     k + 3 products.
 
-    ``diagnostics`` holds the same keys as :func:`minres_solve`'s, with one
-    reorthogonalization counted per step and the drift only in a run that
-    records history.
+    ``diagnostics`` holds :func:`minres_solve`'s one key, with one
+    reorthogonalization counted per step.
     """
     op, b, x0, cfg = _prepare(op, b, x0, cfg)
     return _minimal_residual(op, b, x0, cfg, _ArnoldiBasis)

@@ -45,6 +45,17 @@ def breakdown_spec(m=20):
     return spec
 
 
+#: Specs with an index past the order of their problem (m = 20, n = 40),
+#: and the message that names the key and the bound.
+INDEX_PAST_ORDER = [
+    (paper_spec(eigen_indices="1-5,41"),
+     "[deflation] eigen_indices: indices must lie in 1..40"),
+    (paper_spec(breakdown_indices="19-20"),
+     "[deflation] breakdown_indices: indices must lie in 1..19"),
+]
+INDEX_PAST_ORDER_IDS = ["eigen-index-past-order", "breakdown-index-past-order"]
+
+
 #: Specs with a key that the generator or the other keys leave unread, and
 #: the message that names it.
 UNREAD_KEYS = [
@@ -163,9 +174,10 @@ class TestRun:
         (json.dumps({"problem": {"generator": "symmetric-indefinite", "m": 5},
                      "run": {"variants": ["minres", "deflated-minres", "deflated-gmres"]}}),
          "variants deflated-minres, deflated-gmres require a deflation basis from [deflation]"),
+        *((json.dumps(spec), message) for spec, message in INDEX_PAST_ORDER),
     ], ids=["invalid-json", "ini-sections", "not-an-object", "missing-variants",
             "file-without-b", "two-basis-sources", "breakdown-guess-without-basis",
-            "missing-basis"])
+            "missing-basis", *INDEX_PAST_ORDER_IDS])
     def test_rejected_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, capsys, text,
                                                     message):
         calls = []
@@ -437,12 +449,20 @@ class TestRun:
         (_, _, _, _, given, _), = received
         assert given.shape == (20,) and not given.any()
 
-    def test_construction_error_exits_3(self, tmp_path, capsys):
-        # The index bound depends on the problem, so the basis's builder
-        # checks it: a failure of construction, not of the spec's schema.
-        spec = write_spec(tmp_path, paper_spec(eigen_indices="1-5,41"))
-        assert cli.main(["run", spec]) == 3
-        assert "error: indices must lie in 1..40" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, message", [
+        ("run", "residual-orthogonal mode requires a Hermitian positive definite matrix"),
+        ("diagnose", "deflation basis is rank deficient"),
+    ], ids=["run-indefinite-deflated-cg", "diagnose-rank-deficient-basis"])
+    def test_construction_error_exits_3(self, tmp_path, capsys, command, message):
+        # A valid spec whose problem and basis cannot be set up: deflated CG
+        # on the indefinite paper problem, and a basis of two equal columns.
+        spec = {**paper_spec(), "run": {"variants": ["deflated-cg"], "x0": "zero"}}
+        if command == "diagnose":
+            u = eigenvector_basis(symmetric_indefinite_problem(20, 0), [1])
+            dkio.write_matrix_market(tmp_path / "u.mtx", np.column_stack([u, u]))
+            spec["deflation"] = {"file": str(tmp_path / "u.mtx")}
+        assert cli.main([command, write_spec(tmp_path, spec)]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_run_without_output_prints_what_output_writes(self, tmp_path, capsys):
         spec = write_spec(tmp_path, paper_spec())
@@ -538,6 +558,15 @@ class TestDiagnose:
         assert calls == []
         monkeypatch.undo()
         assert cli.main(["diagnose", spec, "--output", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("spec, message", INDEX_PAST_ORDER, ids=INDEX_PAST_ORDER_IDS)
+    def test_index_past_the_order_exits_2_before_any_diagnosis(self, tmp_path, monkeypatch,
+                                                               capsys, spec, message):
+        calls = []
+        monkeypatch.setattr(cli, "diagnose_breakdown", lambda *args: calls.append(args))
+        assert cli.main(["diagnose", write_spec(tmp_path, spec)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert calls == []
 
     def test_missing_basis_exits_2_before_any_diagnosis(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -72,6 +72,16 @@ class TestDenseOperator:
         op = LinearOperator(np.int64(3), lambda v: v)
         assert op.dim == 3 and type(op.dim) is int
 
+    @pytest.mark.parametrize("flag", [np.bool_(True), np.bool_(False)])
+    def test_numpy_bool_flag_is_kept_as_a_bool(self, flag):
+        op = LinearOperator(2, lambda v: v, hermitian=flag)
+        assert op.hermitian is bool(flag)
+
+    @pytest.mark.parametrize("flag", [1, 0, None, "yes", np.array([True])])
+    def test_rejects_a_flag_that_is_not_a_bool(self, flag):
+        with pytest.raises(ValueError, match="hermitian must be a bool"):
+            LinearOperator(2, lambda v: v, hermitian=flag)
+
 
 class TestDeflatedOperator:
     def setup_method(self):

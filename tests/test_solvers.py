@@ -60,6 +60,23 @@ def counted_operator(a):
     return op, calls
 
 
+def measured_drifts(monkeypatch):
+    """The list to which every later MINRES or GMRES run appends the drift
+    ||V^H V - I||_2 of its stored basis V, measured by the SVD oracle when the
+    run forms its iterate (:meth:`solvers._StoredBasis.iterate`, called once
+    at the end of every run that takes a step)."""
+    drifts = []
+    iterate = solvers._StoredBasis.iterate
+
+    def measuring(basis):
+        v = basis.vectors[:, :basis.size]
+        drifts.append(linalg.spectral_norm(v.conj().T @ v - np.eye(basis.size)))
+        return iterate(basis)
+
+    monkeypatch.setattr(solvers._StoredBasis, "iterate", measuring)
+    return drifts
+
+
 def krylov_least_squares_residuals(a, b, x0, steps):
     """Dense least-squares oracle: optimal residual over x0 + K_n for each n."""
     r0 = b - a @ x0
@@ -374,6 +391,16 @@ class TestCg:
         assert rep.final_iterate.tolist() == [2.0**40 + 1.0, 2.0**-10 * (1.0 + 2.0**-20)]
 
 
+@pytest.mark.parametrize("solver", [cg_solve, minres_solve])
+def test_runs_an_operator_flagged_with_a_numpy_bool(solver):
+    # A flag computed with numpy, as np.all(a == a.T) is, is a numpy bool.
+    a = np.diag([1.0, 2.0, 3.0])
+    op = LinearOperator(3, lambda v: a @ v, hermitian=np.all(a == a.T), dtype=np.float64)
+    rep = solver(op, np.ones(3))
+    assert rep.status is SolveStatus.CONVERGED
+    np.testing.assert_allclose(rep.final_iterate, [1.0, 0.5, 1.0 / 3.0], atol=1e-10)
+
+
 class TestMinres:
     def test_diagonal_three_steps(self):
         op = dense_operator(np.diag([1.0, 2.0, 3.0]))
@@ -442,28 +469,21 @@ class TestMinres:
         dev = np.abs(rep.residual_norms - rep.recurrence_residual_norms)
         assert dev.max() <= 1e-8 * rep.residual_norms[0]
 
-    def test_orthogonality_drift_reported(self):
-        rng = np.random.default_rng(8)
-        a = random_hermitian_indefinite(rng, 25)
-        b = rng.standard_normal(25)
-        rep = minres_solve(dense_operator(a), b)
-        assert "basis_orthogonality_drift" in rep.diagnostics
-        assert rep.diagnostics["basis_orthogonality_drift"] >= 0.0
-
-    def test_reorthogonalization_reduces_drift(self):
+    def test_reorthogonalization_reduces_drift(self, monkeypatch):
         # The one reorthogonalization rule keeps ||V^H V - I||_2 within
         # steps * eps^(3/4): 9.5e-11 for the 52 steps here, where it reads
         # 6.0e-14.  With the trigger at sqrt(eps) it read 1.3e-10.
+        drifts = measured_drifts(monkeypatch)
         rng = np.random.default_rng(9)
         a = random_hermitian_indefinite(rng, 60)
         b = rng.standard_normal(60)
         rep = minres_solve(dense_operator(a), b,
                            cfg=SolveConfig(residual_tolerance=1e-12, max_iterations=200))
         assert rep.status is SolveStatus.CONVERGED
-        drift = rep.diagnostics["basis_orthogonality_drift"]
+        drift, = drifts
         assert drift <= rep.iterations_used * np.finfo(float).eps ** 0.75
 
-    def test_semi_orthogonal_on_deflated_equivalence_instance(self):
+    def test_semi_orthogonal_on_deflated_equivalence_instance(self, monkeypatch):
         # Instance 3 of the seed-20 equivalence suite (n=46, k=5): the
         # two-sided operator has a 41-dimensional range whose smallest
         # nonzero |eigenvalue| is about 1e-2.  The plain three-term
@@ -475,10 +495,11 @@ class TestMinres:
         op = deflated_operator(d, "two_sided")
         # The two-sided right-hand side of deflated MINRES from x0.
         rhs = d.project_residual(b - a @ d.adapted_initial_guess(x0, b)) + op.apply(x0)
+        drifts = measured_drifts(monkeypatch)
         rep = minres_solve(op, rhs, x0, SolveConfig(residual_tolerance=1e-10, max_iterations=400))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations_used <= rank
-        drift = rep.diagnostics["basis_orthogonality_drift"]
+        drift, = drifts
         assert drift <= rep.iterations_used * np.sqrt(np.finfo(float).eps)
 
     @pytest.mark.parametrize("s", [0, 1, 2, 3], ids=["spd-1e3", "indefinite-1e4",
@@ -502,10 +523,10 @@ class TestMinres:
         # where only an exactly zero continuation would count as vanished.
         monkeypatch.setattr(solvers, "BREAKDOWN_THRESHOLD", threshold)
         sizes = []
-        diagnostics = solvers._StoredBasis.diagnostics
-        monkeypatch.setattr(solvers._StoredBasis, "diagnostics",
+        iterate = solvers._StoredBasis.iterate
+        monkeypatch.setattr(solvers._StoredBasis, "iterate",
                             lambda basis: sizes.append(basis.vectors.shape[1]) or
-                            diagnostics(basis))
+                            iterate(basis))
         op = dense_operator(np.diag([1.0, -2.0, 3.0, 4.0]))
         rep = solver(op, np.ones(4), cfg=SolveConfig(max_iterations=20, residual_tolerance=1e-30))
         assert rep.status is SolveStatus.STAGNATED
@@ -568,19 +589,20 @@ class TestGmres:
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations_used <= 1
 
-    def test_diagnostics_match_minres(self):
+    def test_diagnostics_match_minres(self, monkeypatch):
         # Both minimal-residual solvers report the same diagnostics; GMRES
         # orthogonalizes every Arnoldi vector twice, one CGS2 per step.
+        drifts = measured_drifts(monkeypatch)
         rng = np.random.default_rng(15)
         a = random_hermitian_indefinite(rng, 30)
         b = rng.standard_normal(30)
         rep_g = gmres_solve(dense_operator(a), b)
         rep_m = minres_solve(dense_operator(a), b)
         assert rep_g.status is SolveStatus.CONVERGED
-        assert set(rep_g.diagnostics) == set(rep_m.diagnostics) == {
-            "basis_orthogonality_drift", "reorthogonalizations"}
+        assert set(rep_g.diagnostics) == set(rep_m.diagnostics) == {"reorthogonalizations"}
         assert rep_g.diagnostics["reorthogonalizations"] == rep_g.iterations_used
-        assert rep_g.diagnostics["basis_orthogonality_drift"] <= 1e-12
+        drift_g, _ = drifts
+        assert drift_g <= 1e-12
 
     def test_accepts_plain_ndarray(self):
         a = np.diag([2.0, 5.0])
@@ -665,13 +687,13 @@ class TestOmegaRecurrence:
         assert reorthogonalize == (j > 0 and level > 1e-12)
 
 
-class TestDriftDiagnostic:
+class TestReorthogonalizationCount:
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     @pytest.mark.parametrize("ending", ["converged", "max-iterations", "stagnated", "breakdown"])
     @pytest.mark.parametrize("record_history", [False, True])
-    def test_drift_is_measured_with_the_history(self, solver, ending, record_history):
-        # The basis drift is part of the history: every ending reports the
-        # reorthogonalization count, and the drift only where history is on.
+    def test_every_ending_reports_the_count_alone(self, solver, ending, record_history):
+        # The reorthogonalization count is all a run reports, with history
+        # or without; the basis drift is measured where a test asks for it.
         max_iterations = 5 if ending == "max-iterations" else 1000
         if ending in ("converged", "max-iterations"):
             rng = np.random.default_rng(3)
@@ -684,33 +706,7 @@ class TestDriftDiagnostic:
         rep = solver(dense_operator(a), b, cfg=SolveConfig(max_iterations=max_iterations,
                                                            record_history=record_history))
         assert rep.status.value == ending
-        drift = {"basis_orthogonality_drift"} if record_history else set()
-        assert set(rep.diagnostics) == {"reorthogonalizations"} | drift
-
-    @pytest.mark.parametrize("solve", [minres_solve, gmres_solve])
-    def test_eigenvalue_drift_matches_the_svd_norm(self, solve, monkeypatch):
-        # ||V^H V - I||_2 is read off eigvalsh of the Hermitian defect; the
-        # SVD-based spectral norm of the same defect agrees to roundoff.
-        seen = []
-        diagnostics = solvers._StoredBasis.diagnostics
-
-        def recording(basis):
-            out = diagnostics(basis)
-            v = basis.vectors[:, :basis.size]
-            seen.append((out["basis_orthogonality_drift"],
-                         linalg.spectral_norm(v.conj().T @ v - np.eye(basis.size))))
-            return out
-
-        monkeypatch.setattr(solvers._StoredBasis, "diagnostics", recording)
-        rng = np.random.default_rng(9)
-        a = random_hermitian_indefinite(rng, 60)
-        rep = solve(dense_operator(a), rng.standard_normal(60),
-                    cfg=SolveConfig(residual_tolerance=1e-12, max_iterations=200))
-        assert rep.status is SolveStatus.CONVERGED
-        (drift, oracle), = seen
-        assert rep.diagnostics["basis_orthogonality_drift"] == drift
-        assert 0.0 < oracle
-        assert abs(drift - oracle) <= 1e-15
+        assert set(rep.diagnostics) == {"reorthogonalizations"}
 
 
 class TestHistory:
