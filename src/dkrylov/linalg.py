@@ -335,18 +335,22 @@ def random_orthogonal(n: int, seed) -> np.ndarray:
     """Seeded random real orthogonal matrix (float64, C-ordered).
 
     QR of a standard-normal matrix with the signs of diag(R) fixed, which
-    makes the draw deterministic and Haar-like.  LAPACK factors a
-    Fortran-ordered copy of the draw in place and R is dropped once its
-    diagonal is read, so at most two n-by-n arrays are alive at once.
+    makes the draw deterministic and Haar-like.  LAPACK ``geqrf`` factors a
+    Fortran-ordered copy of the draw in place, and ``orgqr`` forms Q over it
+    once the signs are read from its diagonal, so at most two n-by-n arrays
+    are alive at once.  Each takes the workspace of its size query, as
+    ``scipy.linalg.qr`` does: the blocking, and so Q's bits, depend on it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    q, r = scipy.linalg.qr(
-        np.asfortranarray(np.random.default_rng(seed).standard_normal((n, n))),
-        overwrite_a=True, mode="economic", check_finite=False)
-    d = np.sign(r.diagonal())
-    del r
+    a = np.asfortranarray(np.random.default_rng(seed).standard_normal((n, n)))
+    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (a,))
+    lwork = int(geqrf(a, lwork=-1, overwrite_a=True)[2][0])
+    qr, tau, _, _ = geqrf(a, lwork=lwork, overwrite_a=True)
+    d = np.sign(qr.diagonal())
     d[d == 0] = 1.0
+    lwork = int(orgqr(qr, tau, lwork=-1, overwrite_a=True)[1][0])
+    q = orgqr(qr, tau, lwork=lwork, overwrite_a=True)[0]
     q *= d
     # Products with an F-ordered q round differently from those with a
     # C-ordered one at some orders (n = 100); q is returned C-ordered.

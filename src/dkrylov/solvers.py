@@ -3,33 +3,31 @@
 All three solvers apply the operator once per step, record a residual norm
 per iteration with its recurrence estimate alongside, classify termination
 into converged / breakdown / stagnated / max-iterations, and never silently
-return a breakdown as success.  Every run ends with b - op x of the
-returned iterate formed once and recorded as its last residual
-(:meth:`_Run.finish`); a run that claims convergence and misses the
-tolerance by it is reported as stagnated.  A CG run of k steps, a step that
-breaks down included, so makes k + 2 products: r0, one per step and the
-last; a MINRES or GMRES run makes k + 3, one more for the probe of its
-breakdown rule.
+return a breakdown as success.
 
-CG records its carried residual ||r_n||, which drifts from ||b - op x_n||
-by the residual gap that limits its attainable accuracy (Greenbaum, SIAM J.
-Matrix Anal. Appl. 18, 1997).  Only a recorded residual that meets the
-tolerance can end a run, so where the carried one does, CG forms
-b - op x_n and records it in its place; if that misses the tolerance, it
-replaces the carried residual and the iteration goes on from it (van der
-Vorst and Ye, SIAM J. Sci. Comput. 22, 2000), at one more product.  MINRES
-and GMRES keep op V beside the Krylov basis V and record
-||r0 - (op V) y_n||, equal to ||b - op x_n|| up to the roundoff of one
-product.
+Each records the residual its recurrence gives, CG its carried ||r_n|| and
+MINRES and GMRES |g_n|, the last entry of the rotated right-hand side; it
+drifts from ||b - op x_n||, CG's by the residual gap that limits its
+attainable accuracy (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997).
+Where it meets the tolerance, the solver forms b - op x_n, records it in
+its place and judges on it: the run converges, or it goes on, CG from the
+true residual (van der Vorst and Ye, SIAM J. Sci. Comput. 22, 2000).  Every
+other ending records b - op x of the returned iterate last
+(:meth:`_Run.finish`), unless a MINRES or GMRES run ends at a step so
+checked.  A CG run of k steps, a step that breaks down included, so makes
+k + 2 products: r0, one per step and the last; a MINRES or GMRES run makes
+k + 3, one more for the probe of its breakdown rule.  Each check adds one
+more, but for one that forms the last.
 
 MINRES and GMRES are one minimal-residual iteration that differs only in how
 the Krylov basis grows: by the Lanczos or by the Arnoldi recurrence.  Both
 form the iterate as x0 + V y, with y from the triangular factor of the
-projected least-squares problem (:class:`_StoredBasis`).  Each has one
-orthogonalization rule: GMRES orthogonalizes every Arnoldi vector twice, and
-MINRES reorthogonalizes when Simon's estimate of the loss of orthogonality
-passes eps^(3/4), below sqrt(eps), where the explicit residual stalls above
-the tolerance on ill-conditioned systems (:class:`_LanczosBasis`).
+projected least-squares problem, where they check it or end
+(:class:`_StoredBasis`).  Each has one orthogonalization rule: GMRES
+orthogonalizes every Arnoldi vector twice, and MINRES reorthogonalizes when
+Simon's estimate of the loss of orthogonality passes eps^(3/4), below
+sqrt(eps), where the explicit residual stalls above the tolerance on
+ill-conditioned systems (:class:`_LanczosBasis`).
 
 A *breakdown* is a vanishing Galerkin pivot, a singular projected matrix, as
 on the left-projected deflated systems.  Each step's pivot is judged against
@@ -102,8 +100,8 @@ class SolveConfig:
     ``record_history`` is a bool, a numpy one included, and keeps a run's
     history: its iterates.  Every rejected value, a non-numeric one
     included, raises ValueError.  CG copies each iterate as it goes; MINRES
-    and GMRES keep each step's coefficients y and form every iterate
-    x0 + V y at the end, in one product.  Neither orthogonalization, the
+    and GMRES solve each step's coefficients y at the end and form every
+    iterate x0 + V y there, in one product.  Neither orthogonalization, the
     recorded residual nor the breakdown test is configurable: each solver
     has one rule for each (module docstring, :func:`minres_solve` and
     :data:`BREAKDOWN_THRESHOLD`).
@@ -138,7 +136,8 @@ class SolveReport:
     matching list of approximations, whose last equals ``final_iterate`` bit
     for bit.  A MINRES or GMRES run forms it at its end (:class:`SolveConfig`),
     so its earlier iterates agree to roundoff with x0 + V y formed at each
-    step.  After a breakdown the report is frozen at the last valid iterate
+    step.  ``residual_norms`` equals ``recurrence_residual_norms`` but where
+    b - op x was recorded (module docstring).  After a breakdown the report is frozen at the last valid iterate
     and ``breakdown_iteration`` names the step that failed.  Iterates come
     back in the run's field, the common field of the operator's ``dtype``,
     the right-hand side and the initial guess: float64 for a real system,
@@ -227,15 +226,12 @@ class _Run:
     def finish(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
         """Report the run at ``x``, its last recorded iterate, with b - op x
         formed once and recorded as its last residual; every run whose last
-        residual was not so formed ends here.  A run that claims convergence
-        is reported as stagnated if it misses the tolerance by it, and a
-        breakdown as converged if it meets it."""
+        residual was not so formed ends here, and none of them has
+        converged.  A breakdown is reported as converged if b - op x meets
+        the tolerance."""
         self.residual_norms[-1] = linalg.vector_norm(self.b - self.op.apply(x))
-        if self.tol_reached(self.residual_norms[-1]):
-            if status is SolveStatus.BREAKDOWN:
-                status, breakdown_iteration = SolveStatus.CONVERGED, None
-        elif status is SolveStatus.CONVERGED:
-            status = SolveStatus.STAGNATED
+        if status is SolveStatus.BREAKDOWN and self.tol_reached(self.residual_norms[-1]):
+            status, breakdown_iteration = SolveStatus.CONVERGED, None
         return self.report(status, x, breakdown_iteration, diagnostics)
 
     def report(self, status, x, breakdown_iteration=None, diagnostics=None) -> SolveReport:
@@ -375,27 +371,27 @@ def _cgs2(basis, w):
 
 
 class _StoredBasis:
-    """Krylov basis V and its products op V in preallocated Fortran-order
-    arrays of at most n columns: a run ends once its basis holds n vectors
-    in C^n (module docstring), so nothing ever grows.
+    """Krylov basis V, the basis's one n-sized array, preallocated in
+    Fortran order with at most n columns: a run ends once its basis holds n
+    vectors in C^n (module docstring), so nothing ever grows.
 
-    ``expand`` applies op to the newest basis vector, stores the product and
-    returns the new column of the projected matrix from the first row a
-    prior Givens rotation touches, as a list of Python numbers in the run's
-    field (``scalar``), the continuation vector and its norm; ``scale`` is
-    the running size of the projected matrix, in the breakdown rule's scale.
+    ``expand`` applies op to the newest basis vector and returns the new
+    column of the projected matrix from the first row a prior Givens
+    rotation touches, as a list of Python numbers in the run's field
+    (``scalar``), the continuation vector and its norm; ``scale`` is the
+    running size of the projected matrix, in the breakdown rule's scale.
     ``c[k]``, ``s[k]`` is the Givens rotation of step k + 1, kept in lists as
-    the cascade returns it.
+    the cascade returns it, so ``len(c)`` steps are committed.
 
     ``advance`` stores the rotated column in the triangular factor R, packed
     by columns so that its leading j-by-j factor is a prefix that BLAS
-    ``tpsv`` reads in place, and the rotated right-hand side entry in g; it
-    solves y = R^-1 g and returns ||r0 - (op V) y||.  ``iterate`` forms
-    x0 + V y, which a run needs only at its end.  A run that records history
-    keeps each step's y, and ``history`` forms all its iterates there too,
-    in one product.  MINRES's short direction recurrence would need only the
-    last two directions but loses attainable accuracy (Sleijpen, van der
-    Vorst and Modersitzki, SIAM J. Matrix Anal. Appl. 22, 2000).
+    ``tpsv`` reads in place, and the rotated right-hand side entry in g.
+    ``coefficients`` solves y_j = R_j^-1 g_j of step j from that prefix, and
+    ``iterate`` forms x0 + V y of the last committed step, where a run
+    checks or ends; ``history`` solves every y_j there and forms all their
+    iterates in one product.  MINRES's short direction recurrence would need
+    only the last two directions but loses attainable accuracy (Sleijpen,
+    van der Vorst and Modersitzki, SIAM J. Matrix Anal. Appl. 22, 2000).
     """
 
     def __init__(self, x0, r0, beta1, cfg):
@@ -403,48 +399,44 @@ class _StoredBasis:
         capacity = min(cfg.max_iterations + 1, n)
         self.vectors = np.empty((n, capacity), dtype=r0.dtype, order="F")
         self.vectors[:, 0] = r0 / beta1
-        self.products = np.empty_like(self.vectors)
         self.factor = np.zeros(capacity * (capacity + 1) // 2, dtype=r0.dtype)
         self.tpsv = scipy.linalg.get_blas_funcs("tpsv", (self.factor,))
-        self.x0, self.r0 = x0, r0
-        self.residual = np.empty_like(r0)
+        self.x0 = x0
         self.scalar = complex if r0.dtype.kind == "c" else float
-        self.steps = [] if cfg.record_history else None     # y of each committed step
         self.g = np.zeros(capacity, dtype=r0.dtype)
-        self.y = np.zeros(0, dtype=r0.dtype)
         self.betas = np.zeros(capacity)     # betas[k] couples v_{k-1} and v_k
         self.c, self.s = [], []
         self.size = 1
         self.scale = 0.0
         self.reorthogonalizations = 0
 
-    def advance(self, updated, coefficient) -> float:
+    def advance(self, updated, coefficient):
         j = self.size
         end = j * (j + 1) // 2          # where column j - 1 of R ends
         self.factor[end + 1 - len(updated):end] = updated[:-1]
         self.g[j - 1] = coefficient
-        self.y = self.tpsv(j, self.factor, self.g[:j])
-        if self.steps is not None:
-            self.steps.append(self.y)
-        residual = np.matmul(self.products[:, :j], self.y, out=self.residual)
-        return linalg.vector_norm(np.subtract(self.r0, residual, out=residual))
+
+    def coefficients(self, j):
+        """y_j = R_j^-1 g_j of committed step j (empty for j = 0)."""
+        return self.tpsv(j, self.factor, self.g[:j]) if j else self.g[:0]
 
     def iterate(self):
         """x0 + V y of the last committed step."""
-        return self.x0 + self.vectors[:, :self.y.shape[0]] @ self.y
+        j = len(self.c)
+        return self.x0 + self.vectors[:, :j] @ self.coefficients(j)
 
     def history(self, last):
         """The iterates x0 + V y_j of the committed steps: a copy of
         ``last``, this run's :meth:`iterate`, for the last step, and for the
         others the rows of x0 + Y V^T, one matrix product, whose Y holds
         their y_j as rows."""
-        if not self.steps:
+        j = len(self.c)
+        if not j:
             return []
-        earlier = self.steps[:-1]
-        coefficients = np.zeros((len(earlier), self.y.shape[0]), dtype=self.y.dtype)
-        for row, y in zip(coefficients, earlier):
-            row[:y.shape[0]] = y
-        rows = coefficients @ self.vectors[:, :self.y.shape[0]].T
+        coefficients = np.zeros((j - 1, j), dtype=self.g.dtype)
+        for k, row in enumerate(coefficients, 1):
+            row[:k] = self.coefficients(k)
+        rows = coefficients @ self.vectors[:, :j].T
         rows += self.x0
         # One array per iterate, as CG keeps them: a kept history that held
         # the whole block raised the paper sweep's peak RSS by about 1 MB.
@@ -490,7 +482,7 @@ class _LanczosBasis(_StoredBasis):
     def expand(self, op):
         j = self.size - 1
         v = self.vectors[:, j]
-        av = self.products[:, j] = op.apply(v)
+        av = op.apply(v)
         alpha = float(np.vdot(v, av).real)
         w = av - alpha * v
         beta = float(self.betas[j])
@@ -552,7 +544,7 @@ class _ArnoldiBasis(_StoredBasis):
 
     def expand(self, op):
         basis = self.vectors[:, :self.size]
-        av = self.products[:, self.size - 1] = op.apply(basis[:, -1])
+        av = op.apply(basis[:, -1])
         w, h = _cgs2(basis, av)
         self.reorthogonalizations += 1
         h_next = linalg.vector_norm(w)
@@ -565,20 +557,19 @@ class _ArnoldiBasis(_StoredBasis):
 def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
     """MINRES or GMRES, by the basis that ``basis_type`` grows."""
     run = _Run(op, b, x0, cfg)
-    x = run.x
-    r0 = b - op.apply(x)
+    r0 = b - op.apply(run.x)
     beta1 = linalg.vector_norm(r0)
-    value = run.start(beta1)
-    if run.tol_reached(value):
-        return run.report(SolveStatus.CONVERGED, x)
+    if run.tol_reached(run.start(beta1)):
+        return run.report(SolveStatus.CONVERGED, run.x, diagnostics={"reorthogonalizations": 0})
 
     n = r0.shape[0]
     probe = np.random.default_rng(0).standard_normal(n)
     probe_scale = linalg.vector_norm(op.apply(probe / linalg.vector_norm(probe)))
-    basis = basis_type(x, r0, beta1, cfg)
+    basis = basis_type(run.x, r0, beta1, cfg)
     # Last entry of the rotated right-hand side, real on a real run.
     g = basis.scalar(beta1)
-    breakdown_iteration = None
+    # x is the iterate whose b - op x was recorded last, None if none was.
+    breakdown_iteration, x = None, None
     for iteration in range(1, cfg.max_iterations + 1):
         column, w, h_next = basis.expand(op)
         j = basis.size - 1              # rotations committed so far
@@ -590,9 +581,13 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
             break
         basis.c.append(c)
         basis.s.append(s)
-        residual = basis.advance(column, c * g)
+        basis.advance(column, c * g)
         g = -s.conjugate() * g
-        value = run.record(None, abs(g), residual)
+        value, x = abs(g), None
+        if run.tol_reached(value):
+            x = basis.iterate()
+            value = linalg.vector_norm(b - op.apply(x))
+        run.record(None, abs(g), value)
         if run.tol_reached(value):
             status = SolveStatus.CONVERGED
             break
@@ -602,11 +597,12 @@ def _minimal_residual(op, b, x0, cfg, basis_type) -> SolveReport:
         basis.append(w, h_next)
     else:
         status = SolveStatus.MAX_ITERATIONS
-    x = basis.iterate()
+    # A run that ends at a checked iterate has recorded its b - op x already.
+    end, x = (run.finish, basis.iterate()) if x is None else (run.report, x)
     if cfg.record_history:
         run.iterates += basis.history(x)
-    return run.finish(status, x, breakdown_iteration,
-                      {"reorthogonalizations": basis.reorthogonalizations})
+    return end(status, x, breakdown_iteration,
+               {"reorthogonalizations": basis.reorthogonalizations})
 
 
 def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
@@ -622,8 +618,10 @@ def minres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
     Hermitian indefinite and singular operators; on a singular inconsistent
     system the run ends in a breakdown where the least-squares pivot
     vanishes on the operator's scale (one probe product; module docstring).
-    A run of k steps, a step that breaks down included, makes k + 3
-    products: r0, the probe, one per step and the last.
+    Each step records |g_k|; where it meets the tolerance, it forms
+    x_k = x0 + V y_k and records and judges b - op x_k.  A run of k steps, a
+    step that breaks down included, makes k + 3 products: r0, the probe, one
+    per step and the last; each check of an earlier step adds one.
 
     ``diagnostics`` holds ``reorthogonalizations``, how many Lanczos vectors
     were reorthogonalized, with history or without.
@@ -639,10 +637,10 @@ def gmres_solve(op, b, x0=None, cfg: SolveConfig | None = None) -> SolveReport:
 
     Classical Gram-Schmidt run twice (CGS2) on every Arnoldi vector,
     Givens-rotation update of the Hessenberg least-squares problem, and the
-    iterate and its residual formed from the stored basis and its products
-    (module docstring).  Applicable to any square operator.  Breakdown and
-    an exhausted basis are judged as in :func:`minres_solve`, at the same
-    k + 3 products.
+    iterate formed from the stored basis where the recurrence residual meets
+    the tolerance or the run ends (module docstring).  Applicable to any
+    square operator.  The residual rule, breakdown and an exhausted basis
+    are as in :func:`minres_solve`, at the same products.
 
     ``diagnostics`` holds :func:`minres_solve`'s one key, with one
     reorthogonalization counted per step.

@@ -232,6 +232,16 @@ class TestRandomOrthogonal:
         assert np.all(np.diag(r) > 0)
         np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=1e-12 * np.abs(r).max())
 
+    @pytest.mark.parametrize("n", [1, 2, 65, 100, 400])
+    def test_bits_of_the_scipy_qr_construction(self, n):
+        # The direct geqrf/orgqr calls give the bits of scipy.linalg.qr's
+        # economic Q with the signs of diag(R) fixed.
+        g = np.asfortranarray(np.random.default_rng(n).standard_normal((n, n)))
+        q, r = scipy.linalg.qr(g, overwrite_a=True, mode="economic", check_finite=False)
+        d = np.sign(r.diagonal())
+        d[d == 0] = 1.0
+        assert np.array_equal(linalg.random_orthogonal(n, n), np.ascontiguousarray(q * d))
+
 
 class TestAssembleHermitian:
     @staticmethod

@@ -46,6 +46,15 @@ def plus_minus_one_system():
     return linalg.assemble_hermitian(q, signs), rng.standard_normal(35)
 
 
+def dominant_system():
+    """``dominant-1e6`` of scripts/compare_runs.py: Q diag(lam) Q^T with
+    Q = random_orthogonal(200, 300) and lam = linspace(1, 2, 195) followed
+    by 1e6 (1..5), and b drawn from default_rng(300)."""
+    lam = np.concatenate([np.linspace(1, 2, 195), 1e6 * np.arange(1, 6)])
+    a = linalg.assemble_hermitian(linalg.random_orthogonal(200, 300), lam)
+    return a, np.random.default_rng(300).standard_normal(200)
+
+
 def fixed_order_product(a):
     """v -> a v summed row by row in numpy's own order, ``(a * v).sum(axis=1)``,
     which does not depend on the BLAS thread count as ``dsymv`` does."""
@@ -462,11 +471,15 @@ class TestMinres:
         assert np.all(r[1:] <= r[:-1] + 1e-12 * r[0])
 
     def test_recurrence_matches_explicit(self):
+        # Each recorded residual, the recurrence's |g_k| or the checked
+        # b - A x_k, against b - A x_k of the run's own history iterates.
         rng = np.random.default_rng(7)
         a = random_hermitian_indefinite(rng, 30)
         b = rng.standard_normal(30)
         rep = minres_solve(dense_operator(a), b)
-        dev = np.abs(rep.residual_norms - rep.recurrence_residual_norms)
+        assert rep.status is SolveStatus.CONVERGED
+        explicit = np.array([np.linalg.norm(b - a @ x) for x in rep.iterates])
+        dev = np.abs(rep.residual_norms - explicit)
         assert dev.max() <= 1e-8 * rep.residual_norms[0]
 
     def test_reorthogonalization_reduces_drift(self, monkeypatch):
@@ -539,11 +552,13 @@ class TestMinres:
         with pytest.raises(ValueError):
             minres_solve(op, np.array([1.0, 0.0]))
 
-    def test_zero_rhs_converges_at_zero(self):
-        op = dense_operator(np.diag([1.0, 2.0]))
-        rep = minres_solve(op, np.zeros(2))
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_zero_rhs_converges_at_zero(self, solver):
+        # The ending at r0 reports the count, as every other ending does.
+        rep = solver(np.diag([1.0, 2.0]), np.zeros(2))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations_used == 0
+        assert rep.diagnostics == {"reorthogonalizations": 0}
 
 
 class TestGmres:
@@ -611,8 +626,9 @@ class TestGmres:
 
 
 class TestMinimalResidualRecord:
-    """MINRES and GMRES apply the operator once per step and record
-    ||r0 - (op V) y|| from the stored products op V."""
+    """MINRES and GMRES apply the operator once per step and record the
+    recurrence residual |g_k|; where it meets the tolerance they form
+    b - op x_k, record it in its place and judge on it."""
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     @pytest.mark.parametrize("max_iterations", [1000, 5], ids=["converged", "max-iterations"])
@@ -630,14 +646,15 @@ class TestMinimalResidualRecord:
 
     @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
     def test_recorded_residual_is_the_explicit_one_to_roundoff(self, solver):
-        # r0 - (A V) y and b - A (x0 + V y) are equal in exact arithmetic.
-        # In floating point they differ by the errors of four products, A x0,
-        # A V, (A V) y and A x_k, each within gamma_m |A| |z| for m <= n + k
-        # terms, gamma_m <= 1.01 m eps while m eps < 0.01 (Higham, *Accuracy
-        # and Stability of Numerical Algorithms*, 2002, 3.5).  In norm that
-        # is gamma_m ||A||_F ||z||, and the columns of A V add up to
-        # sqrt(k) ||y|| = sqrt(k) ||x_k - x0|| for orthonormal V; the
-        # subtractions and the norms add gamma_m of the residual itself.
+        # |g_k| = ||beta e_1 - H y|| and b - A (x0 + V y) are equal in exact
+        # arithmetic.  In floating point b - A x_k is V_{k+1} (beta e_1 - H y)
+        # less F y, F the error of the computed relation A V = V_{k+1} H + F,
+        # and the errors of A x0 and A x_k: each product within gamma_m |A|
+        # |z| for m <= n + k terms, gamma_m <= 1.01 m eps while m eps < 0.01
+        # (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+        # 3.5).  In norm that is gamma_m ||A||_F ||z||, and the columns of F
+        # add up to sqrt(k) ||y|| = sqrt(k) ||x_k - x0|| for orthonormal V;
+        # V's drift, the rotations and the norms add gamma_m of the residual.
         rng = np.random.default_rng(11)
         n = 40
         a = (random_hermitian_indefinite(rng, n) if solver is minres_solve
@@ -652,6 +669,46 @@ class TestMinimalResidualRecord:
             bound = 4 * gamma * (a_norm * np.sqrt(k) * (np.linalg.norm(x) + np.linalg.norm(x0))
                                  + explicit)
             assert abs(recorded - explicit) <= bound
+
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_records_the_recurrence_until_the_true_residual_converges(self, solver):
+        # Every recorded residual above the tolerance is |g_k| bit for bit.
+        # The first that meets it is checked: b - op x_k is formed, recorded
+        # bit for bit as the last residual, and converges the run, which
+        # forms it no more, at k + 3 products: r0, the probe, one per step
+        # and the check.
+        rng = np.random.default_rng(3)
+        a, b = random_hermitian_indefinite(rng, 30), rng.standard_normal(30)
+        op, calls = counted_operator(a)
+        rep = solver(op, b, rng.standard_normal(30))
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations_used > 1
+        recorded, recurrence = rep.residual_norms, rep.recurrence_residual_norms
+        above = recurrence > 1e-10 * max(recorded[0], np.linalg.norm(b))
+        assert above[:-1].all() and not above[-1]
+        assert np.array_equal(recorded[above], recurrence[above])
+        assert len(calls) == rep.iterations_used + 3
+        assert recorded[-1] == linalg.vector_norm(b - op.apply(rep.final_iterate))
+
+    @pytest.mark.parametrize("solver", [minres_solve, gmres_solve])
+    def test_true_residual_that_misses_does_not_end_the_run(self, solver):
+        # On dominant-1e6 |g_k| meets the tolerance from step 19 on while
+        # b - A x_k stays 1.2-2.5 times above it.  Each such step forms b - A x_k, records it in place of |g_k|,
+        # judges on it and goes on, at one product more; a run of 64 steps
+        # ends at a checked iterate and forms no residual after it.  The
+        # products are summed in a fixed order, so that the misses are the
+        # same at every BLAS thread count.
+        a, b = dominant_system()
+        product, calls = fixed_order_product(a), []
+        op = LinearOperator(200, lambda v: calls.append(1) or product(v),
+                            hermitian=True, dtype=np.float64)
+        rep = solver(op, b, cfg=SolveConfig(max_iterations=64))
+        assert rep.status is SolveStatus.MAX_ITERATIONS and rep.iterations_used == 64
+        tol = 1e-10 * np.linalg.norm(b)
+        checked = rep.recurrence_residual_norms <= tol
+        assert checked[-1] and checked.sum() >= 40
+        assert (rep.residual_norms[checked] > tol).all()
+        assert len(calls) == rep.iterations_used + 2 + checked.sum()
+        assert rep.residual_norms[-1] == linalg.vector_norm(b - op.apply(rep.final_iterate))
 
 
 def reference_omega(betas, alphas, om, om_prev, alpha, beta, beta_next, theta):
@@ -715,8 +772,8 @@ class TestHistory:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_iterates_are_formed_from_the_krylov_coefficients(self, solver, ending, field,
                                                                monkeypatch):
-        # A run that records history keeps each step's least-squares
-        # solution y_j and forms its iterates at the end in one product:
+        # A run that records history solves each step's least-squares
+        # solution y_j at the end and forms its iterates in one product:
         # each is x0 + V y_j, formed on its own, to roundoff, and the last
         # is the final iterate, bit for bit, in an array of its own.
         bases = []
@@ -735,11 +792,11 @@ class TestHistory:
         rep = solver(dense_operator(a), b, x0, cfg)
         assert rep.status.value == ending
         basis, = bases
-        assert len(rep.iterates) == rep.iterations_used + 1 == len(basis.steps) + 1
+        assert len(rep.iterates) == rep.iterations_used + 1 == len(basis.c) + 1
         np.testing.assert_array_equal(rep.iterates[0], x0)
         eps = np.finfo(float).eps
-        for x, y in zip(rep.iterates[1:], basis.steps):
-            j = y.shape[0]
+        for j, x in enumerate(rep.iterates[1:], 1):
+            y = basis.coefficients(j)
             expected = x0 + basis.vectors[:, :j] @ y
             bound = 4 * (j + 1) * eps * (np.sqrt(j) * np.linalg.norm(y) + np.linalg.norm(x0))
             assert x.dtype == expected.dtype
