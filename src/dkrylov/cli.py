@@ -37,7 +37,7 @@ import numpy as np
 
 from . import io as dkio
 from . import linalg
-from .analysis import breakdown_initial_guess, diagnose_breakdown
+from .analysis import GuessInvalidError, breakdown_initial_guess, diagnose_breakdown
 from .checks import SUITES, run_suite
 from .deflated import _RECIPES, DualReport, MethodVariant, run_methods
 from .problems import (TestProblem, breakdown_prone_basis, clustered_spd_problem,
@@ -222,7 +222,11 @@ def build_problem(spec: dict, seed_override=None) -> TestProblem:
     if generator == "symmetric-indefinite":
         return symmetric_indefinite_problem(section.get("m", 50), seed)
     if generator == "clustered-spd":
-        return clustered_spd_problem(section.get("n", 80), section.get("outliers", 5), seed)
+        # Its bound ties outliers to n, so the schema cannot check it.
+        try:
+            return clustered_spd_problem(section.get("n", 80), section.get("outliers", 5), seed)
+        except ValueError as exc:
+            raise SpecError(f"[problem] outliers: {exc}") from None
     if generator == "toy-breakdown":
         return toy_breakdown_problem()
     if generator == "near-invariant":
@@ -247,12 +251,13 @@ def build_basis(spec: dict, problem: TestProblem):
     elif sources[0] == "file":
         basis = dkio.read_matrix_market(section["file"])
     else:
-        # The bound on the indices is the problem's order, known only here.
+        # What the indices need of the problem (its eigenvectors, its order,
+        # an even order for pairs) is known only here.
         key = sources[0]
         builder = eigenvector_basis if key == "eigen_indices" else breakdown_prone_basis
         try:
             basis = builder(problem, section[key])
-        except IndexError as exc:
+        except (IndexError, ValueError) as exc:
             raise SpecError(f"[deflation] {key}: {exc}") from None
     if basis is not None and "perturb_eps" in section:
         basis = perturb_basis(basis, section["perturb_eps"], section.get("perturb_seed", 0))
@@ -295,7 +300,10 @@ def build_initial_guess(spec: dict, problem: TestProblem, basis) -> np.ndarray:
         if basis is None:
             raise SpecError("[run] x0 = breakdown-guess requires a deflation basis")
         coeff = np.random.default_rng(seed).standard_normal(basis.shape[1])
-        x0 = breakdown_initial_guess(problem.a, problem.b, basis, coeff)
+        try:
+            x0 = breakdown_initial_guess(problem.a, problem.b, basis, coeff)
+        except GuessInvalidError as exc:  # a singular A still exits 3
+            raise SpecError(f"[run] x0: {exc}") from None
     if "x0_perturbation" in section:
         eps = section["x0_perturbation"]
         rng = np.random.default_rng(seed + 1)
@@ -346,54 +354,39 @@ def render_json(results: list[DualReport], reference: float) -> str:
                       indent=2, sort_keys=True) + "\n"
 
 
-def _error(exc, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
 def _check_destination(path) -> None:
     """Reject an output path whose directory does not exist, before any work."""
     if path and not Path(path).parent.is_dir():
         raise SpecError(f"output directory '{Path(path).parent}' does not exist")
 
 
-def _emit(rendered: str, path) -> int:
-    """Write ``rendered`` to ``path``, or to standard output when it is unset.
-
-    Returns 0, or exit code 3 after reporting a write that failed.
-    """
+def _emit(rendered: str, path) -> None:
+    """Write ``rendered`` to ``path``, or to standard output when it is unset."""
     try:
         if path:
             Path(path).write_text(rendered, encoding="ascii")
         else:
             sys.stdout.write(rendered)
     except OSError as exc:
-        return _error(f"cannot write output: {exc}", 3)
-    return 0
+        raise OSError(f"cannot write output: {exc}") from exc
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = parse_spec(args.spec_file)
-        _check_destination(args.output)
-        variants = build_variants(spec)
-        cfg = build_solve_config(spec)
-        problem = build_problem(spec, args.seed)
-        basis = build_basis(spec, problem)
-        needs_basis = ", ".join(v.value for v in variants if _RECIPES[v].mode is not None)
-        if basis is None and needs_basis:
-            raise SpecError(f"variants {needs_basis} require a deflation basis from [deflation]")
-        x0 = build_initial_guess(spec, problem, basis)
-        results = run_methods(variants, problem.a, problem.b, basis, x0, cfg)
-    except SpecError as exc:
-        return _error(exc, 2)
-    except Exception as exc:  # construction / solver errors
-        return _error(exc, 3)
+    spec = parse_spec(args.spec_file)
+    _check_destination(args.output)
+    variants = build_variants(spec)
+    cfg = build_solve_config(spec)
+    problem = build_problem(spec, args.seed)
+    basis = build_basis(spec, problem)
+    needs_basis = ", ".join(v.value for v in variants if _RECIPES[v].mode is not None)
+    if basis is None and needs_basis:
+        raise SpecError(f"variants {needs_basis} require a deflation basis from [deflation]")
+    x0 = build_initial_guess(spec, problem, basis)
+    results = run_methods(variants, problem.a, problem.b, basis, x0, cfg)
 
     reference = reference_norm(problem.b)
     render = render_json if spec["output"].get("format") == "json" else render_csv
-    if _emit(render(results, reference), args.output):
-        return 3
+    _emit(render(results, reference), args.output)
     for result in results:
         rep = result.deflated_report
         final = result.original_residual_norms[-1]
@@ -407,37 +400,28 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        _check_destination(args.output)
-        report = run_suite(args.suite, args.seed)
-    except SpecError as exc:
-        return _error(exc, 2)
-    except Exception as exc:  # a suite that raised
-        return _error(exc, 3)
-    return (_emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
-            or (0 if report["passed"] else 1))
+    _check_destination(args.output)
+    report = run_suite(args.suite, args.seed)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
+    return 0 if report["passed"] else 1
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        spec = parse_spec(args.spec_file)
-        _check_destination(args.output)
-        problem = build_problem(spec, args.seed)
-        basis = build_basis(spec, problem)
-        if basis is None:
-            raise SpecError("diagnose requires a deflation basis from [deflation]")
-        diagnosis = diagnose_breakdown(problem.a, basis)
-    except SpecError as exc:
-        return _error(exc, 2)
-    except Exception as exc:
-        return _error(exc, 3)
+    spec = parse_spec(args.spec_file)
+    _check_destination(args.output)
+    problem = build_problem(spec, args.seed)
+    basis = build_basis(spec, problem)
+    if basis is None:
+        raise SpecError("diagnose requires a deflation basis from [deflation]")
+    diagnosis = diagnose_breakdown(problem.a, basis)
     payload = {
         "intersection_nontrivial": diagnosis.intersection_nontrivial,
         "smallest_indicator": diagnosis.smallest_indicator,
         "largest_principal_angle_radians": diagnosis.largest_principal_angle_rad,
         "largest_principal_angle_degrees": diagnosis.largest_principal_angle_deg,
     }
-    return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    return 0
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -469,8 +453,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and map its errors to exit codes (module docstring):
+    a :class:`SpecError` exits 2, any other exception 3."""
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, SpecError) else 3
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ Every deflated method is the same recipe with five ingredients:
 * a projected operator, as :func:`deflated_operator` names it: ``"left"``
   (P A) or ``"two_sided"`` (P A P, Hermitian for a Hermitian A);
 * an initial-guess map from the given x0 to a guess xi: ``"given"`` (xi =
-  x0), ``"shifted"`` (:meth:`Deflator.initial_correction`) or ``"adapted"``
-  (:meth:`Deflator.adapted_initial_guess`);
+  x0) or ``"adapted"`` (:meth:`Deflator.adapted_initial_guess`).  A shift of
+  x0 by U c would change nothing: P A U = 0, so the projected run from
+  x0 + U c has the same residuals, and the correction maps its iterates and
+  those from x0 to the same corrected iterate;
 * one right-hand-side rule: the run starts at the projected residual
   P (b - A xi) of its guess.  The left operator runs from xi on P b, the
   two-sided one from x0 on P (b - A xi) + (P A P) x0: its Krylov vectors
@@ -82,7 +84,7 @@ class _Recipe:
 
     ``system`` is the projected operator, ``"left"`` or ``"two_sided"``
     (:func:`deflated_operator`), and ``guess`` the initial-guess map,
-    ``"given"``, ``"shifted"`` or ``"adapted"``; together they fix the
+    ``"given"`` or ``"adapted"``; together they fix the
     right-hand side and the correction by the module's one rule of each.
     ``mode`` is None for the undeflated solvers.  The last two fields say
     how a variant reads its iteration, not which one it runs (:func:`_key`):
@@ -105,7 +107,7 @@ _MR = GalerkinMode.RESIDUAL_MINIMIZING
 
 _RECIPES = {
     MethodVariant.CG: _Recipe("cg"),
-    MethodVariant.DEFLATED_CG: _Recipe("cg", _OR, guess="shifted"),
+    MethodVariant.DEFLATED_CG: _Recipe("cg", _OR),
     MethodVariant.MINRES: _Recipe("minres"),
     MethodVariant.RMINRES_EXPLICIT: _Recipe("minres", _MR, "two_sided", per_iterate=True),
     MethodVariant.RMINRES_DEFLATION_ONLY: _Recipe("minres", _MR, "two_sided"),
@@ -199,10 +201,10 @@ def run_methods(variants, a, b, u=None, x0=None,
         d = once(recipe.mode, lambda: Deflator(a, u, recipe.mode))
         if recipe.solver == "minres" and not d.a_hermitian:
             raise ValueError(f"{variant.value} requires a Hermitian matrix")
-        rep, b_vec, x_given = once(
+        rep, b_vec, x_vec = once(
             key, lambda: _deflated_solve(recipe, d, b, x0, solve_cfg, solve))
         results.append(_correct(variant, recipe, d, _own_copy(rep, keep_iterates),
-                                b_vec, x_given, cfg))
+                                b_vec, x_vec, cfg))
     return results
 
 
@@ -229,21 +231,19 @@ def _own_copy(rep: SolveReport, keep_iterates: bool) -> SolveReport:
 
 def _deflated_solve(recipe, d, b, x0, cfg, solve):
     """The iteration of a deflated recipe with the system it ran on:
-    ``(report, b, x0 as given)``."""
+    ``(report, b, x0)``."""
     b = linalg.as_vector(b, d.dim)
-    x0 = x_given = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
-    if recipe.guess == "shifted":
-        x0 = d.initial_correction(x0, b)
+    x0 = linalg.as_vector(np.zeros(d.dim) if x0 is None else x0, d.dim)
     op = deflated_operator(d, recipe.system)
     if recipe.system == "left":
         rhs = d.project_residual(b)
     else:
         xi = d.adapted_initial_guess(x0, b) if recipe.guess == "adapted" else x0
         rhs = d.project_residual(b - d.a_product(xi)) + op.apply(x0)
-    return solve(op, rhs, x0, cfg), b, x_given
+    return solve(op, rhs, x0, cfg), b, x0
 
 
-def _correct(variant, recipe, d, rep, b, x_given, cfg) -> DualReport:
+def _correct(variant, recipe, d, rep, b, x0, cfg) -> DualReport:
     """Correct a deflated run back to the original system and judge its status
     there.
 
@@ -265,7 +265,7 @@ def _correct(variant, recipe, d, rep, b, x_given, cfg) -> DualReport:
         if recipe.adapted:
             rep = replace(rep, final_iterate=x_final, iterates=None if rep.iterates is None
                           else list(map(adapt, rep.iterates)))
-            diagnostics["adapted_initial_guess"] = adapt(x_given)
+            diagnostics["adapted_initial_guess"] = adapt(x0)
     if recipe.per_iterate:
         # The iterates as the columns of an n-by-k block, stacked once.
         corrected = d.correct_iterate(np.stack(rep.iterates).T, b)
@@ -281,6 +281,6 @@ def _correct(variant, recipe, d, rep, b, x_given, cfg) -> DualReport:
     limit = 10 * cfg.residual_tolerance
     # b - A x0 is formed only for a residual that misses 10 tol ||b||.
     if (rep.converged and final > limit * linalg.vector_norm(b)
-            and final > limit * linalg.vector_norm(b - d.a_product(x_given))):
+            and final > limit * linalg.vector_norm(b - d.a_product(x0))):
         rep = replace(rep, status=SolveStatus.STAGNATED)
     return DualReport(variant, rep, original, x, count, d, diagnostics)

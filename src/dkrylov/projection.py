@@ -216,6 +216,10 @@ class Deflator:
 
         Residual-orthogonal mode only: in residual-minimizing mode it raises
         ValueError.  The returned guess leaves an exact solution untouched.
+        No recipe of :mod:`dkrylov.deflated` uses it: each ends with
+        :meth:`correct_iterate`, which maps a run from the shifted guess and
+        one from the given guess to the same iterate, as P A U = 0.  It
+        serves a caller that skips that final correction.
         """
         if self.mode is not GalerkinMode.RESIDUAL_ORTHOGONAL:
             raise ValueError("initial_correction requires residual-orthogonal mode")

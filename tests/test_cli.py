@@ -55,6 +55,22 @@ INDEX_PAST_ORDER = [
 ]
 INDEX_PAST_ORDER_IDS = ["eigen-index-past-order", "breakdown-index-past-order"]
 
+#: Specs with a basis that their problem cannot give, which only the library
+#: call that builds it finds, and the message that names the key.
+BASIS_UNAVAILABLE = [
+    ({"problem": {"generator": "toy-breakdown"}, "deflation": {"eigen_indices": "1"},
+      "run": {"variants": "deflated-gmres"}},
+     "[deflation] eigen_indices: problem carries no eigenvector matrix"),
+    ({"problem": {"generator": "near-invariant"}, "deflation": {"breakdown_indices": "1"},
+      "run": {"variants": "deflated-gmres"}},
+     "[deflation] breakdown_indices: problem carries no eigenvector matrix"),
+    ({"problem": {"generator": "clustered-spd", "n": 81},
+      "deflation": {"breakdown_indices": "1-5"}, "run": {"variants": "deflated-cg"}},
+     "[deflation] breakdown_indices: paired basis requires an even-dimensional problem"),
+]
+BASIS_UNAVAILABLE_IDS = ["eigen-indices-without-eigenvectors",
+                         "breakdown-indices-without-eigenvectors", "breakdown-indices-odd-order"]
+
 
 #: Specs with a key that the generator or the other keys leave unread, and
 #: the message that names it.
@@ -174,10 +190,20 @@ class TestRun:
         (json.dumps({"problem": {"generator": "symmetric-indefinite", "m": 5},
                      "run": {"variants": ["minres", "deflated-minres", "deflated-gmres"]}}),
          "variants deflated-minres, deflated-gmres require a deflation basis from [deflation]"),
+        (json.dumps({"problem": {"generator": "clustered-spd", "n": 3},
+                     "run": {"variants": "cg"}}),
+         "[problem] outliers: need 0 < n_outliers < n"),
+        (json.dumps({"problem": {"generator": "clustered-spd", "n": 10, "outliers": 10},
+                     "run": {"variants": "cg"}}),
+         "[problem] outliers: need 0 < n_outliers < n"),
+        (json.dumps(with_value(paper_spec(), "run", "x0", "breakdown-guess")),
+         "[run] x0: basis combination is not orthogonal to its image"),
         *((json.dumps(spec), message) for spec, message in INDEX_PAST_ORDER),
+        *((json.dumps(spec), message) for spec, message in BASIS_UNAVAILABLE),
     ], ids=["invalid-json", "ini-sections", "not-an-object", "missing-variants",
             "file-without-b", "two-basis-sources", "breakdown-guess-without-basis",
-            "missing-basis", *INDEX_PAST_ORDER_IDS])
+            "missing-basis", "outliers-above-order", "outliers-equal-order",
+            "breakdown-guess-of-eigenvectors", *INDEX_PAST_ORDER_IDS, *BASIS_UNAVAILABLE_IDS])
     def test_rejected_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, capsys, text,
                                                     message):
         calls = []
@@ -559,7 +585,8 @@ class TestDiagnose:
         monkeypatch.undo()
         assert cli.main(["diagnose", spec, "--output", str(tmp_path)]) == 3
 
-    @pytest.mark.parametrize("spec, message", INDEX_PAST_ORDER, ids=INDEX_PAST_ORDER_IDS)
+    @pytest.mark.parametrize("spec, message", INDEX_PAST_ORDER + BASIS_UNAVAILABLE,
+                             ids=INDEX_PAST_ORDER_IDS + BASIS_UNAVAILABLE_IDS)
     def test_index_past_the_order_exits_2_before_any_diagnosis(self, tmp_path, monkeypatch,
                                                                capsys, spec, message):
         calls = []

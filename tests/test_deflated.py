@@ -18,7 +18,7 @@ from dkrylov.problems import (breakdown_prone_basis, clustered_spd_problem,
                               eigenvector_basis, perturb_basis, symmetric_indefinite_problem,
                               toy_breakdown_problem)
 from dkrylov.projection import Deflator, GalerkinMode
-from dkrylov.solvers import SolveConfig, SolveStatus, gmres_solve, minres_solve
+from dkrylov.solvers import SolveConfig, SolveStatus, cg_solve, gmres_solve, minres_solve
 
 #: The environment variables that set a BLAS library's thread count.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -84,14 +84,29 @@ class TestDeflatedCg:
         assert rep.deflated_report.iterations_used < 35
         assert np.linalg.norm(b - a @ rep.corrected_iterate) <= 1e-14 * np.linalg.norm(b)
 
-    def test_initial_residual_orthogonal_to_basis(self):
-        p = clustered_spd_problem(30, 3, seed=7)
-        u = eigenvector_basis(p, range(1, 4))
-        rep = run_method(MethodVariant.DEFLATED_CG, p.a, p.b, u,
-                         cfg=SolveConfig(max_iterations=5, residual_tolerance=1e-30))
-        # the corrected initial guess makes the true residual basis-orthogonal
-        x0 = rep.deflated_report.iterates[0]
-        assert np.linalg.norm(u.conj().T @ (p.b - p.a @ x0)) <= 1e-12
+    @pytest.mark.parametrize("n", [80, 200])
+    @pytest.mark.parametrize("eps", [0.0, 1e-6], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("x0_kind", ["zero", "random"])
+    def test_matches_a_run_from_the_shifted_guess(self, n, eps, x0_kind):
+        # P A U = 0, so shifting x0 by initial_correction changes neither
+        # the projected residuals nor the corrected iterate: the run from the
+        # given x0 is the shifted pipeline that a caller without the final
+        # correction would build, up to roundoff.
+        p = clustered_spd_problem(n, 5, seed=n)
+        u = eigenvector_basis(p, range(1, 6))
+        if eps:
+            u = perturb_basis(u, eps, seed=n)
+        x0 = (np.zeros(n) if x0_kind == "zero"
+              else np.random.default_rng(n).standard_normal(n))
+        cfg = SolveConfig()
+        rep = run_method(MethodVariant.DEFLATED_CG, p.a, p.b, u, x0, cfg)
+        d = Deflator(p.a, u, GalerkinMode.RESIDUAL_ORTHOGONAL)
+        shifted = cg_solve(deflated_operator(d, "left"), d.project_residual(p.b),
+                           d.initial_correction(x0, p.b), cfg)
+        x = d.correct_iterate(shifted.final_iterate, p.b)
+        assert rep.status is shifted.status is SolveStatus.CONVERGED
+        assert rep.deflated_report.iterations_used == shifted.iterations_used
+        assert np.linalg.norm(rep.corrected_iterate - x) <= 1e-10 * np.linalg.norm(x)
 
 
 class TestEquivalences:

@@ -22,6 +22,10 @@ class TestSymmetricIndefinite:
         p = symmetric_indefinite_problem(1, seed=0)
         np.testing.assert_allclose(np.linalg.eigvalsh(p.a), [-1.0, 1.0], atol=1e-12)
 
+    def test_m_zero_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            symmetric_indefinite_problem(0)
+
     def test_symmetric(self):
         # exact symmetry is what applies a generated matrix through one
         # triangle (linalg.SquareMatrix), so it is tested bit for bit
@@ -81,6 +85,8 @@ class TestEigenvectorBasis:
             eigenvector_basis(p, [11])
         with pytest.raises(ValueError):
             eigenvector_basis(p, [3, 2])
+        with pytest.raises(ValueError, match="nonempty"):
+            eigenvector_basis(p, [])
 
 
 class TestBreakdownProneBasis:
