@@ -12,13 +12,13 @@ history of a run is divided by one shared reference, ||b|| of the problem
 (1 when b = 0), so the variants can be compared with each other; the JSON
 output records it as ``reference_norm``.
 
-Every spec value is typed, and held to its key's own range, by one schema
-when the spec is read, and a key that the chosen generator or the other keys
-leave unread is rejected there, so either exits with code 2 before any
-problem is built, as is ``--seed`` for a generator that reads no seed; a
-missing deflation basis, an index past the problem's order and the other
-requirements that tie keys together or to the problem are checked while the
-experiment is built, before any solve, and exit with code 2 too.
+Every spec value is typed by one schema when the spec is read, and a key
+that the chosen generator or the other keys leave unread is rejected there,
+as is ``--seed`` for a generator that reads no seed.  The range of a key is
+checked by the generator or :class:`SolveConfig` it feeds, before that builds
+anything, and a missing basis or an index past the problem's order while the
+experiment is built; each error names its keys and exits with code 2 before
+any solve.
 
 Exit codes: 0 completed run, 1 failed check suite, 2 spec parse error or an
 output path in a missing directory, 3 construction/setup error, a check
@@ -124,29 +124,30 @@ def _choice(*names):
             f"one of {', '.join(names)}")
 
 
-# numpy rejects a negative seed only when the generator is built, in words
-# that name no key.
+_INTEGER = (_integer, "an integer")
+_FINITE = (_finite, "a finite number")
 _SEED = (_where(_integer, lambda n: n >= 0), "a non-negative integer")
-_COUNT = (_where(_integer, lambda n: n >= 1), "an integer of at least 1")
-_ORDER = (_where(_integer, lambda n: n >= 2), "an integer of at least 2")
 _POSITIVE = (_where(_finite, lambda x: x > 0), "a positive finite number")
 _NON_NEGATIVE = (_where(_finite, lambda x: x >= 0), "a non-negative finite number")
 _TEXT = (str, "a string")
 _INDICES = (parse_index_list, 'ascending 1-based indices such as "1-5,51-55"')
 
-#: Section -> key -> (function that types the value, what it expects).
+#: Section -> key -> (function that types the value, what it expects).  The
+#: library call a key feeds checks its range (:func:`_named`), except for the
+#: ranges here: perturb_eps and the index lists are checked only once the
+#: problem exists, seeds in words that name no key, x0_perturbation never.
 _SCHEMA = {
     "problem": {"generator": _choice("symmetric-indefinite", "clustered-spd", "toy-breakdown",
                                      "near-invariant", "file"),
-                "m": _COUNT, "n": _ORDER, "outliers": _COUNT, "alpha": _POSITIVE, "seed": _SEED,
-                "a": _TEXT, "b": _TEXT, "x0": _TEXT},
+                "m": _INTEGER, "n": _INTEGER, "outliers": _INTEGER, "alpha": _FINITE,
+                "seed": _SEED, "a": _TEXT, "b": _TEXT, "x0": _TEXT},
     "deflation": {"eigen_indices": _INDICES, "breakdown_indices": _INDICES, "file": _TEXT,
                   "perturb_eps": _POSITIVE, "perturb_seed": _SEED},
     "run": {"variants": (_variants, "variant names from "
                          + ", ".join(v.value for v in MethodVariant)),
             "x0": _choice("zero", "random", "breakdown-guess"), "x0_seed": _SEED,
             "x0_perturbation": _NON_NEGATIVE},
-    "solver": {"tolerance": _POSITIVE, "max_iterations": _COUNT},
+    "solver": {"tolerance": _FINITE, "max_iterations": _INTEGER},
     "output": {"format": _choice("csv", "json")},
 }
 
@@ -171,7 +172,7 @@ _CONDITIONAL_KEYS = (
 def parse_spec(path) -> dict[str, dict]:
     """Parse a JSON spec file, an object of section objects, into one dict
     of typed values per :data:`_SCHEMA` section, rejecting unknown sections
-    and keys, values out of their key's range, and keys that the spec's
+    and keys, values it cannot type or bound, and keys that the spec's
     choices never read (:data:`_GENERATOR_KEYS`, :data:`_CONDITIONAL_KEYS`)."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -211,6 +212,14 @@ def parse_spec(path) -> dict[str, dict]:
     return sections
 
 
+def _named(keys: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, whose ValueError or IndexError names the spec ``keys``."""
+    try:
+        return call(*args, **kwargs)
+    except (IndexError, ValueError) as exc:
+        raise SpecError(f"{keys}: {exc}") from None
+
+
 def build_problem(spec: dict, seed_override=None) -> TestProblem:
     """The spec's problem; ``seed_override`` (``--seed``) replaces ``[problem]
     seed`` and is rejected, as that key is, for a generator that reads none."""
@@ -220,17 +229,14 @@ def build_problem(spec: dict, seed_override=None) -> TestProblem:
         raise SpecError(f"--seed: generator {generator} reads no seed")
     seed = section.get("seed", 0) if seed_override is None else seed_override
     if generator == "symmetric-indefinite":
-        return symmetric_indefinite_problem(section.get("m", 50), seed)
+        return _named("[problem] m", symmetric_indefinite_problem, section.get("m", 50), seed)
     if generator == "clustered-spd":
-        # Its bound ties outliers to n, so the schema cannot check it.
-        try:
-            return clustered_spd_problem(section.get("n", 80), section.get("outliers", 5), seed)
-        except ValueError as exc:
-            raise SpecError(f"[problem] outliers: {exc}") from None
+        return _named("[problem] n, outliers", clustered_spd_problem, section.get("n", 80),
+                      section.get("outliers", 5), seed)
     if generator == "toy-breakdown":
         return toy_breakdown_problem()
     if generator == "near-invariant":
-        return near_invariant_problem(section.get("alpha", 1e-3))
+        return _named("[problem] alpha", near_invariant_problem, section.get("alpha", 1e-3))
     # generator == "file": Matrix Market inputs
     if "a" not in section or "b" not in section:
         raise SpecError("[problem] file generator requires a and b")
@@ -255,10 +261,7 @@ def build_basis(spec: dict, problem: TestProblem):
         # an even order for pairs) is known only here.
         key = sources[0]
         builder = eigenvector_basis if key == "eigen_indices" else breakdown_prone_basis
-        try:
-            basis = builder(problem, section[key])
-        except (IndexError, ValueError) as exc:
-            raise SpecError(f"[deflation] {key}: {exc}") from None
+        basis = _named(f"[deflation] {key}", builder, problem, section[key])
     if basis is not None and "perturb_eps" in section:
         basis = perturb_basis(basis, section["perturb_eps"], section.get("perturb_seed", 0))
     return basis
@@ -266,12 +269,13 @@ def build_basis(spec: dict, problem: TestProblem):
 
 def build_solve_config(spec: dict) -> SolveConfig:
     """The run's :class:`SolveConfig` from the spec's ``[solver]`` section,
-    whose values :func:`parse_spec` has typed and bounded.  The command
-    reports residuals and final iterates only, so it records no iterate
-    history; a variant that corrects every iterate still records its own
-    (:func:`run_methods`)."""
+    whose values :func:`parse_spec` has typed; :class:`SolveConfig` checks
+    their ranges.  The command reports residuals and final iterates only, so
+    it records no iterate history; a variant that corrects every iterate
+    still records its own (:func:`run_methods`)."""
     kwargs = {_SOLVER_FIELDS.get(key, key): value for key, value in spec["solver"].items()}
-    return SolveConfig(**kwargs, record_history=False)
+    return _named("[solver] tolerance, max_iterations", SolveConfig, **kwargs,
+                  record_history=False)
 
 
 def build_variants(spec: dict) -> list[MethodVariant]:

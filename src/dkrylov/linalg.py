@@ -16,8 +16,8 @@ products alone and the HPD verdict (:meth:`SquareMatrix.check_hpd`).  Each
 :class:`SquareMatrix` makes these passes once; ``deflated.run_methods`` builds
 one for its plain variants and one in each mode's :class:`Deflator`.
 
-Three kinds of norm live here.  :func:`spectral_norm`, :func:`hermitian_defect`
-and :func:`is_hermitian` are exact (a dense SVD) and serve as oracles for
+Three kinds of norm live here.  :func:`spectral_norm` and
+:func:`hermitian_defect` are exact (a dense SVD) and serve as oracles for
 analysis, the check suites and the tests.  The solve path sizes a matrix with
 :attr:`SquareMatrix.bound`, the upper bound ||a||_2 <= n max|a_ij| that the
 entry scale gives for free, and with :attr:`SquareMatrix.norm`, an estimate
@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 import sys
 import warnings
 
@@ -119,6 +121,28 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_count(value, least: int, name: str) -> int:
+    """``value``, an order or a count, as an int of at least ``least``.  It is
+    taken by ``operator.index``, so numpy integers pass and a fractional value
+    is not truncated; that, a bool (which would read as 0 or 1) and a value
+    below ``least`` raise ValueError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool) or count < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
+    return count
+
+
+def check_positive(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a positive finite
+    real number; a bool, which would read as 0 or 1, is rejected too."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not 0 < value < math.inf):                # also rejects NaN
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def inner(x, y) -> complex:
     """Inner product x^H y; the first argument is conjugated."""
     x = as_vector(x)
@@ -168,14 +192,6 @@ def hermitian_defect(a) -> float:
     """Spectral norm of a - a^H."""
     a = as_matrix(a)
     return spectral_norm(a - a.conj().T)
-
-
-def is_hermitian(a) -> bool:
-    """Exact test ||a - a^H||_2 <= HERMITIAN_TOLERANCE * ||a||_2 by two SVDs
-    (an oracle)."""
-    a = as_matrix(a)
-    scale = max(spectral_norm(a), np.finfo(float).tiny)
-    return hermitian_defect(a) <= HERMITIAN_TOLERANCE * scale
 
 
 class SquareMatrix:
@@ -277,8 +293,8 @@ class SquareMatrix:
         ``norm`` of s, on the scaled values s of :attr:`norm` so that the
         difference cannot underflow; one that fails against the bound
         n >= ||s||_2 is rejected first, with no estimate.  As ||.||_F >=
-        ||.||_2 and the estimate is a lower bound, this accepts nothing
-        :func:`is_hermitian` rejects."""
+        ||.||_2 and the estimate is a lower bound, this accepts nothing that
+        the exact test ||a - a^H||_2 <= HERMITIAN_TOLERANCE * ||a||_2 rejects."""
         if self.exactly_hermitian:
             return True
         defect = self.a - self.a.conj().T
@@ -341,8 +357,7 @@ def random_orthogonal(n: int, seed) -> np.ndarray:
     are alive at once.  Each takes the workspace of its size query, as
     ``scipy.linalg.qr`` does: the blocking, and so Q's bits, depend on it.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = as_count(n, 1, "n")
     a = np.asfortranarray(np.random.default_rng(seed).standard_normal((n, n)))
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (a,))
     lwork = int(geqrf(a, lwork=-1, overwrite_a=True)[2][0])

@@ -15,8 +15,6 @@ projected ones.  A map given by the caller is trusted to keep it.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from . import linalg
@@ -39,12 +37,7 @@ class LinearOperator:
     """
 
     def __init__(self, dim: int, matvec, hermitian: bool = False, dtype=np.complex128):
-        try:
-            n = operator.index(dim)                  # numpy integers pass
-        except TypeError:
-            n = 0
-        if isinstance(dim, bool) or n < 1:
-            raise ValueError("operator dimension must be an integer of at least 1")
+        n = linalg.as_count(dim, 1, "operator dimension")
         if not isinstance(hermitian, (bool, np.bool_)):
             raise ValueError("hermitian must be a bool")
         self.dim = n

@@ -4,7 +4,8 @@ Every generator is a pure function of its parameters and seed.  Index
 arguments that select eigenvector columns are 1-based, matching the usual
 subscript convention in the numerical linear algebra literature; storage is
 0-based internally.  Every generated system is real and stored float64, so it
-is solved in real arithmetic.
+is solved in real arithmetic.  Every function checks its arguments before it
+builds any array.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ def symmetric_indefinite_problem(m: int, seed: int = 0) -> TestProblem:
     The right-hand side is a seeded standard-normal vector normalized to
     unit length; the initial guess is zero.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = linalg.as_count(m, 1, "m")
     ss = np.random.SeedSequence(seed)
     ss_w, ss_b = ss.spawn(2)
     n = 2 * m
@@ -108,8 +108,7 @@ def _validate_indices(indices, upper: int) -> np.ndarray:
 
 def perturb_basis(u, eps: float, seed: int = 0) -> np.ndarray:
     """Add a seeded random complex perturbation of exact spectral norm eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    linalg.check_positive(eps, "eps")
     u = linalg.as_matrix(u)
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
@@ -140,8 +139,7 @@ def near_invariant_problem(alpha: float) -> TestProblem:
     [0, 1, alpha] is an eigenvector for eigenvalue 1; the basis used is the
     perturbed vector [0, 1, 0].
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    linalg.check_positive(alpha, "alpha")
     inv = 1.0 / alpha
     a = np.array([[0.0, 1.0, -inv],
                   [1.0, 0.0, inv],
@@ -162,7 +160,8 @@ def clustered_spd_problem(n: int = 80, n_outliers: int = 5, seed: int = 0) -> Te
     eigenvalues, 1e-3 j for j = 1..n_outliers, below a well-conditioned
     cluster in [1, 2], the standard setting in which deflating the outliers
     accelerates conjugate gradients."""
-    if not 0 < n_outliers < n:
+    n, n_outliers = linalg.as_count(n, 2, "n"), linalg.as_count(n_outliers, 1, "n_outliers")
+    if n_outliers >= n:
         raise ValueError("need 0 < n_outliers < n")
     ss = np.random.SeedSequence(seed)
     ss_w, ss_b = ss.spawn(2)

@@ -71,8 +71,9 @@ class Deflator:
     products with ``a``, which then decides.  So a well-conditioned set-up
     costs its factorizations and no estimate, and every test accepts and
     rejects exactly as it would against the estimate: up to 1e-3 looser than
-    with the exact norm (2e-3 where the scale holds ||a||_2 squared).  Only
-    the n-by-k basis is measured exactly.
+    with the exact norm (2e-3 where the scale holds ||a||_2 squared).  The
+    n-by-k basis enters the free bound as ||u||_F >= ||u||_2 and the decisive
+    scale as ||u||_2 itself, an SVD taken only when the bound fails.
 
     ``a``, ``u``, ``w`` and the coupling factor are kept in the common field
     of ``a`` and ``u`` (:func:`linalg.as_matrix`), so a real system is
@@ -106,7 +107,6 @@ class Deflator:
         # The coupling matrix can be numerically zero for adversarial bases,
         # so the singularity test measures its pivots against the natural
         # problem scale rather than against the coupling matrix itself.
-        u_norm = linalg.spectral_norm(self.u)
         if mode is GalerkinMode.RESIDUAL_ORTHOGONAL:
             try:
                 matrix.check_hpd()
@@ -115,11 +115,11 @@ class Deflator:
                                  "definite matrix") from exc
             self._bu = self.u
             self.coupling = self.u.conj().T @ self.w
-            coupling_scale = lambda a_norm: a_norm * u_norm**2  # noqa: E731
+            coupling_scale = lambda a_norm, u_norm: a_norm * u_norm**2  # noqa: E731
         elif mode is GalerkinMode.RESIDUAL_MINIMIZING:
             self._bu = self.w
             self.coupling = self.w.conj().T @ self.w
-            coupling_scale = lambda a_norm: (a_norm * u_norm) ** 2  # noqa: E731
+            coupling_scale = lambda a_norm, u_norm: (a_norm * u_norm) ** 2  # noqa: E731
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._bu_h = self._bu.conj().T
@@ -129,7 +129,8 @@ class Deflator:
 
         try:
             c, lower = linalg.cholesky_factor_checked(self.coupling, scale=(
-                coupling_scale(matrix.bound), lambda: coupling_scale(matrix.norm)))
+                coupling_scale(matrix.bound, linalg.vector_norm(self.u)),
+                lambda: coupling_scale(matrix.norm, linalg.spectral_norm(self.u))))
         except SingularMatrixError as exc:
             raise SingularCouplingError(
                 f"coupling matrix is numerically singular ({exc})"

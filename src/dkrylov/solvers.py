@@ -50,8 +50,6 @@ from __future__ import annotations
 import collections
 import enum
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,17 +110,8 @@ class SolveConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        # True would read as a tolerance of 1 and as one step.
-        tol = self.residual_tolerance
-        if (not isinstance(tol, numbers.Real) or isinstance(tol, bool)
-                or not 0 < tol < math.inf):                 # also rejects NaN
-            raise ValueError("residual_tolerance must be positive and finite")
-        try:
-            steps = operator.index(self.max_iterations)     # numpy integers pass
-        except TypeError:
-            steps = 0
-        if isinstance(self.max_iterations, bool) or steps < 1:
-            raise ValueError("max_iterations must be an integer of at least 1")
+        linalg.check_positive(self.residual_tolerance, "residual_tolerance")
+        linalg.as_count(self.max_iterations, 1, "max_iterations")
         if not isinstance(self.record_history, (bool, np.bool_)):
             raise ValueError("record_history must be a bool")
 

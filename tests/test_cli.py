@@ -98,23 +98,46 @@ def with_value(spec, section, key, value):
     return spec
 
 
-#: Values outside their key's range: (section, key, value, what the key
-#: expects, a spec whose choices read the key).
+#: Values outside their key's range: (section, key, value, the message,
+#: a spec whose choices read the key).  A generator or SolveConfig checks
+#: the range of the keys that feed it, and the message names all of them.
 OUT_OF_RANGE = [
-    ("problem", "m", 0, "an integer of at least 1", paper_spec()),
-    ("problem", "n", 1, "an integer of at least 2",
+    ("problem", "m", 0, "[problem] m: m must be an integer of at least 1", paper_spec()),
+    ("problem", "n", 1, "[problem] n, outliers: n must be an integer of at least 2",
      {**paper_spec(), "problem": {"generator": "clustered-spd"}}),
-    ("problem", "outliers", 0, "an integer of at least 1",
+    ("problem", "outliers", 0,
+     "[problem] n, outliers: n_outliers must be an integer of at least 1",
      {**paper_spec(), "problem": {"generator": "clustered-spd"}}),
-    ("problem", "alpha", 0, "a positive finite number",
+    ("problem", "alpha", 0, "[problem] alpha: alpha must be positive and finite",
      {**paper_spec(), "problem": {"generator": "near-invariant"}}),
-    ("deflation", "perturb_eps", -1e-3, "a positive finite number",
+    ("deflation", "perturb_eps", -1e-3,
+     "[deflation] perturb_eps must be a positive finite number, got -0.001",
      paper_spec(eigen_indices="1-5")),
-    ("run", "x0_perturbation", -1, "a non-negative finite number", paper_spec()),
-    ("solver", "tolerance", 0, "a positive finite number", paper_spec()),
-    ("solver", "max_iterations", 0, "an integer of at least 1", paper_spec()),
+    ("run", "x0_perturbation", -1,
+     "[run] x0_perturbation must be a non-negative finite number, got -1", paper_spec()),
+    ("solver", "tolerance", 0, "[solver] tolerance, max_iterations: "
+     "residual_tolerance must be positive and finite", paper_spec()),
+    ("solver", "max_iterations", 0, "[solver] tolerance, max_iterations: "
+     "max_iterations must be an integer of at least 1", paper_spec()),
 ]
 OUT_OF_RANGE_IDS = [f"{key}-{value}" for _, key, value, _, _ in OUT_OF_RANGE]
+
+
+def record_work(monkeypatch):
+    """A list to which each problem built, orthogonal factor drawn and run of
+    variants is appended, so that a rejected spec can be shown to do none."""
+    calls = []
+    build = cli.build_problem
+
+    def build_and_record(*args):
+        problem = build(*args)
+        calls.append(("build_problem", args))
+        return problem
+    monkeypatch.setattr(cli, "build_problem", build_and_record)
+    monkeypatch.setattr(linalg, "random_orthogonal",
+                        lambda *args: calls.append(("random_orthogonal", args)))
+    monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(("run_methods", args)))
+    return calls
 
 
 def run_json(tmp_path, spec):
@@ -192,10 +215,10 @@ class TestRun:
          "variants deflated-minres, deflated-gmres require a deflation basis from [deflation]"),
         (json.dumps({"problem": {"generator": "clustered-spd", "n": 3},
                      "run": {"variants": "cg"}}),
-         "[problem] outliers: need 0 < n_outliers < n"),
+         "[problem] n, outliers: need 0 < n_outliers < n"),
         (json.dumps({"problem": {"generator": "clustered-spd", "n": 10, "outliers": 10},
                      "run": {"variants": "cg"}}),
-         "[problem] outliers: need 0 < n_outliers < n"),
+         "[problem] n, outliers: need 0 < n_outliers < n"),
         (json.dumps(with_value(paper_spec(), "run", "x0", "breakdown-guess")),
          "[run] x0: basis combination is not orthogonal to its image"),
         *((json.dumps(spec), message) for spec, message in INDEX_PAST_ORDER),
@@ -277,9 +300,7 @@ class TestRun:
             *OUT_OF_RANGE_IDS,
             *UNREAD_KEY_IDS])
     def test_bad_spec_exits_2_before_any_solve(self, tmp_path, monkeypatch, spec):
-        calls = []
-        monkeypatch.setattr(cli, "run_methods", lambda *args: calls.append(args))
-        monkeypatch.setattr(cli, "build_problem", lambda *args: calls.append(args))
+        calls = record_work(monkeypatch)
         path = tmp_path / "spec"
         path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         assert cli.main(["run", str(path)]) == 2
@@ -306,17 +327,18 @@ class TestRun:
         assert f"[{section}] {key} must be a non-negative integer, got -1" in err
         assert calls == []
 
-    @pytest.mark.parametrize("section, key, value, expected, spec", OUT_OF_RANGE,
+    @pytest.mark.parametrize("section, key, value, message, spec", OUT_OF_RANGE,
                              ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_value_is_named(self, tmp_path, monkeypatch, capsys, section, key,
-                                         value, expected, spec):
-        # Each bound is the schema's, so the message names the key and no
-        # problem is built; the generators' own messages name no key.
-        calls = []
-        monkeypatch.setattr(cli, "build_problem", lambda *args: calls.append(args))
+                                         value, message, spec):
+        # A generator or SolveConfig checks its arguments before it builds
+        # anything, so its bound names the key with no problem built and no
+        # factor drawn; the schema's own bounds reject it still earlier.
+        calls = record_work(monkeypatch)
         assert cli.main(["run", write_spec(tmp_path, with_value(spec, section, key, value))]) == 2
-        err = capsys.readouterr().err
-        assert f"[{section}] {key} must be {expected}, got {value!r}" in err
+        assert message in capsys.readouterr().err
+        named = message.split(":")[0]
+        assert named.startswith(f"[{section}] ") and key in named
         assert calls == []
 
     @pytest.mark.parametrize("option", ["--format", "--tol", "--maxit"])

@@ -208,6 +208,11 @@ class TestRandomOrthogonal:
         w = linalg.random_orthogonal(1, 0)
         assert abs(abs(w[0, 0]) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_order_is_a_count(self, n):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            linalg.random_orthogonal(n, 0)
+
     def test_orthogonality_large(self):
         w = linalg.random_orthogonal(100, 7)
         assert linalg.spectral_norm(w.conj().T @ w - np.eye(100)) <= 1e-12
@@ -350,6 +355,13 @@ def _norm_and_hermitian(a):
     return matrix.norm, matrix.hermitian
 
 
+def is_hermitian(a) -> bool:
+    """The exact test ||a - a^H||_2 <= HERMITIAN_TOLERANCE * ||a||_2, by two
+    SVDs: the oracle that SquareMatrix.hermitian must never be looser than."""
+    scale = max(linalg.spectral_norm(a), np.finfo(float).tiny)
+    return linalg.hermitian_defect(a) <= linalg.HERMITIAN_TOLERANCE * scale
+
+
 class TestNormEstimate:
     @pytest.mark.parametrize("make", [
         lambda: clustered_spd_problem(600).a,
@@ -392,7 +404,7 @@ class TestNormEstimate:
         # a - a^H = 0.5e-12 i I: its 2-norm passes the exact test, its
         # Frobenius norm, ten times larger at n = 100, fails the estimate's
         a = (1 + 0.25e-12j) * np.eye(100)
-        assert linalg.is_hermitian(a)
+        assert is_hermitian(a)
         assert linalg.SquareMatrix(a).hermitian is False
 
     @pytest.mark.parametrize("rank", [1, 60])
@@ -406,7 +418,7 @@ class TestNormEstimate:
         for eps in (0.0, 1e-15, 1e-14, 1e-13, 2e-13, 4e-13, 1e-12, 2e-12, 1e-11):
             a = h + eps * skew
             new = linalg.SquareMatrix(a).hermitian
-            assert not new or linalg.is_hermitian(a), eps
+            assert not new or is_hermitian(a), eps
             accepted.append(new)
         # a rank-one defect has ||.||_F = ||.||_2: the two tests nearly agree
         assert accepted == [True] * (6 if rank == 1 else 3) + [False] * (3 if rank == 1 else 6)
@@ -434,8 +446,10 @@ class TestNormEstimate:
         linalg.lu_factor_checked(paper.a)
         linalg.cholesky_factor_checked(
             spd.a, (200 * np.abs(spd.a).max(), lambda: linalg.spectral_norm(spd.a)))
-        assert shapes, "the wrappers saw no SVD at all, not even the n-by-k basis norm"
-        assert (200, 200) not in shapes
+        # nor does a well-conditioned coupling need the n-by-k basis's
+        assert shapes == []
+        linalg.spectral_norm(paper.eigenvectors[:, :5])
+        assert shapes == [(200, 5)], "the wrappers saw no SVD"
 
     def test_set_up_makes_no_square_temporary(self):
         a = clustered_spd_problem(400).a

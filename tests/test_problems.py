@@ -179,6 +179,42 @@ class TestClusteredSpd:
                                    atol=1e-10 * linalg.spectral_norm(p.a))
 
 
+class TestArgumentChecks:
+    """Each generator and perturb_basis checks its arguments before it builds
+    any array, so a bad one is a ValueError, never numpy's TypeError from
+    inside the build or a silent NaN."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: symmetric_indefinite_problem(2.5), "m must be an integer of at least 1"),
+        (lambda: symmetric_indefinite_problem(True), "m must be an integer of at least 1"),
+        (lambda: clustered_spd_problem(40.5, 5), "n must be an integer of at least 2"),
+        (lambda: clustered_spd_problem(40, 5.5), "n_outliers must be an integer of at least 1"),
+        (lambda: near_invariant_problem(float("nan")), "alpha must be positive and finite"),
+        (lambda: near_invariant_problem(float("inf")), "alpha must be positive and finite"),
+        (lambda: near_invariant_problem(True), "alpha must be positive and finite"),
+        (lambda: perturb_basis(np.ones((4, 2)), float("nan")), "eps must be positive and finite"),
+        (lambda: perturb_basis(np.ones((4, 2)), float("inf")), "eps must be positive and finite"),
+        (lambda: perturb_basis(np.ones((4, 2)), True), "eps must be positive and finite"),
+    ], ids=["fractional-m", "boolean-m", "fractional-n", "fractional-outliers", "nan-alpha",
+            "infinite-alpha", "boolean-alpha", "nan-eps", "infinite-eps", "boolean-eps"])
+    def test_rejected_before_any_draw(self, monkeypatch, call, message):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew before checking")
+        for module, name in ((np.random, "SeedSequence"), (np.random, "default_rng"),
+                             (linalg, "random_orthogonal")):
+            monkeypatch.setattr(module, name, draw)
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_numpy_integers_pass(self):
+        for numpy_int, plain in ((symmetric_indefinite_problem(np.int64(4), 2),
+                                  symmetric_indefinite_problem(4, 2)),
+                                 (clustered_spd_problem(np.int32(12), np.int64(3), 2),
+                                  clustered_spd_problem(12, 3, 2))):
+            assert np.array_equal(numpy_int.a, plain.a)
+            assert np.array_equal(numpy_int.b, plain.b)
+
+
 class TestGenerationMemory:
     """Generation holds at most three n-by-n float64 arrays at once: the
     eigenvectors, their scaled copy and the product, then the eigenvectors,
